@@ -5,7 +5,8 @@
 // submit->commit latency distribution, and enforces the accounting contract
 // by exit code: every committed request was admitted exactly once (no loss,
 // no double-commit), and every preset with a reject-new mempool commits all
-// admitted requests.
+// admitted requests. A rate x batch x pipeline-depth frontier sweep adds
+// throughput and low-load latency gates (see the sweep below).
 //
 // Run: bench_workload [--seed S] [--duration-ms D] [--n N] [--rate R]
 //                     [--clients C] [--outstanding K] [--request-bytes B]
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Throughput gates (enforced by exit code, like the accounting contract):
+  // Frontier gates (enforced by exit code, like the accounting contract):
   //  - headline: some cell must clear 8x the base cell's committed tx/s
   //    while keeping p99 within 5x the base cell's p99 -- the pipelining +
   //    adaptive-batching throughput claim;
@@ -223,6 +224,18 @@ int main(int argc, char** argv) {
                   d4->report.committed_tx_per_sec, d1->report.committed_tx_per_sec,
                   doubled ? "PASS" : "FAIL");
       if (!doubled) ok = false;
+    }
+    //  - low-load latency: at the base rate and the top batch cap, the
+    //    depth-4 cell's p50 stays within 2.5x the depth-1 cell's. Stripe
+    //    pacing keeps proposals one slot ahead of notarization, so depth
+    //    must not tax latency when there is no backlog.
+    const Cell* low4 = cell_at(rates.front(), batches.back(), 4);
+    if (low4 != nullptr && base_cell->report.latency_p50_ms > 0) {
+      const double ceiling = 2.5 * base_cell->report.latency_p50_ms;
+      const bool paced = low4->report.latency_p50_ms <= ceiling;
+      std::printf("low-load latency gate: depth-4 p50 %.2fms vs 2.5x depth-1 %.2fms: %s\n",
+                  low4->report.latency_p50_ms, ceiling, paced ? "PASS" : "FAIL");
+      if (!paced) ok = false;
     }
   }
 

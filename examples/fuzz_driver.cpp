@@ -11,7 +11,10 @@
 //   --quiet           batch mode: only print failures and the summary
 //
 // Every failure prints a one-line reproducer; exit code is the number of
-// failing seeds (capped at 125).
+// failing seeds (capped at 125). Replaying an undrained seed also prints a
+// triage dump: per honest chain, the first unfinalized slot, the proposal
+// frontier, and the view / proposed / proposal-seen / notarization view of
+// the first few unfinalized slots.
 
 #include <cinttypes>
 #include <cstdio>
@@ -84,6 +87,7 @@ int main(int argc, char** argv) {
         r.verdict.progressed ? "yes" : "NO", r.verdict.crashes, r.verdict.restarts,
         static_cast<std::uint64_t>(r.verdict.max_finalized),
         r.verdict.elapsed / sim::kMillisecond, r.verdict.trace_digest);
+    if (!r.verdict.drained) std::printf("undrained triage:\n%s", r.verdict.triage.c_str());
     std::printf("%s seed=%" PRIu64 "%s%s\n", r.passed ? "PASS" : "FAIL", seed,
                 r.passed ? "" : " failure=", r.failure.c_str());
     return r.passed ? 0 : 1;

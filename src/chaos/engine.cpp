@@ -1,6 +1,5 @@
 #include "chaos/engine.hpp"
 
-#include <cstdlib>
 #include <cstdio>
 
 #include <algorithm>
@@ -108,6 +107,33 @@ std::unique_ptr<multishot::MultishotNode> make_recovered(
   }
   node->set_durable(&durable);
   return node;
+}
+
+/// Triage lines for one honest chain of an undrained run: where it stopped
+/// finalizing and what its first unfinalized slots are waiting for.
+void append_triage(std::string& out, const std::string& who,
+                   const multishot::MultishotNode& node) {
+  constexpr Slot kSlots = 4;
+  const Slot first = node.chain().first_unfinalized();
+  char line[160];
+  std::snprintf(line, sizeof line, "%s: first_unfinalized=%llu frontier=%llu pool=%zu\n",
+                who.c_str(), static_cast<unsigned long long>(first),
+                static_cast<unsigned long long>(node.proposal_frontier()),
+                node.mempool().size());
+  out += line;
+  for (Slot s = first; s < first + kSlots; ++s) {
+    const auto probe = node.probe_slot(s);
+    const auto nt = node.chain().notarized(s);
+    // A notarization can name bytes that never arrived (content recovery).
+    const char* content = !nt ? "" : node.chain().find_block(s, nt->hash) ? " block=yes"
+                                                                            : " block=MISSING";
+    std::snprintf(line, sizeof line,
+                  "  slot %llu: view=%lld proposed=%s proposal_seen=%s notarized_view=%lld%s\n",
+                  static_cast<unsigned long long>(s), static_cast<long long>(probe.view),
+                  probe.proposed ? "yes" : "no", probe.proposal_seen ? "yes" : "no",
+                  static_cast<long long>(nt ? nt->view : kNoView), content);
+    out += line;
+  }
 }
 
 }  // namespace
@@ -298,92 +324,19 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   // consistency check.
   simu->run_until(simu->now() + 2 * plan.delta_bound);
 
-  if (std::getenv("TBFT_CHAOS_DEBUG") != nullptr) {
-    auto& mx = simu->metrics();
-    std::fprintf(stderr, "blockreq sent=%llu served=%llu adopted=%llu\n",
-                 static_cast<unsigned long long>(mx.counter("multishot.blockreq.sent").value()),
-                 static_cast<unsigned long long>(mx.counter("multishot.blockreq.served").value()),
-                 static_cast<unsigned long long>(mx.counter("multishot.blockreq.adopted").value()));
-    if (S > 1) {
-      for (NodeId i = 0; i < plan.n; ++i) {
-        if (muxes[i] == nullptr) continue;
-        for (std::uint32_t k = 0; k < S; ++k) {
-          const auto& inst = muxes[i]->instance(k);
-          std::fprintf(stderr, "node %u shard %u: finalized=%llu pool=%zu\n", i, k,
-                       static_cast<unsigned long long>(inst.finalized_count()),
-                       inst.mempool().size());
-          const auto& ch = inst.chain();
-          const Slot first = inst.finalized_count() + 1;
-          for (Slot s = first; s < first + 4; ++s) {
-            const auto nz = ch.notarized(s);
-            if (!nz) {
-              std::fprintf(stderr, "  slot %llu: no notarization\n",
-                           static_cast<unsigned long long>(s));
-              continue;
-            }
-            const auto* blk = ch.find_block(s, nz->hash);
-            std::fprintf(stderr,
-                         "  slot %llu: notarized view=%llu hash=%016llx block=%s parent=%016llx"
-                         " want_parent=%016llx\n",
-                         static_cast<unsigned long long>(s),
-                         static_cast<unsigned long long>(nz->view),
-                         static_cast<unsigned long long>(nz->hash), blk ? "yes" : "MISSING",
-                         blk ? static_cast<unsigned long long>(blk->parent_hash) : 0ULL,
-                         static_cast<unsigned long long>(
-                             s == first ? ch.finalized_tip_hash()
-                                        : (ch.notarized(s - 1) ? ch.notarized(s - 1)->hash
-                                                               : 0)));
-          }
-          for (const auto& e : inst.mempool().entries()) {
-            std::fprintf(stderr,
-                         "  tx hash=%016llx size=%zu inflight=%d slot=%llu hold_until=%lld\n",
-                         static_cast<unsigned long long>(e.hash), e.tx.size(), e.inflight,
-                         static_cast<unsigned long long>(e.slot),
-                         static_cast<long long>(e.hold_until));
-          }
-        }
-      }
-    }
-    for (NodeId i = 0; i < plan.n; ++i) {
-      const auto* node = replicas[i];
-      if (node == nullptr) continue;
-      std::fprintf(stderr, "node %u: finalized=%llu pool=%zu\n", i,
-                   static_cast<unsigned long long>(node->finalized_count()),
-                   node->mempool().size());
-      const auto& ch = node->chain();
-      const Slot first = node->finalized_count() + 1;
-      for (Slot s = first; s < first + 8; ++s) {
-        const auto n = ch.notarized(s);
-        if (!n) {
-          std::fprintf(stderr, "  slot %llu: no notarization\n",
-                       static_cast<unsigned long long>(s));
-          continue;
-        }
-        const auto* b = ch.find_block(s, n->hash);
-        std::fprintf(stderr,
-                     "  slot %llu: notarized view=%llu hash=%016llx block=%s parent=%016llx"
-                     " want_parent=%016llx\n",
-                     static_cast<unsigned long long>(s),
-                     static_cast<unsigned long long>(n->view),
-                     static_cast<unsigned long long>(n->hash), b ? "yes" : "MISSING",
-                     b ? static_cast<unsigned long long>(b->parent_hash) : 0ULL,
-                     static_cast<unsigned long long>(
-                         s == first ? ch.finalized_tip_hash()
-                                    : (ch.notarized(s - 1) ? ch.notarized(s - 1)->hash : 0)));
-      }
-      for (const auto& e : node->mempool().entries()) {
-        std::fprintf(stderr,
-                     "  tx hash=%016llx size=%zu inflight=%d slot=%llu hold_until=%lld\n",
-                     static_cast<unsigned long long>(e.hash), e.tx.size(), e.inflight,
-                     static_cast<unsigned long long>(e.slot),
-                     static_cast<long long>(e.hold_until));
-      }
-    }
-  }
-
   v.report = tracker.report(v.elapsed);
   v.drained = tracker.admitted() > 0 && tracker.all_admitted_committed();
   v.progressed = v.report.committed > 0;
+  if (!v.drained) {
+    for (NodeId i = 0; i < plan.n; ++i) {
+      const std::string who = "node " + std::to_string(i);
+      if (replicas[i] != nullptr) append_triage(v.triage, who, *replicas[i]);
+      if (muxes[i] == nullptr) continue;
+      for (std::uint32_t k = 0; k < S; ++k) {
+        append_triage(v.triage, who + " shard " + std::to_string(k), muxes[i]->instance(k));
+      }
+    }
+  }
   if (S == 1) {
     v.chains_consistent = multishot::chains_prefix_consistent(replicas);
     for (const auto* node : replicas) {

@@ -37,6 +37,9 @@ struct ChaosVerdict {
   /// Tracker observers installed (honest replicas + one per restart); the
   /// tracker counts a double-commit once per observer that sees it.
   std::uint64_t observers{0};
+  /// Undrained runs only: per honest chain, the first unfinalized slot, the
+  /// proposal frontier and the state of the first few unfinalized slots.
+  std::string triage;
 
   /// Safety + exactly-once accounting (the never-acceptable failures).
   /// Retry spill is bounded: each retry puts at most one extra copy in

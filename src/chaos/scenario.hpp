@@ -73,7 +73,7 @@ struct ScenarioPlan {
   std::vector<ByzRole> roles;     // size n; kHonest for most
   std::vector<ChurnEvent> churn;  // sorted by down_at, non-overlapping
 
-  /// Led slots a leader may have in flight at once (1 = classic cadence).
+  /// Stripe length: consecutive slots one leader owns (1 = classic cadence).
   std::uint32_t pipeline_depth{1};
   /// Adaptive per-proposal tx ceiling under backlog (0 = fixed caps).
   std::uint32_t adaptive_batch_txs{0};

@@ -192,6 +192,12 @@ View MultishotNode::view_of(Slot s) const {
   return st == nullptr ? 0 : st->view;
 }
 
+MultishotNode::SlotProbe MultishotNode::probe_slot(Slot s) const {
+  const SlotState* st = slots_.find(s);
+  if (st == nullptr) return {};
+  return {st->view, st->proposed, st->proposal_by_view.find(st->view) != nullptr};
+}
+
 bool MultishotNode::tx_finalized(std::span<const std::uint8_t> tx) const {
   return chain_.commit_slot(tx) != 0;
 }
@@ -395,13 +401,6 @@ std::optional<std::uint64_t> MultishotNode::parent_for_proposal(Slot s) const {
   if (const auto n = chain_.notarized(prev)) return n->hash;
   if (const SlotState* pst = slots_.find(prev); pst != nullptr) {
     if (const auto* h = pst->proposal_by_view.find(pst->view)) return *h;
-    // Stripe chaining (pipeline_depth > 1): our own just-proposed candidate
-    // is a valid parent before its broadcast loops back into
-    // proposal_by_view. Stale after a view change (self_view mismatch).
-    if (cfg_.pipeline_depth > 1 && pst->self_view == pst->view &&
-        pst->self_hash != 0) {
-      return pst->self_hash;
-    }
   }
   return std::nullopt;
 }
@@ -417,6 +416,16 @@ void MultishotNode::try_propose(Slot s) {
 
   Block block;
   if (st->view == 0) {
+    // Stripe pacing (Fig. 2: the next leader proposes on *receipt* of the
+    // previous proposal): inside a stripe the leader is its own next leader,
+    // and its own broadcast reaches it at once, so without this check it
+    // would propose its whole stripe in one instant. A fresh block on our
+    // own un-notarized previous slot therefore waits until that slot is the
+    // first one not yet notarized; on_notarized re-tries the frontier.
+    if (s > proposal_frontier() + 1 && !chain_.notarized(s - 1) &&
+        cfg_.leader_of(s - 1, 0) == cfg_.leader_of(s, 0)) {
+      return;
+    }
     // Idle-chain suppression (unbounded chains): a filler block that no
     // pending work needs is never proposed -- submissions wake the frontier.
     if (idle_quiescent()) {
@@ -478,8 +487,6 @@ void MultishotNode::try_propose(Slot s) {
   }
 
   st->proposed = true;
-  st->self_hash = block.hash();
-  st->self_view = st->view;
   chain_.add_block(block);
   // The proposal is the leader's implicit vote for its own slot (paper
   // §6.1): record vote-1 locally; the broadcast is counted by receivers.
@@ -490,25 +497,6 @@ void MultishotNode::try_propose(Slot s) {
     }
   }
   do_propose(s, st->view, block);
-  if (cfg_.pipeline_depth > 1) try_chain_ahead(s);
-}
-
-void MultishotNode::try_chain_ahead(Slot s) {
-  // Drive the rest of this stripe without waiting for the broadcast of slot
-  // s to loop back: up to pipeline_depth consecutive led slots in flight
-  // before the earliest finalizes, each chaining on the previous candidate.
-  // Only fresh view-0 proposals chain (views > 0 re-propose per slot through
-  // Rule 1), and only while real work is pending -- filler never rides the
-  // pipeline ahead of the frontier. Recursion through try_propose walks to
-  // the stripe boundary and stops (the next stripe has a different leader).
-  const Slot t = s + 1;
-  if (cfg_.max_slots != 0 && t > cfg_.max_slots) return;
-  if (mempool_.available() == 0) return;
-  if (cfg_.leader_of(t, 0) != ctx().id()) return;  // stripe boundary
-  SlotState* st = slot_state(t, true);
-  if (st == nullptr || st->view != 0 || st->proposed) return;
-  start_slot(t);
-  try_propose(t);
 }
 
 std::uint32_t MultishotNode::led_inflight() const {
@@ -601,6 +589,7 @@ void MultishotNode::on_notarized(Slot s) {
   try_vote(s);
   try_vote(s + 1);
   try_propose(s + 1);
+  try_propose(proposal_frontier() + 1);  // a stripe slot held by pacing
 }
 
 // An equivocating leader can split one view's votes so that slot s

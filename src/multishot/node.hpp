@@ -106,12 +106,11 @@ struct MultishotConfig {
   MempoolPolicy mempool_policy{MempoolPolicy::kRejectNew};
 
   // --- Slot pipelining + adaptive batching (DESIGN_PERF.md) ---
-  /// How many consecutive led slots a leader may drive before the earliest
-  /// finalizes. Depth 1 is the classic per-slot rotation (byte-identical to
-  /// the pre-pipelining protocol). Depth > 1 stripes the rotating-leader
-  /// schedule into runs of `pipeline_depth` slots per leader, and a leader
-  /// chains fresh proposals across its stripe on its own candidate parents
-  /// without waiting for its broadcasts to loop back.
+  /// Stripe length: how many consecutive slots one leader owns per view.
+  /// Depth 1 is the classic per-slot rotation (byte-identical to the
+  /// pre-pipelining protocol). Depth does not widen the run-ahead: at every
+  /// depth a fresh proposal runs at most one slot past the notarized suffix
+  /// (stripe pacing, see try_propose), exactly Fig. 2's good case.
   std::uint32_t pipeline_depth{1};
   /// Adaptive batching ceiling: when > max_batch_txs, the effective batch
   /// caps of a fresh proposal scale with the observed mempool backlog
@@ -190,6 +189,19 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] const Block* block_at(Slot s) const noexcept { return chain_.block_at(s); }
   [[nodiscard]] View view_of(Slot s) const;
   [[nodiscard]] const MultishotConfig& config() const noexcept { return cfg_; }
+  /// The next slot a view-0 fresh proposal would go to: first unfinalized
+  /// slot past the notarized suffix.
+  [[nodiscard]] Slot proposal_frontier() const {
+    return chain_.first_unfinalized() + chain_.notarized_suffix_length();
+  }
+  /// Triage snapshot of slot s (undrained fuzz seeds): its current view,
+  /// whether this node proposed in it, and whether a proposal for it arrived.
+  struct SlotProbe {
+    View view{0};
+    bool proposed{false};
+    bool proposal_seen{false};
+  };
+  [[nodiscard]] SlotProbe probe_slot(Slot s) const;
 
   /// Bench instrumentation: record the first time each slot notarizes /
   /// each proposal for a slot arrives (unbounded; off by default).
@@ -283,11 +295,6 @@ class MultishotNode : public runtime::ProtocolNode {
     /// for (MsBlockRequest). Replies are accepted only against this or the
     /// slot's recorded notarization hash.
     std::uint64_t wanted_hash{0};
-    /// My own proposal for this slot (hash + the view it was proposed in):
-    /// the stripe-chaining parent fallback (pipeline_depth > 1) before the
-    /// broadcast loops back into proposal_by_view.
-    std::uint64_t self_hash{0};
-    View self_view{kNoView};
     core::VoteRecord record;                     // implicit per-slot phase history
     std::vector<std::optional<MsSuggest>> suggests;  // latest per sender
     std::vector<std::optional<MsProof>> proofs;      // latest per sender
@@ -308,8 +315,6 @@ class MultishotNode : public runtime::ProtocolNode {
       proposed = false;
       extra_candidates = 0;
       wanted_hash = 0;
-      self_hash = 0;
-      self_view = kNoView;
       record = core::VoteRecord{};
       suggests.assign(suggests.size(), std::nullopt);
       proofs.assign(proofs.size(), std::nullopt);
@@ -366,11 +371,6 @@ class MultishotNode : public runtime::ProtocolNode {
   void arm_timer(Slot s);
   /// Re-arm a dormant (started, timer-less) slot; starts it if unknown.
   void wake_slot(Slot s);
-  /// The next slot a view-0 fresh proposal would go to: first unfinalized
-  /// slot past the notarized suffix.
-  [[nodiscard]] Slot proposal_frontier() const {
-    return chain_.first_unfinalized() + chain_.notarized_suffix_length();
-  }
   /// True when no *work* is pending anywhere this node can see: empty
   /// mempool, no transaction-bearing (or content-unknown) proposal or
   /// notarization at any unfinalized slot, and no view-change traffic newer
@@ -379,11 +379,6 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] bool idle_quiescent() const;
 
   void try_propose(Slot s);
-  /// Stripe chaining (pipeline_depth > 1): having proposed slot s, propose
-  /// the next slot of the stripe on the just-created candidate parent when
-  /// this node leads it and real work is pending (recursive through
-  /// try_propose, bounded by the stripe).
-  void try_chain_ahead(Slot s);
   /// Slots this node proposed that are still unfinalized under its
   /// leadership -- the in-flight count the adaptive batch control law
   /// spreads the backlog across. Bounded window sweep, proposal-time only.

@@ -477,9 +477,9 @@ class ClusterBuilder {
   /// empty-mempool leader defers a fresh proposal waiting for load.
   ClusterBuilder& batching(std::uint32_t max_txs, std::uint32_t max_bytes,
                            runtime::Duration timeout = 0);
-  /// Slot pipelining: a leader may have up to `depth` consecutive led slots
-  /// proposed before the earliest finalizes (1 = classic one-at-a-time, and
-  /// byte-identical to it). Must be in [1, 16].
+  /// Slot pipelining: each leader owns stripes of `depth` consecutive slots,
+  /// proposing each one slot ahead of notarization (1 = classic per-slot
+  /// rotation, and byte-identical to it). Must be in [1, 16].
   ClusterBuilder& pipelining(std::uint32_t depth);
   /// Adaptive batching: under mempool backlog the per-proposal caps grow
   /// toward `max_txs` transactions (byte budget scales in proportion).

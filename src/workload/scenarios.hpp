@@ -51,7 +51,7 @@ struct ScenarioOptions {
   std::uint32_t max_batch_txs{64};
   std::uint32_t max_batch_bytes{8192};
   sim::SimTime batch_timeout{0};
-  /// Led slots a leader may have in flight at once (1 = classic).
+  /// Stripe length: consecutive slots one leader owns (1 = classic).
   std::uint32_t pipeline_depth{1};
   /// Adaptive per-proposal tx ceiling under backlog (<= max_batch_txs = off).
   std::uint32_t adaptive_batch_txs{0};
