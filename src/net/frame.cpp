@@ -36,15 +36,23 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> in, const Sink& sink) {
       if (!skip_frame_) body_.reserve(len);
       in_body_ = true;
     }
+    if (skip_frame_) {
+      // Unknown kind: count the body bytes off without buffering them, so
+      // a stranger's frame cannot make the connection hold its length.
+      const std::size_t take = std::min(body_need_, in.size() - i);
+      body_need_ -= take;
+      i += take;
+      if (body_need_ > 0) break;
+      reset_frame();
+      continue;
+    }
     const std::size_t take = std::min(body_need_ - body_.size(), in.size() - i);
     body_.insert(body_.end(), in.begin() + i, in.begin() + i + take);
     i += take;
     if (body_.size() < body_need_) break;
-    if (!skip_frame_) {
-      ++counters_.frames;
-      sink(kind_, std::move(body_));
-      body_ = {};
-    }
+    ++counters_.frames;
+    sink(kind_, std::move(body_));
+    body_ = {};
     reset_frame();
   }
   counters_.bytes += i;

@@ -14,7 +14,7 @@
 //    framing cannot resync past a lying length) -- counted, and the caller
 //    must drop the connection;
 //  - an unknown kind is a counted, skipped frame (the length prefix still
-//    delimits it, so the stream survives);
+//    delimits it, so the stream survives) whose body is never buffered;
 //  - bytes buffered mid-frame when the stream ends are a counted truncation;
 //  - everything below (serde decode of hello / protocol messages) is already
 //    total -- a sticky Reader failure, never an assert or UB.
@@ -124,6 +124,9 @@ class FrameDecoder {
 
   [[nodiscard]] bool poisoned() const noexcept { return poisoned_; }
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
+  /// Bytes reserved for the frame being assembled (the per-connection
+  /// memory a peer can demand: at most one known-kind frame's length).
+  [[nodiscard]] std::size_t buffer_capacity() const noexcept { return body_.capacity(); }
 
  private:
   void reset_frame() noexcept {
@@ -139,10 +142,10 @@ class FrameDecoder {
   std::uint8_t header_[kFrameHeaderBytes]{};
   std::size_t header_got_{0};
   std::vector<std::uint8_t> body_;  // current frame's payload, accumulating
-  std::size_t body_need_{0};        // payload length from the header
+  std::size_t body_need_{0};        // payload length (skip: bytes left)
   FrameKind kind_{FrameKind::kData};
   bool in_body_{false};
-  bool skip_frame_{false};  // unknown kind: consume, do not emit
+  bool skip_frame_{false};  // unknown kind: consume, do not buffer or emit
   bool poisoned_{false};
 };
 

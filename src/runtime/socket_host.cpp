@@ -7,7 +7,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
+#include <ctime>
+#include <deque>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -20,12 +21,26 @@ constexpr NodeId kNoPeer = static_cast<NodeId>(-1);
 /// Cap on accepted-but-unidentified connections: strangers who never send a
 /// valid hello must not exhaust fds. Oldest is evicted on overflow.
 constexpr std::size_t kMaxPendingAccepts = 64;
+/// Queued data frames gathered into one sendmsg.
+constexpr std::size_t kFramesPerWrite = 32;
+/// recv calls per connection per loop pass: a flooding peer yields to due
+/// timers and posted calls after this many buffers.
+constexpr int kReadsPerPass = 4;
+
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) noexcept {
+  counter.fetch_add(by, std::memory_order_relaxed);
+}
+
+void write_wake_byte(int fd) noexcept {
+  const std::uint8_t b = 1;
+  [[maybe_unused]] const auto r = ::write(fd, &b, 1);
+}
 }  // namespace
 
 // ---- connection state ------------------------------------------------------
 
-/// One TCP connection, owned by the IO thread. Dialed connections know their
-/// peer from birth; accepted ones learn it from the hello.
+/// One TCP connection. Dialed connections know their peer from birth;
+/// accepted ones learn it from the hello.
 struct SocketHost::Conn {
   net::Fd fd;
   NodeId peer{kNoPeer};
@@ -33,39 +48,38 @@ struct SocketHost::Conn {
   bool connecting{false};   // non-blocking connect still in flight
   bool hello_sent{false};
   bool hello_received{false};
+  bool blocked{false};      // socket buffer full: no writes until POLLOUT
   bool dead{false};         // marked for sweep at the end of the poll pass
 
   net::FrameDecoder decoder;
 
-  // Write side: control frames (hello/ping/pong) in a flat byte buffer that
-  // always flushes ahead of data, then the current data frame as a shared
-  // Payload + header, written with writev straight from the shared bytes.
+  // Write side: control frames (hello/ping/pong) in a flat byte buffer,
+  // then the peer's queued data frames, which stay queued until fully
+  // written -- head_off counts the head frame's bytes already sent.
   std::vector<std::uint8_t> ctrl;
   std::size_t ctrl_off{0};
-  Payload cur;
-  bool cur_valid{false};
-  std::uint8_t cur_header[net::kFrameHeaderBytes]{};
-  std::size_t cur_off{0};  // bytes of header+payload already written
+  std::size_t head_off{0};
 
   Time last_rx{0};
   bool ping_outstanding{false};
   std::uint64_t unknown_synced{0};  // decoder dropped_unknown already mirrored
 
-  explicit Conn(net::Fd f) : fd(std::move(f)) {}
+  Conn(net::Fd f, std::size_t max_frame_bytes, Time now)
+      : fd(std::move(f)),
+        decoder(net::FrameDecoder::Limits{max_frame_bytes}),
+        last_rx(now) {}
   [[nodiscard]] bool established() const noexcept {
     return hello_sent && hello_received && !connecting;
   }
 };
 
-/// Per-peer outbound queue and redial bookkeeping. The queue is guarded by
-/// out_mx_ (node thread pushes, IO thread pops); the rest is IO-thread-only.
+/// Per-peer outbound queue and redial bookkeeping. The queue outlives
+/// connections, so a backlog drains over the next one.
 struct SocketHost::PeerState {
-  std::deque<Payload> queue;  // guarded by out_mx_
-  std::size_t dropped{0};     // guarded by out_mx_ (mirrored into stats_)
-
-  Conn* conn{nullptr};        // IO thread: the live connection, if any
-  std::uint32_t attempts{0};  // IO thread: consecutive failed dials
-  Time next_dial{0};          // IO thread: earliest redial time
+  std::deque<Payload> queue;  // at most max_queue; the head may be part-sent
+  Conn* conn{nullptr};        // the live connection, if any
+  std::uint32_t attempts{0};  // consecutive failed dials
+  Time next_dial{0};          // earliest redial time
 };
 
 Duration jittered_backoff(std::uint32_t attempt, Duration base, Duration cap,
@@ -93,7 +107,7 @@ SocketHost::SocketHost(SocketHostConfig cfg, std::unique_ptr<ProtocolNode> node)
   // id+1 times, keep the last.
   Rng root(cfg_.seed);
   for (NodeId i = 0; i <= cfg_.id; ++i) rng_ = root.fork();
-  // The IO thread's jitter stream is derived from a salted root, NOT forked
+  // The backoff jitter stream is derived from a salted root, NOT forked
   // from rng_: the node's stream must stay identical across all transports.
   Rng io_root(mix64(cfg_.seed) ^ 0x696f'6a69'7474'6572ULL);
   for (NodeId i = 0; i <= cfg_.id; ++i) io_rng_ = io_root.fork();
@@ -137,68 +151,48 @@ void SocketHost::add_commit_sink(CommitSink& sink) {
 void SocketHost::start() {
   TBFT_ASSERT_MSG(!started_, "start() called twice");
   started_ = true;
-  io_thread_ = std::thread([this] { run_io(); });
-  node_thread_ = std::thread([this] { run_node(); });
+  thread_ = std::thread([this] { run(); });
 }
 
 void SocketHost::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   stop_.store(true);
-  {
-    std::lock_guard<std::mutex> lk(mx_);
-  }
-  cv_.notify_all();
-  io_wake();
-  if (node_thread_.joinable()) node_thread_.join();
-  if (io_thread_.joinable()) io_thread_.join();
+  write_wake_byte(wake_wr_.get());
+  thread_.join();
 }
 
-// ---- node side (Host interface + mailbox loop) -----------------------------
-
-void SocketHost::enqueue(InboxEntry entry) {
-  {
-    std::lock_guard<std::mutex> lk(mx_);
-    if (stop_.load(std::memory_order_relaxed)) return;
-    inbox_.push_back(std::move(entry));
-  }
-  cv_.notify_one();
-}
+// ---- Host interface (loop thread) ------------------------------------------
 
 void SocketHost::post(std::function<void()> fn) {
   if (!started_) {
     fn();  // no thread yet: caller is the only mutator (pre-start seeding)
     return;
   }
-  InboxEntry e;
-  e.call = std::move(fn);
-  enqueue(std::move(e));
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lk(post_mx_);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    posted_.push_back(std::move(fn));
+    wake = !wake_pending_.exchange(true, std::memory_order_relaxed);
+  }
+  if (wake) write_wake_byte(wake_wr_.get());  // one pipe byte per loop pass
 }
 
 void SocketHost::send(NodeId dst, Payload payload) {
   if (dst == cfg_.id) {
-    // Self-sends never touch the network: straight to the own mailbox, the
-    // same semantics as the Simulation and the LocalRunner.
-    InboxEntry e;
-    e.src = cfg_.id;
-    e.payload = std::move(payload);
-    enqueue(std::move(e));
+    // Self-sends never touch the network: delivered on the next loop pass,
+    // the same semantics as the Simulation and the LocalRunner.
+    self_inbox_.push_back(std::move(payload));
     return;
   }
   if (dst >= cfg_.n) return;
-  bool was_empty = false;
-  {
-    std::lock_guard<std::mutex> lk(out_mx_);
-    PeerState& p = *peers_[dst];
-    if (p.queue.size() >= cfg_.max_queue) {
-      ++p.dropped;
-      stats_.queue_dropped.fetch_add(1, std::memory_order_relaxed);
-      return;  // bounded queue: drop newest, count, never block the node
-    }
-    was_empty = p.queue.empty();
-    p.queue.push_back(std::move(payload));
+  std::deque<Payload>& queue = peers_[dst]->queue;
+  if (queue.size() >= cfg_.max_queue) {
+    bump(stats_.queue_dropped);
+    return;  // bounded queue: drop newest, count, never block the node
   }
-  if (was_empty) io_wake();
+  queue.push_back(std::move(payload));
 }
 
 void SocketHost::broadcast(Payload payload) {
@@ -212,8 +206,6 @@ void SocketHost::broadcast(Payload payload) {
 
 TimerId SocketHost::set_timer(Duration delay) {
   TBFT_ASSERT(delay >= 0);
-  // Owner-thread only: handlers and post()ed functors run on the node
-  // thread, the only thread that touches the wheel.
   return timers_.arm(now() + delay);
 }
 
@@ -226,57 +218,7 @@ void SocketHost::publish_commit(std::uint64_t stream, Value value,
   for (CommitSink* sink : commit_sinks_) sink->on_commit(commit);
 }
 
-void SocketHost::run_node() {
-  node_->on_start();
-
-  std::vector<InboxEntry> batch;
-  std::vector<TimerId> fired;
-  std::unique_lock<std::mutex> lk(mx_);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    // Due timers fire before the next message batch (sustained arrival must
-    // not starve view timers) -- identical to LocalRunner::run_node.
-    const Time next = timers_.next_deadline();
-    if (next <= now()) {
-      fired.clear();
-      timers_.pop_due(now(), fired);
-      lk.unlock();
-      for (const TimerId id : fired) node_->on_timer(id);
-      lk.lock();
-      continue;
-    }
-
-    if (!inbox_.empty()) {
-      batch.swap(inbox_);
-      lk.unlock();
-      for (InboxEntry& e : batch) {
-        if (e.call) {
-          e.call();
-        } else {
-          node_->on_message(e.src, e.payload);
-        }
-      }
-      batch.clear();  // drop payload refs outside the lock
-      lk.lock();
-      continue;
-    }
-
-    const auto woken = [&] {
-      return stop_.load(std::memory_order_relaxed) || !inbox_.empty();
-    };
-    if (next == kNever) {
-      cv_.wait(lk, woken);
-    } else {
-      cv_.wait_until(lk, epoch_ + std::chrono::microseconds(next), woken);
-    }
-  }
-}
-
-// ---- IO thread -------------------------------------------------------------
-
-void SocketHost::io_wake() const noexcept {
-  const std::uint8_t b = 1;
-  [[maybe_unused]] const auto r = ::write(wake_wr_.get(), &b, 1);
-}
+// ---- sockets (loop thread) -------------------------------------------------
 
 void SocketHost::io_queue_ctrl(Conn& c, net::FrameKind kind,
                                std::span<const std::uint8_t> payload) {
@@ -286,17 +228,19 @@ void SocketHost::io_queue_ctrl(Conn& c, net::FrameKind kind,
   c.ctrl.insert(c.ctrl.end(), payload.begin(), payload.end());
 }
 
-bool SocketHost::io_wants_write(const Conn& c) {
-  if (c.connecting) return true;  // connect completion reports as writable
-  if (c.ctrl_off < c.ctrl.size() || c.cur_valid) return true;
-  if (!c.established() || c.peer == kNoPeer) return false;
-  std::lock_guard<std::mutex> lk(out_mx_);
-  return !peers_[c.peer]->queue.empty();
+void SocketHost::io_send_hello(Conn& c) {
+  serde::Writer w;
+  net::Hello h;
+  h.node = cfg_.id;
+  h.n = cfg_.n;
+  h.encode(w);
+  io_queue_ctrl(c, net::FrameKind::kHello, w.data());
+  c.hello_sent = true;
 }
 
 void SocketHost::io_dial(NodeId peer) {
   PeerState& p = *peers_[peer];
-  stats_.dials.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.dials);
   bool in_progress = false;
   std::string err;
   net::Fd fd = net::tcp_dial(cfg_.peers[peer], in_progress, err);
@@ -306,22 +250,11 @@ void SocketHost::io_dial(NodeId peer) {
                                            cfg_.backoff_cap, cfg_.backoff_jitter, io_rng_);
     return;
   }
-  auto c = std::make_unique<Conn>(std::move(fd));
+  auto c = std::make_unique<Conn>(std::move(fd), cfg_.max_frame_bytes, now());
   c->peer = peer;
   c->dialed = true;
   c->connecting = in_progress;
-  c->last_rx = now();
-  c->decoder = net::FrameDecoder(net::FrameDecoder::Limits{cfg_.max_frame_bytes});
-  if (!in_progress) {
-    // Connected immediately (loopback): send our hello now.
-    serde::Writer w;
-    net::Hello h;
-    h.node = cfg_.id;
-    h.n = cfg_.n;
-    h.encode(w);
-    io_queue_ctrl(*c, net::FrameKind::kHello, w.data());
-    c->hello_sent = true;
-  }
+  if (!in_progress) io_send_hello(*c);  // connected immediately (loopback)
   p.conn = c.get();
   conns_.push_back(std::move(c));
 }
@@ -330,7 +263,7 @@ void SocketHost::io_accept_pending() {
   for (;;) {
     net::Fd fd = net::tcp_accept(listener_.get());
     if (!fd.valid()) return;
-    stats_.accepts.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.accepts);
     std::size_t pending = 0;
     Conn* oldest = nullptr;
     for (const auto& c : conns_) {
@@ -341,13 +274,11 @@ void SocketHost::io_accept_pending() {
     }
     if (pending >= kMaxPendingAccepts && oldest != nullptr) {
       // Strangers who never identify themselves must not exhaust fds.
-      stats_.rx_junk.fetch_add(1, std::memory_order_relaxed);
+      bump(stats_.rx_junk);
       oldest->dead = true;
     }
-    auto c = std::make_unique<Conn>(std::move(fd));
-    c->last_rx = now();
-    c->decoder = net::FrameDecoder(net::FrameDecoder::Limits{cfg_.max_frame_bytes});
-    conns_.push_back(std::move(c));  // identity pending: wait for its hello
+    // Identity pending: wait for its hello.
+    conns_.push_back(std::make_unique<Conn>(std::move(fd), cfg_.max_frame_bytes, now()));
   }
 }
 
@@ -360,11 +291,11 @@ bool SocketHost::io_on_hello(Conn& c, std::vector<std::uint8_t>&& body) {
   const bool direction_ok =
       c.dialed ? (h.node == c.peer) : (shape_ok && h.node > cfg_.id);
   if (!shape_ok || !direction_ok) {
-    stats_.rejected_hello.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.rejected_hello);
     return false;
   }
   if (c.hello_received) {
-    stats_.rx_junk.fetch_add(1, std::memory_order_relaxed);  // duplicate hello
+    bump(stats_.rx_junk);  // duplicate hello
     return true;
   }
   c.hello_received = true;
@@ -378,17 +309,10 @@ bool SocketHost::io_on_hello(Conn& c, std::vector<std::uint8_t>&& body) {
       io_drop_conn(*p.conn, /*established_loss=*/p.conn->established());
     }
     p.conn = &c;
-    // Answer with our own hello.
-    serde::Writer w;
-    net::Hello mine;
-    mine.node = cfg_.id;
-    mine.n = cfg_.n;
-    mine.encode(w);
-    io_queue_ctrl(c, net::FrameKind::kHello, w.data());
-    c.hello_sent = true;
+    io_send_hello(c);  // answer with our own
   }
   if (c.established()) {
-    stats_.handshakes.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.handshakes);
     peers_[c.peer]->attempts = 0;  // completed handshake resets backoff
   }
   return true;
@@ -396,13 +320,14 @@ bool SocketHost::io_on_hello(Conn& c, std::vector<std::uint8_t>&& body) {
 
 void SocketHost::io_on_frame(Conn& c, net::FrameKind kind,
                              std::vector<std::uint8_t>&& body) {
+  if (c.dead) return;  // rest of a buffer from a connection being dropped
   switch (kind) {
     case net::FrameKind::kHello:
       if (!io_on_hello(c, std::move(body))) c.dead = true;
       return;
     case net::FrameKind::kPing:
       if (!c.established()) {
-        stats_.rx_junk.fetch_add(1, std::memory_order_relaxed);
+        bump(stats_.rx_junk);
         c.dead = true;
         return;
       }
@@ -410,157 +335,130 @@ void SocketHost::io_on_frame(Conn& c, net::FrameKind kind,
       return;
     case net::FrameKind::kPong:
       return;  // last_rx already refreshed by the read itself
-    case net::FrameKind::kData: {
+    case net::FrameKind::kData:
       if (!c.established()) {
         // Data before the handshake completes is a protocol violation:
         // count it and drop the stranger.
-        stats_.rx_junk.fetch_add(1, std::memory_order_relaxed);
+        bump(stats_.rx_junk);
         c.dead = true;
         return;
       }
-      stats_.frames_rx.fetch_add(1, std::memory_order_relaxed);
-      InboxEntry e;
-      e.src = c.peer;
-      e.payload = Payload(std::move(body));  // adopt: no copy of the frame body
-      enqueue(std::move(e));
+      bump(stats_.frames_rx);
+      // Adopt the frame body (no copy) and deliver inline.
+      node_->on_message(c.peer, Payload(std::move(body)));
       return;
-    }
   }
 }
 
 void SocketHost::io_handle_readable(Conn& c) {
   std::uint8_t buf[64 * 1024];
-  for (;;) {
+  for (int reads = 0; reads < kReadsPerPass && !c.dead; ++reads) {
     const ssize_t got = ::recv(c.fd.get(), buf, sizeof buf, 0);
-    if (got > 0) {
-      stats_.bytes_rx.fetch_add(static_cast<std::uint64_t>(got),
-                                std::memory_order_relaxed);
-      c.last_rx = now();
-      c.ping_outstanding = false;
-      const bool ok = c.decoder.feed(
-          std::span<const std::uint8_t>(buf, static_cast<std::size_t>(got)),
-          [this, &c](net::FrameKind k, std::vector<std::uint8_t>&& body) {
-            io_on_frame(c, k, std::move(body));
-          });
-      const auto& dc = c.decoder.counters();
-      if (dc.dropped_unknown > c.unknown_synced) {
-        stats_.rx_unknown.fetch_add(dc.dropped_unknown - c.unknown_synced,
-                                    std::memory_order_relaxed);
-        c.unknown_synced = dc.dropped_unknown;
-      }
-      if (!ok) {
-        // Poisoned stream (lying length prefix): cannot resync, drop.
-        stats_.rx_oversize.fetch_add(1, std::memory_order_relaxed);
-        c.dead = true;
-        return;
-      }
-      if (c.dead) return;
-      if (static_cast<std::size_t>(got) < sizeof buf) return;  // drained
-      continue;
+    bump(stats_.recv_calls);
+    if (got <= 0) {
+      if (got < 0 && errno == EINTR) continue;
+      // Orderly close, or a real error; EAGAIN just means drained.
+      if (got == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) c.dead = true;
+      return;
     }
-    if (got == 0) {  // orderly close
+    bump(stats_.bytes_rx, static_cast<std::uint64_t>(got));
+    c.last_rx = now();
+    c.ping_outstanding = false;
+    const bool ok = c.decoder.feed(
+        std::span<const std::uint8_t>(buf, static_cast<std::size_t>(got)),
+        [this, &c](net::FrameKind k, std::vector<std::uint8_t>&& body) {
+          io_on_frame(c, k, std::move(body));
+        });
+    const auto& dc = c.decoder.counters();
+    if (dc.dropped_unknown > c.unknown_synced) {
+      bump(stats_.rx_unknown, dc.dropped_unknown - c.unknown_synced);
+      c.unknown_synced = dc.dropped_unknown;
+    }
+    if (!ok) {
+      // Poisoned stream (lying length prefix): cannot resync, drop.
+      bump(stats_.rx_oversize);
       c.dead = true;
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    c.dead = true;
-    return;
+    if (static_cast<std::size_t>(got) < sizeof buf) return;  // drained
   }
 }
 
-void SocketHost::io_handle_writable(Conn& c) {
-  if (c.connecting) {
-    const int err = net::dial_error(c.fd.get());
-    if (err != 0) {
-      c.dead = true;
-      return;
-    }
-    c.connecting = false;
-    serde::Writer w;
-    net::Hello h;
-    h.node = cfg_.id;
-    h.n = cfg_.n;
-    h.encode(w);
-    io_queue_ctrl(c, net::FrameKind::kHello, w.data());
-    c.hello_sent = true;
-  }
-
-  // Control bytes always flush ahead of data (a hello must precede any
-  // frame; pings must not starve behind a deep data backlog).
-  while (c.ctrl_off < c.ctrl.size()) {
-    const ssize_t sent = ::send(c.fd.get(), c.ctrl.data() + c.ctrl_off,
-                                c.ctrl.size() - c.ctrl_off, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      c.dead = true;
-      return;
-    }
-    stats_.bytes_tx.fetch_add(static_cast<std::uint64_t>(sent),
-                              std::memory_order_relaxed);
-    c.ctrl_off += static_cast<std::size_t>(sent);
-  }
-  if (c.ctrl_off == c.ctrl.size() && !c.ctrl.empty()) {
-    c.ctrl.clear();
-    c.ctrl_off = 0;
-  }
-
-  if (!c.established() || c.peer == kNoPeer) return;
-  PeerState& p = *peers_[c.peer];
+void SocketHost::io_flush(Conn& c) {
+  PeerState* p = c.established() ? peers_[c.peer].get() : nullptr;
+  std::deque<Payload>* queue = p != nullptr && p->conn == &c ? &p->queue : nullptr;
   for (;;) {
-    if (!c.cur_valid) {
-      std::lock_guard<std::mutex> lk(out_mx_);
-      if (p.queue.empty()) return;
-      c.cur = std::move(p.queue.front());
-      p.queue.pop_front();
-      c.cur_valid = true;
-      c.cur_off = 0;
-      net::put_frame_header(c.cur_header, net::FrameKind::kData,
-                            static_cast<std::uint32_t>(c.cur.size()));
-    }
-    // Gather-write the header remainder + payload remainder straight from
-    // the shared payload bytes: zero copies on the tx path. sendmsg, not
-    // writev: only a socket send can pass MSG_NOSIGNAL, and a peer that
-    // closed first must surface as EPIPE here, not kill the process.
-    const auto payload = c.cur.bytes();
-    iovec iov[2];
-    int iovcnt = 0;
-    if (c.cur_off < net::kFrameHeaderBytes) {
-      iov[iovcnt].iov_base = c.cur_header + c.cur_off;
-      iov[iovcnt].iov_len = net::kFrameHeaderBytes - c.cur_off;
-      ++iovcnt;
-    }
-    const std::size_t payload_off =
-        c.cur_off > net::kFrameHeaderBytes ? c.cur_off - net::kFrameHeaderBytes : 0;
-    if (payload_off < payload.size()) {
-      iov[iovcnt].iov_base =
-          const_cast<std::uint8_t*>(payload.data()) + payload_off;
-      iov[iovcnt].iov_len = payload.size() - payload_off;
-      ++iovcnt;
-    }
-    ssize_t sent;
-    if (iovcnt == 0) {
-      sent = 0;  // zero-length payload, header already out
-    } else {
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
-      sent = ::sendmsg(c.fd.get(), &msg, MSG_NOSIGNAL);
-      if (sent < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
+    // Gather in wire order: the rest of a part-sent head frame, control
+    // bytes (never inside a data frame: a hello must precede any frame,
+    // and pings must not starve behind a deep backlog), then whole frames
+    // -- headers and payload bytes straight from the shared buffers.
+    iovec iov[2 * kFramesPerWrite + 1];
+    std::uint8_t hdr[kFramesPerWrite][net::kFrameHeaderBytes];
+    std::size_t iovcnt = 0;
+    std::size_t total = 0;
+    const auto add = [&](const std::uint8_t* data, std::size_t len) {
+      if (len == 0) return;
+      iov[iovcnt++] = {const_cast<std::uint8_t*>(data), len};
+      total += len;
+    };
+    const auto add_frame = [&](std::size_t i, std::size_t skip) {
+      const Payload& payload = (*queue)[i];
+      net::put_frame_header(hdr[i], net::FrameKind::kData,
+                            static_cast<std::uint32_t>(payload.size()));
+      if (skip < net::kFrameHeaderBytes) add(hdr[i] + skip, net::kFrameHeaderBytes - skip);
+      const std::size_t off = skip > net::kFrameHeaderBytes ? skip - net::kFrameHeaderBytes : 0;
+      add(payload.bytes().data() + off, payload.size() - off);
+    };
+    const std::size_t frames = queue != nullptr ? std::min(queue->size(), kFramesPerWrite) : 0;
+    std::size_t next = 0;
+    if (c.head_off > 0) add_frame(next++, c.head_off);
+    add(c.ctrl.data() + c.ctrl_off, c.ctrl.size() - c.ctrl_off);
+    for (; next < frames; ++next) add_frame(next, 0);
+    if (total == 0) return;
+
+    // sendmsg, not writev: only a socket send can pass MSG_NOSIGNAL, and a
+    // peer that closed first must surface as EPIPE here, not kill the
+    // process.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
+    const ssize_t sent = ::sendmsg(c.fd.get(), &msg, MSG_NOSIGNAL);
+    bump(stats_.sendmsg_calls);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        c.blocked = true;
+      } else {
         c.dead = true;
-        return;
       }
-      stats_.bytes_tx.fetch_add(static_cast<std::uint64_t>(sent),
-                                std::memory_order_relaxed);
+      return;
     }
-    c.cur_off += static_cast<std::size_t>(sent);
-    if (c.cur_off >= net::kFrameHeaderBytes + payload.size()) {
-      stats_.frames_tx.fetch_add(1, std::memory_order_relaxed);
-      c.cur = Payload();
-      c.cur_valid = false;
+    bump(stats_.bytes_tx, static_cast<std::uint64_t>(sent));
+
+    // Account for the written bytes in the same order they were gathered.
+    std::size_t left = static_cast<std::size_t>(sent);
+    const auto consume_head = [&] {
+      const std::size_t len = net::kFrameHeaderBytes + queue->front().size();
+      const std::size_t take = std::min(left, len - c.head_off);
+      c.head_off += take;
+      left -= take;
+      if (c.head_off < len) return;
+      queue->pop_front();  // fully written: only now does it leave the queue
+      c.head_off = 0;
+      bump(stats_.frames_tx);
+    };
+    if (c.head_off > 0) consume_head();
+    const std::size_t ctrl_sent = std::min(left, c.ctrl.size() - c.ctrl_off);
+    c.ctrl_off += ctrl_sent;
+    left -= ctrl_sent;
+    if (c.ctrl_off == c.ctrl.size()) {
+      c.ctrl.clear();
+      c.ctrl_off = 0;
+    }
+    while (left > 0) consume_head();
+    if (static_cast<std::size_t>(sent) < total) {
+      c.blocked = true;  // short write: the socket buffer is full
+      return;
     }
   }
 }
@@ -568,13 +466,13 @@ void SocketHost::io_handle_writable(Conn& c) {
 void SocketHost::io_drop_conn(Conn& c, bool established_loss) {
   if (c.dead && c.fd.get() < 0) return;  // already dropped
   c.dead = true;
-  if (established_loss) stats_.conns_dropped.fetch_add(1, std::memory_order_relaxed);
+  if (established_loss) bump(stats_.conns_dropped);
   c.decoder.finish();
   const auto& dc = c.decoder.counters();
-  if (dc.dropped_truncated > 0) {
-    stats_.rx_truncated.fetch_add(dc.dropped_truncated, std::memory_order_relaxed);
-  }
+  if (dc.dropped_truncated > 0) bump(stats_.rx_truncated, dc.dropped_truncated);
   if (c.peer != kNoPeer) {
+    // A part-sent head frame stays queued: the next connection starts it
+    // from byte 0, and the peer cannot have decoded the cut-off copy.
     PeerState& p = *peers_[c.peer];
     if (p.conn == &c) {
       p.conn = nullptr;
@@ -584,20 +482,6 @@ void SocketHost::io_drop_conn(Conn& c, bool established_loss) {
                                                cfg_.backoff_cap, cfg_.backoff_jitter,
                                                io_rng_);
       }
-    }
-    if (c.cur_valid) {
-      // The peer cannot have decoded a frame we never finished writing:
-      // requeue at the front so the head-of-line message survives the
-      // reconnect without duplication.
-      std::lock_guard<std::mutex> lk(out_mx_);
-      if (p.queue.size() < cfg_.max_queue) {
-        p.queue.push_front(std::move(c.cur));
-      } else {
-        ++p.dropped;
-        stats_.queue_dropped.fetch_add(1, std::memory_order_relaxed);
-      }
-      c.cur = Payload();
-      c.cur_valid = false;
     }
   }
   c.fd.reset();
@@ -632,11 +516,39 @@ Time SocketHost::io_next_deadline(Time now_us) const {
   return std::max(next, now_us + 1 * kMillisecond);
 }
 
-void SocketHost::run_io() {
-  std::vector<pollfd> pfds;
-  std::vector<Conn*> pfd_conns;
+// ---- the loop --------------------------------------------------------------
 
+void SocketHost::run() {
+  node_->on_start();
+
+  std::vector<TimerId> fired;
+  std::vector<std::function<void()>> calls;
+  std::vector<Payload> selfs;
+  std::vector<pollfd> pfds;
+  std::vector<Conn*> polled;
   while (!stop_.load(std::memory_order_relaxed)) {
+    // 1. Due timers first: sustained arrivals must not starve view timers.
+    fired.clear();
+    timers_.pop_due(now(), fired);
+    for (const TimerId id : fired) node_->on_timer(id);
+
+    // 2. post()ed calls. The flag is only a hint here: a call that misses
+    //    this pass has written the pipe, so the ppoll below returns.
+    if (wake_pending_.load(std::memory_order_relaxed)) {
+      {
+        std::lock_guard<std::mutex> lk(post_mx_);
+        calls.swap(posted_);
+        wake_pending_.store(false, std::memory_order_relaxed);
+      }
+      for (auto& fn : calls) fn();
+      calls.clear();
+    }
+
+    // 3. Self-sends (those queued while delivering wait for the next pass).
+    selfs.swap(self_inbox_);
+    for (const Payload& payload : selfs) node_->on_message(cfg_.id, payload);
+    selfs.clear();
+
     // Redial lower peers whose backoff has expired (higher id dials lower).
     const Time t = now();
     for (NodeId peer = 0; peer < cfg_.id; ++peer) {
@@ -644,24 +556,36 @@ void SocketHost::run_io() {
       if (p.conn == nullptr && t >= p.next_dial) io_dial(peer);
     }
 
+    // 4. Gather-write every connection that is not waiting for POLLOUT.
+    for (auto& cp : conns_) {
+      if (!cp->dead && !cp->connecting && !cp->blocked) io_flush(*cp);
+    }
+
+    // 5. Sleep until the earlier of the IO deadline and the next timer
+    //    (not at all while self-sends wait).
     pfds.clear();
-    pfd_conns.clear();
+    polled.clear();
     pfds.push_back({wake_rd_.get(), POLLIN, 0});
     pfds.push_back({listener_.get(), POLLIN, 0});
     for (auto& cp : conns_) {
       if (cp->dead) continue;
       short ev = cp->connecting ? 0 : POLLIN;
-      if (io_wants_write(*cp)) ev |= POLLOUT;
+      if (cp->connecting || cp->blocked) ev |= POLLOUT;
       pfds.push_back({cp->fd.get(), ev, 0});
-      pfd_conns.push_back(cp.get());
+      polled.push_back(cp.get());
     }
-
-    const Time deadline = io_next_deadline(t);
-    const int timeout_ms =
-        static_cast<int>(std::min<Time>((deadline - t) / 1000 + 1, 1000));
-    const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
+    const Time deadline = self_inbox_.empty()
+                              ? std::min(io_next_deadline(t), timers_.next_deadline())
+                              : t;
+    const Time wait_us = std::max<Time>(deadline - now(), 0);
+    const timespec ts{static_cast<std::time_t>(wait_us / kSecond),
+                      static_cast<long>(wait_us % kSecond * 1000)};
+    const int rc = ::ppoll(pfds.data(), static_cast<nfds_t>(pfds.size()), &ts, nullptr);
+    bump(stats_.loop_wakeups);
     if (rc < 0 && errno != EINTR) break;  // unrecoverable poll failure
 
+    // 6. Accepts, connect completions, reads -- kData frames reach
+    //    on_message inline.
     if (rc > 0) {
       if ((pfds[0].revents & POLLIN) != 0) {
         std::uint8_t drain[256];
@@ -669,47 +593,40 @@ void SocketHost::run_io() {
         }
       }
       if ((pfds[1].revents & POLLIN) != 0) io_accept_pending();
-      for (std::size_t i = 0; i < pfd_conns.size(); ++i) {
-        Conn& c = *pfd_conns[i];
+      for (std::size_t i = 0; i < polled.size(); ++i) {
+        Conn& c = *polled[i];
         const short re = pfds[i + 2].revents;
-        if (c.dead) continue;
-        if ((re & (POLLERR | POLLHUP | POLLNVAL)) != 0 && !c.connecting) {
+        if (c.dead || re == 0) continue;
+        if (c.connecting) {
+          if (net::dial_error(c.fd.get()) != 0) {
+            c.dead = true;
+            continue;
+          }
+          c.connecting = false;
+          io_send_hello(c);
+          continue;
+        }
+        if ((re & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
           // Let the read path consume any final bytes + observe EOF.
           io_handle_readable(c);
           if (!c.dead) io_drop_conn(c, c.established());
           continue;
         }
+        if ((re & POLLOUT) != 0) c.blocked = false;
         if ((re & POLLIN) != 0) io_handle_readable(c);
-        if (!c.dead && (re & (POLLOUT | POLLERR | POLLHUP)) != 0) {
-          io_handle_writable(c);
-        }
       }
     }
 
     io_check_liveness(now());
 
-    // Sweep: finalize drops (updates backoff + requeue) and erase.
+    // Sweep: finalize drops (updates backoff) and erase.
     for (auto& cp : conns_) {
       if (cp->dead) io_drop_conn(*cp, cp->established());
-    }
-    std::erase_if(conns_, [](const auto& cp) { return cp->dead; });
-
-    // A newly-established conn may have a backlog but no poll event coming
-    // (queue filled while we were handshaking): opportunistically flush.
-    for (auto& cp : conns_) {
-      if (!cp->dead && cp->established() && io_wants_write(*cp)) {
-        io_handle_writable(*cp);
-        if (cp->dead) io_drop_conn(*cp, true);
-      }
     }
     std::erase_if(conns_, [](const auto& cp) { return cp->dead; });
   }
 
   // Shutdown: close everything; peers observe EOF and count a drop.
-  for (auto& cp : conns_) {
-    cp->dead = true;
-    cp->fd.reset();
-  }
   conns_.clear();
 }
 

@@ -1,6 +1,6 @@
 #pragma once
 // SocketHost: a TCP-backed Host (runtime/host.hpp) -- one node of a
-// TetraBFT cluster running as its own process (or its own pair of threads
+// TetraBFT cluster running as its own process (or its own thread
 // in-process), speaking the length-prefixed frame protocol of net/frame.hpp
 // to n-1 peers named by a static cluster config.
 //
@@ -10,18 +10,23 @@
 // a Payload carries in-process, so the consensus cores cannot tell the
 // transports apart (tests/test_socket_equivalence.cpp proves it).
 //
-// Threading model (two threads per host):
-//  - the NODE thread owns the ProtocolNode: mailbox + condvar + timer
-//    wheel, the same strictly-serialized handler loop as the LocalRunner's
-//    run_node. metrics() and rng() are only touched here.
-//  - the IO thread owns every socket: a poll() loop over the listener, the
-//    peer connections and a self-pipe that the node thread writes to when
-//    it enqueues outbound payloads. Received kData frames are adopted into
-//    Payloads and handed to the node mailbox; outbound Payloads are popped
-//    from per-peer queues and written as frames.
-//  The two threads share only the mailbox, the outbound queues (one mutex
-//  each) and the NetStats atomics -- never the MetricsRegistry (a std::map,
-//  deliberately not thread-safe) and never the sockets.
+// Threading model (one thread per host): a single poll loop owns the
+// sockets, the timer wheel and the ProtocolNode. Each pass
+//   1. fires due timers (sustained arrivals must not starve view timers --
+//      the LocalRunner's rule),
+//   2. runs post()ed calls,
+//   3. delivers self-sends,
+//   4. gather-writes every peer queue,
+//   5. sleeps in ppoll until the IO deadline or the wheel's next deadline
+//      (µs resolution, so timers keep the precision of a condvar wait),
+//   6. decodes received frames and hands kData payloads to on_message
+//      inline, a bounded number of reads per connection per pass so a
+//      flooding peer cannot hold off timers or posted calls.
+// Handlers therefore run strictly serialized on the loop thread, which is
+// the only thread that touches the node, its metrics() and rng(), the
+// wheel, the peer queues and the sockets. Other threads reach it through
+// post() alone: a mutex-guarded call list plus a self-pipe, written at
+// most once per pass (an atomic pending flag coalesces the wakeups).
 //
 // Connection management, from the static cluster config:
 //  - deterministic topology: the HIGHER NodeId dials the lower, so every
@@ -37,26 +42,26 @@
 //    handshake. The acceptor side just waits for the redial, and a fresh
 //    hello for an already-connected peer replaces the old socket (the
 //    peer restarted; the old fd is half-open garbage);
-//  - half-open detection: after `ping_after` of rx silence the IO thread
-//    sends a kPing; a peer silent for `drop_after` is dropped (TCP alone
+//  - half-open detection: after `ping_after` of rx silence the host sends
+//    a kPing; a peer silent for `drop_after` is dropped (TCP alone
 //    can leave a dead peer's connection ESTABLISHED forever);
 //  - outbound queues are bounded (`max_queue` payloads per peer): a slow
 //    or dead peer costs dropped-and-counted payloads, never unbounded
-//    memory. Queues persist across reconnects, and a frame partially
-//    written when the connection died is requeued at the front -- the peer
-//    cannot have seen a complete frame, so no duplicates and no silent
-//    loss of the head-of-line message.
+//    memory. Queues persist across reconnects, and a frame leaves its
+//    queue only once fully written: a connection keeps just a byte offset
+//    into the head frame, so a frame cut off by a dead connection is sent
+//    whole on the next one -- the peer cannot have decoded it, so no
+//    duplicates and no silent loss of the head-of-line message.
 //
-// Hot path: broadcast bumps the Payload refcount once per peer queue; the
-// IO thread writes each frame with writev(header remainder, payload
-// remainder) straight from the shared buffer. One encode, zero copies on
-// the tx side, one adopted vector per frame on the rx side.
+// Hot path: broadcast bumps the Payload refcount once per peer queue; each
+// pass writes a peer's queue with one sendmsg per (up to) 32 frames,
+// gathering headers and payloads straight from the shared buffers. One
+// encode, zero copies and no thread handoff on the tx side; one adopted
+// vector per frame on the rx side.
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -102,9 +107,9 @@ struct SocketHostConfig {
   std::size_t max_frame_bytes{1u << 20};     ///< rx frame payload limit
 };
 
-/// Transport counters, updated by both threads; readable from anywhere
+/// Transport counters, updated by the loop thread; readable from anywhere
 /// (including tests and benches while the host runs). Kept separate from
-/// the per-node MetricsRegistry, which is node-thread-only by contract.
+/// the per-node MetricsRegistry, which is loop-thread-only by contract.
 struct NetStats {
   std::atomic<std::uint64_t> frames_tx{0};
   std::atomic<std::uint64_t> frames_rx{0};
@@ -120,6 +125,9 @@ struct NetStats {
   std::atomic<std::uint64_t> rx_unknown{0};       ///< unknown-kind frames skipped
   std::atomic<std::uint64_t> rx_truncated{0};     ///< partial frames at stream end
   std::atomic<std::uint64_t> rx_junk{0};          ///< protocol-order violations
+  std::atomic<std::uint64_t> sendmsg_calls{0};    ///< write syscalls (data + control)
+  std::atomic<std::uint64_t> recv_calls{0};       ///< read syscalls
+  std::atomic<std::uint64_t> loop_wakeups{0};     ///< ppoll returns (one per loop pass)
 };
 
 /// The redial delay after `attempt` consecutive failures: base << attempt,
@@ -159,25 +167,24 @@ class SocketHost final : public Host {
   void set_peer_endpoint(NodeId peer, net::Endpoint ep);
 
   /// Subscribe to this node's commits. Before start() only; callbacks run
-  /// on the node thread.
+  /// on the loop thread.
   void add_commit_sink(CommitSink& sink);
 
-  /// Spawn the node thread (runs on_start, then drains mailbox + timers)
-  /// and the IO thread (listens, dials, pumps frames).
+  /// Spawn the loop thread: on_start, then timers, calls and frames.
   void start();
 
-  /// Stop both threads and join them. Idempotent. After stop() the node is
-  /// quiescent and may be inspected from the caller's thread.
+  /// Stop the loop thread and join it. Idempotent. After stop() the node
+  /// is quiescent and may be inspected from the caller's thread.
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return started_ && !stop_.load(); }
 
-  /// Run `fn` on the node thread, serialized with its handlers (FIFO with
-  /// deliveries). Before start() it runs inline on the caller -- the safe
-  /// window for pre-start seeding (mempool pre-loads).
+  /// Run `fn` on the loop thread, serialized with the node's handlers (FIFO
+  /// among posted calls). Before start() it runs inline on the caller --
+  /// the safe window for pre-start seeding (mempool pre-loads).
   void post(std::function<void()> fn);
 
-  /// Direct node access: only from the node's own thread (via post) or
+  /// Direct node access: only from the loop thread (via post) or
   /// while the host is not running.
   [[nodiscard]] ProtocolNode& protocol_node() { return *node_; }
   template <class T>
@@ -187,7 +194,7 @@ class SocketHost final : public Host {
 
   [[nodiscard]] const NetStats& net_stats() const noexcept { return stats_; }
 
-  // Host interface (node thread only, except id/n/now which are const).
+  // Host interface (loop thread only, except id/n/now which are const).
   [[nodiscard]] NodeId id() const override { return cfg_.id; }
   [[nodiscard]] std::uint32_t n() const override { return cfg_.n; }
   [[nodiscard]] Time now() const override;
@@ -204,62 +211,48 @@ class SocketHost final : public Host {
   struct Conn;       // one TCP connection (defined in socket_host.cpp)
   struct PeerState;  // per-peer queue + redial bookkeeping
 
-  struct InboxEntry {
-    NodeId src{0};
-    Payload payload;             // deliver entry when call is empty
-    std::function<void()> call;  // posted functor otherwise
-  };
-
-  void run_node();
-  void enqueue(InboxEntry entry);
-
-  // IO thread internals.
-  void run_io();
-  void io_wake() const noexcept;  // any thread: poke the poll loop
+  void run();  // the loop thread
   void io_dial(NodeId peer);
   void io_accept_pending();
   void io_handle_readable(Conn& c);
-  void io_handle_writable(Conn& c);
+  void io_flush(Conn& c);
   void io_on_frame(Conn& c, net::FrameKind kind, std::vector<std::uint8_t>&& body);
   bool io_on_hello(Conn& c, std::vector<std::uint8_t>&& body);
+  void io_send_hello(Conn& c);
   void io_drop_conn(Conn& c, bool established_loss);
   void io_check_liveness(Time now_us);
   [[nodiscard]] Time io_next_deadline(Time now_us) const;
   void io_queue_ctrl(Conn& c, net::FrameKind kind,
                      std::span<const std::uint8_t> payload = {});
-  [[nodiscard]] bool io_wants_write(const Conn& c);
 
   SocketHostConfig cfg_;
   std::unique_ptr<ProtocolNode> node_;
   std::chrono::steady_clock::time_point epoch_;
   MetricsRegistry metrics_;
-  Rng rng_{0};     // node-thread only (ProtocolNode::ctx().rng())
-  Rng io_rng_{0};  // IO-thread only: backoff jitter; derived independently of
-                   // rng_ so the node's stream matches the other transports
+  Rng rng_{0};     // ProtocolNode::ctx().rng()
+  Rng io_rng_{0};  // backoff jitter; derived independently of rng_ so the
+                   // node's stream matches the other transports
   NetStats stats_;
 
   net::Fd listener_;
   std::uint16_t listen_port_{0};
-  net::Fd wake_rd_, wake_wr_;  // self-pipe: node thread -> poll loop
+  net::Fd wake_rd_, wake_wr_;  // self-pipe: post()/stop() -> poll loop
 
-  // Node mailbox (shared: IO thread + post() producers, node thread consumer).
-  std::mutex mx_;
-  std::condition_variable cv_;
-  std::vector<InboxEntry> inbox_;  // guarded by mx_
-  TimerWheel timers_;              // node-thread only
+  // post()ed calls: the only state other threads write while running.
+  std::mutex post_mx_;
+  std::vector<std::function<void()>> posted_;  // guarded by post_mx_
+  std::atomic<bool> wake_pending_{false};      // a pipe byte is on its way
 
-  // Outbound queues (shared: node thread producer, IO thread consumer).
-  std::mutex out_mx_;
+  // Loop-thread-only state.
+  TimerWheel timers_;
+  std::vector<Payload> self_inbox_;                // self-sends, next pass
   std::vector<std::unique_ptr<PeerState>> peers_;  // indexed by NodeId
-
-  std::vector<CommitSink*> commit_sinks_;
-  std::mutex commit_mx_;
-
-  // IO-thread-only connection state.
   std::vector<std::unique_ptr<Conn>> conns_;
 
-  std::thread node_thread_;
-  std::thread io_thread_;
+  std::vector<CommitSink*> commit_sinks_;
+  std::mutex commit_mx_;  // sinks are shared across hosts
+
+  std::thread thread_;
   std::atomic<bool> stop_{false};
   bool started_{false};
   bool stopped_{false};

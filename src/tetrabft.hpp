@@ -342,7 +342,7 @@ class ShardedSimCluster {
 };
 
 /// An in-process TetraBFT cluster whose nodes talk TCP over loopback: n
-/// runtime::SocketHost instances, each with its own node + IO thread pair,
+/// runtime::SocketHost instances, each running on its own loop thread,
 /// wired together on ephemeral ports at build time (race-free under CI --
 /// nothing guesses a free port). Every protocol message crosses a real
 /// socket through the length-prefixed frame codec; only the process
@@ -362,11 +362,11 @@ class SocketCluster {
   }
 
   /// Subscribe to every commit any node publishes. Before start() only;
-  /// callbacks run on node threads, serialized by the hub lock.
+  /// callbacks run on the hosts' loop threads, serialized by the hub lock.
   void on_commit(CommitCallback cb);
 
   void start();
-  /// Stop all hosts (node + IO threads). Idempotent; afterwards replica()
+  /// Stop all hosts (one loop thread each). Idempotent; afterwards replica()
   /// inspection is safe from the caller's thread.
   void stop();
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -115,6 +117,37 @@ TEST(FrameCodec, UnknownKindIsACountedSkipNotAPoisoning) {
     EXPECT_EQ(res.frames[0], Frame(FrameKind::kData, std::vector<std::uint8_t>{1, 2, 3}));
     EXPECT_EQ(res.counters.dropped_unknown, 1u);
   }
+}
+
+TEST(FrameCodec, UnknownKindBodyIsSkippedWithoutBuffering) {
+  // A max-size frame of an unknown kind, fed in 1 KiB chunks, must not make
+  // the decoder hold its 1 MiB: only the known frame after it is buffered.
+  const FrameDecoder::Limits limits{};
+  std::vector<std::uint8_t> stream(kFrameHeaderBytes);
+  put_frame_header(stream.data(), static_cast<FrameKind>(0x7F),
+                   static_cast<std::uint32_t>(limits.max_payload_bytes));
+  stream.resize(kFrameHeaderBytes + limits.max_payload_bytes, 0xAB);
+  std::vector<std::uint8_t> body(300);
+  for (std::size_t k = 0; k < body.size(); ++k) body[k] = static_cast<std::uint8_t>(k * 7);
+  const auto good = encode_frame(FrameKind::kData, body);
+  stream.insert(stream.end(), good.begin(), good.end());
+
+  FrameDecoder dec(limits);
+  std::vector<Frame> frames;
+  std::size_t max_capacity = 0;
+  for (std::size_t off = 0; off < stream.size(); off += 1024) {
+    const std::size_t len = std::min<std::size_t>(1024, stream.size() - off);
+    ASSERT_TRUE(dec.feed(std::span<const std::uint8_t>(stream.data() + off, len),
+                         [&](FrameKind k, std::vector<std::uint8_t>&& b) {
+                           frames.emplace_back(k, std::move(b));
+                         }));
+    max_capacity = std::max(max_capacity, dec.buffer_capacity());
+  }
+  EXPECT_EQ(dec.counters().dropped_unknown, 1u);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0], Frame(FrameKind::kData, body));
+  EXPECT_LE(max_capacity, body.size());
+  EXPECT_EQ(dec.counters().bytes, stream.size());
 }
 
 TEST(FrameCodec, TruncatedFramesAreCountedAtStreamEnd) {

@@ -1,7 +1,9 @@
 // SocketHost transport behavior (ISSUE 7): reconnect with capped backoff
 // against a flapping peer, bounded outbound queues that drain across
 // reconnects or drop-and-count, junk floods from strangers that never reach
-// the node, and half-open peers dropped by the ping/pong liveness layer.
+// the node, half-open peers dropped by the ping/pong liveness layer, and
+// the one-thread loop: every handler on one thread, gather-writes that
+// survive short writes, and a due timer that still fires under a flood.
 // The scripted side of each scenario is a raw TCP socket driven by the test
 // -- not another SocketHost -- so kills, silences and garbage are exact.
 
@@ -11,13 +13,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <iterator>
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -511,6 +519,192 @@ TEST(SocketHost, PongKeepsAnIdleConnectionAlive) {
   peer.send_all(framed(net::FrameKind::kData, std::vector<std::uint8_t>{5, 5}));
   EXPECT_TRUE(eventually([&] { return rec->count() == 1; }));
   host.stop();
+}
+
+// ---- the loop thread -------------------------------------------------------
+
+std::size_t process_threads() {
+  const auto it = std::filesystem::directory_iterator("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(it), end(it)));
+}
+
+/// Records the thread every entry point runs on.
+struct ThreadProbeNode final : ProtocolNode {
+  void on_start() override {
+    note("start");
+    ctx().set_timer(5 * kMillisecond);
+    ctx().broadcast(Payload{7});
+  }
+  void on_message(NodeId from, const Payload&) override {
+    note(from == ctx().id() ? "self" : "peer");
+  }
+  void on_timer(TimerId) override { note("timer"); }
+
+  void note(const char* what) {
+    std::lock_guard<std::mutex> lk(mx);
+    seen.emplace_back(what, std::this_thread::get_id());
+  }
+  [[nodiscard]] std::set<std::string> kinds() {
+    std::lock_guard<std::mutex> lk(mx);
+    std::set<std::string> out;
+    for (const auto& [what, id] : seen) out.insert(what);
+    return out;
+  }
+
+  std::mutex mx;
+  std::vector<std::pair<std::string, std::thread::id>> seen;
+};
+
+TEST(SocketHost, OneLoopThreadRunsEveryHandler) {
+  auto na = std::make_unique<ThreadProbeNode>();
+  auto nb = std::make_unique<ThreadProbeNode>();
+  ThreadProbeNode* probe = na.get();
+  SocketHost a(host_cfg(0, 2), std::move(na));
+  SocketHost b(host_cfg(1, 2), std::move(nb));
+  a.set_peer_endpoint(1, {"127.0.0.1", b.port()});
+  b.set_peer_endpoint(0, {"127.0.0.1", a.port()});
+
+  const std::size_t before = process_threads();
+  a.start();
+  EXPECT_EQ(process_threads(), before + 1) << "a SocketHost starts exactly one thread";
+  b.start();
+  a.post([probe] { probe->note("post"); });
+  ASSERT_TRUE(eventually([&] { return probe->kinds().size() == 5; }));
+  a.stop();
+  b.stop();
+  EXPECT_EQ(process_threads(), before);
+
+  const std::set<std::string> want{"start", "self", "peer", "timer", "post"};
+  EXPECT_EQ(probe->kinds(), want);
+  const std::thread::id loop = probe->seen.front().second;
+  EXPECT_NE(loop, std::this_thread::get_id());
+  for (const auto& [what, id] : probe->seen) EXPECT_EQ(id, loop) << what;
+}
+
+TEST(SocketHost, GatherWritesSurviveShortWritesInOrder) {
+  // 2,100 frames posted in one call -- zero-length, small and 64 KiB+,
+  // ~8.7 MB in all -- to a raw peer with a tiny receive buffer that reads
+  // slowly: the send buffer fills, sendmsg stops short inside a gather,
+  // liveness pings queue up meanwhile, and every frame must still arrive
+  // whole, once, in order, with the pings only between frames.
+  std::string err;
+  net::Fd listener = net::tcp_listen({"127.0.0.1", 0}, 8, err);
+  ASSERT_TRUE(listener.valid()) << err;
+  const int small = 4096;  // inherited by the accepted socket
+  ASSERT_EQ(::setsockopt(listener.get(), SOL_SOCKET, SO_RCVBUF, &small, sizeof small), 0);
+
+  SocketHostConfig cfg = host_cfg(1, 2);
+  cfg.ping_after = 2 * kMillisecond;  // pings interleave with the backlog
+  cfg.drop_after = 30 * kSecond;      // the peer is slow on purpose
+  SocketHost host(cfg, std::make_unique<RecorderNode>());
+  host.set_peer_endpoint(0, {"127.0.0.1", net::local_port(listener.get())});
+  host.start();
+  RawPeer peer = accept_one(listener.get());
+  ASSERT_TRUE(peer.valid());
+  auto hello = peer.next_frame();
+  ASSERT_TRUE(hello.has_value());
+  ASSERT_EQ(hello->first, net::FrameKind::kHello);
+  ASSERT_TRUE(peer.send_all(hello_frame(0, 2)));
+  ASSERT_TRUE(eventually([&] { return host.net_stats().handshakes.load() == 1; }));
+
+  constexpr std::uint32_t kFrames = 2100;
+  const auto payload_for = [](std::uint32_t i) {
+    const std::size_t size = i % 20 == 0 ? 80'000 : i % 7 == 0 ? 0 : i % 300;
+    std::vector<std::uint8_t> p(size);
+    for (std::size_t k = 0; k < size; ++k) p[k] = static_cast<std::uint8_t>(i * 131 + k);
+    return p;
+  };
+  std::size_t wire_bytes = 0;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    wire_bytes += net::kFrameHeaderBytes + payload_for(i).size();
+  }
+  host.post([&host, &payload_for] {
+    for (std::uint32_t i = 0; i < kFrames; ++i) host.send(0, Payload(payload_for(i)));
+  });
+  std::uint32_t pings = 0;
+  for (std::uint32_t i = 0; i < kFrames;) {
+    if (i < 300) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    auto f = peer.next_frame();
+    ASSERT_TRUE(f.has_value()) << "frame " << i;
+    if (f->first == net::FrameKind::kPing) {  // between frames, never inside one
+      ++pings;
+      ASSERT_TRUE(peer.send_all(framed(net::FrameKind::kPong, {})));
+      continue;
+    }
+    ASSERT_EQ(f->first, net::FrameKind::kData) << "frame " << i;
+    ASSERT_EQ(f->second, payload_for(i)) << "frame " << i;
+    ++i;
+  }
+  EXPECT_GT(pings, 0u);
+  ASSERT_TRUE(eventually([&] { return host.net_stats().frames_tx.load() == kFrames; }));
+  host.stop();
+  EXPECT_EQ(host.net_stats().queue_dropped.load(), 0u);
+  while (auto extra = peer.next_frame(50)) {
+    EXPECT_NE(extra->first, net::FrameKind::kData) << "a frame was sent twice";
+  }
+  // More bytes than the kernel's send-buffer ceiling cannot go out in
+  // full gathers alone: the calls beyond the hello and one per 32 frames
+  // are the short writes this test is about.
+  std::ifstream wmem("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t wmem_min = 0, wmem_default = 0, wmem_max = 0;
+  if (wmem >> wmem_min >> wmem_default >> wmem_max && wire_bytes > 2 * wmem_max) {
+    EXPECT_GT(host.net_stats().sendmsg_calls.load(), 1 + (kFrames + 31) / 32);
+  }
+}
+
+/// Arms one 50 ms timer in on_start and counts deliveries until it fires.
+struct TimerUnderFloodNode final : ProtocolNode {
+  void on_start() override {
+    armed_at = std::chrono::steady_clock::now();
+    ctx().set_timer(50 * kMillisecond);
+  }
+  void on_message(NodeId, const Payload&) override {
+    if (!fired.load()) delivered_before.fetch_add(1);
+  }
+  void on_timer(TimerId) override {
+    late_us.store(std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - armed_at)
+                      .count() -
+                  50'000);
+    fired.store(true);
+  }
+
+  std::chrono::steady_clock::time_point armed_at;
+  std::atomic<bool> fired{false};
+  std::atomic<std::int64_t> late_us{0};
+  std::atomic<std::uint64_t> delivered_before{0};
+};
+
+TEST(SocketHost, TimerFiresOnTimeWhileAPeerFloods) {
+  auto node = std::make_unique<TimerUnderFloodNode>();
+  TimerUnderFloodNode* rec = node.get();
+  SocketHost host(host_cfg(0, 2), std::move(node));
+  host.start();
+
+  RawPeer peer = connect_to(host.port());
+  ASSERT_TRUE(peer.valid());
+  ASSERT_TRUE(peer.send_all(hello_frame(1, 2)));
+  ASSERT_TRUE(peer.next_frame().has_value());  // host's hello
+
+  // Flood kData junk as fast as the socket takes it, in 64 KiB bursts.
+  std::vector<std::uint8_t> burst;
+  while (burst.size() < 64 * 1024) {
+    const auto f = framed(net::FrameKind::kData, std::vector<std::uint8_t>(24, 0xEE));
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  std::atomic<bool> flooding{true};
+  std::thread flood([&] {
+    while (flooding.load() && peer.send_all(burst)) {
+    }
+  });
+  const bool fired = eventually([&] { return rec->fired.load(); }, 3000);
+  flooding.store(false);
+  flood.join();
+  host.stop();
+
+  ASSERT_TRUE(fired) << "the timer starved behind the flood";
+  EXPECT_GT(rec->delivered_before.load(), 0u) << "the flood never reached the node";
+  EXPECT_LT(rec->late_us.load(), 250'000) << "timer fired late under the flood";
 }
 
 }  // namespace

@@ -68,7 +68,8 @@ SPECS = {
             "resident_bytes_end": "lower",
         },
     },
-    # bench_socket: real-time TCP throughput/latency; nothing stable to gate.
+    # bench_socket: real-time TCP throughput/latency (medians over --repeat
+    # runs, still wall-clock); nothing stable to gate.
     "socket": {"config": [], "metrics": {}},
     # bench_sharding: wall-clock scaling sweep; the >= 6x S=8/S=1 floor and
     # the exactly-once gates live in the binary's exit code, not here.
