@@ -87,7 +87,7 @@ SweepResult run_local_sweep(const SweepConfig& cfg, std::uint32_t shards) {
       .batching(cfg.batch_txs, cfg.batch_bytes)
       .mempool(8192, multishot::MempoolPolicy::kRejectNew)
       .forwarding(true);
-  auto cluster = b.build_sharded_local();
+  auto cluster = b.build_local();
   const shard::ShardRouter& router = cluster->router();
 
   const auto tx_for = [&cfg](std::uint32_t id) {
@@ -142,7 +142,7 @@ SweepResult run_local_sweep(const SweepConfig& cfg, std::uint32_t shards) {
     const auto due =
         t0 + std::chrono::microseconds(static_cast<std::int64_t>(id * 1e6 / total_rate));
     std::this_thread::sleep_until(due);
-    cluster->node(id % cfg.n).submit(tx_for(id));
+    cluster->submit(id % cfg.n, tx_for(id));
   }
 
   bool all_committed = cluster->wait_for(
@@ -161,7 +161,7 @@ SweepResult run_local_sweep(const SweepConfig& cfg, std::uint32_t shards) {
         },
         runtime::Duration{0});
     for (const std::uint32_t id : missing) {
-      cluster->node(id % cfg.n).submit(tx_for(id));
+      cluster->submit(id % cfg.n, tx_for(id));
     }
     r.retried = missing.size();
     all_committed = cluster->wait_for(
@@ -212,7 +212,7 @@ SimResult run_sim_audit(std::uint64_t seed) {
                      .seed(seed)
                      .delta_bound(10 * runtime::kMillisecond)
                      .batching(16, 4096)
-                     .build_sharded_sim();
+                     .build_sim();
   shard::ShardedTracker tracker(cluster->simulation().metrics(), kShards);
   for (NodeId i = 0; i < kN; ++i) {
     for (std::uint32_t k = 0; k < kShards; ++k) tracker.observe(k, cluster->instance(i, k));

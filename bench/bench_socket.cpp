@@ -192,9 +192,7 @@ Run run_once(const Params& p) {
       }
     }
   }
-  std::vector<multishot::MultishotNode*> replicas;
-  for (NodeId i = 0; i < n; ++i) replicas.push_back(&cluster->replica(i));
-  r.consistent = multishot::chains_prefix_consistent(replicas);
+  r.consistent = multishot::chains_prefix_consistent(cluster->shard_instances());
 
   std::vector<double> lat_us;
   lat_us.reserve(txs);

@@ -52,7 +52,7 @@ ClusterBuilder demo_builder(const std::string& dir) {
   auto cluster = demo_builder(dir).build_local();
   cluster->start();
   for (std::uint32_t j = 0;; ++j) {
-    cluster->node(j % 4).submit(tx_bytes(j));
+    cluster->submit(j % 4, tx_bytes(j));
     usleep(2000);  // ~500 tx/sec across the cluster
   }
 }
@@ -85,24 +85,20 @@ int main(int argc, char** argv) {
   bool ok = true;
   Slot min_count = 0;
   for (NodeId i = 0; i < 4; ++i) {
-    const Slot count = cluster->replica(i).finalized_count();
+    const Slot count = cluster->instance(i).finalized_count();
     const storage::DurableChain* durable = cluster->durable(i);
     std::printf("node %u recovered: %llu finalized slots, checkpoint at %llu, "
                 "%llu WAL records replayed%s\n",
                 i, static_cast<unsigned long long>(count),
-                static_cast<unsigned long long>(cluster->replica(i).chain().checkpoint().slot),
+                static_cast<unsigned long long>(cluster->instance(i).chain().checkpoint().slot),
                 static_cast<unsigned long long>(durable->wal_stats().recovered),
                 durable->wal_stats().truncated_tail ? " (torn tail truncated)" : "");
     ok = ok && count > 0;
     min_count = i == 0 ? count : std::min(min_count, count);
   }
-  {
-    std::vector<multishot::MultishotNode*> replicas;
-    for (NodeId i = 0; i < 4; ++i) replicas.push_back(&cluster->replica(i));
-    const bool consistent = multishot::chains_prefix_consistent(replicas);
-    std::printf("recovered chains prefix-consistent: %s\n", consistent ? "yes" : "NO");
-    ok = ok && consistent;
-  }
+  const bool consistent = multishot::chains_prefix_consistent(cluster->shard_instances());
+  std::printf("recovered chains prefix-consistent: %s\n", consistent ? "yes" : "NO");
+  ok = ok && consistent;
 
   // Liveness on top of the recovered prefix: fresh transactions finalize.
   // Replica state is off-limits while the runner is live, so inclusion is
@@ -124,7 +120,7 @@ int main(int argc, char** argv) {
   });
   cluster->start();
   for (std::uint32_t j = 0; j < fresh.size(); ++j) {
-    cluster->node(j % 4).submit(fresh[j]);
+    cluster->submit(j % 4, fresh[j]);
   }
   const std::uint32_t all = (1u << fresh.size()) - 1;
   const bool resumed = cluster->wait_for(
@@ -138,7 +134,7 @@ int main(int argc, char** argv) {
               resumed ? "yes" : "NO");
   std::printf("chain resumed at slot %llu and grew to %llu\n",
               static_cast<unsigned long long>(min_count),
-              static_cast<unsigned long long>(cluster->replica(0).finalized_count()));
+              static_cast<unsigned long long>(cluster->instance(0).finalized_count()));
   ok = ok && resumed;
 
   fs::remove_all(dir);

@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(r.verdict.max_finalized),
         r.verdict.elapsed / sim::kMillisecond, r.verdict.trace_digest);
     if (!r.verdict.drained) std::printf("undrained triage:\n%s", r.verdict.triage.c_str());
-    std::printf("%s seed=%" PRIu64 "%s%s\n", r.passed ? "PASS" : "FAIL", seed,
-                r.passed ? "" : " failure=", r.failure.c_str());
+    std::printf("%s seed=%" PRIu64 " digest=%016" PRIx64 "%s%s\n", r.passed ? "PASS" : "FAIL",
+                seed, r.verdict.trace_digest, r.passed ? "" : " failure=", r.failure.c_str());
     return r.passed ? 0 : 1;
   }
 

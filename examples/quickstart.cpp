@@ -43,7 +43,7 @@ int main() {
 
   std::printf("submitting %u transactions to a 4-node real-time cluster...\n", kTxs);
   for (std::uint32_t j = 0; j < kTxs; ++j) {
-    cluster->node(j % 4).submit({'t', 'x', static_cast<std::uint8_t>(j)});
+    cluster->submit(j % 4, {'t', 'x', static_cast<std::uint8_t>(j)});
   }
   cluster->start();
   const bool done =
@@ -55,7 +55,7 @@ int main() {
   }
 
   std::printf("replica 0 finalized %llu slots in %.2f ms of wall-clock time\n",
-              static_cast<unsigned long long>(cluster->replica(0).finalized_count()),
+              static_cast<unsigned long long>(cluster->instance(0).finalized_count()),
               static_cast<double>(last_commit_us.load()) / runtime::kMillisecond);
 
   // 3. The same configuration under the simulator: virtual time, seeded,
@@ -65,22 +65,27 @@ int main() {
     sim_cluster->submit(j % 4, {'t', 'x', static_cast<std::uint8_t>(j)});
   }
   sim_cluster->start();
-  if (!sim_cluster->run_until_all_finalized(kTxs, 60 * runtime::kSecond)) {
+  const auto all_finalized = [&] {
+    for (const auto* chain : sim_cluster->shard_instances()) {
+      if (chain->finalized_count() < kTxs) return false;
+    }
+    return true;
+  };
+  if (!sim_cluster->wait_for(all_finalized, 60 * runtime::kSecond)) {
     std::printf("simulation did not finalize -- this should not happen\n");
     return 1;
   }
   std::printf("simulation finalized %llu slots in %lld ms of *simulated* time "
               "(%llu messages, %llu bytes, no signatures anywhere)\n",
-              static_cast<unsigned long long>(sim_cluster->replica(0).finalized_count()),
+              static_cast<unsigned long long>(sim_cluster->instance(0).finalized_count()),
               static_cast<long long>(sim_cluster->simulation().now() / runtime::kMillisecond),
               static_cast<unsigned long long>(sim_cluster->simulation().trace().total_messages()),
               static_cast<unsigned long long>(sim_cluster->simulation().trace().total_bytes()));
 
   // 4. Same protocol, same seeds, two hosts: the chains agree block for
   //    block (the cross-runner equivalence the test suite enforces).
-  std::vector<multishot::MultishotNode*> chains;
-  for (NodeId i = 0; i < 4; ++i) chains.push_back(&cluster->replica(i));
-  for (NodeId i = 0; i < 4; ++i) chains.push_back(&sim_cluster->replica(i));
+  std::vector<multishot::MultishotNode*> chains = cluster->shard_instances();
+  for (auto* chain : sim_cluster->shard_instances()) chains.push_back(chain);
   const bool consistent = multishot::chains_prefix_consistent(chains);
   std::printf("real-time and simulated chains consistent: %s\n",
               consistent ? "yes" : "NO (bug!)");

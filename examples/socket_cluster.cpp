@@ -1,25 +1,29 @@
 // Multi-process socket cluster demo: fork 4 OS processes, each hosting one
-// TetraBFT replica behind a runtime::SocketHost; every protocol message
-// crosses a real TCP connection on loopback. The parent plays deployment
-// coordinator -- it collects each child's ephemeral listen port over a pipe,
-// broadcasts the full port map, and the children wire up and run consensus
-// under client load.
+// sharded TetraBFT replica (two chains behind a shard::ShardMux) on a
+// runtime::SocketHost; every protocol message crosses a real TCP connection
+// on loopback, its shard route in the frame header. The parent plays
+// deployment coordinator -- it collects each child's ephemeral listen port
+// over a pipe, broadcasts the full port map, and the children wire up and
+// run consensus under client load.
 //
 //   ./build/socket_cluster
 //
-// Each child submits its own transactions, then waits until its OWN commit
-// stream contains every transaction from every process exactly once. An exit
-// barrier (over the pipes) keeps all replicas alive until the slowest one is
-// done; only then do the children stop, digest their finalized chains
-// slot-by-slot, and report. The parent exits 0 iff all four processes
-// finished, committed nonzero slots, and produced IDENTICAL chain digests --
-// the multi-process analogue of multishot::chains_prefix_consistent.
+// Each child submits its own request-tagged transactions (the tag's home
+// shard admits each one, so both shards carry load), then waits until its
+// OWN commit stream contains every transaction from every process exactly
+// once, each in its home shard. An exit barrier (over the pipes) keeps all
+// replicas alive until the slowest one is done; only then do the children
+// stop, digest each shard's finalized chain slot-by-slot, and report. The
+// parent exits 0 iff all four processes finished, committed every
+// transaction, and produced IDENTICAL per-shard chain digests -- the
+// multi-process analogue of multishot::chains_prefix_consistent.
 // (CI runs this binary as the socket-transport smoke test.)
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -34,14 +38,15 @@ using namespace tbft;
 namespace {
 
 constexpr std::uint32_t kNodes = 4;
+constexpr std::uint32_t kShards = 2;
 constexpr std::uint32_t kTxPerNode = 16;
 constexpr std::uint32_t kTotalTx = kNodes * kTxPerNode;
 
-/// Transaction `j` as submitted by process `origin`: self-describing bytes
-/// so any commit stream can attribute it.
+/// Transaction `j` as submitted by process `origin`: a request tagged
+/// (client = origin, seq = j), so any commit stream can attribute it and
+/// the tag picks its home shard.
 std::vector<std::uint8_t> tx_bytes(std::uint32_t origin, std::uint32_t j) {
-  return {'s', 'k', static_cast<std::uint8_t>(origin), static_cast<std::uint8_t>(j >> 8),
-          static_cast<std::uint8_t>(j), static_cast<std::uint8_t>(origin * 31 + j * 7)};
+  return workload::encode_request(origin, j, /*total_bytes=*/24);
 }
 
 bool read_full(int fd, void* buf, std::size_t len) {
@@ -68,8 +73,10 @@ bool write_full(int fd, const void* buf, std::size_t len) {
 
 /// What each child reports after the exit barrier.
 struct ChildReport {
-  std::uint64_t chain_digest{0};  // order-sensitive digest of slots 1..kTotalTx
-  std::uint64_t finalized{0};
+  /// Per shard: order-sensitive digest of the slots up to the shard's last
+  /// transaction.
+  std::uint64_t chain_digest[kShards]{};
+  std::uint64_t finalized{0};  // summed over shards
   std::uint8_t ok{0};
 };
 
@@ -81,37 +88,43 @@ int run_child(NodeId id, int to_parent, int from_parent) {
       .seed(7)
       .delta_bound(500 * runtime::kMillisecond)  // generous: loaded CI machines
       .batching(/*max_txs=*/1, /*max_bytes=*/4096)  // one tx per slot
-      .forwarding(false);
+      .forwarding(false)
+      .shards(kShards);
   auto node = b.build_socket_node(id);
+  runtime::SocketHost& host = node->host(id);
 
   // --- ephemeral-port exchange ----------------------------------------------
-  const std::uint16_t my_port = node->port();
+  const std::uint16_t my_port = host.port();
   if (!write_full(to_parent, &my_port, sizeof my_port)) return 1;
   std::uint16_t ports[kNodes] = {};
   if (!read_full(from_parent, ports, sizeof ports)) return 1;
   for (NodeId peer = 0; peer < kNodes; ++peer) {
-    if (peer != id) node->set_peer_endpoint(peer, {"127.0.0.1", ports[peer]});
+    if (peer != id) host.set_peer_endpoint(peer, {"127.0.0.1", ports[peer]});
   }
 
   // --- commit accounting: every tx, exactly once, in MY stream --------------
   std::mutex mx;
   std::vector<std::uint32_t> times_seen(kTotalTx, 0);  // guarded by mx / hub lock
   std::uint64_t commits = 0;
+  std::uint64_t misrouted = 0;
+  std::uint32_t shards_used = 0;  // bitmask of shards that committed a tx
   node->on_commit([&](const runtime::Commit& c) {
     std::lock_guard<std::mutex> lk(mx);
     ++commits;
-    for (const auto& frame : multishot::payload_frames(c.payload)) {
-      if (frame.size() < 5 || frame[0] != 's' || frame[1] != 'k') continue;
-      const std::uint32_t origin = frame[2];
-      const std::uint32_t j =
-          (static_cast<std::uint32_t>(frame[3]) << 8) | frame[4];
-      if (origin < kNodes && j < kTxPerNode) ++times_seen[origin * kTxPerNode + j];
+    const std::uint32_t shard = shard::stream_shard(c.stream);
+    for (const std::uint64_t tag : workload::extract_request_tags(c.payload)) {
+      const std::uint32_t origin = workload::tag_client(tag);
+      const std::uint32_t j = workload::tag_seq(tag);
+      if (origin >= kNodes || j >= kTxPerNode) continue;
+      ++times_seen[origin * kTxPerNode + j];
+      if (node->router().shard_of(tag) != shard) ++misrouted;
+      shards_used |= 1u << shard;
     }
   });
 
   node->start();
   for (std::uint32_t j = 0; j < kTxPerNode; ++j) {
-    node->submit(tx_bytes(id, j));
+    node->submit(id, tx_bytes(id, j));
   }
 
   const bool synced = node->wait_for(
@@ -131,25 +144,35 @@ int run_child(NodeId id, int to_parent, int from_parent) {
   read_full(from_parent, &release, sizeof release);
   node->stop();
 
-  // --- report: exactly-once + an order-sensitive digest of the chain --------
+  // --- report: exactly-once + per-shard order-sensitive chain digests -------
   ChildReport report;
-  bool exactly_once = synced;
+  bool exactly_once = synced && misrouted == 0 && shards_used == (1u << kShards) - 1;
   for (const std::uint32_t seen : times_seen) exactly_once = exactly_once && seen == 1;
-  multishot::MultishotNode& replica = node->replica();
-  report.finalized = replica.finalized_count();
-  std::uint64_t digest = 0x736f636b65743464ULL;  // arbitrary nonzero start
   bool chain_complete = true;
-  for (Slot s = 1; s <= kTotalTx; ++s) {
-    const multishot::Block* blk = replica.block_at(s);
-    if (blk == nullptr) {
-      chain_complete = false;
-      break;
+  for (std::uint32_t k = 0; k < kShards; ++k) {
+    const multishot::MultishotNode& replica = node->instance(id, k);
+    report.finalized += replica.finalized_count();
+    // The shard's chains agree up to its last transaction; trailing filler
+    // slots depend on when each process stopped.
+    Slot last = 0;
+    for (std::uint32_t origin = 0; origin < kNodes; ++origin) {
+      for (std::uint32_t j = 0; j < kTxPerNode; ++j) {
+        last = std::max(last, replica.chain().commit_slot(tx_bytes(origin, j)));
+      }
     }
-    digest = hash_combine(digest, blk->hash());
+    std::uint64_t digest = 0x736f636b65743464ULL;  // arbitrary nonzero start
+    for (Slot s = 1; s <= last; ++s) {
+      const multishot::Block* blk = replica.block_at(s);
+      if (blk == nullptr) {
+        chain_complete = false;
+        break;
+      }
+      digest = hash_combine(digest, blk->hash());
+    }
+    report.chain_digest[k] = digest;
   }
-  report.chain_digest = digest;
   report.ok = (exactly_once && chain_complete) ? 1 : 0;
-  const runtime::NetStats& ns = node->host().net_stats();
+  const runtime::NetStats& ns = host.net_stats();
   std::printf(
       "child %u: synced=%d exactly_once=%d finalized=%llu commits=%llu "
       "frames rx/tx=%llu/%llu handshakes=%llu redials=%llu dropped=%llu\n",
@@ -256,14 +279,17 @@ int main() {
   }
   bool digests_agree = true;
   for (std::uint32_t i = 1; i < kNodes; ++i) {
-    digests_agree = digests_agree && reports[i].chain_digest == reports[0].chain_digest;
+    for (std::uint32_t k = 0; k < kShards; ++k) {
+      digests_agree = digests_agree && reports[i].chain_digest[k] == reports[0].chain_digest[k];
+    }
   }
   ok = ok && digests_agree;
   std::printf(
-      "%u processes, %u transactions: chain digests %s (%#llx), all >= %u slots: %s\n",
-      kNodes, kTotalTx, digests_agree ? "AGREE" : "DIVERGE",
-      static_cast<unsigned long long>(reports[0].chain_digest), kTotalTx,
-      ok ? "yes" : "NO");
+      "%u processes, %u shards, %u transactions: chain digests %s (%#llx, %#llx), "
+      "all >= %u slots: %s\n",
+      kNodes, kShards, kTotalTx, digests_agree ? "AGREE" : "DIVERGE",
+      static_cast<unsigned long long>(reports[0].chain_digest[0]),
+      static_cast<unsigned long long>(reports[0].chain_digest[1]), kTotalTx, ok ? "yes" : "NO");
   std::printf("multi-process socket cluster: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

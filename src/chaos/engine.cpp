@@ -15,7 +15,6 @@
 #include "sim/runtime.hpp"
 #include "storage/durable_chain.hpp"
 #include "workload/generator.hpp"
-#include "workload/request.hpp"
 
 namespace tbft::chaos {
 
@@ -39,36 +38,10 @@ std::string ChaosVerdict::failure() const {
 
 namespace {
 
-/// Submission port that tracks the replica across crash/restart: submissions
-/// while the node is down are rejected (backpressure), exactly like a dead
-/// TCP endpoint, and resume against the recovered instance.
-struct LivePort final : workload::SubmitPort {
-  explicit LivePort(multishot::MultishotNode** slot) : slot_(slot) {}
-  bool submit(std::vector<std::uint8_t> tx) override {
-    return *slot_ != nullptr && (*slot_)->submit_tx(std::move(tx));
-  }
-  multishot::MultishotNode** slot_;
-};
-
-/// The sharded counterpart: routes each request to its home shard on the
-/// live mux (untagged bytes park on shard 0), with the same down-replica
-/// backpressure.
-struct ShardedLivePort final : workload::SubmitPort {
-  ShardedLivePort(shard::ShardMux** slot, std::uint32_t shards)
-      : slot_(slot), router_(shards) {}
-  bool submit(std::vector<std::uint8_t> tx) override {
-    if (*slot_ == nullptr) return false;
-    const auto tag = workload::parse_request_tag(tx);
-    return (*slot_)->submit(tag ? router_.shard_of(*tag) : 0, std::move(tx));
-  }
-  shard::ShardMux** slot_;
-  shard::ShardRouter router_;
-};
-
-/// Confines a single-chain Byzantine adversary to shard 0 of a sharded run:
-/// only route-0 traffic reaches it (its own sends are untagged, so they land
-/// on shard 0 everywhere), and shard k > 0 messages are dropped instead of
-/// being misread as shard-0 protocol state. Without this, an adversary that
+/// Confines a single-chain Byzantine adversary to shard 0: only route-0
+/// traffic reaches it (its own sends are untagged, so they land on shard 0
+/// everywhere), and shard k > 0 messages are dropped instead of being
+/// misread as shard-0 protocol state. Without this, an adversary that
 /// is "merely" a faulty single-chain node would echo shard-k transactions
 /// into shard 0's blocks -- a cross-shard duplication no real per-shard
 /// committee member produces, because membership is per shard. The node
@@ -94,19 +67,6 @@ storage::DurableOptions durable_options() {
   o.flush_every = 1;
   o.segment_bytes = 32u << 10;
   return o;
-}
-
-/// Fresh honest replica, recovered from `dir` when a previous life left
-/// durable state there.
-std::unique_ptr<multishot::MultishotNode> make_recovered(
-    const multishot::MultishotConfig& cfg, storage::DurableChain& durable) {
-  auto node = std::make_unique<multishot::MultishotNode>(cfg);
-  storage::RecoveredState rec = durable.recover();
-  if (rec.tip() > 0 || !rec.commit_state.empty()) {
-    node->restore_chain(rec.checkpoint, rec.commit_state, std::move(rec.tail));
-  }
-  node->set_durable(&durable);
-  return node;
 }
 
 /// Triage lines for one honest chain of an undrained run: where it stopped
@@ -163,45 +123,24 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
 
   ChaosVerdict v;
 
-  // Replica pointers live here (stable storage: LivePorts alias the slots);
-  // nullptr marks Byzantine roles and crashed replicas. Sharded plans track
-  // the mux instead (its per-shard instances hang off it); exactly one of
-  // the two vectors is populated per honest replica.
+  // Every honest replica is a ShardMux of S chains (S = 1 included); the
+  // mux pointers live here (stable storage: the ports alias the slots), and
+  // nullptr marks Byzantine roles and crashed replicas.
   const std::uint32_t S = plan.shards;
-  std::vector<multishot::MultishotNode*> replicas(plan.n, nullptr);
   std::vector<shard::ShardMux*> muxes(plan.n, nullptr);
   std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables(plan.n);
-  // The sharded tracker degenerates to one flat WorkloadTracker at S = 1:
-  // same books, same completion-listener retry path.
   shard::ShardedTracker tracker(simu->metrics(), S);
 
-  const auto node_dir = [&](NodeId id) {
-    return work_dir / ("node-" + std::to_string(id));
-  };
-  const auto shard_dir = [&](NodeId id, std::uint32_t k) {
-    // Historical S = 1 layout is preserved (node-<id> is the chain dir).
-    return S == 1 ? node_dir(id) : node_dir(id) / ("shard-" + std::to_string(k));
-  };
-
   // Build -- or rebuild, recovering whatever durable state the directories
-  // hold -- replica i's honest protocol node: one plain chain at S = 1
-  // (the historical path, byte-identical traces), a ShardMux of S recovered
-  // chains otherwise.
+  // hold -- replica i's honest mux.
   const auto make_honest = [&](NodeId i) -> std::unique_ptr<runtime::ProtocolNode> {
     durables[i].clear();
-    if (S == 1) {
-      durables[i].push_back(
-          std::make_unique<storage::DurableChain>(shard_dir(i, 0), durable_options()));
-      auto node = make_recovered(node_cfg, *durables[i].front());
-      tracker.observe(0, *node);
-      replicas[i] = node.get();
-      return node;
-    }
     std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
     for (std::uint32_t k = 0; k < S; ++k) {
-      durables[i].push_back(
-          std::make_unique<storage::DurableChain>(shard_dir(i, k), durable_options()));
-      auto instance = make_recovered(node_cfg, *durables[i].back());
+      durables[i].push_back(std::make_unique<storage::DurableChain>(
+          storage::replica_dir(work_dir, i, k, S), durable_options()));
+      auto instance = std::make_unique<multishot::MultishotNode>(node_cfg);
+      durables[i].back()->attach(*instance);
       tracker.observe(k, *instance);
       instances.push_back(std::move(instance));
     }
@@ -210,12 +149,8 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
     return mux;
   };
 
-  // Sharded runs confine each single-chain adversary to shard 0 (see
-  // ShardZeroAdversary); at S = 1 the wrapper is skipped and the historical
-  // byte-identical path runs.
   const auto add_adversary = [&](std::unique_ptr<runtime::ProtocolNode> node) {
-    if (S > 1) node = std::make_unique<ShardZeroAdversary>(std::move(node));
-    simu->add_node(std::move(node));
+    simu->add_node(std::make_unique<ShardZeroAdversary>(std::move(node)));
   };
 
   for (NodeId i = 0; i < plan.n; ++i) {
@@ -235,8 +170,7 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
         add_adversary(std::make_unique<sim::ViewChangeEquivocator>(node_cfg));
         break;
       case ByzRole::kHonest: {
-        fs::remove_all(node_dir(i));
-        for (std::uint32_t k = 0; k < S; ++k) fs::create_directories(shard_dir(i, k));
+        fs::remove_all(work_dir / ("node-" + std::to_string(i)));  // the WALs recreate it
         simu->add_node(make_honest(i));
         ++v.observers;
         break;
@@ -250,11 +184,12 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   std::vector<workload::SubmitPort*> honest;
   for (NodeId i = 0; i < plan.n; ++i) {
     if (plan.roles[i] == ByzRole::kHonest) {
-      if (S == 1) {
-        ports.push_back(std::make_unique<LivePort>(&replicas[i]));
-      } else {
-        ports.push_back(std::make_unique<ShardedLivePort>(&muxes[i], S));
-      }
+      // Routes each request to its home shard on the live mux; a down
+      // replica rejects (backpressure), exactly like a dead TCP endpoint.
+      ports.push_back(std::make_unique<shard::RoutedPort>(
+          shard::ShardRouter(S), [&muxes, i](std::uint32_t k, std::vector<std::uint8_t> tx) {
+            return muxes[i] != nullptr && muxes[i]->submit(k, std::move(tx));
+          }));
       honest.push_back(ports.back().get());
     }
   }
@@ -295,10 +230,8 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   // --- The churn schedule: crash at down_at, recover from disk at up_at. ---
   for (const ChurnEvent& ev : plan.churn) {
     simu->run_until(ev.down_at);
-    TBFT_ASSERT_MSG(replicas[ev.node] != nullptr || muxes[ev.node] != nullptr,
-                    "churn hit a non-live replica");
+    TBFT_ASSERT_MSG(muxes[ev.node] != nullptr, "churn hit a non-live replica");
     simu->crash_node(ev.node);
-    replicas[ev.node] = nullptr;
     muxes[ev.node] = nullptr;
     durables[ev.node].clear();  // close WAL/checkpoint files, like process death
     ++v.crashes;
@@ -329,33 +262,24 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   v.progressed = v.report.committed > 0;
   if (!v.drained) {
     for (NodeId i = 0; i < plan.n; ++i) {
-      const std::string who = "node " + std::to_string(i);
-      if (replicas[i] != nullptr) append_triage(v.triage, who, *replicas[i]);
       if (muxes[i] == nullptr) continue;
       for (std::uint32_t k = 0; k < S; ++k) {
-        append_triage(v.triage, who + " shard " + std::to_string(k), muxes[i]->instance(k));
+        append_triage(v.triage, "node " + std::to_string(i) + " shard " + std::to_string(k),
+                      muxes[i]->instance(k));
       }
     }
   }
-  if (S == 1) {
-    v.chains_consistent = multishot::chains_prefix_consistent(replicas);
-    for (const auto* node : replicas) {
-      if (node != nullptr) v.max_finalized = std::max(v.max_finalized, node->finalized_count());
+  // Safety is per shard: every shard's chains must agree across the live
+  // muxes (cross-shard commits are the tracker's to catch).
+  v.chains_consistent = tracker.misrouted_commits() == 0 && tracker.cross_shard_commits() == 0;
+  for (std::uint32_t k = 0; k < S; ++k) {
+    std::vector<multishot::MultishotNode*> shard_chains;
+    for (auto* mux : muxes) {
+      if (mux != nullptr) shard_chains.push_back(&mux->instance(k));
     }
-  } else {
-    // Safety is per shard: every shard's chains must agree across the live
-    // muxes (cross-shard commits are the tracker's to catch).
-    v.chains_consistent = tracker.misrouted_commits() == 0 && tracker.cross_shard_commits() == 0;
-    for (std::uint32_t k = 0; k < S; ++k) {
-      std::vector<multishot::MultishotNode*> shard_chains;
-      for (auto* mux : muxes) {
-        if (mux != nullptr) shard_chains.push_back(&mux->instance(k));
-      }
-      v.chains_consistent =
-          v.chains_consistent && multishot::chains_prefix_consistent(shard_chains);
-      for (const auto* chain : shard_chains) {
-        v.max_finalized = std::max(v.max_finalized, chain->finalized_count());
-      }
+    v.chains_consistent = v.chains_consistent && multishot::chains_prefix_consistent(shard_chains);
+    for (const auto* chain : shard_chains) {
+      v.max_finalized = std::max(v.max_finalized, chain->finalized_count());
     }
   }
   v.trace_digest = simu->trace().digest();

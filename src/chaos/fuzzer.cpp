@@ -34,10 +34,11 @@ FuzzBatchResult fuzz_batch(std::uint64_t first, std::uint64_t count,
     FuzzResult r = fuzz_one(seed, scratch_root, keep_failed_dirs);
     ++batch.ran;
     if (verbose) {
-      std::printf("%s %s committed=%llu crashes=%u elapsed=%lldms%s%s\n",
+      std::printf("%s %s committed=%llu crashes=%u elapsed=%lldms digest=%016llx%s%s\n",
                   r.passed ? "PASS" : "FAIL", r.plan.c_str(),
                   static_cast<unsigned long long>(r.verdict.report.committed),
                   r.verdict.crashes, static_cast<long long>(r.verdict.elapsed / sim::kMillisecond),
+                  static_cast<unsigned long long>(r.verdict.trace_digest),
                   r.passed ? "" : " failure=", r.failure.c_str());
     }
     if (!r.passed) {

@@ -198,8 +198,8 @@ ScenarioPlan draw_plan(std::uint64_t seed) {
   }
 
   // --- Sharding. APPENDED draw (same contract as above: every earlier knob
-  // keeps its historical value). Half the plan space runs every honest
-  // replica as a ShardMux of 2 or 4 key-routed chain instances; Byzantine
+  // keeps its historical value). Half the plan space gives every honest
+  // replica's ShardMux 2 or 4 key-routed chain instances; Byzantine
   // roles stay unsharded, so their route-0 traffic attacks shard 0 while
   // they are effectively silent in the others -- both within budget.
   if (rng.bernoulli(0.5)) {

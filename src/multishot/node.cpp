@@ -1036,7 +1036,6 @@ void MultishotNode::note_frontier(Slot frontier) {
 }
 
 void MultishotNode::maybe_request_sync() {
-  if (!cfg_.enable_sync) return;
   const Slot first = chain_.first_unfinalized();
   if (sync_.target <= first) {
     // Caught up with every frontier we ever heard of: sync is over.
@@ -1124,7 +1123,6 @@ void MultishotNode::handle(NodeId from, const MsSyncChunk& m) {
 // --- Checkpoint state transfer ---------------------------------------------
 
 void MultishotNode::note_ckpt_range(NodeId from, Slot tail_first, Slot frontier) {
-  if (!cfg_.enable_sync) return;
   if (ckpt_.peers.size() != cfg_.n) ckpt_.peers.assign(cfg_.n, {});
   ckpt_.peers[from] = CkptFetch::PeerRange{tail_first, frontier};
   maybe_start_ckpt_fetch();

@@ -78,9 +78,6 @@ struct MultishotConfig {
   /// Commit-index epoch rotation cadence in slots (0 = off): bounds
   /// commit-dedup memory; see CommitIndex in finalized_store.hpp.
   Slot commit_epoch_slots{0};
-  /// Master switch for the catch-up requester machinery (range sync +
-  /// checkpoint state transfer). Responding to peers stays on either way.
-  bool enable_sync{true};
 
   // --- Client-request forwarding ---
   /// Forward transactions submitted to a non-leader to the proposal-frontier

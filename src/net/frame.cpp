@@ -29,6 +29,7 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> in, const Sink& sink) {
         return false;
       }
       kind_ = static_cast<FrameKind>(header_[4]);
+      route_ = static_cast<std::uint16_t>(header_[5] | header_[6] << 8);
       skip_frame_ = !known_kind(header_[4]);
       if (skip_frame_) ++counters_.dropped_unknown;
       body_need_ = len;
@@ -51,7 +52,7 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> in, const Sink& sink) {
     i += take;
     if (body_.size() < body_need_) break;
     ++counters_.frames;
-    sink(kind_, std::move(body_));
+    sink(kind_, route_, std::move(body_));
     body_ = {};
     reset_frame();
   }

@@ -2,11 +2,12 @@
 // Wire framing for the socket transport: every TCP byte stream is a sequence
 // of length-prefixed frames
 //
-//   [u32 LE payload length][u8 kind][payload bytes]
+//   [u32 LE payload length][u8 kind][u16 LE route][payload bytes]
 //
 // where the payload of a kData frame is exactly one serde-encoded protocol
-// message (the same bytes a Payload carries in-process), and control kinds
-// (kHello / kPing / kPong) manage peer identity and liveness.
+// message (the same bytes a Payload carries in-process) and the route is
+// its shard (Payload::route, shard/mux.hpp; 0 on control frames), and
+// control kinds (kHello / kPing / kPong) manage peer identity and liveness.
 //
 // Threat model: these bytes come off the network, so this layer is the junk
 // flood's first target. Decoding is total and bounded:
@@ -33,9 +34,10 @@
 namespace tbft::net {
 
 inline constexpr std::uint32_t kHelloMagic = 0x54424654;  // "TBFT"
-inline constexpr std::uint16_t kWireVersion = 1;
-/// u32 length + u8 kind.
-inline constexpr std::size_t kFrameHeaderBytes = 5;
+/// 2 added the route to the frame header; a version-1 peer fails the hello.
+inline constexpr std::uint16_t kWireVersion = 2;
+/// u32 length + u8 kind + u16 route.
+inline constexpr std::size_t kFrameHeaderBytes = 7;
 
 enum class FrameKind : std::uint8_t {
   kHello = 1,  ///< handshake: identifies the sender (Hello payload)
@@ -50,13 +52,15 @@ enum class FrameKind : std::uint8_t {
 }
 
 /// Serialize a frame header into `out[kFrameHeaderBytes]`.
-inline void put_frame_header(std::uint8_t* out, FrameKind kind,
-                             std::uint32_t payload_len) noexcept {
+inline void put_frame_header(std::uint8_t* out, FrameKind kind, std::uint32_t payload_len,
+                             std::uint16_t route = 0) noexcept {
   out[0] = static_cast<std::uint8_t>(payload_len);
   out[1] = static_cast<std::uint8_t>(payload_len >> 8);
   out[2] = static_cast<std::uint8_t>(payload_len >> 16);
   out[3] = static_cast<std::uint8_t>(payload_len >> 24);
   out[4] = static_cast<std::uint8_t>(kind);
+  out[5] = static_cast<std::uint8_t>(route);
+  out[6] = static_cast<std::uint8_t>(route >> 8);
 }
 
 /// Handshake payload: who is on the other end of this connection and which
@@ -106,7 +110,7 @@ class FrameDecoder {
     std::uint64_t dropped_truncated{0}; ///< partial frames discarded at finish()
   };
 
-  using Sink = std::function<void(FrameKind, std::vector<std::uint8_t>&&)>;
+  using Sink = std::function<void(FrameKind, std::uint16_t route, std::vector<std::uint8_t>&&)>;
 
   FrameDecoder() = default;
   explicit FrameDecoder(Limits limits) : limits_(limits) {}
@@ -144,6 +148,7 @@ class FrameDecoder {
   std::vector<std::uint8_t> body_;  // current frame's payload, accumulating
   std::size_t body_need_{0};        // payload length (skip: bytes left)
   FrameKind kind_{FrameKind::kData};
+  std::uint16_t route_{0};
   bool in_body_{false};
   bool skip_frame_{false};  // unknown kind: consume, do not buffer or emit
   bool poisoned_{false};

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "shard/tracker.hpp"
+#include "storage/durable_chain.hpp"
 
 namespace tbft {
 
@@ -24,239 +25,116 @@ bool detail::CommitHub::wait_for(const std::function<bool()>& pred,
   return cv.wait_for(lk, std::chrono::microseconds(timeout), [&] { return pred(); });
 }
 
-// ---- NodeHandle ------------------------------------------------------------
-
-void NodeHandle::submit(std::vector<std::uint8_t> tx) {
-  multishot::MultishotNode* replica = cluster_->replicas_.at(id_);
-  cluster_->runner_.post(id_, [replica, tx = std::move(tx)]() mutable {
-    replica->submit_tx(std::move(tx));
-  });
-}
-
 // ---- Cluster ---------------------------------------------------------------
 
-Cluster::Cluster(const multishot::MultishotConfig& node_cfg, std::uint64_t seed)
-    : runner_(runtime::LocalRunnerConfig{seed}) {
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-    replicas_.push_back(node.get());
-    runner_.add_node(std::move(node));
-  }
-  runner_.add_commit_sink(hub_);
-}
+Cluster::Cluster(Backend backend, std::uint32_t n, std::uint32_t shards)
+    : router_(shards),
+      durables_(n),
+      hosts_(backend == Backend::kSockets ? n : 0),
+      muxes_(n, nullptr),
+      ports_(n) {}
 
 Cluster::~Cluster() { stop(); }
 
-NodeHandle Cluster::node(NodeId id) {
-  if (id >= replicas_.size()) {
-    throw std::out_of_range("Cluster::node: no replica with id " + std::to_string(id));
+shard::ShardMux& Cluster::mux(NodeId id) const {
+  if (id >= muxes_.size() || muxes_[id] == nullptr) {
+    throw std::out_of_range("Cluster: replica " + std::to_string(id) +
+                            " is not hosted by this cluster");
   }
-  return NodeHandle(*this, id);
+  return *muxes_[id];
+}
+
+workload::SubmitPort& Cluster::port(NodeId id) {
+  (void)mux(id);  // range check
+  return *ports_[id];
+}
+
+bool Cluster::post(NodeId id, std::uint32_t shard, std::vector<std::uint8_t> tx) {
+  shard::ShardMux* m = &mux(id);
+  if (sim_) return m->submit(shard, std::move(tx));
+  auto fn = [m, shard, tx = std::move(tx)]() mutable { m->submit(shard, std::move(tx)); };
+  if (runner_) {
+    runner_->post(id, std::move(fn));
+  } else {
+    hosts_[id]->post(std::move(fn));
+  }
+  return true;
 }
 
 void Cluster::on_commit(CommitCallback cb) {
-  if (runner_.running()) {
-    throw std::logic_error("Cluster::on_commit: subscribe before start()");
-  }
+  if (running_) throw std::logic_error("Cluster::on_commit: subscribe before start()");
   hub_.callbacks.push_back(std::move(cb));
 }
 
-void Cluster::start() { runner_.start(); }
+void Cluster::start() {
+  if (sim_) sim_->start();
+  if (runner_) runner_->start();
+  for (auto& host : hosts_) {
+    if (host) host->start();
+  }
+  running_ = true;
+}
 
 void Cluster::stop() {
-  runner_.stop();
+  if (runner_) runner_->stop();
+  for (auto& host : hosts_) {
+    if (host) host->stop();
+  }
+  running_ = false;
   // Replica threads are quiescent now: push any buffered WAL tail to disk so
   // an orderly shutdown loses nothing regardless of the flush cadence.
-  for (auto& durable : durables_) durable->flush();
+  for (auto& per_replica : durables_) {
+    for (auto& durable : per_replica) durable->flush();
+  }
 }
 
 bool Cluster::wait_for(const std::function<bool()>& pred, runtime::Duration timeout) {
+  if (sim_) return sim_->run_until_pred(pred, sim_->now() + timeout);
   return hub_.wait_for(pred, timeout);
 }
 
-multishot::MultishotNode& Cluster::replica(NodeId id) {
-  if (runner_.running()) {
+multishot::MultishotNode& Cluster::instance(NodeId id, std::uint32_t shard) {
+  if (running_ && !sim_) {
     throw std::logic_error(
-        "Cluster::replica: direct access while running races the replica thread; "
-        "stop() first or use post()/submit()");
+        "Cluster::instance: direct access while running races the replica thread; "
+        "stop() first or use submit()");
   }
-  return *replicas_.at(id);
+  return mux(id).instance(shard);
 }
 
-// ---- SimCluster ------------------------------------------------------------
-
-bool SimCluster::run_until_all_finalized(Slot target, runtime::Duration deadline) {
-  return sim_->run_until_pred(
-      [this, target] {
-        for (const auto* replica : replicas_) {
-          if (replica->finalized_count() < target) return false;
-        }
-        return true;
-      },
-      deadline);
-}
-
-// ---- ShardedCluster --------------------------------------------------------
-
-void ShardedNode::submit(std::vector<std::uint8_t> tx) {
-  const auto tag = workload::parse_request_tag(tx);
-  const std::uint32_t shard = tag ? cluster_->router_.shard_of(*tag) : 0;
-  shard::ShardMux* mux = cluster_->muxes_.at(id_);
-  cluster_->runner_.post(id_, [mux, shard, tx = std::move(tx)]() mutable {
-    mux->submit(shard, std::move(tx));
-  });
-}
-
-ShardedCluster::ShardedCluster(std::uint32_t shards, std::uint64_t seed)
-    : runner_(runtime::LocalRunnerConfig{seed}), router_(shards) {}
-
-ShardedCluster::~ShardedCluster() { stop(); }
-
-ShardedNode ShardedCluster::node(NodeId id) {
-  if (id >= muxes_.size()) {
-    throw std::out_of_range("ShardedCluster::node: no replica with id " + std::to_string(id));
-  }
-  return ShardedNode(*this, id);
-}
-
-void ShardedCluster::on_commit(CommitCallback cb) {
-  if (runner_.running()) {
-    throw std::logic_error("ShardedCluster::on_commit: subscribe before start()");
-  }
-  hub_.callbacks.push_back(std::move(cb));
-}
-
-void ShardedCluster::start() { runner_.start(); }
-
-void ShardedCluster::stop() {
-  runner_.stop();
-  for (auto& per_node : durables_) {
-    for (auto& durable : per_node) durable->flush();
-  }
-}
-
-bool ShardedCluster::wait_for(const std::function<bool()>& pred, runtime::Duration timeout) {
-  return hub_.wait_for(pred, timeout);
-}
-
-multishot::MultishotNode& ShardedCluster::instance(NodeId id, std::uint32_t shard) {
-  if (runner_.running()) {
-    throw std::logic_error(
-        "ShardedCluster::instance: direct access while running races the replica "
-        "thread; stop() first or use node().submit()");
-  }
-  return muxes_.at(id)->instance(shard);
-}
-
-std::vector<multishot::MultishotNode*> ShardedCluster::shard_instances(std::uint32_t shard) {
-  if (runner_.running()) {
-    throw std::logic_error(
-        "ShardedCluster::shard_instances: direct access while running races the "
-        "replica threads; stop() first");
-  }
+std::vector<multishot::MultishotNode*> Cluster::shard_instances(std::uint32_t shard) {
   std::vector<multishot::MultishotNode*> out;
-  out.reserve(muxes_.size());
-  for (auto* mux : muxes_) out.push_back(&mux->instance(shard));
+  for (NodeId id = 0; id < muxes_.size(); ++id) {
+    if (muxes_[id] != nullptr) out.push_back(&instance(id, shard));
+  }
   return out;
 }
 
-// ---- ShardedSimCluster -----------------------------------------------------
-
-bool ShardedSimCluster::run_until_all_finalized(Slot target, runtime::Duration deadline) {
-  return sim_->run_until_pred(
-      [this, target] {
-        for (auto* mux : muxes_) {
-          for (std::uint32_t k = 0; k < router_.shards(); ++k) {
-            if (mux->instance(k).finalized_count() < target) return false;
-          }
-        }
-        return true;
-      },
-      deadline);
-}
-
-// ---- SocketCluster ---------------------------------------------------------
-
-SocketCluster::~SocketCluster() { stop(); }
-
-void SocketCluster::on_commit(CommitCallback cb) {
-  if (running_) throw std::logic_error("SocketCluster::on_commit: subscribe before start()");
-  hub_.callbacks.push_back(std::move(cb));
-}
-
-void SocketCluster::start() {
-  for (auto& host : hosts_) host->start();
-  running_ = true;
-}
-
-void SocketCluster::stop() {
-  if (!running_) return;
-  running_ = false;
-  for (auto& host : hosts_) host->stop();
-  for (auto& durable : durables_) durable->flush();
-}
-
-bool SocketCluster::wait_for(const std::function<bool()>& pred,
-                             runtime::Duration timeout) {
-  return hub_.wait_for(pred, timeout);
-}
-
-void SocketCluster::submit(NodeId id, std::vector<std::uint8_t> tx) {
-  multishot::MultishotNode* replica = replicas_.at(id);
-  hosts_.at(id)->post([replica, tx = std::move(tx)]() mutable {
-    replica->submit_tx(std::move(tx));
-  });
-}
-
-multishot::MultishotNode& SocketCluster::replica(NodeId id) {
-  if (running_) {
-    throw std::logic_error(
-        "SocketCluster::replica: direct access while running races the node "
-        "thread; stop() first or use submit()");
+storage::DurableChain* Cluster::durable(NodeId id, std::uint32_t shard) {
+  if (shard >= mux(id).shards()) {
+    throw std::out_of_range("Cluster::durable: no shard " + std::to_string(shard));
   }
-  return *replicas_.at(id);
+  return durables_[id].empty() ? nullptr : durables_[id][shard].get();
 }
 
-// ---- SocketNode ------------------------------------------------------------
-
-SocketNode::~SocketNode() { stop(); }
-
-void SocketNode::on_commit(CommitCallback cb) {
-  if (running_) throw std::logic_error("SocketNode::on_commit: subscribe before start()");
-  hub_.callbacks.push_back(std::move(cb));
+sim::Simulation& Cluster::simulation() {
+  if (!sim_) throw std::logic_error("Cluster::simulation: not a build_sim() cluster");
+  return *sim_;
 }
 
-void SocketNode::start() {
-  host_->start();
-  running_ = true;
+NodeId Cluster::add_client(std::unique_ptr<runtime::ProtocolNode> client) {
+  return simulation().add_client(std::move(client));
 }
 
-void SocketNode::stop() {
-  if (!running_) return;
-  running_ = false;
-  host_->stop();
-  if (durable_) durable_->flush();
+runtime::LocalRunner& Cluster::runner() {
+  if (!runner_) throw std::logic_error("Cluster::runner: not a build_local() cluster");
+  return *runner_;
 }
 
-bool SocketNode::wait_for(const std::function<bool()>& pred,
-                          runtime::Duration timeout) {
-  return hub_.wait_for(pred, timeout);
-}
-
-void SocketNode::submit(std::vector<std::uint8_t> tx) {
-  multishot::MultishotNode* replica = replica_;
-  host_->post([replica, tx = std::move(tx)]() mutable {
-    replica->submit_tx(std::move(tx));
-  });
-}
-
-multishot::MultishotNode& SocketNode::replica() {
-  if (running_) {
-    throw std::logic_error(
-        "SocketNode::replica: direct access while running races the node "
-        "thread; stop() first or use submit()");
-  }
-  return *replica_;
+runtime::SocketHost& Cluster::host(NodeId id) {
+  if (hosts_.empty()) throw std::logic_error("Cluster::host: not a socket cluster");
+  (void)mux(id);  // range check
+  return *hosts_[id];
 }
 
 // ---- ClusterBuilder --------------------------------------------------------
@@ -338,10 +216,6 @@ ClusterBuilder& ClusterBuilder::data_dir(std::string path) {
   data_dir_ = std::move(path);
   return *this;
 }
-ClusterBuilder& ClusterBuilder::range_sync(bool on) {
-  enable_sync_ = on;
-  return *this;
-}
 ClusterBuilder& ClusterBuilder::commit_epochs(Slot slots) {
   commit_epoch_slots_ = slots;
   return *this;
@@ -418,14 +292,13 @@ multishot::MultishotConfig ClusterBuilder::node_config() const {
         ") is below the 8-block floor FinalizedStore needs to keep compaction "
         "behind the finalization frontier; raise storage_tail to at least 8");
   }
-  if (enable_sync_ && finalized_tail_ < multishot::ChainStore::kWindow) {
+  if (finalized_tail_ < multishot::ChainStore::kWindow) {
     throw std::logic_error(
         "ClusterBuilder: storage_tail(" + std::to_string(finalized_tail_) +
         ") is smaller than the " + std::to_string(multishot::ChainStore::kWindow) +
         "-slot unfinalized window, so range-sync could compact away blocks a "
         "lagging peer still needs; raise storage_tail to at least " +
-        std::to_string(multishot::ChainStore::kWindow) +
-        " or disable it with range_sync(false)");
+        std::to_string(multishot::ChainStore::kWindow));
   }
   multishot::MultishotConfig cfg;
   cfg.n = n_;
@@ -440,109 +313,11 @@ multishot::MultishotConfig ClusterBuilder::node_config() const {
   cfg.finalized_tail = finalized_tail_;
   cfg.forward_to_leader = forward_to_leader_;
   cfg.commit_epoch_slots = commit_epoch_slots_;
-  cfg.enable_sync = enable_sync_;
   cfg.pipeline_depth = pipeline_depth_;
   if (adaptive_batch_txs_ > max_batch_txs_) {
     cfg.adaptive_batch_txs = adaptive_batch_txs_;
   }
   return cfg;
-}
-
-std::unique_ptr<storage::DurableChain> ClusterBuilder::attach_durable_at(
-    const std::string& dir, multishot::MultishotNode& replica) const {
-  storage::DurableOptions opts;
-  opts.segment_bytes = wal_segment_bytes_;
-  opts.flush_every = wal_flush_every_;
-  opts.checkpoint_every = checkpoint_every_;
-  auto durable = std::make_unique<storage::DurableChain>(dir, opts);
-  storage::RecoveredState rec = durable->recover();
-  if (rec.tip() > 0 || !rec.commit_state.empty()) {
-    replica.restore_chain(rec.checkpoint, rec.commit_state, std::move(rec.tail));
-  }
-  replica.set_durable(durable.get());
-  return durable;
-}
-
-std::unique_ptr<storage::DurableChain> ClusterBuilder::attach_durable(
-    NodeId id, multishot::MultishotNode& replica) const {
-  const std::filesystem::path dir =
-      std::filesystem::path(data_dir_) / ("node-" + std::to_string(id));
-  return attach_durable_at(dir.string(), replica);
-}
-
-std::vector<std::unique_ptr<multishot::MultishotNode>> ClusterBuilder::make_shard_instances(
-    NodeId id, const multishot::MultishotConfig& node_cfg,
-    std::vector<std::unique_ptr<storage::DurableChain>>& durables) const {
-  std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
-  instances.reserve(shards_);
-  for (std::uint32_t k = 0; k < shards_; ++k) {
-    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-    if (!data_dir_.empty()) {
-      const std::filesystem::path dir = std::filesystem::path(data_dir_) /
-                                        ("node-" + std::to_string(id)) /
-                                        ("shard-" + std::to_string(k));
-      durables.push_back(attach_durable_at(dir.string(), *node));
-    }
-    instances.push_back(std::move(node));
-  }
-  return instances;
-}
-
-void ClusterBuilder::require_unsharded(const char* builder) const {
-  if (shards_ > 1) {
-    throw std::logic_error(std::string("ClusterBuilder: ") + builder +
-                           " builds one chain; with shards(" + std::to_string(shards_) +
-                           ") use build_sharded_local()/build_sharded_sim()");
-  }
-}
-
-std::unique_ptr<ShardedCluster> ClusterBuilder::build_sharded_local() const {
-  const multishot::MultishotConfig node_cfg = node_config();
-  auto cluster = std::unique_ptr<ShardedCluster>(new ShardedCluster(shards_, seed_));
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    cluster->durables_.emplace_back();
-    auto mux = std::make_unique<shard::ShardMux>(
-        make_shard_instances(i, node_cfg, cluster->durables_.back()));
-    cluster->muxes_.push_back(mux.get());
-    cluster->runner_.add_node(std::move(mux));
-  }
-  cluster->runner_.add_commit_sink(cluster->hub_);
-  return cluster;
-}
-
-std::unique_ptr<ShardedSimCluster> ClusterBuilder::build_sharded_sim() const {
-  const multishot::MultishotConfig node_cfg = node_config();
-  auto cluster = std::unique_ptr<ShardedSimCluster>(new ShardedSimCluster(shards_));
-  sim::SimConfig sc;
-  sc.seed = seed_;
-  sc.net.delta_bound = delta_bound_;
-  sc.net.delta_actual = sim_delta_actual_;
-  sc.net.delta_min = sim_delta_actual_;
-  cluster->sim_ = std::make_unique<sim::Simulation>(sc);
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    cluster->durables_.emplace_back();
-    auto mux = std::make_unique<shard::ShardMux>(
-        make_shard_instances(i, node_cfg, cluster->durables_.back()));
-    shard::ShardMux* raw = mux.get();
-    cluster->muxes_.push_back(raw);
-    cluster->ports_.push_back(std::make_unique<shard::RoutedPort>(
-        cluster->router_, [raw](std::uint32_t shard, std::vector<std::uint8_t> tx) {
-          return raw->submit(shard, std::move(tx));
-        }));
-    cluster->sim_->add_node(std::move(mux));
-  }
-  return cluster;
-}
-
-std::unique_ptr<Cluster> ClusterBuilder::build_local() const {
-  require_unsharded("build_local()");
-  auto cluster = std::unique_ptr<Cluster>(new Cluster(node_config(), seed_));
-  if (!data_dir_.empty()) {
-    for (NodeId i = 0; i < static_cast<NodeId>(cluster->replicas_.size()); ++i) {
-      cluster->durables_.push_back(attach_durable(i, *cluster->replicas_[i]));
-    }
-  }
-  return cluster;
 }
 
 runtime::SocketHostConfig ClusterBuilder::socket_host_config(
@@ -573,80 +348,84 @@ runtime::SocketHostConfig ClusterBuilder::socket_host_config(
   return hc;
 }
 
-std::unique_ptr<SocketCluster> ClusterBuilder::build_socket() const {
-  require_unsharded("build_socket()");
+std::unique_ptr<Cluster> ClusterBuilder::build(Cluster::Backend backend, NodeId first,
+                                               NodeId last, const net::Endpoint& listen) const {
   const multishot::MultishotConfig node_cfg = node_config();
-  auto cluster = std::unique_ptr<SocketCluster>(new SocketCluster());
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-    cluster->replicas_.push_back(node.get());
-    if (!data_dir_.empty()) {
-      cluster->durables_.push_back(attach_durable(i, *node));
-    }
-    // Ephemeral listen port: the host binds at construction, so the real
-    // port is known immediately and nothing ever guesses a free one.
-    cluster->hosts_.push_back(std::make_unique<runtime::SocketHost>(
-        socket_host_config(i, net::Endpoint{"127.0.0.1", 0}), std::move(node)));
+  auto cluster = std::unique_ptr<Cluster>(new Cluster(backend, node_cfg.n, shards_));
+  Cluster& c = *cluster;
+  if (backend == Cluster::Backend::kSim) {
+    sim::SimConfig sc;
+    sc.seed = seed_;
+    sc.net.delta_bound = delta_bound_;
+    sc.net.delta_actual = sim_delta_actual_;
+    sc.net.delta_min = sim_delta_actual_;
+    c.sim_ = std::make_unique<sim::Simulation>(sc);
+    c.sim_->add_commit_sink(c.hub_);
+  } else if (backend == Cluster::Backend::kThreads) {
+    c.runner_ = std::make_unique<runtime::LocalRunner>(runtime::LocalRunnerConfig{seed_});
+    c.runner_->add_commit_sink(c.hub_);
   }
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    cluster->hosts_[i]->add_commit_sink(cluster->hub_);
-    for (std::uint32_t j = 0; j < node_cfg.n; ++j) {
-      if (j == i) continue;
-      cluster->hosts_[i]->set_peer_endpoint(
-          j, net::Endpoint{"127.0.0.1", cluster->hosts_[j]->port()});
+  storage::DurableOptions opts;
+  opts.segment_bytes = wal_segment_bytes_;
+  opts.flush_every = wal_flush_every_;
+  opts.checkpoint_every = checkpoint_every_;
+  for (NodeId i = first; i < last; ++i) {
+    std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
+    for (std::uint32_t k = 0; k < shards_; ++k) {
+      auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
+      if (!data_dir_.empty()) {
+        c.durables_[i].push_back(std::make_unique<storage::DurableChain>(
+            storage::replica_dir(data_dir_, i, k, shards_), opts));
+        c.durables_[i].back()->attach(*node);
+      }
+      instances.push_back(std::move(node));
+    }
+    auto mux = std::make_unique<shard::ShardMux>(std::move(instances));
+    c.muxes_[i] = mux.get();
+    c.ports_[i] = std::make_unique<shard::RoutedPort>(
+        c.router_, [&c, i](std::uint32_t shard, std::vector<std::uint8_t> tx) {
+          return c.post(i, shard, std::move(tx));
+        });
+    switch (backend) {
+      case Cluster::Backend::kSim: c.sim_->add_node(std::move(mux)); break;
+      case Cluster::Backend::kThreads: c.runner_->add_node(std::move(mux)); break;
+      case Cluster::Backend::kSockets:
+        // The host binds at construction, so an ephemeral port is known
+        // immediately and nothing ever guesses a free one.
+        c.hosts_[i] = std::make_unique<runtime::SocketHost>(socket_host_config(i, listen),
+                                                            std::move(mux));
+        c.hosts_[i]->add_commit_sink(c.hub_);
+        break;
     }
   }
   return cluster;
 }
 
-std::unique_ptr<SocketNode> ClusterBuilder::build_socket_node(
-    NodeId id, net::Endpoint listen) const {
-  require_unsharded("build_socket_node()");
-  const multishot::MultishotConfig node_cfg = node_config();
-  if (id >= node_cfg.n) {
-    throw std::invalid_argument("ClusterBuilder: build_socket_node id " +
-                                std::to_string(id) + " out of range for n=" +
-                                std::to_string(node_cfg.n));
-  }
-  auto sn = std::unique_ptr<SocketNode>(new SocketNode());
-  auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-  sn->replica_ = node.get();
-  if (!data_dir_.empty()) {
-    sn->durable_ = attach_durable(id, *node);
-  }
-  sn->host_ = std::make_unique<runtime::SocketHost>(
-      socket_host_config(id, std::move(listen)), std::move(node));
-  sn->host_->add_commit_sink(sn->hub_);
-  return sn;
+std::unique_ptr<Cluster> ClusterBuilder::build_sim() const {
+  return build(Cluster::Backend::kSim, 0, n_, {});
 }
 
-std::unique_ptr<SimCluster> ClusterBuilder::build_sim() const {
-  require_unsharded("build_sim()");
-  const multishot::MultishotConfig node_cfg = node_config();
-  auto cluster = std::unique_ptr<SimCluster>(new SimCluster());
-  sim::SimConfig sc;
-  sc.seed = seed_;
-  sc.net.delta_bound = delta_bound_;
-  sc.net.delta_actual = sim_delta_actual_;
-  sc.net.delta_min = sim_delta_actual_;
-  cluster->sim_ = std::make_unique<sim::Simulation>(sc);
-  struct ReplicaPort final : workload::SubmitPort {
-    explicit ReplicaPort(multishot::MultishotNode& n) : node(&n) {}
-    bool submit(std::vector<std::uint8_t> tx) override {
-      return node->submit_tx(std::move(tx));
+std::unique_ptr<Cluster> ClusterBuilder::build_local() const {
+  return build(Cluster::Backend::kThreads, 0, n_, {});
+}
+
+std::unique_ptr<Cluster> ClusterBuilder::build_socket() const {
+  auto cluster = build(Cluster::Backend::kSockets, 0, n_, net::Endpoint{"127.0.0.1", 0});
+  for (NodeId i = 0; i < n_; ++i) {
+    for (NodeId j = 0; j < n_; ++j) {
+      if (j != i) cluster->host(i).set_peer_endpoint(j, {"127.0.0.1", cluster->host(j).port()});
     }
-    multishot::MultishotNode* node;
-  };
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-    cluster->replicas_.push_back(node.get());
-    cluster->ports_.push_back(std::make_unique<ReplicaPort>(*node));
-    if (!data_dir_.empty()) {
-      cluster->durables_.push_back(attach_durable(i, *node));
-    }
-    cluster->sim_->add_node(std::move(node));
   }
   return cluster;
+}
+
+std::unique_ptr<Cluster> ClusterBuilder::build_socket_node(NodeId id,
+                                                           net::Endpoint listen) const {
+  if (id >= n_) {
+    throw std::invalid_argument("ClusterBuilder: build_socket_node id " + std::to_string(id) +
+                                " out of range for n=" + std::to_string(n_));
+  }
+  return build(Cluster::Backend::kSockets, id, id + 1, listen);
 }
 
 }  // namespace tbft

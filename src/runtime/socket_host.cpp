@@ -318,7 +318,7 @@ bool SocketHost::io_on_hello(Conn& c, std::vector<std::uint8_t>&& body) {
   return true;
 }
 
-void SocketHost::io_on_frame(Conn& c, net::FrameKind kind,
+void SocketHost::io_on_frame(Conn& c, net::FrameKind kind, std::uint16_t route,
                              std::vector<std::uint8_t>&& body) {
   if (c.dead) return;  // rest of a buffer from a connection being dropped
   switch (kind) {
@@ -335,7 +335,7 @@ void SocketHost::io_on_frame(Conn& c, net::FrameKind kind,
       return;
     case net::FrameKind::kPong:
       return;  // last_rx already refreshed by the read itself
-    case net::FrameKind::kData:
+    case net::FrameKind::kData: {
       if (!c.established()) {
         // Data before the handshake completes is a protocol violation:
         // count it and drop the stranger.
@@ -344,9 +344,13 @@ void SocketHost::io_on_frame(Conn& c, net::FrameKind kind,
         return;
       }
       bump(stats_.frames_rx);
-      // Adopt the frame body (no copy) and deliver inline.
-      node_->on_message(c.peer, Payload(std::move(body)));
+      // Adopt the frame body (no copy), restore its shard route from the
+      // header and deliver inline.
+      Payload payload(std::move(body));
+      payload.set_route(route);
+      node_->on_message(c.peer, payload);
       return;
+    }
   }
 }
 
@@ -366,8 +370,8 @@ void SocketHost::io_handle_readable(Conn& c) {
     c.ping_outstanding = false;
     const bool ok = c.decoder.feed(
         std::span<const std::uint8_t>(buf, static_cast<std::size_t>(got)),
-        [this, &c](net::FrameKind k, std::vector<std::uint8_t>&& body) {
-          io_on_frame(c, k, std::move(body));
+        [this, &c](net::FrameKind k, std::uint16_t route, std::vector<std::uint8_t>&& body) {
+          io_on_frame(c, k, route, std::move(body));
         });
     const auto& dc = c.decoder.counters();
     if (dc.dropped_unknown > c.unknown_synced) {
@@ -404,7 +408,8 @@ void SocketHost::io_flush(Conn& c) {
     const auto add_frame = [&](std::size_t i, std::size_t skip) {
       const Payload& payload = (*queue)[i];
       net::put_frame_header(hdr[i], net::FrameKind::kData,
-                            static_cast<std::uint32_t>(payload.size()));
+                            static_cast<std::uint32_t>(payload.size()),
+                            static_cast<std::uint16_t>(payload.route()));
       if (skip < net::kFrameHeaderBytes) add(hdr[i] + skip, net::kFrameHeaderBytes - skip);
       const std::size_t off = skip > net::kFrameHeaderBytes ? skip - net::kFrameHeaderBytes : 0;
       add(payload.bytes().data() + off, payload.size() - off);

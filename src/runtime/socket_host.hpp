@@ -7,7 +7,8 @@
 // This is the third Host implementation after the Simulation and the
 // LocalRunner, and the one that takes the identical ProtocolNode binaries
 // out of shared memory: a kData frame's payload is exactly the serde bytes
-// a Payload carries in-process, so the consensus cores cannot tell the
+// a Payload carries in-process and its header carries the Payload's shard
+// route, so the consensus cores -- sharded or not -- cannot tell the
 // transports apart (tests/test_socket_equivalence.cpp proves it).
 //
 // Threading model (one thread per host): a single poll loop owns the
@@ -216,7 +217,8 @@ class SocketHost final : public Host {
   void io_accept_pending();
   void io_handle_readable(Conn& c);
   void io_flush(Conn& c);
-  void io_on_frame(Conn& c, net::FrameKind kind, std::vector<std::uint8_t>&& body);
+  void io_on_frame(Conn& c, net::FrameKind kind, std::uint16_t route,
+                   std::vector<std::uint8_t>&& body);
   bool io_on_hello(Conn& c, std::vector<std::uint8_t>&& body);
   void io_send_hello(Conn& c);
   void io_drop_conn(Conn& c, bool established_loss);

@@ -8,7 +8,7 @@ ShardMux::ShardMux(std::vector<std::unique_ptr<multishot::MultishotNode>> instan
   // Bind every instance to its adapter NOW: the adapters reach the outer
   // context lazily (at call time), so inner nodes can serve pre-start
   // seeding (submit through a bound host) the moment the mux itself is
-  // bound by add_node -- matching the unsharded backends' contract.
+  // bound by add_node -- matching a bare MultishotNode's contract.
   const auto shards = instances_.size();
   hosts_.reserve(shards);
   for (std::uint32_t k = 0; k < shards; ++k) {

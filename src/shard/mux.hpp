@@ -6,11 +6,12 @@
 // per shard and gives each a private Host adapter over the outer context:
 //
 //  - outgoing payloads are tagged with their shard index
-//    (Payload::set_route, write-once before publication), and incoming
-//    payloads are dispatched to the instance whose index matches the tag.
-//    An untagged payload (route 0: junk from a Byzantine peer, or traffic
-//    from an unsharded sender) lands on shard 0, where the protocol's
-//    existing malformed-input handling applies; a tag >= S is dropped.
+//    (Payload::set_route, write-once before publication; SocketHost carries
+//    it in the frame header), and incoming payloads are dispatched to the
+//    instance whose index matches the tag. An untagged payload (route 0:
+//    junk from a Byzantine peer, or traffic from an unsharded sender) lands
+//    on shard 0, where the protocol's existing malformed-input handling
+//    applies; a tag >= S is dropped.
 //  - publish_commit rewrites the per-shard slot stream into the composite
 //    `(shard << 48) | slot` stream (shard/router.hpp), so one commit
 //    subscription observes all shards with both coordinates recoverable.
@@ -56,13 +57,12 @@ class ShardMux final : public runtime::ProtocolNode {
   [[nodiscard]] std::uint32_t shards() const noexcept {
     return static_cast<std::uint32_t>(instances_.size());
   }
+  /// Shard `shard`'s chain instance; throws std::out_of_range past S.
   [[nodiscard]] multishot::MultishotNode& instance(std::uint32_t shard) {
-    assert(shard < instances_.size());
-    return *instances_[shard];
+    return *instances_.at(shard);
   }
   [[nodiscard]] const multishot::MultishotNode& instance(std::uint32_t shard) const {
-    assert(shard < instances_.size());
-    return *instances_[shard];
+    return *instances_.at(shard);
   }
 
   /// Submit a transaction to one shard's chain instance. Same semantics and

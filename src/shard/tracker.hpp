@@ -115,8 +115,8 @@ class ShardedTracker final : public workload::TrackerSink {
 /// SubmitPort that dispatches each request to its tag's home shard -- the
 /// front half of key routing. One RoutedPort stands in front of one
 /// replica; `dispatch(shard, tx)` delivers into that replica's shard
-/// instance (ShardMux::submit under LocalRunner, direct submit_tx in the
-/// sim). Client retries walk replicas, not shards: a retried tag hashes to
+/// instance (tbft::Cluster::port on every host, the chaos engine's live
+/// muxes). Client retries walk replicas, not shards: a retried tag hashes to
 /// the same home shard at every replica, so retry stays within the key's
 /// shard by construction. A non-request transaction (no parseable tag)
 /// goes to shard 0.

@@ -1,8 +1,10 @@
 #include "storage/durable_chain.hpp"
 
+#include <string>
 #include <utility>
 
 #include "common/serde.hpp"
+#include "multishot/node.hpp"
 
 namespace tbft::storage {
 
@@ -25,6 +27,14 @@ RecoveredState DurableChain::recover() {
   return out;
 }
 
+void DurableChain::attach(multishot::MultishotNode& node) {
+  RecoveredState rec = recover();
+  if (rec.tip() > 0 || !rec.commit_state.empty()) {
+    node.restore_chain(rec.checkpoint, rec.commit_state, std::move(rec.tail));
+  }
+  node.set_durable(this);
+}
+
 void DurableChain::append(const multishot::Block& b,
                           const multishot::FinalizedStore& store) {
   wal_.append(b);
@@ -44,6 +54,12 @@ void DurableChain::append(const multishot::Block& b,
     ++checkpoints_stored_;
     wal_.reclaim(cp.slot);
   }
+}
+
+std::filesystem::path replica_dir(const std::filesystem::path& root, NodeId node,
+                                  std::uint32_t shard, std::uint32_t shards) {
+  const std::filesystem::path dir = root / ("node-" + std::to_string(node));
+  return shards == 1 ? dir : dir / ("shard-" + std::to_string(shard));
 }
 
 }  // namespace tbft::storage

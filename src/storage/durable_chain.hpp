@@ -22,6 +22,10 @@
 #include "storage/checkpoint_file.hpp"
 #include "storage/wal.hpp"
 
+namespace tbft::multishot {
+class MultishotNode;
+}  // namespace tbft::multishot
+
 namespace tbft::storage {
 
 struct DurableOptions {
@@ -51,6 +55,10 @@ class DurableChain {
   /// Load checkpoint + WAL tail. Call once, before any append().
   RecoveredState recover();
 
+  /// recover() into `node` -- restoring its chain when this directory holds
+  /// durable state -- and attach this chain as the node's write path.
+  void attach(multishot::MultishotNode& node);
+
   /// Persist one newly finalized block; `store` is the node's finalized
   /// store AFTER the block was appended (its checkpoint drives the durable
   /// checkpoint cadence). Called from the on-finalized hook.
@@ -73,5 +81,11 @@ class DurableChain {
   Slot durable_cp_slot_{0};
   std::uint64_t checkpoints_stored_{0};
 };
+
+/// Directory of replica `node`'s chain for shard `shard` under `root`:
+/// `node-<id>` when the cluster runs one shard (the original layout, so
+/// existing data directories still recover), `node-<id>/shard-<k>` otherwise.
+[[nodiscard]] std::filesystem::path replica_dir(const std::filesystem::path& root, NodeId node,
+                                                std::uint32_t shard, std::uint32_t shards);
 
 }  // namespace tbft::storage

@@ -8,24 +8,27 @@
 //   auto cluster = b.build_local();          // real-time: one thread/node
 //   cluster->on_commit([](const tbft::runtime::Commit& c) { ... });
 //   cluster->start();
-//   cluster->node(0).submit({'t','x'});
+//   cluster->submit(0, {'t','x'});
 //   cluster->wait_for([&]{ return done; }, 5 * tbft::runtime::kSecond);
 //   cluster->stop();
 //
-// Three backends build from the same validated configuration:
-//  - build_local(): a runtime::LocalRunner cluster -- wall-clock time, OS
-//    threads, shared-memory message passing;
-//  - build_sim():   a sim::Simulation cluster -- deterministic virtual
-//    time, the verification tool of record. Client actors (workload
-//    generators) attach here; the facade adds every protocol node before
-//    any client, and the Simulation rejects out-of-order additions with a
+// Every build returns the same Cluster type; only the host underneath
+// differs, and every host runs the same replica: a shard::ShardMux of
+// ClusterBuilder::shards() chain instances (one at the default S = 1).
+//  - build_local(): a runtime::LocalRunner -- wall-clock time, OS threads,
+//    shared-memory message passing;
+//  - build_sim():   a sim::Simulation -- deterministic virtual time, the
+//    verification tool of record. Client actors (workload generators)
+//    attach with add_client; the facade adds every replica before any
+//    client, and the Simulation rejects out-of-order additions with a
 //    clear error instead of silently renumbering actors;
-//  - build_socket(): a cluster of runtime::SocketHost nodes talking TCP
-//    over loopback -- every message crosses a real socket. For genuinely
-//    multi-process deployments, build_socket_node() builds ONE node; the
-//    caller distributes listen ports (ephemeral binds are discoverable via
-//    SocketNode::port()) and wires peers with set_peer_endpoint before
-//    start() -- see examples/socket_cluster.cpp.
+//  - build_socket(): n runtime::SocketHosts talking TCP over loopback --
+//    every message crosses a real socket, its shard route in the frame
+//    header. For genuinely multi-process deployments, build_socket_node()
+//    hosts ONE replica; the caller distributes listen ports (ephemeral
+//    binds are discoverable via host(id).port()) and wires peers with
+//    host(id).set_peer_endpoint before start() -- see
+//    examples/socket_cluster.cpp.
 
 #include <condition_variable>
 #include <cstdint>
@@ -50,13 +53,10 @@
 
 namespace tbft {
 
-class Cluster;
-
 namespace detail {
-/// Single CommitSink fanning every backend's commits out to registered
-/// callbacks and waking wait_for waiters. Shared by Cluster, SocketCluster
-/// and SocketNode so the commit-observation semantics are identical across
-/// transports.
+/// Single CommitSink fanning every host's commits out to registered
+/// callbacks and waking wait_for waiters, so the commit-observation
+/// semantics are identical across backends.
 struct CommitHub final : runtime::CommitSink {
   void on_commit(const runtime::Commit& commit) override;
   /// Block until `pred()` holds or `timeout` elapses; `pred` runs under the
@@ -69,389 +69,93 @@ struct CommitHub final : runtime::CommitSink {
 };
 }  // namespace detail
 
-/// Non-owning handle to one replica of a local Cluster.
-class NodeHandle {
- public:
-  [[nodiscard]] NodeId id() const noexcept { return id_; }
-
-  /// Submit a transaction to this replica's mempool. Runs on the replica's
-  /// thread (serialized with its handlers); before Cluster::start() it
-  /// applies immediately, which is how initial state is seeded.
-  void submit(std::vector<std::uint8_t> tx);
-
- private:
-  friend class Cluster;
-  NodeHandle(Cluster& cluster, NodeId id) : cluster_(&cluster), id_(id) {}
-
-  Cluster* cluster_;
-  NodeId id_;
-};
-
-/// A real-time in-process TetraBFT cluster (runtime::LocalRunner backend).
+/// A TetraBFT cluster of n replicas, each a shard::ShardMux of S chain
+/// instances, on one of three hosts. Commits surface on the composite
+/// stream `(shard << 48) | slot` (shard/router.hpp), which is the plain
+/// slot at S = 1; submissions route by request key.
 class Cluster {
  public:
+  enum class Backend { kSim, kThreads, kSockets };
   using CommitCallback = std::function<void(const runtime::Commit&)>;
 
-  ~Cluster();  // stops the runner
+  ~Cluster();  // stops the hosts
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  [[nodiscard]] std::uint32_t size() const noexcept { return runner_.node_count(); }
-  [[nodiscard]] NodeHandle node(NodeId id);
-
-  /// Subscribe to every commit any replica publishes. Must be called before
-  /// start(). Callbacks run on replica threads, serialized by the cluster;
-  /// wait_for predicates are re-evaluated after each callback.
-  void on_commit(CommitCallback cb);
-
-  void start();
-  /// Stop all replica threads. Idempotent; after stop() the replicas are
-  /// quiescent and replica() inspection is safe from the caller's thread.
-  void stop();
-
-  /// Block until `pred()` holds or `timeout` elapses; `pred` is evaluated
-  /// under the cluster's commit lock, re-checked on every commit. Returns
-  /// whether the predicate held.
-  bool wait_for(const std::function<bool()>& pred, runtime::Duration timeout);
-
-  /// Direct replica access: only safe while the cluster is not running
-  /// (before start(), after stop()) -- chain inspection, test assertions.
-  [[nodiscard]] multishot::MultishotNode& replica(NodeId id);
-
-  [[nodiscard]] runtime::LocalRunner& runner() noexcept { return runner_; }
-
-  /// Replica `id`'s durability driver, or nullptr when the cluster was
-  /// built without ClusterBuilder::data_dir (fully in-memory).
-  [[nodiscard]] storage::DurableChain* durable(NodeId id) {
-    return id < durables_.size() ? durables_[id].get() : nullptr;
-  }
-
- private:
-  friend class ClusterBuilder;
-  friend class NodeHandle;
-  explicit Cluster(const multishot::MultishotConfig& node_cfg, std::uint64_t seed);
-
-  runtime::LocalRunner runner_;
-  std::vector<multishot::MultishotNode*> replicas_;
-  std::vector<std::unique_ptr<storage::DurableChain>> durables_;
-  detail::CommitHub hub_;
-};
-
-/// A deterministic simulated cluster built from the same configuration
-/// (sim::Simulation backend). The facade owns the actor-ordering rules:
-/// all protocol nodes are added at build time, clients afterwards.
-class SimCluster {
- public:
-  [[nodiscard]] sim::Simulation& simulation() noexcept { return *sim_; }
-  [[nodiscard]] std::uint32_t size() const noexcept {
-    return static_cast<std::uint32_t>(replicas_.size());
-  }
-  [[nodiscard]] multishot::MultishotNode& replica(NodeId id) { return *replicas_.at(id); }
-  [[nodiscard]] const std::vector<multishot::MultishotNode*>& replicas() const noexcept {
-    return replicas_;
-  }
-
-  /// Submit a transaction to replica `id`'s mempool (direct call: the
-  /// simulation is single-threaded). Returns mempool admission.
-  bool submit(NodeId id, std::vector<std::uint8_t> tx) {
-    return replicas_.at(id)->submit_tx(std::move(tx));
-  }
-
-  /// The workload::SubmitPort view of replica `id` -- hand these to the
-  /// load generators (workload::LoadClient and friends), which program
-  /// against this boundary instead of MultishotNode internals.
-  [[nodiscard]] workload::SubmitPort& port(NodeId id) { return *ports_.at(id); }
-
-  /// Attach a client actor (workload generator, observer). Always legal
-  /// here: the builder added every protocol node already, which is the
-  /// ordering Simulation::add_node enforces with a clear error.
-  NodeId add_client(std::unique_ptr<runtime::ProtocolNode> client) {
-    return sim_->add_client(std::move(client));
-  }
-
-  void start() { sim_->start(); }
-
-  /// Run until every replica finalized at least `target` slots.
-  bool run_until_all_finalized(Slot target, runtime::Duration deadline);
-
-  /// Replica `id`'s durability driver, or nullptr when the cluster was
-  /// built without ClusterBuilder::data_dir (fully in-memory).
-  [[nodiscard]] storage::DurableChain* durable(NodeId id) {
-    return id < durables_.size() ? durables_[id].get() : nullptr;
-  }
-
- private:
-  friend class ClusterBuilder;
-  SimCluster() = default;
-
-  std::unique_ptr<sim::Simulation> sim_;
-  std::vector<multishot::MultishotNode*> replicas_;
-  std::vector<std::unique_ptr<storage::DurableChain>> durables_;
-  std::vector<std::unique_ptr<workload::SubmitPort>> ports_;
-};
-
-class ShardedCluster;
-
-/// Non-owning handle to one replica of a ShardedCluster. submit() routes by
-/// the request's key: the tag's home shard (shard::ShardRouter) picks which
-/// of the replica's S chain instances admits it.
-class ShardedNode {
- public:
-  [[nodiscard]] NodeId id() const noexcept { return id_; }
-
-  /// Submit a transaction through this replica's key router, onto the tag's
-  /// home-shard instance. Runs on the replica's thread; before
-  /// ShardedCluster::start() it applies immediately (initial-state seeding).
-  void submit(std::vector<std::uint8_t> tx);
-
- private:
-  friend class ShardedCluster;
-  ShardedNode(ShardedCluster& cluster, NodeId id) : cluster_(&cluster), id_(id) {}
-
-  ShardedCluster* cluster_;
-  NodeId id_;
-};
-
-/// A real-time sharded cluster: n replica threads (runtime::LocalRunner),
-/// each running one shard::ShardMux of S independent TetraBFT chain
-/// instances over the shared transport. Commits surface on the composite
-/// stream `(shard << 48) | slot` (shard/router.hpp); submissions route by
-/// request key. Built by ClusterBuilder::shards(S) + build_sharded_local().
-class ShardedCluster {
- public:
-  using CommitCallback = std::function<void(const runtime::Commit&)>;
-
-  ~ShardedCluster();  // stops the runner
-
-  ShardedCluster(const ShardedCluster&) = delete;
-  ShardedCluster& operator=(const ShardedCluster&) = delete;
-
-  [[nodiscard]] std::uint32_t size() const noexcept { return runner_.node_count(); }
-  [[nodiscard]] std::uint32_t shards() const noexcept { return router_.shards(); }
-  [[nodiscard]] const shard::ShardRouter& router() const noexcept { return router_; }
-  [[nodiscard]] ShardedNode node(NodeId id);
-
-  /// Subscribe to every commit any instance of any replica publishes
-  /// (Commit::stream carries both coordinates; decompose with
-  /// shard::stream_shard / shard::stream_slot). Before start() only.
-  void on_commit(CommitCallback cb);
-
-  void start();
-  /// Stop all replica threads. Idempotent; afterwards instance() inspection
-  /// is safe from the caller's thread.
-  void stop();
-
-  /// Block until `pred()` holds or `timeout` elapses (re-checked on every
-  /// commit, under the cluster's commit lock).
-  bool wait_for(const std::function<bool()>& pred, runtime::Duration timeout);
-
-  /// Direct access to replica `id`'s instance of `shard`: only safe while
-  /// the cluster is not running (chain inspection, test assertions).
-  [[nodiscard]] multishot::MultishotNode& instance(NodeId id, std::uint32_t shard);
-  /// Every replica's instance of `shard` (for chains_prefix_consistent).
-  /// Same not-running rule as instance().
-  [[nodiscard]] std::vector<multishot::MultishotNode*> shard_instances(std::uint32_t shard);
-
-  [[nodiscard]] runtime::LocalRunner& runner() noexcept { return runner_; }
-
-  /// The durability driver of replica `id`'s instance of `shard`, or
-  /// nullptr when built without ClusterBuilder::data_dir.
-  [[nodiscard]] storage::DurableChain* durable(NodeId id, std::uint32_t shard) {
-    return id < durables_.size() && shard < durables_[id].size()
-               ? durables_[id][shard].get()
-               : nullptr;
-  }
-
- private:
-  friend class ClusterBuilder;
-  friend class ShardedNode;
-  ShardedCluster(std::uint32_t shards, std::uint64_t seed);
-
-  runtime::LocalRunner runner_;
-  shard::ShardRouter router_;
-  std::vector<shard::ShardMux*> muxes_;
-  std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables_;  // [node][shard]
-  detail::CommitHub hub_;
-};
-
-/// The deterministic sharded cluster (sim::Simulation backend): same mux
-/// topology as ShardedCluster, same key routing, virtual time. port(id)
-/// exposes each replica as a routing workload::SubmitPort, so the load
-/// generators drive a sharded cluster exactly as they drive a single chain
-/// -- client retries walk replicas while a tag's home shard stays fixed.
-class ShardedSimCluster {
- public:
-  [[nodiscard]] sim::Simulation& simulation() noexcept { return *sim_; }
+  /// Cluster membership n (a socket node hosts only one of them).
   [[nodiscard]] std::uint32_t size() const noexcept {
     return static_cast<std::uint32_t>(muxes_.size());
   }
   [[nodiscard]] std::uint32_t shards() const noexcept { return router_.shards(); }
   [[nodiscard]] const shard::ShardRouter& router() const noexcept { return router_; }
 
-  [[nodiscard]] multishot::MultishotNode& instance(NodeId id, std::uint32_t shard) {
-    return muxes_.at(id)->instance(shard);
-  }
-  /// Every replica's instance of `shard` (for chains_prefix_consistent and
-  /// tracker observation).
-  [[nodiscard]] std::vector<multishot::MultishotNode*> shard_instances(std::uint32_t shard) {
-    std::vector<multishot::MultishotNode*> out;
-    out.reserve(muxes_.size());
-    for (auto* mux : muxes_) out.push_back(&mux->instance(shard));
-    return out;
-  }
+  /// Submit a transaction at replica `id`; the request tag's home shard
+  /// admits it (untagged bytes go to shard 0). On the sim, and before
+  /// start(), it applies inline and returns mempool admission; on a running
+  /// real host it runs on the replica's thread and returns true.
+  bool submit(NodeId id, std::vector<std::uint8_t> tx) { return port(id).submit(std::move(tx)); }
 
-  /// Submit a transaction at replica `id`; the tag's home shard admits it.
-  bool submit(NodeId id, std::vector<std::uint8_t> tx) {
-    const auto tag = workload::parse_request_tag(tx);
-    const std::uint32_t shard = tag ? router_.shard_of(*tag) : 0;
-    return muxes_.at(id)->submit(shard, std::move(tx));
-  }
+  /// The key-routing workload::SubmitPort view of replica `id` (submit()'s
+  /// semantics) -- hand these to the load generators.
+  [[nodiscard]] workload::SubmitPort& port(NodeId id);
 
-  /// The key-routing workload::SubmitPort view of replica `id`.
-  [[nodiscard]] workload::SubmitPort& port(NodeId id) { return *ports_.at(id); }
-
-  /// Attach a client actor. Always legal: the builder added every protocol
-  /// node (mux) already.
-  NodeId add_client(std::unique_ptr<runtime::ProtocolNode> client) {
-    return sim_->add_client(std::move(client));
-  }
-
-  void start() { sim_->start(); }
-
-  /// Run until every instance of every shard finalized >= `target` slots.
-  bool run_until_all_finalized(Slot target, runtime::Duration deadline);
-
-  /// The durability driver of replica `id`'s instance of `shard`, or
-  /// nullptr when built without ClusterBuilder::data_dir.
-  [[nodiscard]] storage::DurableChain* durable(NodeId id, std::uint32_t shard) {
-    return id < durables_.size() && shard < durables_[id].size()
-               ? durables_[id][shard].get()
-               : nullptr;
-  }
-
- private:
-  friend class ClusterBuilder;
-  explicit ShardedSimCluster(std::uint32_t shards) : router_(shards) {}
-
-  std::unique_ptr<sim::Simulation> sim_;
-  shard::ShardRouter router_;
-  std::vector<shard::ShardMux*> muxes_;
-  std::vector<std::unique_ptr<workload::SubmitPort>> ports_;
-  std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables_;  // [node][shard]
-};
-
-/// An in-process TetraBFT cluster whose nodes talk TCP over loopback: n
-/// runtime::SocketHost instances, each running on its own loop thread,
-/// wired together on ephemeral ports at build time (race-free under CI --
-/// nothing guesses a free port). Every protocol message crosses a real
-/// socket through the length-prefixed frame codec; only the process
-/// boundary separates this from a deployed cluster, and
-/// ClusterBuilder::build_socket_node() removes that too.
-class SocketCluster {
- public:
-  using CommitCallback = std::function<void(const runtime::Commit&)>;
-
-  ~SocketCluster();  // stops all hosts
-
-  SocketCluster(const SocketCluster&) = delete;
-  SocketCluster& operator=(const SocketCluster&) = delete;
-
-  [[nodiscard]] std::uint32_t size() const noexcept {
-    return static_cast<std::uint32_t>(hosts_.size());
-  }
-
-  /// Subscribe to every commit any node publishes. Before start() only;
-  /// callbacks run on the hosts' loop threads, serialized by the hub lock.
+  /// Subscribe to every commit any hosted replica publishes. Before start()
+  /// only; on real hosts callbacks run on replica threads, serialized by the
+  /// cluster, and wait_for predicates are re-evaluated after each one.
   void on_commit(CommitCallback cb);
 
   void start();
-  /// Stop all hosts (one loop thread each). Idempotent; afterwards replica()
-  /// inspection is safe from the caller's thread.
+  /// Stop every host thread and flush the durable chains. Idempotent;
+  /// afterwards the replicas are quiescent and instance() inspection is
+  /// safe from the caller's thread.
   void stop();
 
-  /// Block until `pred()` holds or `timeout` elapses (re-checked on every
-  /// commit, under the hub lock).
+  /// Whether `pred()` holds within `timeout`. Real hosts block, re-checking
+  /// `pred` under the commit lock on every commit; the sim runs until
+  /// `pred` holds or `timeout` of simulated time passes.
   bool wait_for(const std::function<bool()>& pred, runtime::Duration timeout);
 
-  /// Submit a transaction to replica `id`'s mempool on its own thread;
-  /// before start() it applies immediately (initial-state seeding).
-  void submit(NodeId id, std::vector<std::uint8_t> tx);
+  /// Replica `id`'s instance of `shard`. On real hosts only safe while the
+  /// cluster is not running (chain inspection, test assertions). Throws
+  /// std::out_of_range for an id or shard the cluster does not host.
+  [[nodiscard]] multishot::MultishotNode& instance(NodeId id, std::uint32_t shard = 0);
+  /// Every hosted replica's instance of `shard` (for
+  /// chains_prefix_consistent). Same rules as instance().
+  [[nodiscard]] std::vector<multishot::MultishotNode*> shard_instances(std::uint32_t shard = 0);
+  /// The durability driver of replica `id`'s instance of `shard`, or
+  /// nullptr when built without ClusterBuilder::data_dir. Throws
+  /// std::out_of_range like instance().
+  [[nodiscard]] storage::DurableChain* durable(NodeId id, std::uint32_t shard = 0);
 
-  /// Direct replica access: only safe while the cluster is not running.
-  [[nodiscard]] multishot::MultishotNode& replica(NodeId id);
-
-  [[nodiscard]] runtime::SocketHost& host(NodeId id) { return *hosts_.at(id); }
-
-  /// Replica `id`'s durability driver, or nullptr without data_dir.
-  [[nodiscard]] storage::DurableChain* durable(NodeId id) {
-    return id < durables_.size() ? durables_[id].get() : nullptr;
-  }
+  // Backend-specific access; each throws std::logic_error on another backend.
+  [[nodiscard]] sim::Simulation& simulation();
+  /// Attach a client actor to the sim. Always legal: the builder added every
+  /// replica already, which is the ordering Simulation::add_node enforces.
+  NodeId add_client(std::unique_ptr<runtime::ProtocolNode> client);
+  [[nodiscard]] runtime::LocalRunner& runner();
+  [[nodiscard]] runtime::SocketHost& host(NodeId id);
 
  private:
   friend class ClusterBuilder;
-  SocketCluster() = default;
+  Cluster(Backend backend, std::uint32_t n, std::uint32_t shards);
 
-  std::vector<std::unique_ptr<runtime::SocketHost>> hosts_;
-  std::vector<multishot::MultishotNode*> replicas_;
-  std::vector<std::unique_ptr<storage::DurableChain>> durables_;
-  detail::CommitHub hub_;
+  shard::ShardMux& mux(NodeId id) const;
+  /// The one dispatch behind every submission: inline on the sim, else
+  /// queued to replica `id`'s thread (inline before start()).
+  bool post(NodeId id, std::uint32_t shard, std::vector<std::uint8_t> tx);
+
+  shard::ShardRouter router_;
   bool running_{false};
-};
-
-/// ONE node of a multi-process TetraBFT cluster (runtime::SocketHost
-/// backend). The process that owns it must distribute listen addresses out
-/// of band -- bind an ephemeral port, read it back with port(), exchange,
-/// then set_peer_endpoint for every peer before start(). The commit
-/// callbacks observe only this node's finalizations; cross-node agreement
-/// is checked by comparing chains (examples/socket_cluster.cpp).
-class SocketNode {
- public:
-  using CommitCallback = std::function<void(const runtime::Commit&)>;
-
-  ~SocketNode();  // stops the host
-
-  SocketNode(const SocketNode&) = delete;
-  SocketNode& operator=(const SocketNode&) = delete;
-
-  [[nodiscard]] NodeId id() const noexcept { return host_->id(); }
-  /// The actually bound listen port (resolves ephemeral binds).
-  [[nodiscard]] std::uint16_t port() const noexcept { return host_->port(); }
-
-  /// Where peer `peer` listens. Before start() only.
-  void set_peer_endpoint(NodeId peer, net::Endpoint ep) {
-    host_->set_peer_endpoint(peer, std::move(ep));
-  }
-
-  /// Subscribe to this node's commits. Before start() only.
-  void on_commit(CommitCallback cb);
-
-  void start();
-  void stop();  // idempotent; flushes durable state
-
-  bool wait_for(const std::function<bool()>& pred, runtime::Duration timeout);
-
-  /// Submit a transaction to this replica's mempool on its own thread;
-  /// before start() it applies immediately.
-  void submit(std::vector<std::uint8_t> tx);
-
-  /// Direct replica access: only safe while the node is not running.
-  [[nodiscard]] multishot::MultishotNode& replica();
-
-  [[nodiscard]] runtime::SocketHost& host() noexcept { return *host_; }
-
-  /// This replica's durability driver, or nullptr without data_dir.
-  [[nodiscard]] storage::DurableChain* durable() { return durable_.get(); }
-
- private:
-  friend class ClusterBuilder;
-  SocketNode() = default;
-
-  std::unique_ptr<runtime::SocketHost> host_;
-  multishot::MultishotNode* replica_{nullptr};
-  std::unique_ptr<storage::DurableChain> durable_;
+  // Declaration order is teardown order reversed: hosts (and the replicas
+  // they own) go before the durable chains and the hub they write to.
   detail::CommitHub hub_;
-  bool running_{false};
+  std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables_;  // [id][shard]
+  std::unique_ptr<sim::Simulation> sim_;
+  std::unique_ptr<runtime::LocalRunner> runner_;
+  std::vector<std::unique_ptr<runtime::SocketHost>> hosts_;  // [id]; null if not hosted
+  std::vector<shard::ShardMux*> muxes_;                      // [id]; null if not hosted
+  std::vector<std::unique_ptr<workload::SubmitPort>> ports_;  // [id]
 };
 
 /// Configures a TetraBFT cluster: membership (n/f), timing, leader
@@ -467,8 +171,8 @@ class ClusterBuilder {
   ClusterBuilder& faults(std::uint32_t f);
   /// Shard count S: every replica runs S independent chain instances over
   /// the shared transport (shard::ShardMux), with requests key-routed to
-  /// their home shard. 1 (the default) builds the classic single-chain
-  /// backends; S > 1 requires the sharded builders. Must be in [1, 1024].
+  /// their home shard; the route crosses sockets in the frame header.
+  /// Must be in [1, 1024]; 1 (the default) is one chain per replica.
   ClusterBuilder& shards(std::uint32_t s);
   ClusterBuilder& seed(std::uint64_t seed);
   /// Known message-delay bound Delta (drives the 9*Delta view timers).
@@ -493,17 +197,13 @@ class ClusterBuilder {
   /// Simulated actual delay (build_sim only; build_local runs on real time).
   ClusterBuilder& sim_delta_actual(runtime::Duration delta);
 
-  /// Root directory for durable storage. Each replica gets
-  /// `<path>/node-<id>` (created on demand): a write-ahead log of finalized
-  /// blocks plus an atomic checkpoint file. build_local()/build_sim()
-  /// recover whatever state those directories hold before any node starts,
-  /// so a rebuilt cluster resumes from its durable tip. Empty (the default)
+  /// Root directory for durable storage. Each chain instance gets its
+  /// storage::replica_dir (created on demand): a write-ahead log of
+  /// finalized blocks plus an atomic checkpoint file. Every build recovers
+  /// whatever state those directories hold before any replica starts, so a
+  /// rebuilt cluster resumes from its durable tip. Empty (the default)
   /// keeps the cluster fully in-memory.
   ClusterBuilder& data_dir(std::string path);
-  /// Enable/disable range-sync catch-up (and with it checkpoint state
-  /// transfer). On by default; disabling it relaxes the tail-vs-window
-  /// validation in node_config().
-  ClusterBuilder& range_sync(bool on);
   /// Rotate exact commit-index entries into per-epoch Bloom filters every
   /// `slots` finalized slots (0 = keep every entry exact). Bounds resident
   /// commit-query memory on long chains.
@@ -540,21 +240,17 @@ class ClusterBuilder {
   [[nodiscard]] multishot::MultishotConfig node_config() const;
 
   [[nodiscard]] std::unique_ptr<Cluster> build_local() const;
-  [[nodiscard]] std::unique_ptr<SimCluster> build_sim() const;
-  /// The sharded real-time cluster: n replica threads x S chain instances.
-  /// Legal at any shards() value (S = 1 is one mux-wrapped chain).
-  [[nodiscard]] std::unique_ptr<ShardedCluster> build_sharded_local() const;
-  /// The sharded deterministic cluster (sim::Simulation backend).
-  [[nodiscard]] std::unique_ptr<ShardedSimCluster> build_sharded_sim() const;
+  [[nodiscard]] std::unique_ptr<Cluster> build_sim() const;
   /// An in-process loopback-TCP cluster: n SocketHosts on ephemeral ports,
   /// fully wired and ready to start().
-  [[nodiscard]] std::unique_ptr<SocketCluster> build_socket() const;
-  /// One node of a multi-process cluster, listening on `listen` (port 0 =
-  /// ephemeral; read it back with SocketNode::port()). Peer endpoints must
-  /// be wired with set_peer_endpoint before start(). With data_dir, this
-  /// node recovers from and persists to `<data_dir>/node-<id>`.
-  [[nodiscard]] std::unique_ptr<SocketNode> build_socket_node(
-      NodeId id, net::Endpoint listen = {}) const;
+  [[nodiscard]] std::unique_ptr<Cluster> build_socket() const;
+  /// A Cluster hosting only replica `id` of a multi-process deployment,
+  /// listening on `listen` (port 0 = ephemeral; read it back with
+  /// host(id).port()). Peer endpoints must be wired with
+  /// host(id).set_peer_endpoint before start(). Its commit callbacks observe
+  /// only this replica; cross-node agreement is checked by comparing chains.
+  [[nodiscard]] std::unique_ptr<Cluster> build_socket_node(NodeId id,
+                                                           net::Endpoint listen = {}) const;
 
  private:
   std::uint32_t n_{4};
@@ -573,7 +269,6 @@ class ClusterBuilder {
   std::size_t finalized_tail_{multishot::FinalizedStore::kDefaultTailCapacity};
   bool forward_to_leader_{true};
   std::string data_dir_;  // empty = in-memory only
-  bool enable_sync_{true};
   Slot commit_epoch_slots_{0};
   Slot checkpoint_every_{1024};
   std::uint32_t wal_flush_every_{64};
@@ -590,20 +285,10 @@ class ClusterBuilder {
   [[nodiscard]] runtime::SocketHostConfig socket_host_config(
       NodeId id, net::Endpoint listen) const;
 
-  /// Build one replica's DurableChain under data_dir_, recover its durable
-  /// state into `replica`, and attach the write path.
-  std::unique_ptr<storage::DurableChain> attach_durable(
-      NodeId id, multishot::MultishotNode& replica) const;
-  /// Same, rooted at an explicit directory (sharded layouts use
-  /// `<data_dir>/node-<id>/shard-<k>`).
-  std::unique_ptr<storage::DurableChain> attach_durable_at(
-      const std::string& dir, multishot::MultishotNode& replica) const;
-  /// One replica's S chain instances, durables attached (sharded builders).
-  std::vector<std::unique_ptr<multishot::MultishotNode>> make_shard_instances(
-      NodeId id, const multishot::MultishotConfig& node_cfg,
-      std::vector<std::unique_ptr<storage::DurableChain>>& durables) const;
-  /// Throws when shards() > 1 (the single-chain builders are per-shard).
-  void require_unsharded(const char* builder) const;
+  /// Replicas [first, last) of `backend`, each a ShardMux with its durable
+  /// chains recovered and attached; sockets listen on `listen`.
+  [[nodiscard]] std::unique_ptr<Cluster> build(Cluster::Backend backend, NodeId first,
+                                               NodeId last, const net::Endpoint& listen) const;
 };
 
 }  // namespace tbft

@@ -37,8 +37,9 @@ namespace tbft::workload {
 
 /// Transport-agnostic submission target: one consensus replica as a client
 /// sees it. Implemented over MultishotNode::submit_tx by the scenario rig
-/// and by the tetrabft.hpp facade (SimCluster::port); a socket deployment
-/// would implement it over a client connection. Returns mempool admission.
+/// and by the tetrabft.hpp facade (Cluster::port, which routes by key on
+/// every backend); a remote client would implement it over a client
+/// connection. Returns mempool admission.
 class SubmitPort {
  public:
   virtual ~SubmitPort() = default;

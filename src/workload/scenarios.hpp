@@ -77,7 +77,7 @@ struct WorkloadRig {
   std::unique_ptr<WorkloadTracker> tracker;
   std::vector<multishot::MultishotNode*> nodes;  // nullptr for crashed/junk
   /// Submission ports the generators target (one per honest node, in node
-  /// order) -- the same facade boundary tetrabft.hpp handles implement.
+  /// order) -- the same boundary tetrabft.hpp's Cluster::port implements.
   std::vector<std::unique_ptr<SubmitPort>> ports;
   multishot::MultishotConfig node_cfg;
   sim::SimTime gst{0};

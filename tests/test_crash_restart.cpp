@@ -61,7 +61,7 @@ ClusterBuilder restart_builder(const std::string& dir) {
   return b;
 }
 
-TEST(CrashRestart, SimClusterResumesFromDiskWithExactlyOnceCommits) {
+TEST(CrashRestart, SimResumesFromDiskWithExactlyOnceCommits) {
   TempDir dir("sim_churn");
   std::vector<Slot> counts(kNodes, 0);
   std::vector<Slot> commit_slots(kPhase1Txs, 0);
@@ -78,24 +78,24 @@ TEST(CrashRestart, SimClusterResumesFromDiskWithExactlyOnceCommits) {
     // transactions themselves, not a finalized count.
     const auto all_committed = [&] {
       for (NodeId i = 0; i < kNodes; ++i) {
-        if (!cluster->replica(i).tx_finalized(tx_bytes(kPhase1Txs - 1)) ||
-            !cluster->replica(i).tx_finalized(tx_bytes(kPhase1Txs - 2))) {
+        if (!cluster->instance(i).tx_finalized(tx_bytes(kPhase1Txs - 1)) ||
+            !cluster->instance(i).tx_finalized(tx_bytes(kPhase1Txs - 2))) {
           return false;
         }
       }
       for (std::uint32_t j = 0; j < kPhase1Txs; ++j) {
-        if (!cluster->replica(0).tx_finalized(tx_bytes(j))) return false;
+        if (!cluster->instance(0).tx_finalized(tx_bytes(j))) return false;
       }
       return true;
     };
     ASSERT_TRUE(cluster->simulation().run_until_pred(all_committed, 300 * kSecond));
-    for (NodeId i = 0; i < kNodes; ++i) counts[i] = cluster->replica(i).finalized_count();
+    for (NodeId i = 0; i < kNodes; ++i) counts[i] = cluster->instance(i).finalized_count();
     for (std::uint32_t j = 0; j < kPhase1Txs; ++j) {
-      commit_slots[j] = cluster->replica(0).chain().commit_slot(tx_bytes(j));
+      commit_slots[j] = cluster->instance(0).chain().commit_slot(tx_bytes(j));
       ASSERT_NE(commit_slots[j], 0u) << "tx " << j << " not committed in first life";
     }
     // The run compacted (tail 64 < 90 finalized) and checkpointed durably.
-    EXPECT_GT(cluster->replica(0).chain().checkpoint().slot, 0u);
+    EXPECT_GT(cluster->instance(0).chain().checkpoint().slot, 0u);
     ASSERT_NE(cluster->durable(0), nullptr);
     EXPECT_GE(cluster->durable(0)->checkpoints_stored(), 1u);
     EXPECT_GT(cluster->durable(0)->wal_stats().segments_reclaimed, 0u);
@@ -122,19 +122,15 @@ TEST(CrashRestart, SimClusterResumesFromDiskWithExactlyOnceCommits) {
   for (NodeId i = 0; i < kNodes; ++i) {
     ASSERT_NE(cluster->durable(i), nullptr);
     // Nothing finalized was lost: each replica resumes at its exact tip.
-    EXPECT_EQ(cluster->replica(i).finalized_count(), counts[i]) << "node " << i;
+    EXPECT_EQ(cluster->instance(i).finalized_count(), counts[i]) << "node " << i;
   }
   // Exactly-once accounting: every first-life commit answers from the
   // recovered digest set with its original slot, before any new progress.
   for (std::uint32_t j = 0; j < kPhase1Txs; ++j) {
-    EXPECT_EQ(cluster->replica(0).chain().commit_slot(tx_bytes(j)), commit_slots[j])
+    EXPECT_EQ(cluster->instance(0).chain().commit_slot(tx_bytes(j)), commit_slots[j])
         << "tx " << j;
   }
-  {
-    std::vector<multishot::MultishotNode*> replicas;
-    for (NodeId i = 0; i < kNodes; ++i) replicas.push_back(&cluster->replica(i));
-    EXPECT_TRUE(multishot::chains_prefix_consistent(replicas));
-  }
+  EXPECT_TRUE(multishot::chains_prefix_consistent(cluster->shard_instances()));
 
   // The restored cluster is live: it finalizes fresh transactions on top of
   // the recovered chains.
@@ -145,34 +141,35 @@ TEST(CrashRestart, SimClusterResumesFromDiskWithExactlyOnceCommits) {
   const auto fresh_committed = [&] {
     for (NodeId i = 0; i < kNodes; ++i) {
       for (std::uint32_t j = 0; j < kPhase2Txs; ++j) {
-        if (!cluster->replica(i).tx_finalized(tx_bytes(kPhase1Txs + j))) return false;
+        if (!cluster->instance(i).tx_finalized(tx_bytes(kPhase1Txs + j))) return false;
       }
     }
     return true;
   };
   ASSERT_TRUE(cluster->simulation().run_until_pred(fresh_committed, 300 * kSecond));
   for (NodeId i = 0; i < kNodes; ++i) {
-    EXPECT_GT(cluster->replica(i).finalized_count(), counts[i]) << "node " << i;
+    EXPECT_GT(cluster->instance(i).finalized_count(), counts[i]) << "node " << i;
   }
 }
 
 TEST(CrashRestart, BuilderRejectsInconsistentStorageConfigs) {
   // Tail below the FinalizedStore floor.
   EXPECT_THROW((void)ClusterBuilder{}.storage_tail(4).node_config(), std::logic_error);
-  // Tail smaller than the unfinalized window while range-sync is on: peers
-  // could compact blocks a straggler still needs.
+  // Tail smaller than the unfinalized window: range-sync peers could compact
+  // blocks a straggler still needs.
   EXPECT_THROW((void)ClusterBuilder{}.storage_tail(32).node_config(), std::logic_error);
-  // ... and the error tells the user both ways out.
+  // ... and the error tells the user the way out.
   try {
     (void)ClusterBuilder{}.storage_tail(32).node_config();
-    FAIL() << "storage_tail(32) with range-sync on must throw";
+    FAIL() << "storage_tail(32) below the window must throw";
   } catch (const std::logic_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("storage_tail"), std::string::npos) << what;
-    EXPECT_NE(what.find("range_sync(false)"), std::string::npos) << what;
+    EXPECT_NE(what.find("raise storage_tail to at least " +
+                        std::to_string(multishot::ChainStore::kWindow)),
+              std::string::npos)
+        << what;
   }
-  // Disabling range-sync (or a window-sized tail) makes the same tail legal.
-  EXPECT_NO_THROW((void)ClusterBuilder{}.storage_tail(32).range_sync(false).node_config());
+  // A window-sized tail is legal.
   EXPECT_NO_THROW((void)ClusterBuilder{}.storage_tail(multishot::ChainStore::kWindow).node_config());
   // Durability knobs validate eagerly at the setter.
   EXPECT_THROW(ClusterBuilder{}.data_dir(""), std::invalid_argument);

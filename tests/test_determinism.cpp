@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "cluster_helpers.hpp"
 #include "ms_cluster_helpers.hpp"
 #include "sim/adversary.hpp"
+#include "tetrabft.hpp"
 #include "workload/scenarios.hpp"
 
 namespace tbft::test {
@@ -148,6 +152,40 @@ TEST(Determinism, DepthOneIsByteIdenticalToUnpipelined) {
   EXPECT_EQ(depth1.report.committed, 176u);
   EXPECT_EQ(depth1.trace_digest, 0xd47d97886a9f2048ULL);
   EXPECT_EQ(depth1.elapsed, 157572);
+}
+
+// The facade builds every replica as a ShardMux, S = 1 included, and a
+// one-shard mux must be invisible: the run is pinned to the trace digest and
+// end time the same configuration produced when build_sim() built bare
+// MultishotNodes (test_local_runner.cpp's equivalence config: 24 seeded
+// one-tx blocks, no relaying), at depth 1 and depth 4.
+TEST(Determinism, OneShardFacadeIsByteIdenticalToBareNodes) {
+  const auto run = [](std::uint32_t depth) {
+    ClusterBuilder b;
+    b.nodes(4)
+        .seed(7)
+        .delta_bound(1 * sim::kSecond)
+        .sim_delta_actual(1 * sim::kMillisecond)
+        .batching(/*max_txs=*/1, /*max_bytes=*/4096)
+        .forwarding(false)
+        .pipelining(depth);
+    auto cluster = b.build_sim();
+    for (std::uint8_t j = 0; j < 24; ++j) {
+      EXPECT_TRUE(cluster->submit(j % 4, {'e', 'q', 'v', 0, j, 0xA5, 0x5A,
+                                          static_cast<std::uint8_t>(j * 7)}));
+    }
+    cluster->start();
+    EXPECT_TRUE(cluster->wait_for(
+        [&] {
+          const auto chains = cluster->shard_instances();
+          return std::all_of(chains.begin(), chains.end(),
+                             [](const auto* c) { return c->finalized_count() >= 24; });
+        },
+        60 * sim::kSecond));
+    return std::make_pair(cluster->simulation().trace().digest(), cluster->simulation().now());
+  };
+  EXPECT_EQ(run(1), std::make_pair(std::uint64_t{0xdca4b64836b9d1f2}, sim::SimTime{28000}));
+  EXPECT_EQ(run(4), std::make_pair(std::uint64_t{0xfbabe5c0a84062ff}, sim::SimTime{28000}));
 }
 
 // A pipelined + adaptive run is still a pure function of seed + config.

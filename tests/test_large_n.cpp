@@ -172,7 +172,7 @@ TEST(LargeN, HundredTwentyEightNodeCommitteeCommitsAndAgrees) {
   const bool done = cluster->simulation().run_until_pred(
       [&] {
         for (std::uint32_t j = 0; j < kTx; ++j) {
-          if (!cluster->replica(0).tx_finalized(workload::encode_request(9, j, 24))) {
+          if (!cluster->instance(0).tx_finalized(workload::encode_request(9, j, 24))) {
             return false;
           }
         }
@@ -180,7 +180,7 @@ TEST(LargeN, HundredTwentyEightNodeCommitteeCommitsAndAgrees) {
       },
       120 * kSecond);
   ASSERT_TRUE(done) << "n=128 committee did not commit the submitted load";
-  EXPECT_TRUE(multishot::chains_prefix_consistent(cluster->replicas()));
+  EXPECT_TRUE(multishot::chains_prefix_consistent(cluster->shard_instances()));
 }
 
 }  // namespace

@@ -47,6 +47,17 @@ ClusterBuilder equivalence_builder() {
   return b;
 }
 
+/// Run a sim cluster until every replica finalized `target` slots.
+bool run_until_all_finalized(Cluster& sim_cluster, Slot target) {
+  return sim_cluster.wait_for(
+      [&] {
+        const auto chains = sim_cluster.shard_instances();
+        return std::all_of(chains.begin(), chains.end(),
+                           [target](const auto* c) { return c->finalized_count() >= target; });
+      },
+      60 * kSecond);
+}
+
 TEST(LocalRunner, CommitsIdenticalChainToSimulation) {
   // --- Simulation side -----------------------------------------------------
   auto sim_cluster = equivalence_builder().build_sim();
@@ -54,14 +65,14 @@ TEST(LocalRunner, CommitsIdenticalChainToSimulation) {
     ASSERT_TRUE(sim_cluster->submit(j % kNodes, tx_bytes(j)));
   }
   sim_cluster->start();
-  ASSERT_TRUE(sim_cluster->run_until_all_finalized(kTxCount, 60 * kSecond));
+  ASSERT_TRUE(run_until_all_finalized(*sim_cluster, kTxCount));
 
   // --- LocalRunner side ----------------------------------------------------
   auto local = equivalence_builder().build_local();
   std::map<NodeId, std::uint64_t> last_stream;  // guarded by the cluster's commit lock
   local->on_commit([&](const runtime::Commit& c) { last_stream[c.node] = c.stream; });
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->node(j % kNodes).submit(tx_bytes(j));  // pre-start: seeds mempools
+    local->submit(j % kNodes, tx_bytes(j));  // pre-start: seeds mempools
   }
   local->start();
   const bool all_done = local->wait_for(
@@ -80,24 +91,24 @@ TEST(LocalRunner, CommitsIdenticalChainToSimulation) {
   // chains must agree block-for-block on the common prefix (prefix digests
   // below any compacted tail).
   std::vector<multishot::MultishotNode*> all_chains;
-  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&sim_cluster->replica(i));
-  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&local->replica(i));
+  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&sim_cluster->instance(i));
+  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&local->instance(i));
   EXPECT_TRUE(multishot::chains_prefix_consistent(all_chains));
 
   for (NodeId i = 0; i < kNodes; ++i) {
-    EXPECT_GE(sim_cluster->replica(i).finalized_count(), kTxCount);
-    EXPECT_GE(local->replica(i).finalized_count(), kTxCount);
+    EXPECT_GE(sim_cluster->instance(i).finalized_count(), kTxCount);
+    EXPECT_GE(local->instance(i).finalized_count(), kTxCount);
   }
   // Every transaction is committed under both hosts, and the tx-bearing
   // slots carry byte-identical blocks.
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
     const auto tx = tx_bytes(j);
-    EXPECT_TRUE(sim_cluster->replica(0).tx_finalized(tx)) << "sim lost tx " << j;
-    EXPECT_TRUE(local->replica(0).tx_finalized(tx)) << "runner lost tx " << j;
+    EXPECT_TRUE(sim_cluster->instance(0).tx_finalized(tx)) << "sim lost tx " << j;
+    EXPECT_TRUE(local->instance(0).tx_finalized(tx)) << "runner lost tx " << j;
   }
   for (Slot s = 1; s <= kTxCount; ++s) {
-    const multishot::Block* a = sim_cluster->replica(0).block_at(s);
-    const multishot::Block* b = local->replica(0).block_at(s);
+    const multishot::Block* a = sim_cluster->instance(0).block_at(s);
+    const multishot::Block* b = local->instance(0).block_at(s);
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(a->hash(), b->hash()) << "slot " << s << " diverged across hosts";
@@ -118,7 +129,7 @@ TEST(LocalRunner, ClockSkewedNodesStayConsistentAndLive) {
   std::map<NodeId, std::uint64_t> last_stream;
   local->on_commit([&](const runtime::Commit& c) { last_stream[c.node] = c.stream; });
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->node(j % kNodes).submit(tx_bytes(j));
+    local->submit(j % kNodes, tx_bytes(j));
   }
   local->start();
   const bool all_done = local->wait_for(
@@ -132,16 +143,16 @@ TEST(LocalRunner, ClockSkewedNodesStayConsistentAndLive) {
   ASSERT_TRUE(all_done) << "skewed cluster did not finalize all slots in time";
 
   std::vector<multishot::MultishotNode*> chains;
-  for (NodeId i = 0; i < kNodes; ++i) chains.push_back(&local->replica(i));
+  for (NodeId i = 0; i < kNodes; ++i) chains.push_back(&local->instance(i));
   EXPECT_TRUE(multishot::chains_prefix_consistent(chains));
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    EXPECT_TRUE(local->replica(0).tx_finalized(tx_bytes(j))) << "lost tx " << j;
+    EXPECT_TRUE(local->instance(0).tx_finalized(tx_bytes(j))) << "lost tx " << j;
   }
 }
 
 TEST(LocalRunner, StopIsIdempotentAndStopsQuiescentCluster) {
   auto local = equivalence_builder().build_local();
-  local->node(0).submit(tx_bytes(0));
+  local->submit(0, tx_bytes(0));
   local->start();
   EXPECT_TRUE(local->runner().running());
   local->stop();
@@ -171,7 +182,7 @@ TEST(RuntimeApi, CommitSinksDoNotPerturbSimTraces) {
       EXPECT_TRUE(cluster->submit(j % kNodes, tx_bytes(j)));
     }
     cluster->start();
-    EXPECT_TRUE(cluster->run_until_all_finalized(kTxCount, 60 * kSecond));
+    EXPECT_TRUE(run_until_all_finalized(*cluster, kTxCount));
     return cluster->simulation().trace().digest();
   };
 
@@ -216,11 +227,11 @@ TEST(RuntimeApi, BuilderRejectsInvalidConfigurations) {
   EXPECT_EQ(ClusterBuilder{}.nodes(4).faults(0).node_config().f, 0u);
 }
 
-TEST(RuntimeApi, SimClusterPortsAreTheWorkloadSubmitBoundary) {
+TEST(RuntimeApi, SimPortsAreTheWorkloadSubmitBoundary) {
   auto cluster = equivalence_builder().build_sim();
   workload::SubmitPort& port = cluster->port(1);
   EXPECT_TRUE(port.submit(tx_bytes(0)));
-  EXPECT_EQ(cluster->replica(1).mempool().size(), 1u);
+  EXPECT_EQ(cluster->instance(1).mempool().size(), 1u);
 }
 
 }  // namespace

@@ -20,10 +20,10 @@ namespace {
 
 using Frame = std::pair<FrameKind, std::vector<std::uint8_t>>;
 
-std::vector<std::uint8_t> encode_frame(FrameKind kind,
-                                       const std::vector<std::uint8_t>& payload) {
+std::vector<std::uint8_t> encode_frame(FrameKind kind, const std::vector<std::uint8_t>& payload,
+                                       std::uint16_t route = 0) {
   std::vector<std::uint8_t> out(kFrameHeaderBytes);
-  put_frame_header(out.data(), kind, static_cast<std::uint32_t>(payload.size()));
+  put_frame_header(out.data(), kind, static_cast<std::uint32_t>(payload.size()), route);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -31,6 +31,7 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind,
 /// Feed `stream` to a decoder in chunks of `chunk` bytes; collect frames.
 struct FeedResult {
   std::vector<Frame> frames;
+  std::vector<std::uint16_t> routes;  // parallel to frames
   bool ok{true};
   FrameDecoder::Counters counters;
 };
@@ -38,8 +39,9 @@ FeedResult feed_chunked(const std::vector<std::uint8_t>& stream, std::size_t chu
                  FrameDecoder::Limits limits = {}) {
   FrameDecoder dec(limits);
   FeedResult res;
-  const auto sink = [&](FrameKind k, std::vector<std::uint8_t>&& body) {
+  const auto sink = [&](FrameKind k, std::uint16_t route, std::vector<std::uint8_t>&& body) {
     res.frames.emplace_back(k, std::move(body));
+    res.routes.push_back(route);
   };
   for (std::size_t i = 0; i < stream.size() && res.ok; i += chunk) {
     const std::size_t n = std::min(chunk, stream.size() - i);
@@ -56,8 +58,10 @@ TEST(FrameCodec, RoundTripsFramesAcrossEveryChunkSize) {
   const std::vector<std::uint8_t> b;  // empty payload (ping-shaped data)
   std::vector<std::uint8_t> c(300);
   for (std::size_t i = 0; i < c.size(); ++i) c[i] = static_cast<std::uint8_t>(i * 7);
-  for (const auto& f : {encode_frame(FrameKind::kData, a), encode_frame(FrameKind::kPing, b),
-                        encode_frame(FrameKind::kData, c)}) {
+  // Data frames carry their shard route (0, 1 and the largest, S = 1024).
+  for (const auto& f : {encode_frame(FrameKind::kData, a, 1), encode_frame(FrameKind::kPing, b),
+                        encode_frame(FrameKind::kData, c, 1023),
+                        encode_frame(FrameKind::kData, a, 0)}) {
     stream.insert(stream.end(), f.begin(), f.end());
   }
   // chunk = 1 splits every length prefix; larger chunks split bodies; a
@@ -66,11 +70,13 @@ TEST(FrameCodec, RoundTripsFramesAcrossEveryChunkSize) {
                                   std::size_t{7}, std::size_t{64}, stream.size()}) {
     const FeedResult res = feed_chunked(stream, chunk);
     ASSERT_TRUE(res.ok) << "chunk " << chunk;
-    ASSERT_EQ(res.frames.size(), 3u) << "chunk " << chunk;
+    ASSERT_EQ(res.frames.size(), 4u) << "chunk " << chunk;
     EXPECT_EQ(res.frames[0], Frame(FrameKind::kData, a));
     EXPECT_EQ(res.frames[1], Frame(FrameKind::kPing, b));
     EXPECT_EQ(res.frames[2], Frame(FrameKind::kData, c));
-    EXPECT_EQ(res.counters.frames, 3u);
+    EXPECT_EQ(res.frames[3], Frame(FrameKind::kData, a));
+    EXPECT_EQ(res.routes, (std::vector<std::uint16_t>{1, 0, 1023, 0})) << "chunk " << chunk;
+    EXPECT_EQ(res.counters.frames, 4u);
     EXPECT_EQ(res.counters.bytes, stream.size());
     EXPECT_EQ(res.counters.dropped_truncated, 0u);
   }
@@ -94,10 +100,10 @@ TEST(FrameCodec, OversizedLengthPrefixPoisonsTheStream) {
   FrameDecoder dec(limits);
   std::vector<std::uint8_t> lie(kFrameHeaderBytes);
   put_frame_header(lie.data(), FrameKind::kData, 0xFFFFFFFFu);
-  EXPECT_FALSE(dec.feed(lie, [](FrameKind, std::vector<std::uint8_t>&&) {}));
+  EXPECT_FALSE(dec.feed(lie, [](FrameKind, std::uint16_t, std::vector<std::uint8_t>&&) {}));
   EXPECT_TRUE(dec.poisoned());
   EXPECT_FALSE(dec.feed(encode_frame(FrameKind::kPing, {}),
-                        [](FrameKind, std::vector<std::uint8_t>&&) {}));
+                        [](FrameKind, std::uint16_t, std::vector<std::uint8_t>&&) {}));
   EXPECT_EQ(dec.counters().frames, 0u);
 }
 
@@ -138,7 +144,7 @@ TEST(FrameCodec, UnknownKindBodyIsSkippedWithoutBuffering) {
   for (std::size_t off = 0; off < stream.size(); off += 1024) {
     const std::size_t len = std::min<std::size_t>(1024, stream.size() - off);
     ASSERT_TRUE(dec.feed(std::span<const std::uint8_t>(stream.data() + off, len),
-                         [&](FrameKind k, std::vector<std::uint8_t>&& b) {
+                         [&](FrameKind k, std::uint16_t, std::vector<std::uint8_t>&& b) {
                            frames.emplace_back(k, std::move(b));
                          }));
     max_capacity = std::max(max_capacity, dec.buffer_capacity());
@@ -183,7 +189,7 @@ TEST(FrameCodec, ZeroLengthFrameAtBufferBoundaryIsEmitted) {
   const auto f = encode_frame(FrameKind::kPing, {});
   FrameDecoder dec;
   std::vector<Frame> frames;
-  EXPECT_TRUE(dec.feed(f, [&](FrameKind k, std::vector<std::uint8_t>&& b) {
+  EXPECT_TRUE(dec.feed(f, [&](FrameKind k, std::uint16_t, std::vector<std::uint8_t>&& b) {
     frames.emplace_back(k, std::move(b));
   }));
   ASSERT_EQ(frames.size(), 1u);
@@ -205,7 +211,7 @@ TEST(FrameCodec, GarbageStreamNeverEmitsAFakeHello) {
   }
   FrameDecoder dec(FrameDecoder::Limits{.max_payload_bytes = 1024});
   std::size_t hellos_accepted = 0;
-  (void)dec.feed(garbage, [&](FrameKind k, std::vector<std::uint8_t>&& body) {
+  (void)dec.feed(garbage, [&](FrameKind k, std::uint16_t, std::vector<std::uint8_t>&& body) {
     if (k != FrameKind::kHello) return;
     serde::Reader r(body);
     const Hello h = Hello::decode(r);
@@ -235,13 +241,16 @@ TEST(FrameCodec, HelloRoundTripAndRejections) {
   (void)Hello::decode(r);
   EXPECT_FALSE(r.ok());
 
-  serde::Writer w2;
-  Hello old = h;
-  old.version = 0;
-  old.encode(w2);
-  serde::Reader r2(w2.data());
-  (void)Hello::decode(r2);
-  EXPECT_FALSE(r2.ok());
+  // Version 1 framed without the route: its peers must fail the handshake.
+  for (const std::uint16_t version : {0, 1}) {
+    serde::Writer w2;
+    Hello old = h;
+    old.version = version;
+    old.encode(w2);
+    serde::Reader r2(w2.data());
+    (void)Hello::decode(r2);
+    EXPECT_FALSE(r2.ok()) << "version " << version;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Sharded multi-chain clusters (ISSUE 10): S independent TetraBFT instances
 // behind one key-routed front end. Covers the router's determinism and
 // stream keying, the S=4 cross-backend equivalence suite (the same routed
-// workload committed through the deterministic Simulation and the threaded
-// LocalRunner yields identical per-shard chains), cross-shard exactly-once
-// accounting under generated load, the facade's sharded-builder guards, and
-// the n=64-per-shard configuration the large-n sizing fixes enable.
+// workload committed through the deterministic Simulation, the threaded
+// LocalRunner and loopback TCP -- the route in the frame header -- yields
+// identical per-shard chains), cross-shard exactly-once accounting under
+// generated load, the facade's range guards, and the n=64-per-shard
+// configuration the large-n sizing fixes enable.
 
 #include <gtest/gtest.h>
 
@@ -83,12 +84,12 @@ TEST(Sharding, SimVsLocalRunnerCommitIdenticalChainsPerShard) {
   // is finalized in its home shard on every replica.
 
   // --- Simulation side -----------------------------------------------------
-  auto sim_cluster = sharded_builder().build_sharded_sim();
+  auto sim_cluster = sharded_builder().build_sim();
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
     ASSERT_TRUE(sim_cluster->submit(j % kNodes, routed_tx(j)));
   }
   sim_cluster->start();
-  const bool sim_done = sim_cluster->simulation().run_until_pred(
+  const bool sim_done = sim_cluster->wait_for(
       [&] {
         for (std::uint32_t j = 0; j < kTxCount; ++j) {
           const std::uint32_t home = router.shard_of(workload::request_tag(9, j));
@@ -101,68 +102,76 @@ TEST(Sharding, SimVsLocalRunnerCommitIdenticalChainsPerShard) {
       120 * kSecond);
   ASSERT_TRUE(sim_done) << "sim shards did not finalize every routed tx";
 
-  // --- LocalRunner side ----------------------------------------------------
-  auto local = sharded_builder().build_sharded_local();
-  // Committed request tags per (node, shard), recovered from the commit
-  // payloads on the composite stream; guarded by the cluster's commit lock
-  // (on_commit callbacks and wait_for predicates both run under it).
-  std::map<std::pair<NodeId, std::uint32_t>, std::set<std::uint64_t>> committed_tags;
-  local->on_commit([&](const runtime::Commit& c) {
-    auto& tags = committed_tags[{c.node, shard::stream_shard(c.stream)}];
-    for (const std::uint64_t tag : workload::extract_request_tags(c.payload)) {
-      tags.insert(tag);
+  // --- Real hosts: the LocalRunner and loopback TCP --------------------------
+  const auto run_real = [&](std::unique_ptr<Cluster> cluster, const char* name) {
+    // Committed request tags per (node, shard), recovered from the commit
+    // payloads on the composite stream; guarded by the cluster's commit
+    // lock (on_commit callbacks and wait_for predicates both run under it).
+    std::map<std::pair<NodeId, std::uint32_t>, std::set<std::uint64_t>> committed_tags;
+    cluster->on_commit([&](const runtime::Commit& c) {
+      auto& tags = committed_tags[{c.node, shard::stream_shard(c.stream)}];
+      for (const std::uint64_t tag : workload::extract_request_tags(c.payload)) {
+        tags.insert(tag);
+      }
+    });
+    for (std::uint32_t j = 0; j < kTxCount; ++j) {
+      cluster->submit(j % kNodes, routed_tx(j));  // pre-start: seeds mempools
     }
-  });
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->node(j % kNodes).submit(routed_tx(j));  // pre-start: seeds mempools
-  }
-  local->start();
-  const bool all_done = local->wait_for(
-      [&] {
-        for (std::uint32_t j = 0; j < kTxCount; ++j) {
-          const std::uint64_t tag = workload::request_tag(9, j);
-          const std::uint32_t home = router.shard_of(tag);
-          for (NodeId i = 0; i < kNodes; ++i) {
-            const auto it = committed_tags.find({i, home});
-            if (it == committed_tags.end() || it->second.count(tag) == 0) return false;
+    cluster->start();
+    const bool all_done = cluster->wait_for(
+        [&] {
+          for (std::uint32_t j = 0; j < kTxCount; ++j) {
+            const std::uint64_t tag = workload::request_tag(9, j);
+            const std::uint32_t home = router.shard_of(tag);
+            for (NodeId i = 0; i < kNodes; ++i) {
+              const auto it = committed_tags.find({i, home});
+              if (it == committed_tags.end() || it->second.count(tag) == 0) return false;
+            }
           }
-        }
-        return true;
-      },
-      120 * kSecond);
-  local->stop();
-  ASSERT_TRUE(all_done) << "LocalRunner shards did not finalize every routed tx in time";
+          return true;
+        },
+        120 * kSecond);
+    cluster->stop();
+    EXPECT_TRUE(all_done) << name << " shards did not finalize every routed tx in time";
+    return cluster;
+  };
+  std::vector<std::pair<const char*, std::unique_ptr<Cluster>>> real;
+  real.emplace_back("threads", run_real(sharded_builder().build_local(), "threads"));
+  real.emplace_back("sockets", run_real(sharded_builder().build_socket(), "sockets"));
+  ASSERT_FALSE(::testing::Test::HasFailure());
 
-  // --- Identical per-shard chains across both backends ----------------------
+  // --- Identical per-shard chains across all three backends -----------------
   // The number of trailing filler slots can differ across hosts (it depends
   // on when each chain went quiescent), so equality is asserted over the
   // common finalized prefix; prefix consistency covers the full chains.
-  for (std::uint32_t k = 0; k < kShards; ++k) {
-    std::vector<multishot::MultishotNode*> chains = sim_cluster->shard_instances(k);
-    for (auto* node : local->shard_instances(k)) chains.push_back(node);
-    EXPECT_TRUE(multishot::chains_prefix_consistent(chains)) << "shard " << k;
-    const Slot common = std::min(sim_cluster->instance(0, k).finalized_count(),
-                                 local->instance(0, k).finalized_count());
-    if (txs_in_shard[k] > 0) {
-      EXPECT_GE(common, txs_in_shard[k]) << "shard " << k;
-    }
-    for (Slot s = 1; s <= common; ++s) {
-      const multishot::Block* a = sim_cluster->instance(0, k).block_at(s);
-      const multishot::Block* b = local->instance(0, k).block_at(s);
-      ASSERT_NE(a, nullptr) << "shard " << k << " slot " << s;
-      ASSERT_NE(b, nullptr) << "shard " << k << " slot " << s;
-      EXPECT_EQ(a->hash(), b->hash())
-          << "shard " << k << " slot " << s << " diverged across hosts";
-    }
-  }
-  // Every tx landed exactly on its home shard, under both hosts.
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    const std::uint32_t home = router.shard_of(workload::request_tag(9, j));
+  for (const auto& [name, cluster] : real) {
     for (std::uint32_t k = 0; k < kShards; ++k) {
-      EXPECT_EQ(sim_cluster->instance(0, k).tx_finalized(routed_tx(j)), k == home)
-          << "sim tx " << j << " shard " << k;
-      EXPECT_EQ(local->instance(0, k).tx_finalized(routed_tx(j)), k == home)
-          << "local tx " << j << " shard " << k;
+      std::vector<multishot::MultishotNode*> chains = sim_cluster->shard_instances(k);
+      for (auto* node : cluster->shard_instances(k)) chains.push_back(node);
+      EXPECT_TRUE(multishot::chains_prefix_consistent(chains)) << name << " shard " << k;
+      const Slot common = std::min(sim_cluster->instance(0, k).finalized_count(),
+                                   cluster->instance(0, k).finalized_count());
+      if (txs_in_shard[k] > 0) {
+        EXPECT_GE(common, txs_in_shard[k]) << name << " shard " << k;
+      }
+      for (Slot s = 1; s <= common; ++s) {
+        const multishot::Block* a = sim_cluster->instance(0, k).block_at(s);
+        const multishot::Block* b = cluster->instance(0, k).block_at(s);
+        ASSERT_NE(a, nullptr) << "shard " << k << " slot " << s;
+        ASSERT_NE(b, nullptr) << name << " shard " << k << " slot " << s;
+        EXPECT_EQ(a->hash(), b->hash())
+            << name << " shard " << k << " slot " << s << " diverged from the sim";
+      }
+    }
+    // Every tx landed exactly on its home shard, under every host.
+    for (std::uint32_t j = 0; j < kTxCount; ++j) {
+      const std::uint32_t home = router.shard_of(workload::request_tag(9, j));
+      for (std::uint32_t k = 0; k < kShards; ++k) {
+        EXPECT_EQ(sim_cluster->instance(0, k).tx_finalized(routed_tx(j)), k == home)
+            << "sim tx " << j << " shard " << k;
+        EXPECT_EQ(cluster->instance(0, k).tx_finalized(routed_tx(j)), k == home)
+            << name << " tx " << j << " shard " << k;
+      }
     }
   }
 }
@@ -174,7 +183,7 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
                      .seed(11)
                      .delta_bound(10 * kMillisecond)
                      .batching(16, 4096)
-                     .build_sharded_sim();
+                     .build_sim();
   shard::ShardedTracker tracker(cluster->simulation().metrics(), kShards);
   for (NodeId i = 0; i < kNodes; ++i) {
     for (std::uint32_t k = 0; k < kShards; ++k) {
@@ -199,7 +208,7 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
         std::make_unique<workload::OpenLoopClient>(oc, std::move(rotated), tracker));
   }
   cluster->start();
-  const bool drained = cluster->simulation().run_until_pred(
+  const bool drained = cluster->wait_for(
       [&] {
         return cluster->simulation().now() >= kLoad && tracker.submitted() > 0 &&
                tracker.all_admitted_committed();
@@ -255,7 +264,7 @@ TEST(Sharding, TrackerRoutesSubmissionsToHomeShardBooks) {
 }
 
 TEST(Sharding, NonRequestBytesRouteToShardZero) {
-  auto cluster = sharded_builder().build_sharded_sim();
+  auto cluster = sharded_builder().build_sim();
   // Raw (non-request) bytes have no tag: the routed port parks them on
   // shard 0, so legacy byte-blob workloads keep working unsharded.
   EXPECT_TRUE(cluster->port(1).submit({'r', 'a', 'w', 0x01}));
@@ -268,17 +277,24 @@ TEST(Sharding, NonRequestBytesRouteToShardZero) {
 TEST(Sharding, BuilderGuardsShardCountAndBackendMismatch) {
   EXPECT_THROW(ClusterBuilder{}.shards(0), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.shards(2000), std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_local(), std::logic_error);
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_sim(), std::logic_error);
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_socket(), std::logic_error);
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_socket_node(0), std::logic_error);
-  // S = 1 sharded clusters are legal (one mux-wrapped chain)...
-  auto single = ClusterBuilder{}.shards(1).build_sharded_sim();
+  // S = 1 is one mux-wrapped chain per replica...
+  auto single = ClusterBuilder{}.shards(1).build_sim();
   EXPECT_EQ(single->shards(), 1u);
   EXPECT_TRUE(single->submit(0, routed_tx(0)));
-  // ...and out-of-range instance access throws instead of corrupting.
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_sharded_local()->node(99),
+  // ...and out-of-range ids and shards throw instead of reading past the
+  // replica or instance arrays (release builds compile asserts out).
+  auto sharded = ClusterBuilder{}.shards(2).build_sim();
+  EXPECT_THROW((void)sharded->instance(0, 7), std::out_of_range);
+  EXPECT_THROW((void)sharded->instance(99, 0), std::out_of_range);
+  EXPECT_THROW((void)sharded->shard_instances(2), std::out_of_range);
+  EXPECT_THROW((void)sharded->durable(0, 2), std::out_of_range);
+  EXPECT_THROW(sharded->submit(99, routed_tx(0)), std::out_of_range);
+  EXPECT_THROW((void)ClusterBuilder{}.shards(2).build_local()->instance(1, 2),
                std::out_of_range);
+  // Backend-specific access on another backend is a usage error.
+  EXPECT_THROW((void)sharded->runner(), std::logic_error);
+  EXPECT_THROW((void)sharded->host(0), std::logic_error);
+  EXPECT_THROW((void)ClusterBuilder{}.build_local()->simulation(), std::logic_error);
 }
 
 // The n = 64-per-shard configuration (f = 21): the f-scaled claim and
@@ -293,7 +309,7 @@ TEST(Sharding, LargeCommitteePerShardCommitsRoutedLoad) {
                      .delta_bound(50 * kMillisecond)
                      .sim_delta_actual(1 * kMillisecond)
                      .batching(4, 4096)
-                     .build_sharded_sim();
+                     .build_sim();
   const shard::ShardRouter router(2);
   std::vector<std::uint32_t> txs_in_shard(2, 0);
   constexpr std::uint32_t kBigTx = 8;
@@ -302,7 +318,7 @@ TEST(Sharding, LargeCommitteePerShardCommitsRoutedLoad) {
     ++txs_in_shard[router.shard_of(workload::request_tag(9, j))];
   }
   cluster->start();
-  const bool done = cluster->simulation().run_until_pred(
+  const bool done = cluster->wait_for(
       [&] {
         for (std::uint32_t j = 0; j < kBigTx; ++j) {
           const std::uint32_t home = router.shard_of(workload::request_tag(9, j));

@@ -1,6 +1,6 @@
 // Three-transport equivalence (ISSUE 7): the same multishot workload, seeded
 // identically, committed through the deterministic Simulation, the threaded
-// shared-memory LocalRunner, AND a loopback-TCP SocketCluster yields
+// shared-memory LocalRunner, AND a loopback-TCP build_socket() cluster yields
 // identical finalized chains -- the proof that the socket transport carries
 // everything the consensus cores need and perturbs nothing. Every socket
 // message crossed a real TCP connection through the frame codec; only the
@@ -45,21 +45,27 @@ ClusterBuilder equivalence_builder() {
   return b;
 }
 
-TEST(SocketEquivalence, SocketClusterCommitsIdenticalChainToSimAndLocal) {
+TEST(SocketEquivalence, SocketBackendCommitsIdenticalChainToSimAndLocal) {
   // --- Simulation (the reference) -------------------------------------------
   auto sim_cluster = equivalence_builder().build_sim();
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
     ASSERT_TRUE(sim_cluster->submit(j % kNodes, tx_bytes(j)));
   }
   sim_cluster->start();
-  ASSERT_TRUE(sim_cluster->run_until_all_finalized(kTxCount, 60 * kSecond));
+  ASSERT_TRUE(sim_cluster->wait_for(
+      [&] {
+        const auto chains = sim_cluster->shard_instances();
+        return std::all_of(chains.begin(), chains.end(),
+                           [](const auto* c) { return c->finalized_count() >= kTxCount; });
+      },
+      60 * kSecond));
 
   // --- LocalRunner (shared memory) ------------------------------------------
   auto local = equivalence_builder().build_local();
   std::map<NodeId, std::uint64_t> local_streams;  // guarded by the commit lock
   local->on_commit([&](const runtime::Commit& c) { local_streams[c.node] = c.stream; });
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->node(j % kNodes).submit(tx_bytes(j));
+    local->submit(j % kNodes, tx_bytes(j));
   }
   local->start();
   const auto finalized_all = [kTx = kTxCount](const std::map<NodeId, std::uint64_t>& m) {
@@ -70,7 +76,7 @@ TEST(SocketEquivalence, SocketClusterCommitsIdenticalChainToSimAndLocal) {
   ASSERT_TRUE(local->wait_for([&] { return finalized_all(local_streams); }, 120 * kSecond));
   local->stop();
 
-  // --- SocketCluster (loopback TCP) -----------------------------------------
+  // --- Loopback TCP -----------------------------------------------------------
   auto sockets = equivalence_builder().build_socket();
   std::map<NodeId, std::uint64_t> socket_streams;  // guarded by the commit lock
   sockets->on_commit(
@@ -86,23 +92,23 @@ TEST(SocketEquivalence, SocketClusterCommitsIdenticalChainToSimAndLocal) {
 
   // --- Identical finalized chains, all twelve observations ------------------
   std::vector<multishot::MultishotNode*> all_chains;
-  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&sim_cluster->replica(i));
-  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&local->replica(i));
-  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&sockets->replica(i));
+  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&sim_cluster->instance(i));
+  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&local->instance(i));
+  for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&sockets->instance(i));
   EXPECT_TRUE(multishot::chains_prefix_consistent(all_chains));
 
   for (NodeId i = 0; i < kNodes; ++i) {
-    EXPECT_GE(sockets->replica(i).finalized_count(), kTxCount);
+    EXPECT_GE(sockets->instance(i).finalized_count(), kTxCount);
   }
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    EXPECT_TRUE(sockets->replica(0).tx_finalized(tx_bytes(j)))
+    EXPECT_TRUE(sockets->instance(0).tx_finalized(tx_bytes(j)))
         << "socket cluster lost tx " << j;
   }
   // Per-slot byte equality against BOTH other hosts.
   for (Slot s = 1; s <= kTxCount; ++s) {
-    const multishot::Block* sim_b = sim_cluster->replica(0).block_at(s);
-    const multishot::Block* loc_b = local->replica(0).block_at(s);
-    const multishot::Block* sock_b = sockets->replica(0).block_at(s);
+    const multishot::Block* sim_b = sim_cluster->instance(0).block_at(s);
+    const multishot::Block* loc_b = local->instance(0).block_at(s);
+    const multishot::Block* sock_b = sockets->instance(0).block_at(s);
     ASSERT_NE(sim_b, nullptr);
     ASSERT_NE(loc_b, nullptr);
     ASSERT_NE(sock_b, nullptr);
@@ -127,10 +133,10 @@ TEST(SocketEquivalence, StopIsIdempotentAndReplicaAccessIsGuarded) {
   auto sockets = equivalence_builder().build_socket();
   sockets->submit(0, tx_bytes(0));
   sockets->start();
-  EXPECT_THROW((void)sockets->replica(0), std::logic_error);
+  EXPECT_THROW((void)sockets->instance(0), std::logic_error);
   sockets->stop();
   sockets->stop();  // idempotent
-  (void)sockets->replica(0);  // quiescent: safe now
+  (void)sockets->instance(0);  // quiescent: safe now
 }
 
 TEST(SocketEquivalence, BuilderValidatesSocketKnobs) {

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -73,9 +74,9 @@ struct RecorderNode final : ProtocolNode {
 
 std::vector<std::uint8_t> framed(net::FrameKind kind,
                                  std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out(net::kFrameHeaderBytes);
+  std::vector<std::uint8_t> out(net::kFrameHeaderBytes + payload.size());
   net::put_frame_header(out.data(), kind, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::copy(payload.begin(), payload.end(), out.begin() + net::kFrameHeaderBytes);
   return out;
 }
 
@@ -143,7 +144,7 @@ class RawPeer {
         continue;
       }
       decoder_.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(got)),
-                    [this](net::FrameKind k, std::vector<std::uint8_t>&& body) {
+                    [this](net::FrameKind k, std::uint16_t, std::vector<std::uint8_t>&& body) {
                       frames_.emplace_back(k, std::move(body));
                     });
     }
