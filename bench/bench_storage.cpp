@@ -21,10 +21,10 @@
 //   5. DURABLE LOGGING: wiring the WAL into the finalized hook must cost
 //      <= 15% of commit throughput, measured as the wall-clock delta of two
 //      otherwise identical 4-node sim runs (in-memory vs data_dir).
-//   6. BOUNDED COMMIT INDEX: with epoch rotation on, resident commit-query
-//      memory over a 100k-slot transaction-bearing run is flat (end <= mid
-//      + 2%) -- exact entries rotate into per-epoch Bloom filters instead
-//      of accumulating.
+//   6. BOUNDED COMMIT INDEX: at 64 transactions per slot, the commit
+//      index's resident bytes over a `slots`-slot run are flat (end <= mid
+//      + 2%) -- entries older than the dedup horizon behind the checkpoint
+//      are evicted instead of accumulating.
 //
 // Run: bench_storage [slots] [gap] [min_index_speedup]. Exit code 0 iff all
 // invariants hold. Emits BENCH_storage.json for trajectory tracking.
@@ -342,42 +342,42 @@ OverheadResult run_overhead(Slot slots) {
   return res;
 }
 
-// --- Part 6: commit-index memory with epoch rotation ------------------------
+// --- Part 6: commit-index memory under the dedup horizon --------------------
 
 struct IndexMemResult {
   std::size_t resident_mid{0};
   std::size_t resident_end{0};
-  Slot rotated_below{0};
-  std::size_t blooms{0};
+  std::size_t entries_end{0};
   bool flat{false};
-  bool rotated{false};
 };
 
 IndexMemResult run_index_memory(std::uint64_t slots) {
+  constexpr std::uint32_t kTxsPerSlot = 64;
   IndexMemResult res;
-  ChainStore chain(FinalizedStore::kDefaultTailCapacity, /*commit_epoch_slots=*/1024);
+  ChainStore chain;
   std::uint64_t parent = kGenesisHash;
   std::uint32_t counter = 0;
+  std::vector<std::uint8_t> tx(24, 0);
   for (Slot s = 1; s <= slots; ++s) {
-    // One 24-byte transaction per block: every slot feeds the commit index.
+    // A full batch of distinct 24-byte transactions per block: every slot
+    // feeds the commit index at a real batch size.
     serde::Writer w;
     w.varint(0);
-    std::vector<std::uint8_t> tx(24, 0);
-    ++counter;
-    std::memcpy(tx.data(), &counter, sizeof(counter));
-    w.bytes(tx);
+    for (std::uint32_t i = 0; i < kTxsPerSlot; ++i) {
+      ++counter;
+      std::memcpy(tx.data(), &counter, sizeof(counter));
+      w.bytes(tx);
+    }
     Block b{s, parent, static_cast<NodeId>(s % 4), w.take()};
     parent = b.hash();
     chain.add_block(b);
     chain.notarize(s, 0, b.hash());
     chain.try_finalize();
-    if (s == slots / 2) res.resident_mid = chain.finalized().resident_bytes();
+    if (s == slots / 2) res.resident_mid = chain.finalized().commit_index().resident_bytes();
   }
-  res.resident_end = chain.finalized().resident_bytes();
-  res.rotated_below = chain.finalized().commit_index().rotated_below();
-  res.blooms = chain.finalized().commit_index().bloom_count();
+  res.resident_end = chain.finalized().commit_index().resident_bytes();
+  res.entries_end = chain.finalized().commit_index().size();
   res.flat = res.resident_end <= res.resident_mid + res.resident_mid / 50;
-  res.rotated = res.rotated_below > 0;
   return res;
 }
 
@@ -424,12 +424,9 @@ int main(int argc, char** argv) {
                                                    : "[FAIL: > 15%]");
 
   const IndexMemResult idxmem = run_index_memory(slots);
-  std::printf("commit index (epochs on): mid=%zu end=%zu bytes, rotated_below=%llu"
-              " over %zu blooms %s%s\n",
-              idxmem.resident_mid, idxmem.resident_end,
-              static_cast<unsigned long long>(idxmem.rotated_below), idxmem.blooms,
-              idxmem.flat ? "[ok: flat]" : "[FAIL: grew]",
-              idxmem.rotated ? "" : " [FAIL: rotation never ran]");
+  std::printf("commit index (64 txs/slot): mid=%zu end=%zu bytes, %zu entries resident %s\n",
+              idxmem.resident_mid, idxmem.resident_end, idxmem.entries_end,
+              idxmem.flat ? "[ok: flat]" : "[FAIL: grew]");
 
   const SyncResult sync = run_sync(gap);
   std::printf("range sync: healed at tip=%llu (victim %llu behind), caught up in %.1f sim-ms\n"
@@ -465,15 +462,13 @@ int main(int argc, char** argv) {
       .field("wal_overhead_pct", ovh.overhead_pct)
       .field("index_resident_bytes_mid", static_cast<std::uint64_t>(idxmem.resident_mid))
       .field("index_resident_bytes_end", static_cast<std::uint64_t>(idxmem.resident_end))
-      .field("index_rotated_below", static_cast<std::uint64_t>(idxmem.rotated_below))
-      .field("index_bloom_count", static_cast<std::uint64_t>(idxmem.blooms));
+      .field("index_entries_end", static_cast<std::uint64_t>(idxmem.entries_end));
   report.write();
 
   const bool ok = mem.flat && idx.speedup >= min_index_speedup && idx.all_found &&
                   sync.caught_up && sync.traffic_continued && sync.chunks > 0 &&
                   rec.complete && rec.blocks_per_sec >= min_replay_rate &&
-                  ovh.overhead_pct <= max_overhead_pct && idxmem.flat &&
-                  idxmem.rotated;
+                  ovh.overhead_pct <= max_overhead_pct && idxmem.flat;
   std::printf("%s\n", ok ? "ALL STORAGE INVARIANTS HOLD" : "STORAGE INVARIANT VIOLATION");
   return ok ? 0 : 1;
 }

@@ -39,7 +39,6 @@ ClusterBuilder demo_builder(const std::string& dir) {
   b.nodes(4)
       .delta_bound(20 * runtime::kMillisecond)
       .storage_tail(64)
-      .commit_epochs(8)
       .data_dir(dir)
       .checkpoint_every(8)
       .wal_flush_every(1)      // every append durable: kill -9 loses nothing

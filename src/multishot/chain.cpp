@@ -208,15 +208,11 @@ void ChainStore::prune_finalized() { window_.advance_base(first_unfinalized()); 
 void ChainStore::restore_state(const Checkpoint& cp,
                                std::span<const std::uint8_t> commit_state,
                                std::vector<Block>&& tail) {
-  store_.restore(cp);
-  if (!commit_state.empty()) {
-    serde::Reader r(commit_state);
-    const bool ok = store_.install_commit_state(r);
-    // Local durable state is checksummed before it reaches here; a decode
-    // failure means the checkpoint file lied about its own integrity.
-    TBFT_ASSERT(ok);
-    (void)ok;
-  }
+  const bool ok = store_.restore(cp, commit_state);
+  // Local durable state is checksummed before it reaches here; a decode
+  // failure means the checkpoint file lied about its own integrity.
+  TBFT_ASSERT(ok);
+  (void)ok;
   for (Block& b : tail) {
     TBFT_ASSERT(b.slot == first_unfinalized() && b.parent_hash == finalized_tip_hash());
     store_.append(std::move(b));
@@ -226,21 +222,7 @@ void ChainStore::restore_state(const Checkpoint& cp,
 
 bool ChainStore::install_checkpoint(const Checkpoint& cp,
                                     std::span<const std::uint8_t> commit_state) {
-  if (cp.slot <= finalized_count()) return false;
-  // Validate the blob before touching anything: a scratch decode keeps the
-  // "changes nothing on failure" contract cheap (state transfer is rare).
-  {
-    CommitIndex scratch;
-    serde::Reader probe(commit_state);
-    if (!scratch.install(probe) || !probe.done()) return false;
-  }
-  const bool ahead = store_.install_checkpoint(cp);
-  TBFT_ASSERT(ahead);  // checked above
-  (void)ahead;
-  serde::Reader r(commit_state);
-  const bool ok = store_.install_commit_state(r);
-  TBFT_ASSERT(ok);
-  (void)ok;
+  if (!store_.install_checkpoint(cp, commit_state)) return false;
   prune_finalized();
   return true;
 }

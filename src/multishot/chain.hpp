@@ -8,10 +8,9 @@
 // SlotWindow ring over the bounded window of unfinalized slots
 // (slot_window.hpp); finalized blocks move into a FinalizedStore
 // (finalized_store.hpp) -- a bounded tail of recent blocks behind a
-// compaction checkpoint plus a commit index -- so block storage is
-// O(window + tail), never O(history) (only the commit digest set grows
-// with committed transactions; see finalized_store.hpp). Slot slabs and
-// the candidate blocks
+// compaction checkpoint plus a horizon-bounded commit index -- so storage
+// is O(window + tail + horizon), never O(history) (see
+// finalized_store.hpp). Slot slabs and the candidate blocks
 // inside them recycle as the window advances, so steady-state
 // add/notarize/finalize/prune performs zero heap allocations once the
 // high-water mark is reached (asserted by bench_consensus; bench_storage
@@ -44,9 +43,8 @@ struct Notarization {
 
 class ChainStore {
  public:
-  explicit ChainStore(std::size_t tail_capacity = FinalizedStore::kDefaultTailCapacity,
-                      Slot commit_epoch_slots = 0)
-      : window_(kWindow + 1, 1), store_(tail_capacity, commit_epoch_slots) {}
+  explicit ChainStore(std::size_t tail_capacity = FinalizedStore::kDefaultTailCapacity)
+      : window_(kWindow + 1, 1), store_(tail_capacity) {}
 
   /// Remember a candidate block (from a proposal). Returns false when the
   /// slot is outside the acceptance window (finalized or too far ahead).
@@ -116,7 +114,7 @@ class ChainStore {
                                  std::uint64_t hash) const {
     return store_.commit_slot(tx, hash);
   }
-  /// Exactly-once delivery probe: committed at a slot strictly below `before`.
+  /// Exactly-once delivery probe: committed in [before - kDedupHorizon, before).
   [[nodiscard]] bool committed_before(std::span<const std::uint8_t> tx,
                                       std::uint64_t hash, Slot before) const {
     return store_.committed_before(tx, hash, before);

@@ -9,8 +9,9 @@ void FinalizedStore::append(Block&& b) {
   TBFT_ASSERT(b.slot == tip_ + 1);
   // Compact the oldest resident block before its ring cell is overwritten:
   // fold its hash into the cumulative chain hash and count its committed
-  // transactions (their digests are already in the index). The payload
-  // buffer stays in the ring cell and is recycled by the move-assign below.
+  // transactions (their digests are already in the index), then let the
+  // index drop what fell out of the horizon. The payload buffer stays in
+  // the ring cell and is recycled by the move-assign below.
   if (tip_ >= tail_first() && slot_count(cap_) == tip_ - checkpoint_.slot) {
     const Block& oldest = ring_[slot_index(tail_first(), Slot{1}) % cap_];
     checkpoint_.chain_hash = hash_combine(checkpoint_.chain_hash, oldest.hash());
@@ -18,7 +19,7 @@ void FinalizedStore::append(Block&& b) {
                    [this](std::span<const std::uint8_t>) { ++checkpoint_.tx_count; });
     checkpoint_.slot = oldest.slot;
     checkpoint_.boundary_hash = oldest.hash();
-    if (epoch_slots_ > 0) index_.rotate_epochs(checkpoint_.slot, epoch_slots_);
+    index_.evict_through(horizon_floor(checkpoint_.slot));
   }
   tip_ = b.slot;
   tip_hash_ = b.hash();
@@ -37,20 +38,23 @@ std::optional<std::uint64_t> FinalizedStore::prefix_digest(Slot s) const {
   return h;
 }
 
+bool FinalizedStore::vouches(Slot s, std::span<const std::uint8_t> tx) const {
+  const Block* b = block_at(s);
+  // Compacted slot: the digest set is the only witness left; trust it.
+  if (b == nullptr) return true;
+  // Resident slot: confirm the bytes (collisions keep probing).
+  bool match = false;
+  for_each_frame(b->payload, [&](std::span<const std::uint8_t> f) {
+    match = match || (f.size() == tx.size() && std::equal(f.begin(), f.end(), tx.begin()));
+  });
+  return match;
+}
+
 Slot FinalizedStore::commit_slot(std::span<const std::uint8_t> tx,
                                  std::uint64_t hash) const {
   Slot found = 0;
   index_.find(hash, [&](Slot s) {
-    if (const Block* b = block_at(s); b != nullptr) {
-      // Resident slot: confirm the bytes (collisions keep probing).
-      bool match = false;
-      for_each_frame(b->payload, [&](std::span<const std::uint8_t> f) {
-        match = match || (f.size() == tx.size() &&
-                          std::equal(f.begin(), f.end(), tx.begin()));
-      });
-      if (!match) return false;
-    }
-    // Compacted slot: the digest set is the only witness left; trust it.
+    if (s <= horizon_floor(checkpoint_.slot) || !vouches(s, tx)) return false;
     found = s;
     return true;
   });
@@ -59,22 +63,9 @@ Slot FinalizedStore::commit_slot(std::span<const std::uint8_t> tx,
 
 bool FinalizedStore::committed_before(std::span<const std::uint8_t> tx,
                                       std::uint64_t hash, Slot before) const {
-  bool found = false;
-  index_.find(hash, [&](Slot s) {
-    if (s >= before) return false;
-    if (const Block* b = block_at(s); b != nullptr) {
-      // Resident slot: confirm the bytes (collisions keep probing).
-      bool match = false;
-      for_each_frame(b->payload, [&](std::span<const std::uint8_t> f) {
-        match = match || (f.size() == tx.size() &&
-                          std::equal(f.begin(), f.end(), tx.begin()));
-      });
-      if (!match) return false;
-    }
-    found = true;
-    return true;
+  return index_.find(hash, [&](Slot s) {
+    return s < before && s + kDedupHorizon >= before && vouches(s, tx);
   });
-  return found;
 }
 
 std::optional<Checkpoint> FinalizedStore::checkpoint_at(Slot s) const {

@@ -1,11 +1,9 @@
 #pragma once
 // Finalized-chain storage engine (DESIGN_PERF.md "Finalized-chain storage").
 //
-// The finalized side of the chain used to be a flat std::vector<Block> that
-// grew forever; this store bounds resident BLOCK memory to O(tail)
-// regardless of chain length (the commit-index digest set still grows with
-// committed transactions -- ~16 B/tx vs full payloads, see the invariants
-// note below):
+// The finalized side of the chain is bounded in both of its parts: resident
+// BLOCK memory is O(tail) and the commit index is O(H x batch), whatever the
+// chain length:
 //
 //  - a ring of the most recent `tail_capacity` finalized blocks (the tail)
 //    serves every reader that needs block *content* -- ChainInfo answering,
@@ -15,24 +13,25 @@
 //    block (order-sensitive, so two stores with equal checkpoints hold the
 //    same prefix), and the count of transactions committed below it;
 //  - a flat open-addressing commit index maps every committed transaction
-//    frame's hash to its slot at finalization time, replacing the former
-//    whole-chain tx_finalized scan with an O(1) probe. Index entries are
-//    never dropped at compaction -- they *are* the checkpoint's committed-tx
-//    digest set, so commit queries keep answering for compacted history.
+//    frame's hash to its slot at finalization time (an O(1) probe). It
+//    keeps the commits of the dedup horizon behind the checkpoint (slots >
+//    checkpoint.slot - kDedupHorizon), so commit queries keep answering for
+//    recently compacted history.
 //
 // Invariants:
 //  - tail covers exactly (checkpoint.slot, tip]; tail_first() == checkpoint
 //    slot + 1; resident block count == tip - checkpoint.slot <= capacity;
 //  - prefix_digest(s) (cumulative chain hash through slot s) is available
 //    for any s in [checkpoint.slot, tip] and equal across consistent chains;
+//  - the commit index holds every entry with slot > checkpoint.slot - H, so
+//    every anchor a checkpoint-transfer responder serves ([checkpoint.slot,
+//    tip]) still has its full window;
 //  - append() is allocation-free in steady state for filler payloads: the
 //    ring is sized up front, checkpoint folding is arithmetic, and the index
-//    only grows with committed transactions (inherent commit data, amortized
-//    doubling; O(committed txs) forever is the accepted cost of answering
-//    commit queries for compacted history -- bounding it too, via epoch
-//    segmentation, is a ROADMAP follow-on). bench_consensus keeps asserting
-//    the zero-alloc contract; bench_storage's bounded-memory gate measures
-//    the block side (frameless payloads), where O(tail) is exact.
+//    only grows with committed transactions (amortized doubling, and one
+//    survivor rebuild per H/2 slots of compaction). bench_consensus keeps
+//    asserting the zero-alloc contract; bench_storage's bounded-memory gates
+//    measure the block side and the commit index at real batch sizes.
 //
 // Slot arithmetic discipline: Slot is a 64-bit domain, container indices are
 // size_t. Every conversion funnels through slot_index()/slot_count() below,
@@ -42,6 +41,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -65,16 +65,16 @@ namespace tbft::multishot {
 
 /// Compaction summary of every finalized block below the tail. Also the unit
 /// of durability and of checkpoint state transfer: a store restored from a
-/// Checkpoint (plus its commit digest set) resumes exactly where the
-/// compacted prefix ended.
+/// Checkpoint (plus the commit digest set of its horizon) resumes exactly
+/// where the compacted prefix ended.
 struct Checkpoint {
   /// All slots <= slot are compacted (0 = nothing compacted yet).
   Slot slot{0};
   /// Cumulative chain hash through `slot`: fold of hash_combine over block
   /// hashes in slot order, seeded with kGenesisHash.
   std::uint64_t chain_hash{kGenesisHash};
-  /// Transactions committed in compacted blocks (their digests stay in the
-  /// commit index).
+  /// Transactions committed in compacted blocks (the digests of the last
+  /// kDedupHorizon slots stay in the commit index).
   std::uint64_t tx_count{0};
   /// Hash of the block AT `slot` (kGenesisHash when slot == 0): the parent
   /// the first post-checkpoint block must link to. Without it a restored
@@ -99,101 +99,69 @@ struct Checkpoint {
   }
 };
 
-/// Fixed-size digest bloom over the transactions committed in one epoch of
-/// compacted slots: the "ancient" tier of the epoch-segmented commit index.
-/// Size and probe schedule are protocol constants, so two honest nodes that
-/// rotated the same epoch hold bit-identical blooms (checkpoint state
-/// transfer vouches blobs by hash across f+1 senders) and OR-merging is
-/// well-defined.
-struct EpochBloom {
-  static constexpr std::size_t kBits = std::size_t{1} << 16;  // 8 KiB / epoch
-  static constexpr std::size_t kWords = kBits / 64;
-  static constexpr int kProbes = 4;
-
-  Slot first{0};  ///< Covered slot range [first, last].
-  Slot last{0};
-  std::vector<std::uint64_t> words = std::vector<std::uint64_t>(kWords, 0);
-
-  void add(std::uint64_t key) noexcept {
-    const std::uint64_t h1 = mix64(key);
-    const std::uint64_t h2 = mix64(key ^ 0x9E3779B97F4A7C15ULL) | 1;
-    for (int i = 0; i < kProbes; ++i) {
-      const std::uint64_t bit = (h1 + static_cast<std::uint64_t>(i) * h2) % kBits;
-      words[static_cast<std::size_t>(bit >> 6)] |= std::uint64_t{1} << (bit & 63);
-    }
-  }
-  [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
-    const std::uint64_t h1 = mix64(key);
-    const std::uint64_t h2 = mix64(key ^ 0x9E3779B97F4A7C15ULL) | 1;
-    for (int i = 0; i < kProbes; ++i) {
-      const std::uint64_t bit = (h1 + static_cast<std::uint64_t>(i) * h2) % kBits;
-      if ((words[static_cast<std::size_t>(bit >> 6)] & (std::uint64_t{1} << (bit & 63))) == 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-  /// OR-merge another bloom of the same geometry (range union).
-  void merge(const EpochBloom& other) noexcept {
-    first = first == 0 ? other.first : std::min(first, other.first);
-    last = std::max(last, other.last);
-    for (std::size_t i = 0; i < kWords; ++i) words[i] |= other.words[i];
-  }
-
-  void encode(serde::Writer& w) const {
-    w.u64(first);
-    w.u64(last);
-    for (const std::uint64_t word : words) w.u64(word);
-  }
-  static EpochBloom decode(serde::Reader& r) {
-    EpochBloom b;
-    b.first = r.u64();
-    b.last = r.u64();
-    for (std::size_t i = 0; i < kWords; ++i) b.words[i] = r.u64();
-    if (b.first < 1 || b.last < b.first) r.fail();
-    return b;
-  }
-};
-
-/// Committed-transaction digest set: frame hash -> slot. Two tiers:
+/// Dedup horizon H, in slots: the commit index answers "was this
+/// transaction committed?" exactly for the H slots behind any query point,
+/// and forgets older commits. A protocol constant, never an option: the
+/// finalization-time delivery filter reads the window [s - H, s), so every
+/// replica must agree on H for delivery to stay identical across nodes.
 ///
-///  - an exact tier -- a flat open-addressing hash table (linear probing,
-///    power-of-two capacity) holding every entry above the rotation
-///    boundary. Duplicate keys coexist (hash collisions between distinct
-///    transactions); lookups walk the probe chain, so a collision can never
-///    mask a commit;
-///  - an epoch-segmented bloom tier (off unless rotation is driven): entries
-///    whose slots fall a full epoch below the compaction checkpoint rotate
-///    out of the table into one fixed-size EpochBloom per epoch, with the
-///    oldest blooms OR-merged into a single "ancient" bloom past
-///    kMaxResidentBlooms -- so resident memory is flat in committed-tx
-///    count instead of growing ~16 B/tx forever. A bloom hit answers with
-///    the epoch's last slot (the content is compacted; callers already
-///    treat sub-checkpoint answers as digest-trusted) at the documented
-///    false-positive rate; a miss is exact.
+/// Contract: an honest copy of a transaction is never re-included more
+/// than H slots after its twin (given the relay-delay assumption stated
+/// below), so within H the filter keeps delivery
+/// exactly-once; past H a client retry is a new transaction. The argument:
+///  - a pool entry (held forward fallbacks and relayed copies included)
+///    leaves when a finalized block carrying its bytes is reconciled
+///    against the pool (note_finalized runs on every block a node
+///    finalizes, by the rule or by adoption), and a node proposes only
+///    slots within ChainStore::kWindow of its own finalized tip, so a copy
+///    still pooled when its twin finalizes at slot t rides at most t +
+///    kWindow;
+///  - a copy admitted after its twin finalized locally is refused by
+///    commit_slot only while the twin sits above checkpoint.slot - H. The
+///    one in-protocol late admission is a relayed copy (MsForwardTx) whose
+///    twin, the sender's held fallback, committed after forward_retry: its
+///    exactly-once assumes the relay reaches its leader before that
+///    leader's checkpoint passes the twin's slot + H -- a delay bound of
+///    about H slots of progress, which partial synchrony does not give
+///    before GST. Stamping the relay with the sender's first unfinalized
+///    slot would remove the assumption; it changes the wire format;
+///  - checkpoint state transfer skips per-block reconciliation: its
+///    installed window (at - H, at] decides every entry exactly when the
+///    jump is shorter than H, and a longer jump expires the whole
+///    pre-install pool (multishot.mempool.expired) rather than guess. Such
+///    an expired entry may never be delivered: clients retry on timeout;
+///  - WAL replay re-delivers nothing (the pool is not durable).
+inline constexpr Slot kDedupHorizon = 4096;
+
+/// Lowest slot a horizon anchored at `s` no longer covers: entries with
+/// slot <= horizon_floor(s) are outside (s - H, s].
+[[nodiscard]] constexpr Slot horizon_floor(Slot s) noexcept {
+  return s > kDedupHorizon ? s - kDedupHorizon : 0;
+}
+
+/// Committed-transaction digest set: frame hash -> slot, one flat
+/// open-addressing hash table (linear probing, power-of-two capacity).
+/// Duplicate keys coexist (hash collisions between distinct transactions);
+/// lookups walk the probe chain, so a collision can never mask a commit.
 ///
-/// Rotation is canonical: epoch boundaries are multiples of the configured
-/// epoch, one bloom per epoch, so honest nodes that rotated the same epochs
-/// hold identical blooms and encode() yields byte-identical state blobs --
-/// which is what lets checkpoint state transfer vouch a blob across f+1
-/// senders by hash.
+/// Bounded by the dedup horizon: the owner evicts by compaction progress
+/// (evict_through), and each survivor rebuild drops everything at or below
+/// the floor. Rebuilds run once per H/2 slots of floor progress, so their
+/// cost is amortized O(1) per entry and resident memory is O(H x batch).
+/// Physical eviction therefore lags the floor by up to H/2 slots; callers
+/// filter by slot, so no answer depends on when a rebuild happened to run.
 class CommitIndex {
  public:
-  /// Resident epoch blooms kept before OR-merging into the ancient bloom.
-  static constexpr std::size_t kMaxResidentBlooms = 8;
-
   CommitIndex() { table_.resize(kInitialCapacity); }
 
   void insert(std::uint64_t key, Slot slot) {
     TBFT_ASSERT(slot != 0);  // slot 0 marks empty cells
-    if ((used_ + 1) * 4 > table_.size() * 3) grow();
+    if ((used_ + 1) * 4 > table_.size() * 3) rebuild(table_.size() * 2, 0);
     reinsert(Entry{key, slot});
   }
 
-  /// Visit the slot of every entry with this key: the exact-tier probe
-  /// chain first (stops early when `fn` returns true), then the bloom tiers
-  /// (each hit visits the epoch's last slot). Returns true when some visit
-  /// did.
+  /// Visit the slot of every entry with this key, stopping early when `fn`
+  /// returns true. Returns true when some visit did.
   template <class Fn>
   bool find(std::uint64_t key, Fn&& fn) const {
     std::size_t i = static_cast<std::size_t>(mix64(key)) & (table_.size() - 1);
@@ -201,10 +169,6 @@ class CommitIndex {
       if (table_[i].key == key && fn(table_[i].slot)) return true;
       i = (i + 1) & (table_.size() - 1);
     }
-    for (const EpochBloom& b : blooms_) {
-      if (b.contains(key) && fn(b.last)) return true;
-    }
-    if (ancient_.has_value() && ancient_->contains(key) && fn(ancient_->last)) return true;
     return false;
   }
 
@@ -218,31 +182,28 @@ class CommitIndex {
     return found;
   }
 
-  /// Rotate whole epochs of entries into blooms while the next epoch
-  /// boundary (a multiple of `epoch`) is at or below `compacted_upto`.
-  /// Rotation is the one place the exact table shrinks: survivors rebuild
-  /// into the smallest capacity that fits them.
-  void rotate_epochs(Slot compacted_upto, Slot epoch) {
-    TBFT_ASSERT(epoch > 0);
-    while (rotated_below_ + epoch <= compacted_upto) rotate_one(rotated_below_ + epoch);
+  /// Entries with slot <= `floor` may go: rebuild without them once the
+  /// floor is H/2 slots past the last rebuild. Survivors move into the
+  /// smallest capacity that fits them; a rebuild that would drop nothing
+  /// and keep the capacity is skipped, so an index without commits never
+  /// allocates.
+  void evict_through(Slot floor) {
+    if (floor < evicted_through_ + kDedupHorizon / 2) return;
+    std::size_t cap = kInitialCapacity;
+    std::size_t keep = 0;
+    for (const Entry& e : table_) keep += e.slot > floor ? 1 : 0;
+    while (keep * 4 > cap * 3) cap *= 2;
+    if (keep != used_ || cap != table_.size()) rebuild(cap, floor);
+    evicted_through_ = floor;
   }
 
-  /// All entries with slot <= rotated_below() live in blooms, not the table.
-  [[nodiscard]] Slot rotated_below() const noexcept { return rotated_below_; }
-  [[nodiscard]] std::size_t bloom_count() const noexcept {
-    return blooms_.size() + (ancient_.has_value() ? 1 : 0);
-  }
-  [[nodiscard]] std::uint64_t rotated_count() const noexcept { return rotated_count_; }
-
-  /// Canonical serialization of the digest set restricted to slots <= upto:
-  /// exact entries sorted by (slot, key) plus the bloom tiers. Two honest
-  /// nodes with equal rotation state produce byte-identical output.
-  void encode(serde::Writer& w, Slot upto) const {
-    w.u64(rotated_below_);
+  /// Canonical serialization of the entries in (at - H, at], sorted by
+  /// (slot, key): two honest nodes produce byte-identical output for the
+  /// same anchor, whenever each last evicted.
+  void encode(serde::Writer& w, Slot at) const {
     std::vector<Entry> sorted;
-    sorted.reserve(used_);
     for (const Entry& e : table_) {
-      if (e.slot != 0 && e.slot <= upto) sorted.push_back(e);
+      if (e.slot > horizon_floor(at) && e.slot <= at) sorted.push_back(e);
     }
     std::sort(sorted.begin(), sorted.end(), [](const Entry& a, const Entry& b) {
       return a.slot != b.slot ? a.slot < b.slot : a.key < b.key;
@@ -252,26 +213,37 @@ class CommitIndex {
       w.u64(e.key);
       w.u64(e.slot);
     }
-    w.varint(blooms_.size());
-    for (const EpochBloom& b : blooms_) b.encode(w);
-    w.boolean(ancient_.has_value());
-    if (ancient_.has_value()) ancient_->encode(w);
   }
 
-  /// Replace the whole index with a decoded digest set. Total: returns
-  /// false (leaving a valid empty index) on any malformed input.
-  bool install(serde::Reader& r) {
-    if (install_impl(r)) return true;
-    clear();
-    return false;
+  /// Replace the whole index with a blob encode(w, at) produced. Total:
+  /// returns false and changes nothing on a truncated or trailing-garbage
+  /// blob, a count the blob's own bytes cannot hold (the resource bound: a
+  /// peer's blob is capped by MsCheckpointChunk::kMaxStateBytes), an entry
+  /// outside (at - H, at], or entries out of canonical order.
+  bool install(std::span<const std::uint8_t> blob, Slot at) {
+    serde::Reader r(blob);
+    const std::uint64_t count = r.varint();
+    if (!r.ok() || count > r.remaining() / 16) return false;
+    CommitIndex fresh;
+    Entry prev{};
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const Entry e{r.u64(), r.u64()};
+      if (e.slot <= horizon_floor(at) || e.slot > at || e.slot < prev.slot ||
+          (e.slot == prev.slot && e.key < prev.key)) {
+        return false;
+      }
+      fresh.insert(e.key, e.slot);
+      prev = e;
+    }
+    if (!r.done()) return false;
+    fresh.evicted_through_ = horizon_floor(at);
+    *this = std::move(fresh);
+    return true;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return used_; }
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
-    std::size_t bytes = table_.size() * sizeof(Entry);
-    bytes += blooms_.size() * (sizeof(EpochBloom) + EpochBloom::kWords * 8);
-    if (ancient_.has_value()) bytes += sizeof(EpochBloom) + EpochBloom::kWords * 8;
-    return bytes;
+    return table_.size() * sizeof(Entry);
   }
 
  private:
@@ -280,46 +252,6 @@ class CommitIndex {
     Slot slot{0};  // 0 = empty
   };
   static constexpr std::size_t kInitialCapacity = 64;
-  /// Byzantine resource-exhaustion bound on installed blobs (~1 GiB of
-  /// entries); honest digest sets are orders of magnitude smaller.
-  static constexpr std::uint64_t kMaxInstallEntries = std::uint64_t{1} << 26;
-
-  void clear() {
-    table_.assign(kInitialCapacity, Entry{});
-    used_ = 0;
-    rotated_below_ = 0;
-    rotated_count_ = 0;
-    blooms_.clear();
-    ancient_.reset();
-  }
-
-  bool install_impl(serde::Reader& r) {
-    clear();
-    rotated_below_ = r.u64();
-    const std::uint64_t count = r.varint();
-    if (!r.ok() || count > kMaxInstallEntries) return false;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t key = r.u64();
-      const Slot slot = r.u64();
-      if (!r.ok() || slot == 0 || slot <= rotated_below_) return false;
-      insert(key, slot);
-    }
-    const std::uint64_t nblooms = r.varint();
-    if (!r.ok() || nblooms > kMaxResidentBlooms) return false;
-    Slot prev_last = 0;
-    for (std::uint64_t i = 0; i < nblooms; ++i) {
-      EpochBloom b = EpochBloom::decode(r);
-      if (!r.ok() || b.first <= prev_last || b.last > rotated_below_) return false;
-      prev_last = b.last;
-      blooms_.push_back(std::move(b));
-    }
-    if (r.boolean()) {
-      EpochBloom b = EpochBloom::decode(r);
-      if (!r.ok() || (!blooms_.empty() && b.last >= blooms_.front().first)) return false;
-      ancient_.emplace(std::move(b));
-    }
-    return r.ok();
-  }
 
   void reinsert(const Entry& e) {
     std::size_t i = static_cast<std::size_t>(mix64(e.key)) & (table_.size() - 1);
@@ -328,55 +260,19 @@ class CommitIndex {
     ++used_;
   }
 
-  void grow() {
-    std::vector<Entry> old;
+  /// Move every entry above `floor` into a fresh table of `cap` cells.
+  void rebuild(std::size_t cap, Slot floor) {
+    std::vector<Entry> old(cap);
     old.swap(table_);
-    table_.resize(old.size() * 2);
     used_ = 0;
     for (const Entry& e : old) {
-      if (e.slot != 0) reinsert(e);
-    }
-  }
-
-  /// Move every entry in (rotated_below_, upto] into one fresh bloom.
-  void rotate_one(Slot upto) {
-    EpochBloom bloom;
-    bloom.first = rotated_below_ + 1;
-    bloom.last = upto;
-    std::vector<Entry> keep;
-    keep.reserve(used_);
-    for (const Entry& e : table_) {
-      if (e.slot == 0) continue;
-      if (e.slot <= upto) {
-        bloom.add(e.key);
-        ++rotated_count_;
-      } else {
-        keep.push_back(e);
-      }
-    }
-    std::size_t cap = kInitialCapacity;
-    while (keep.size() * 4 > cap * 3) cap *= 2;
-    table_.assign(cap, Entry{});
-    used_ = 0;
-    for (const Entry& e : keep) reinsert(e);
-    rotated_below_ = upto;
-    blooms_.push_back(std::move(bloom));
-    if (blooms_.size() > kMaxResidentBlooms) {
-      if (!ancient_.has_value()) {
-        ancient_.emplace(std::move(blooms_.front()));
-      } else {
-        ancient_->merge(blooms_.front());
-      }
-      blooms_.erase(blooms_.begin());
+      if (e.slot > floor) reinsert(e);
     }
   }
 
   std::vector<Entry> table_;
   std::size_t used_{0};
-  Slot rotated_below_{0};
-  std::uint64_t rotated_count_{0};
-  std::vector<EpochBloom> blooms_;
-  std::optional<EpochBloom> ancient_;
+  Slot evicted_through_{0};  // entries at or below are gone
 };
 
 class FinalizedStore {
@@ -386,12 +282,8 @@ class FinalizedStore {
   /// tests exercising compaction pass a small capacity explicitly.
   static constexpr std::size_t kDefaultTailCapacity = 4096;
 
-  /// `commit_epoch_slots` > 0 turns on epoch rotation of the commit index
-  /// (see CommitIndex): whenever compaction advances the checkpoint past an
-  /// epoch boundary, the entries of that epoch rotate into a bloom.
-  explicit FinalizedStore(std::size_t tail_capacity = kDefaultTailCapacity,
-                          Slot commit_epoch_slots = 0)
-      : cap_(tail_capacity), ring_(tail_capacity), epoch_slots_(commit_epoch_slots) {
+  explicit FinalizedStore(std::size_t tail_capacity = kDefaultTailCapacity)
+      : cap_(tail_capacity), ring_(tail_capacity) {
     TBFT_ASSERT(tail_capacity >= 8);  // finalization bursts notify before compaction
   }
 
@@ -421,7 +313,9 @@ class FinalizedStore {
   /// prefixes below the checkpoint can no longer be digested per slot.
   [[nodiscard]] std::optional<std::uint64_t> prefix_digest(Slot s) const;
 
-  /// Slot that committed a transaction with this frame hash (0 = none).
+  /// Slot that committed a transaction with this frame hash (0 = none),
+  /// answered for slots > checkpoint.slot - kDedupHorizon only: older
+  /// commits answer 0 whether or not eviction has dropped them yet.
   /// Byte-exact for resident slots; compacted slots answer from the digest
   /// set alone (a 64-bit collision is the accepted false-positive bound).
   /// The second form takes the caller's precomputed fnv1a64(tx).
@@ -431,10 +325,12 @@ class FinalizedStore {
   [[nodiscard]] Slot commit_slot(std::span<const std::uint8_t> tx,
                                  std::uint64_t hash) const;
 
-  /// True when `tx` is committed at some slot strictly below `before`.
-  /// Exactly-once delivery probe: a frame finalizing at `before` that is
-  /// already committed earlier is a duplicate inclusion and is filtered out
-  /// of delivery (the index holds both slots once `before` is appended).
+  /// True when `tx` is committed at some slot in [before - kDedupHorizon,
+  /// before). Exactly-once delivery probe: a frame finalizing at `before`
+  /// that is already committed within the horizon is a duplicate inclusion
+  /// and is filtered out of delivery. The window depends on `before` alone,
+  /// so the filter is identical on every node -- never restarted, restored
+  /// from disk, or caught up by checkpoint transfer.
   [[nodiscard]] bool committed_before(std::span<const std::uint8_t> tx,
                                       std::uint64_t hash, Slot before) const;
 
@@ -442,24 +338,28 @@ class FinalizedStore {
 
   // --- durability & state transfer ---------------------------------------
 
-  /// Resume an EMPTY store from a durable checkpoint: the compacted prefix
-  /// is adopted wholesale, the tail restarts empty at checkpoint.slot. WAL
-  /// replay then appends the surviving tail blocks. Pre-start only.
-  void restore(const Checkpoint& cp) {
+  /// Resume an EMPTY store from a durable checkpoint and its commit state
+  /// (empty before the first checkpoint): the compacted prefix is adopted
+  /// wholesale, the tail restarts empty at checkpoint.slot. WAL replay then
+  /// appends the surviving tail blocks. Pre-start only. Returns false (and
+  /// changes nothing) when the commit state does not install.
+  bool restore(const Checkpoint& cp, std::span<const std::uint8_t> commit_state) {
     TBFT_ASSERT(tip_ == 0);
+    if (!commit_state.empty() && !index_.install(commit_state, cp.slot)) return false;
     checkpoint_ = cp;
     tip_ = cp.slot;
     tip_hash_ = cp.boundary_hash;
+    return true;
   }
 
-  /// Adopt a vouched remote checkpoint that is AHEAD of this store's tip
-  /// (checkpoint state transfer). Everything resident is discarded -- the
-  /// remote prefix subsumes it (both are finalized prefixes of the same
-  /// chain, so no committed data is lost; the commit digest set arrives
-  /// separately via install_commit_state). Returns false when cp is not
-  /// ahead of the current tip.
-  bool install_checkpoint(const Checkpoint& cp) {
-    if (cp.slot <= tip_) return false;
+  /// Adopt a vouched remote checkpoint that is AHEAD of this store's tip,
+  /// with its commit state (checkpoint state transfer). Everything resident
+  /// is discarded -- the remote prefix subsumes it (both are finalized
+  /// prefixes of the same chain). Returns false (and changes nothing) when
+  /// cp is not ahead of the current tip or the commit state does not
+  /// install.
+  bool install_checkpoint(const Checkpoint& cp, std::span<const std::uint8_t> commit_state) {
+    if (cp.slot <= tip_ || !index_.install(commit_state, cp.slot)) return false;
     ring_.assign(cap_, Block{});
     checkpoint_ = cp;
     tip_ = cp.slot;
@@ -474,24 +374,25 @@ class FinalizedStore {
   /// is gone, slots above the tip do not exist yet).
   [[nodiscard]] std::optional<Checkpoint> checkpoint_at(Slot s) const;
 
-  /// Canonical commit digest set restricted to slots <= upto (defaults to
-  /// the checkpoint slot: exactly the compacted prefix's commits). Paired
-  /// with install_commit_state on the receiving side.
-  void encode_commit_state(serde::Writer& w, Slot upto) const { index_.encode(w, upto); }
+  /// Canonical commit state of anchor `at`: the digest set of slots
+  /// (at - kDedupHorizon, at] (defaults to the checkpoint slot). Paired with
+  /// restore / install_checkpoint on the receiving side.
+  void encode_commit_state(serde::Writer& w, Slot at) const { index_.encode(w, at); }
   void encode_commit_state(serde::Writer& w) const { encode_commit_state(w, checkpoint_.slot); }
-  bool install_commit_state(serde::Reader& r) { return index_.install(r); }
 
   /// Bytes held live by the store: ring block headers + payload capacities +
-  /// index table and blooms (bench_storage's bounded-memory figure).
+  /// the index table (bench_storage's bounded-memory figure).
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
   [[nodiscard]] std::size_t tail_capacity() const noexcept { return cap_; }
-  [[nodiscard]] Slot commit_epoch_slots() const noexcept { return epoch_slots_; }
 
  private:
+  /// Whether the index entry (s, hash of tx) stands for `tx`: byte-checked
+  /// against a resident block, trusted for a compacted one.
+  [[nodiscard]] bool vouches(Slot s, std::span<const std::uint8_t> tx) const;
+
   std::size_t cap_;
   std::vector<Block> ring_;  // index = (slot - 1) % cap_
-  Slot epoch_slots_{0};      // 0 = commit-index epoch rotation off
   Slot tip_{0};
   std::uint64_t tip_hash_{kGenesisHash};
   Checkpoint checkpoint_{};

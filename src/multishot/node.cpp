@@ -82,7 +82,7 @@ std::optional<MsMessage> decode_ms(std::span<const std::uint8_t> payload) {
 MultishotNode::MultishotNode(MultishotConfig cfg)
     : cfg_(cfg),
       qp_(cfg.quorum_params()),
-      chain_(cfg.finalized_tail, cfg.commit_epoch_slots),
+      chain_(cfg.finalized_tail),
       mempool_(cfg.mempool_capacity, cfg.mempool_policy) {
   // Both finalization paths (depth-4 rule and claim adoption) notify through
   // this one hook, before the block can be compacted out of the tail.
@@ -1243,16 +1243,25 @@ void MultishotNode::handle(NodeId from, const MsCheckpointChunk& m) {
 }
 
 void MultishotNode::install_fetched_checkpoint(const CkptFetch::Identity& ident) {
+  const Slot old_first = chain_.first_unfinalized();
   if (!chain_.install_checkpoint(ident.cp, ckpt_.buf)) {
     finish_ckpt_fetch();  // overtaken while the transfer streamed
     return;
   }
   ctx().metrics().counter("multishot.ckpt.installed").add();
-  // Mempool reconciliation against the adopted prefix: entries the digest
-  // set reports committed leave the pool (their blocks are compacted -- the
-  // per-block reconciliation in note_finalized never saw them); inflight
-  // entries attributed to swallowed slots are settled either way.
+  // Mempool reconciliation against the adopted prefix. The installed digest
+  // set covers (cp.slot - H, cp.slot]: when that spans every skipped slot,
+  // entries it reports committed leave the pool (their blocks are
+  // compacted -- the per-block reconciliation in note_finalized never saw
+  // them) and inflight entries attributed to swallowed slots are settled
+  // either way. A jump of H or more leaves skipped slots no window can
+  // decide, so every pre-install entry expires instead (the dedup horizon
+  // contract in finalized_store.hpp).
   auto& entries = mempool_.entries();
+  if (ident.cp.slot >= old_first + kDedupHorizon) {
+    ctx().metrics().counter("multishot.mempool.expired").add(entries.size());
+    while (!entries.empty()) mempool_.erase(entries.begin());
+  }
   for (auto it = entries.begin(); it != entries.end();) {
     if (chain_.commit_slot(it->tx, it->hash) != 0) {
       it = mempool_.erase(it);

@@ -75,9 +75,6 @@ struct MultishotConfig {
   std::size_t finalized_tail{FinalizedStore::kDefaultTailCapacity};
   /// Range-sync progress timeout (re-request cadence). 0 = 3 * delta_bound.
   runtime::Duration sync_timeout{0};
-  /// Commit-index epoch rotation cadence in slots (0 = off): bounds
-  /// commit-dedup memory; see CommitIndex in finalized_store.hpp.
-  Slot commit_epoch_slots{0};
 
   // --- Client-request forwarding ---
   /// Forward transactions submitted to a non-leader to the proposal-frontier
@@ -176,6 +173,12 @@ class MultishotNode : public runtime::ProtocolNode {
   /// proposes, removed once observed in the finalized chain. Returns false
   /// when the bounded mempool refuses it (full under kRejectNew, or larger
   /// than max_batch_bytes) -- the backpressure signal clients see.
+  /// Dedup holds within the dedup horizon (kDedupHorizon slots): a retry of
+  /// a transaction committed fewer than H slots ago is acknowledged without
+  /// a second delivery; past H a retry is a new transaction. An admitted
+  /// transaction can still expire undelivered when this node catches up by
+  /// a checkpoint transfer of H or more slots (multishot.mempool.expired),
+  /// so clients retry on timeout.
   bool submit_tx(std::vector<std::uint8_t> tx);
 
   [[nodiscard]] const ChainStore& chain() const noexcept { return chain_; }

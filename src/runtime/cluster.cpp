@@ -216,10 +216,6 @@ ClusterBuilder& ClusterBuilder::data_dir(std::string path) {
   data_dir_ = std::move(path);
   return *this;
 }
-ClusterBuilder& ClusterBuilder::commit_epochs(Slot slots) {
-  commit_epoch_slots_ = slots;
-  return *this;
-}
 ClusterBuilder& ClusterBuilder::checkpoint_every(Slot slots) {
   if (slots == 0) {
     throw std::invalid_argument("ClusterBuilder: checkpoint_every must be > 0 slots");
@@ -312,7 +308,6 @@ multishot::MultishotConfig ClusterBuilder::node_config() const {
   cfg.mempool_policy = mempool_policy_;
   cfg.finalized_tail = finalized_tail_;
   cfg.forward_to_leader = forward_to_leader_;
-  cfg.commit_epoch_slots = commit_epoch_slots_;
   cfg.pipeline_depth = pipeline_depth_;
   if (adaptive_batch_txs_ > max_batch_txs_) {
     cfg.adaptive_batch_txs = adaptive_batch_txs_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "common/hash.hpp"
 #include "common/serde.hpp"
@@ -11,10 +12,38 @@ namespace fs = std::filesystem;
 
 namespace {
 constexpr std::uint32_t kMagic = 0x4B43'4254;  // 'TBCK' little-endian
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // 2: commit state holds the dedup horizon only
 
 fs::path main_path(const fs::path& dir) { return dir / "checkpoint"; }
 fs::path tmp_path(const fs::path& dir) { return dir / "checkpoint.tmp"; }
+
+/// Version 1 commit state held every commit: u64 rotated_below | varint
+/// count | (key u64, slot u64) entries | varint bloom count | blooms | bool
+/// ancient bloom. Without Bloom tiers it is exact, so its entries in
+/// (at - H, at] are the version 2 blob; Bloom tiers cannot be made exact.
+std::vector<std::uint8_t> upgrade_v1_commit_state(std::span<const std::uint8_t> v1,
+                                                  Slot at) {
+  serde::Reader r(v1);
+  const std::uint64_t rotated_below = r.u64();
+  const std::uint64_t count = r.varint();
+  if (!r.ok() || count > r.remaining() / 16) {
+    throw std::runtime_error("checkpoint: malformed version 1 commit state");
+  }
+  multishot::CommitIndex index;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t key = r.u64();
+    const Slot slot = r.u64();
+    if (slot > multishot::horizon_floor(at) && slot <= at) index.insert(key, slot);
+  }
+  if (rotated_below != 0 || r.varint() != 0 || r.boolean()) {
+    throw std::runtime_error(
+        "checkpoint: a version 1 file with commit-index Bloom epochs cannot be upgraded");
+  }
+  if (!r.done()) throw std::runtime_error("checkpoint: malformed version 1 commit state");
+  serde::Writer w;
+  index.encode(w, at);
+  return w.take();
+}
 }  // namespace
 
 bool load_checkpoint(const fs::path& dir, DurableCheckpoint& out) {
@@ -43,11 +72,19 @@ bool load_checkpoint(const fs::path& dir, DurableCheckpoint& out) {
   if (fnv1a64(body) != tail.u64()) return false;
 
   serde::Reader r(body);
-  if (r.u32() != kMagic || r.u32() != kVersion) return false;
+  if (r.u32() != kMagic) return false;
+  const std::uint32_t version = r.u32();
+  if (version != kVersion && version != 1) {
+    throw std::runtime_error("checkpoint: unsupported format version " +
+                             std::to_string(version) + " in " + main_path(dir).string());
+  }
   DurableCheckpoint loaded;
   loaded.cp = multishot::Checkpoint::decode(r);
   loaded.commit_state = r.bytes();
   if (!r.done()) return false;
+  if (version == 1) {
+    loaded.commit_state = upgrade_v1_commit_state(loaded.commit_state, loaded.cp.slot);
+  }
   out = std::move(loaded);
   return true;
 }

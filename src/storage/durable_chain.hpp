@@ -5,9 +5,10 @@
 // Write path (called from the node's on-finalized hook, before any
 // acknowledgement): every finalized block appends to the WAL; whenever the
 // in-memory compaction checkpoint has advanced `checkpoint_every` slots past
-// the durable one, the WAL is flushed, the store's checkpoint + canonical
-// commit digest set are written atomically, and fully-covered WAL segments
-// are reclaimed -- so disk usage is O(tail + checkpoint), not O(history).
+// the durable one, the WAL is flushed, the store's checkpoint + the
+// canonical commit digest set of its dedup horizon are written atomically,
+// and fully-covered WAL segments are reclaimed -- so disk usage is
+// O(tail + horizon), not O(history).
 //
 // Read path (before the node thread starts): recover() loads the last
 // complete checkpoint (absent/corrupt -> genesis) and replays the WAL tail

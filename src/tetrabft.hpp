@@ -93,7 +93,13 @@ class Cluster {
   /// Submit a transaction at replica `id`; the request tag's home shard
   /// admits it (untagged bytes go to shard 0). On the sim, and before
   /// start(), it applies inline and returns mempool admission; on a running
-  /// real host it runs on the replica's thread and returns true.
+  /// real host it runs on the replica's thread and returns true. Dedup
+  /// holds within the dedup horizon (multishot::kDedupHorizon slots): a
+  /// retry of a transaction committed fewer than H slots ago is delivered
+  /// once; past H a retry is a new transaction. Admission is not delivery:
+  /// a replica that catches up by a checkpoint transfer of H or more slots
+  /// expires its pool, so a client retries a transaction not committed by
+  /// its timeout.
   bool submit(NodeId id, std::vector<std::uint8_t> tx) { return port(id).submit(std::move(tx)); }
 
   /// The key-routing workload::SubmitPort view of replica `id` (submit()'s
@@ -204,10 +210,6 @@ class ClusterBuilder {
   /// rebuilt cluster resumes from its durable tip. Empty (the default)
   /// keeps the cluster fully in-memory.
   ClusterBuilder& data_dir(std::string path);
-  /// Rotate exact commit-index entries into per-epoch Bloom filters every
-  /// `slots` finalized slots (0 = keep every entry exact). Bounds resident
-  /// commit-query memory on long chains.
-  ClusterBuilder& commit_epochs(Slot slots);
   /// Durable-checkpoint cadence: write a new checkpoint file (and reclaim
   /// covered WAL segments) every `slots` slots of compaction progress.
   ClusterBuilder& checkpoint_every(Slot slots);
@@ -269,7 +271,6 @@ class ClusterBuilder {
   std::size_t finalized_tail_{multishot::FinalizedStore::kDefaultTailCapacity};
   bool forward_to_leader_{true};
   std::string data_dir_;  // empty = in-memory only
-  Slot commit_epoch_slots_{0};
   Slot checkpoint_every_{1024};
   std::uint32_t wal_flush_every_{64};
   std::size_t wal_segment_bytes_{storage::DurableOptions{}.segment_bytes};

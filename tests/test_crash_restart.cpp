@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/adversary.hpp"
 #include "tetrabft.hpp"
 
 namespace tbft {
@@ -43,7 +44,7 @@ std::vector<std::uint8_t> tx_bytes(std::uint32_t j) {
 
 /// Deterministic one-tx-per-block shape (see test_local_runner.cpp) with a
 /// small finalized tail, fast checkpoint cadence, per-record WAL flushing
-/// and commit-index epoch rotation -- every durability knob exercised.
+/// and tiny WAL segments -- every durability knob exercised.
 ClusterBuilder restart_builder(const std::string& dir) {
   ClusterBuilder b;
   b.nodes(kNodes)
@@ -53,7 +54,6 @@ ClusterBuilder restart_builder(const std::string& dir) {
       .batching(/*max_txs=*/1, /*max_bytes=*/4096)
       .forwarding(false)
       .storage_tail(64)
-      .commit_epochs(8)
       .data_dir(dir)
       .checkpoint_every(8)
       .wal_flush_every(1)
@@ -150,6 +150,147 @@ TEST(CrashRestart, SimResumesFromDiskWithExactlyOnceCommits) {
   for (NodeId i = 0; i < kNodes; ++i) {
     EXPECT_GT(cluster->instance(i).finalized_count(), counts[i]) << "node " << i;
   }
+}
+
+/// Distinct 16-byte transaction j of the dedup probes.
+std::vector<std::uint8_t> probe_tx(std::uint32_t j) {
+  std::vector<std::uint8_t> tx(16, 0x5D);
+  tx[0] = 'd';
+  tx[1] = 'h';
+  for (int b = 0; b < 4; ++b) tx[2 + b] = static_cast<std::uint8_t>(j >> (8 * b));
+  return tx;
+}
+
+/// Probe index of a delivered frame, or -1 for a foreign frame.
+long probe_index(std::span<const std::uint8_t> f) {
+  if (f.size() != 16 || f[0] != 'd' || f[1] != 'h') return -1;
+  std::uint32_t j = 0;
+  for (int b = 0; b < 4; ++b) j |= static_cast<std::uint32_t>(f[2 + b]) << (8 * b);
+  return static_cast<long>(j);
+}
+
+/// Per-probe-tx delivery counts as published by replica `node`'s commits.
+struct DeliveryCounter {
+  std::vector<std::uint32_t> counts;
+  void attach(Cluster& c, NodeId node, std::uint32_t txs) {
+    counts.assign(txs, 0);
+    c.on_commit([this, node](const runtime::Commit& commit) {
+      if (commit.node != node) return;
+      for (const auto f : multishot::payload_frames(commit.payload)) {
+        const long j = probe_index(f);
+        if (j >= 0 && static_cast<std::size_t>(j) < counts.size()) ++counts[j];
+      }
+    });
+  }
+  [[nodiscard]] std::size_t delivered() const {
+    return static_cast<std::size_t>(
+        std::count_if(counts.begin(), counts.end(), [](std::uint32_t n) { return n > 0; }));
+  }
+  [[nodiscard]] std::uint32_t max_count() const {
+    return counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
+  }
+};
+
+TEST(CrashRestart, DedupProbeDeliversEveryTxExactlyOnce) {
+  // 100,000 distinct transactions at 64 per block behind a 64-block tail:
+  // the commit index must stay exact while the chain compacts, or fresh
+  // submissions are acknowledged as "deduped" and never delivered. Counted
+  // through node 0's published commits, not tx_finalized (which consults
+  // the same index that would be lying).
+  constexpr std::uint32_t kTxs = 100'000;
+  constexpr std::uint32_t kChunk = 2'000;
+  ClusterBuilder b;
+  b.nodes(kNodes)
+      .seed(7)
+      .batching(/*max_txs=*/64, /*max_bytes=*/8192)
+      .forwarding(false)
+      .storage_tail(64);
+  auto cluster = b.build_sim();
+  DeliveryCounter node0;
+  node0.attach(*cluster, 0, kTxs);
+  cluster->start();
+  std::uint32_t accepted = 0;
+  for (std::uint32_t j = 0; j < kTxs; ++j) {
+    accepted += cluster->submit(j % kNodes, probe_tx(j)) ? 1 : 0;
+    if ((j + 1) % kChunk == 0) {
+      cluster->simulation().run_until(cluster->simulation().now() + 200 * kMillisecond);
+    }
+  }
+  ASSERT_EQ(accepted, kTxs);
+  ASSERT_TRUE(cluster->wait_for([&] { return node0.delivered() == kTxs; }, 60 * kSecond))
+      << "node 0 delivered " << node0.delivered() << " of " << kTxs;
+  EXPECT_EQ(node0.max_count(), 1u);
+  EXPECT_GT(cluster->instance(0).chain().checkpoint().slot, 1000u);  // compacted far
+}
+
+TEST(CrashRestart, CheckpointJumpPastTheHorizonExpiresStalePool) {
+  // Node 3 is cut off holding copies of transactions whose twins commit at
+  // node 0 right away. The others finalize more than H slots past a
+  // 64-block tail, so node 3 can only catch up by checkpoint transfer, and
+  // the installed window (at - H, at] cannot tell it the twins committed.
+  // Its whole pre-install pool must expire: proposing those copies now
+  // would commit them again more than H slots after their twins, beyond
+  // the delivery filter's reach.
+  constexpr std::uint32_t kTwins = 8;
+  constexpr std::uint32_t kLoad = multishot::kDedupHorizon + 400;
+  constexpr std::uint32_t kAfter = 64;
+  constexpr std::uint32_t kTxs = kTwins + kLoad + kAfter;
+  ClusterBuilder b;
+  b.nodes(kNodes)
+      .seed(11)
+      .delta_bound(5 * kMillisecond)
+      .sim_delta_actual(1 * kMillisecond)
+      .batching(/*max_txs=*/1, /*max_bytes=*/4096)
+      .forwarding(false)
+      .storage_tail(64);
+  auto cluster = b.build_sim();
+  auto& sim = cluster->simulation();
+  sim.network().set_gst(3600 * kSecond);  // the hook decides every delivery
+  auto cut_off = std::make_shared<bool>(true);
+  sim.network().set_adversary(
+      [cut_off](const sim::Envelope& env,
+                sim::SimTime send_time) -> std::optional<sim::DeliveryDecision> {
+        if (*cut_off && (env.dst == 3 || env.src == 3)) {
+          return sim::DeliveryDecision{.drop = true, .deliver_at = 0};
+        }
+        return sim::DeliveryDecision{.drop = false, .deliver_at = send_time + kMillisecond};
+      });
+  DeliveryCounter node0;
+  node0.attach(*cluster, 0, kTxs);
+  for (std::uint32_t j = 0; j < kTwins; ++j) {
+    ASSERT_TRUE(cluster->submit(3, probe_tx(j)));
+    ASSERT_TRUE(cluster->submit(0, probe_tx(j)));
+  }
+  for (std::uint32_t j = kTwins; j < kTwins + kLoad; ++j) {
+    ASSERT_TRUE(cluster->submit(j % 3, probe_tx(j)));
+  }
+  cluster->start();
+  const Slot jump = multishot::kDedupHorizon + 200;
+  ASSERT_TRUE(cluster->wait_for(
+      [&] { return cluster->instance(0).finalized_count() >= jump; }, 3600 * kSecond));
+  ASSERT_EQ(cluster->instance(3).finalized_count(), 0u);
+  ASSERT_EQ(cluster->instance(3).mempool().size(), kTwins);
+
+  // Heal and let node 3 catch up; then more load, so that node 3 leads
+  // slots again with whatever its pool still holds.
+  *cut_off = false;
+  ASSERT_TRUE(cluster->wait_for([&] {
+    return cluster->instance(3).finalized_count() >= cluster->instance(0).finalized_count();
+  }, 3600 * kSecond));
+  for (std::uint32_t j = kTwins + kLoad; j < kTxs; ++j) {
+    ASSERT_TRUE(cluster->submit(j % 3, probe_tx(j)));
+  }
+  ASSERT_TRUE(cluster->wait_for([&] { return node0.delivered() == kTxs; }, 3600 * kSecond))
+      << "node 0 delivered " << node0.delivered() << " of " << kTxs;
+  sim.run_until(sim.now() + 1 * kSecond);
+
+  auto& metrics = sim.metrics();
+  EXPECT_GE(metrics.counter("multishot.ckpt.installed").value(), 1u);
+  EXPECT_EQ(metrics.counter("multishot.mempool.expired").value(), kTwins);
+  EXPECT_TRUE(cluster->instance(3).mempool().empty());
+  EXPECT_GE(cluster->instance(3).finalized_count(), jump);
+  EXPECT_EQ(node0.max_count(), 1u);  // no transaction delivered twice
+  EXPECT_TRUE(multishot::chains_prefix_consistent(cluster->shard_instances()));
 }
 
 TEST(CrashRestart, BuilderRejectsInconsistentStorageConfigs) {

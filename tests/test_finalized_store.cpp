@@ -126,6 +126,55 @@ TEST(FinalizedStore, CommitIndexSurvivesCompaction) {
   EXPECT_EQ(store.checkpoint().tx_count, 1u);
 }
 
+/// Append filler blocks to `store` through slot `upto`.
+void append_filler_through(FinalizedStore& store, Slot upto) {
+  for (Slot s = store.tip() + 1; s <= upto; ++s) {
+    store.append(mk(s, store.tip_hash(), {0, 0, 0, 0}));
+  }
+}
+
+TEST(FinalizedStore, DeliveryFilterWindowEdges) {
+  // committed_before(tx, s) reads [s - H, s): a twin exactly H slots back
+  // is still a duplicate, one slot further is a new transaction.
+  constexpr Slot kFirst = 5;
+  constexpr Slot H = kDedupHorizon;
+  const std::vector<std::uint8_t> tx = {0x51, 0x52, 0x53};
+  const std::uint64_t h = fnv1a64(tx);
+  FinalizedStore store(8);
+  append_filler_through(store, kFirst - 1);
+  store.append(mk(kFirst, store.tip_hash(), tx_payload({tx})));
+  append_filler_through(store, kFirst + H + 1);
+  EXPECT_FALSE(store.committed_before(tx, h, kFirst));      // not strictly before
+  EXPECT_TRUE(store.committed_before(tx, h, kFirst + 1));
+  EXPECT_TRUE(store.committed_before(tx, h, kFirst + H));   // twin at s - H
+  EXPECT_FALSE(store.committed_before(tx, h, kFirst + H + 1));  // at s - H - 1
+}
+
+TEST(FinalizedStore, CommitSlotForgetsCommitsPastTheHorizon) {
+  constexpr Slot kFirst = 5;
+  constexpr Slot H = kDedupHorizon;
+  const std::vector<std::uint8_t> tx = {0x61, 0x62};
+  FinalizedStore store(8);
+  append_filler_through(store, kFirst - 1);
+  store.append(mk(kFirst, store.tip_hash(), tx_payload({tx})));
+  // Retained while slot > checkpoint.slot - H ...
+  append_filler_through(store, kFirst + H + 8 - 1);
+  ASSERT_EQ(store.checkpoint().slot, kFirst + H - 1);
+  EXPECT_EQ(store.commit_slot(tx), kFirst);
+  // ... and answered 0 from the next compaction on, before any rebuild has
+  // physically dropped the entry: the answer never depends on eviction
+  // timing.
+  append_filler_through(store, kFirst + H + 8);
+  ASSERT_EQ(store.checkpoint().slot, kFirst + H);
+  EXPECT_EQ(store.commit_index().first_slot(fnv1a64(tx)), kFirst);  // still resident
+  EXPECT_EQ(store.commit_slot(tx), 0u);
+  // Once the floor is H/2 past the last rebuild, the entry is gone too.
+  append_filler_through(store, H + H / 2 + 8);
+  EXPECT_EQ(store.commit_index().first_slot(fnv1a64(tx)), 0u);
+  EXPECT_EQ(store.commit_index().size(), 0u);
+  EXPECT_EQ(store.commit_slot(tx), 0u);
+}
+
 TEST(FinalizedStore, ChainStoreTailAccessorsAcrossCompaction) {
   ChainStore c(8);
   std::uint64_t parent = kGenesisHash;

@@ -1,16 +1,19 @@
 // Durability layer (DESIGN_PERF.md "Durability"): WAL roundtrip and torn-
 // tail recovery, atomic checkpoint files, segment rotation + reclaim, the
-// DurableChain checkpoint cadence, and the bounded (epoch-rotated) commit
-// index with its canonical encode/install blobs.
+// DurableChain checkpoint cadence, and the horizon-bounded commit index
+// with its canonical encode/install blobs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
+#include "common/serde.hpp"
 #include "multishot/finalized_store.hpp"
 #include "storage/checkpoint_file.hpp"
 #include "storage/durable_chain.hpp"
@@ -23,7 +26,6 @@ namespace fs = std::filesystem;
 using multishot::Block;
 using multishot::Checkpoint;
 using multishot::CommitIndex;
-using multishot::EpochBloom;
 using multishot::FinalizedStore;
 using multishot::kGenesisHash;
 
@@ -67,6 +69,7 @@ std::vector<fs::path> segment_files(const fs::path& dir) {
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() == ".seg") out.push_back(entry.path());
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -236,74 +239,87 @@ TEST(CheckpointFile, CorruptOrMissingFileReportsNoCheckpoint) {
   EXPECT_EQ(out.cp.slot, 99u);
 }
 
-TEST(CommitIndexEpochs, RotationKeepsAnswersAndBoundsMemory) {
-  CommitIndex idx;
-  constexpr Slot kSlots = 100'000;
-  constexpr Slot kEpoch = 1024;
-  for (Slot s = 1; s <= kSlots; ++s) {
-    idx.insert(s * 0x9E3779B97F4A7C15ULL, s);
-    if (s % 64 == 0) idx.rotate_epochs(s > 16 ? s - 16 : 0, kEpoch);
+/// Key of test entry i (spread over the 64-bit space like real digests).
+std::uint64_t key_of(std::uint64_t i) { return i * 0x9E3779B97F4A7C15ULL; }
+
+/// Blob of canonically ordered (key, slot) entries, as encode() writes it.
+std::vector<std::uint8_t> blob_of(const std::vector<std::pair<std::uint64_t, Slot>>& entries) {
+  serde::Writer w;
+  w.varint(entries.size());
+  for (const auto& [key, slot] : entries) {
+    w.u64(key);
+    w.u64(slot);
   }
-  idx.rotate_epochs(kSlots, kEpoch);
-  // Everything rotated except the last partial epoch.
-  EXPECT_EQ(idx.rotated_below(), (kSlots / kEpoch) * kEpoch);
-  EXPECT_EQ(idx.rotated_count(), idx.rotated_below());
-  EXPECT_LE(idx.bloom_count(), CommitIndex::kMaxResidentBlooms + 1);  // + ancient
-  // Resident memory is a handful of fixed-size blooms + a small exact table,
-  // not ~16 B for each of the 100k entries.
-  EXPECT_LT(idx.resident_bytes(), 128u * 1024);
-  // Exact tier still answers byte-for-byte above the rotation boundary.
-  for (Slot s = idx.rotated_below() + 1; s <= kSlots; ++s) {
-    EXPECT_EQ(idx.first_slot(s * 0x9E3779B97F4A7C15ULL), s);
-  }
-  // Rotated entries answer from their epoch bloom (the epoch's last slot).
-  const Slot probe = 500;
-  const Slot got = idx.first_slot(probe * 0x9E3779B97F4A7C15ULL);
-  EXPECT_NE(got, 0u);
-  EXPECT_LE(got, idx.rotated_below());
-  // At this scale the OR-merged ancient bloom is saturated (~90k keys in
-  // 64 Kibit), so sub-ancient misses are no longer exact -- the documented
-  // cost of flat memory. While only resident epoch blooms exist, though,
-  // never-committed keys miss at the per-epoch FP rate; this deterministic
-  // key misses all 8 blooms of a fresh 8-epoch index.
-  CommitIndex small;
-  for (Slot s = 1; s <= 8 * 1024; ++s) small.insert(s * 0x9E3779B97F4A7C15ULL, s);
-  small.rotate_epochs(8 * 1024, 1024);
-  EXPECT_EQ(small.bloom_count(), 8u);
-  EXPECT_EQ(small.first_slot(0xDEAD'BEEF'0000'0001ULL), 0u);
+  return w.take();
 }
 
-TEST(CommitIndexEpochs, CanonicalEncodeInstallRoundtrip) {
-  CommitIndex a;
-  for (Slot s = 1; s <= 5000; ++s) a.insert(s * 0x9E3779B97F4A7C15ULL, s);
-  a.rotate_epochs(4096, 1024);
-
+std::vector<std::uint8_t> encoded(const CommitIndex& idx, Slot at) {
   serde::Writer w;
-  a.encode(w, 4500);
-  CommitIndex b;
-  serde::Reader r(w.span());
-  ASSERT_TRUE(b.install(r));
-  ASSERT_TRUE(r.done());
-  EXPECT_EQ(b.rotated_below(), a.rotated_below());
-  EXPECT_EQ(b.bloom_count(), a.bloom_count());
-  for (Slot s = 1; s <= 4500; ++s) {
-    EXPECT_EQ(b.first_slot(s * 0x9E3779B97F4A7C15ULL),
-              a.first_slot(s * 0x9E3779B97F4A7C15ULL))
-        << s;
+  idx.encode(w, at);
+  return w.take();
+}
+
+TEST(CommitIndexHorizon, CanonicalEncodeInstallRoundtrip) {
+  constexpr Slot kAt = multishot::kDedupHorizon + 900;
+  CommitIndex a;
+  // Three entries per slot, inserted out of key order, plus a duplicate
+  // key within one slot (the same frame twice in a block).
+  for (Slot s = 1; s <= kAt + 100; ++s) {
+    for (std::uint64_t i : {2, 0, 1}) a.insert(key_of(s * 3 + i), s);
   }
-  // Entries above `upto` were excluded from the blob.
-  EXPECT_EQ(b.first_slot(4777 * 0x9E3779B97F4A7C15ULL), 0u);
+  a.insert(key_of(1'000'001), 2000);
+  a.insert(key_of(1'000'001), 2000);
 
+  const std::vector<std::uint8_t> blob = encoded(a, kAt);
+  CommitIndex b;
+  ASSERT_TRUE(b.install(blob, kAt));
+  // Exactly the horizon (kAt - H, kAt] arrived.
+  EXPECT_EQ(b.size(), 3 * multishot::kDedupHorizon + 2);
+  EXPECT_EQ(b.first_slot(key_of(900 * 3)), 0u);    // slot kAt - H
+  EXPECT_EQ(b.first_slot(key_of(901 * 3)), 901u);  // first slot inside
+  EXPECT_EQ(b.first_slot(key_of(kAt * 3 + 2)), kAt);
+  EXPECT_EQ(b.first_slot(key_of((kAt + 1) * 3)), 0u);  // above the anchor
   // Canonical form: re-encoding the installed copy is byte-identical.
-  serde::Writer w2;
-  b.encode(w2, 4500);
-  EXPECT_EQ(w.data(), w2.data());
+  EXPECT_EQ(encoded(b, kAt), blob);
+}
 
-  // Truncated blobs are rejected in total-install style: b stays valid/empty.
-  serde::Reader torn(std::span<const std::uint8_t>(w.span().data(), w.span().size() - 3));
-  EXPECT_FALSE(b.install(torn));
-  EXPECT_EQ(b.size(), 0u);
-  EXPECT_EQ(b.first_slot(0x9E3779B97F4A7C15ULL), 0u);
+TEST(CommitIndexHorizon, MalformedBlobsAreRejectedAndChangeNothing) {
+  constexpr Slot kAt = multishot::kDedupHorizon + 10;
+  CommitIndex idx;
+  ASSERT_TRUE(idx.install(blob_of({{key_of(1), 11}, {key_of(2), 12}}), kAt));
+  const std::vector<std::uint8_t> before = encoded(idx, kAt);
+  const auto unchanged = [&] {
+    EXPECT_EQ(idx.size(), 2u);
+    EXPECT_EQ(idx.first_slot(key_of(1)), 11u);
+    EXPECT_EQ(encoded(idx, kAt), before);
+  };
+
+  // An entry at kAt - H is outside the window (kAt - H, kAt].
+  EXPECT_FALSE(idx.install(blob_of({{key_of(3), 10}, {key_of(4), 20}}), kAt));
+  unchanged();
+  // ... as is one above the anchor.
+  EXPECT_FALSE(idx.install(blob_of({{key_of(3), 20}, {key_of(4), kAt + 1}}), kAt));
+  unchanged();
+  // Truncated mid-entry.
+  std::vector<std::uint8_t> torn = blob_of({{key_of(3), 20}, {key_of(4), 30}});
+  torn.resize(torn.size() - 3);
+  EXPECT_FALSE(idx.install(torn, kAt));
+  unchanged();
+  // Trailing garbage after the last entry.
+  std::vector<std::uint8_t> trailing = blob_of({{key_of(3), 20}});
+  trailing.push_back(0);
+  EXPECT_FALSE(idx.install(trailing, kAt));
+  unchanged();
+  // Out of canonical (slot, key) order.
+  EXPECT_FALSE(idx.install(blob_of({{key_of(3), 30}, {key_of(4), 20}}), kAt));
+  unchanged();
+  // A count the blob's bytes cannot hold.
+  serde::Writer short_count;
+  short_count.varint(1000);
+  EXPECT_FALSE(idx.install(short_count.span(), kAt));
+  unchanged();
+  EXPECT_FALSE(idx.install({}, kAt));
+  unchanged();
 }
 
 TEST(DurableChain, CheckpointCadenceReclaimAndRecovery) {
@@ -340,9 +356,7 @@ TEST(DurableChain, CheckpointCadenceReclaimAndRecovery) {
   ASSERT_FALSE(rec.commit_state.empty());
 
   FinalizedStore restored(8);
-  restored.restore(rec.checkpoint);
-  serde::Reader r(rec.commit_state);
-  ASSERT_TRUE(restored.install_commit_state(r));
+  ASSERT_TRUE(restored.restore(rec.checkpoint, rec.commit_state));
   for (Block& b : rec.tail) restored.append(std::move(b));
   EXPECT_EQ(restored.tip(), 100u);
   EXPECT_EQ(restored.tip_hash(), store.tip_hash());
@@ -350,6 +364,83 @@ TEST(DurableChain, CheckpointCadenceReclaimAndRecovery) {
   // The commit answered from the recovered digest set: exactly-once survives
   // the restart.
   EXPECT_EQ(restored.commit_slot(early_tx), 2u);
+}
+
+/// Overwrite `<dir>/checkpoint` with a file of format `version`, framed the
+/// way store_checkpoint frames it.
+void write_checkpoint_file(const fs::path& dir, std::uint32_t version, const Checkpoint& cp,
+                           const std::vector<std::uint8_t>& commit_state) {
+  serde::Writer w;
+  w.u32(0x4B43'4254);
+  w.u32(version);
+  cp.encode(w);
+  w.bytes(commit_state);
+  w.u64(fnv1a64(w.span()));
+  std::ofstream f(dir / "checkpoint", std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(w.data().data()),
+          static_cast<std::streamsize>(w.size()));
+}
+
+/// A version 1 commit-state blob: rotated_below, the exact entries (a
+/// version 2 blob is the same count + entries), no blooms, no ancient bloom.
+std::vector<std::uint8_t> v1_commit_state(Slot rotated_below,
+                                          const std::vector<std::uint8_t>& v2_entries) {
+  serde::Writer w;
+  w.u64(rotated_below);
+  for (const std::uint8_t b : v2_entries) w.u8(b);
+  w.varint(0);
+  w.boolean(false);
+  return w.take();
+}
+
+TEST(DurableChain, VersionOneCheckpointUpgradesAndNeverTruncatesTheWal) {
+  TempDir dir("durable_v1");
+  const std::vector<std::uint8_t> early_tx = {0xAA, 0xBB};
+  DurableOptions opts;
+  opts.segment_bytes = 512;
+  opts.flush_every = 1;
+  opts.checkpoint_every = 16;
+  {
+    FinalizedStore store(8);
+    DurableChain durable(dir.path, opts);
+    (void)durable.recover();
+    std::uint64_t parent = kGenesisHash;
+    for (Slot s = 1; s <= 100; ++s) {
+      Block b = mk(s, parent, s == 70 ? tx_payload({early_tx}) : std::vector<std::uint8_t>{0});
+      parent = b.hash();
+      store.append(Block{b});
+      durable.append(b, store);
+    }
+    ASSERT_GT(durable.wal_stats().segments_reclaimed, 0u);
+  }
+  DurableCheckpoint v2;
+  ASSERT_TRUE(load_checkpoint(dir.path, v2));
+  ASSERT_GE(v2.cp.slot, 70u);
+  const std::vector<fs::path> segments = segment_files(dir.path);
+
+  // The same state as the parent format wrote it (no Bloom epochs): it
+  // upgrades to the identical version 2 state, and recovery replays the
+  // WAL tail on top instead of truncating it against genesis.
+  write_checkpoint_file(dir.path, 1, v2.cp, v1_commit_state(0, v2.commit_state));
+  {
+    DurableChain durable(dir.path, opts);
+    const RecoveredState rec = durable.recover();
+    EXPECT_EQ(rec.checkpoint, v2.cp);
+    EXPECT_EQ(rec.commit_state, v2.commit_state);
+    EXPECT_EQ(rec.tip(), 100u);
+    FinalizedStore restored(8);
+    ASSERT_TRUE(restored.restore(rec.checkpoint, rec.commit_state));
+    EXPECT_EQ(restored.commit_slot(early_tx), 70u);
+  }
+  EXPECT_EQ(segment_files(dir.path), segments);
+
+  // Bloom epochs cannot be made exact, and an unknown version cannot be
+  // read: both refuse to recover, and the WAL stays as it was.
+  write_checkpoint_file(dir.path, 1, v2.cp, v1_commit_state(64, v2.commit_state));
+  EXPECT_THROW(DurableChain(dir.path, opts).recover(), std::runtime_error);
+  write_checkpoint_file(dir.path, 3, v2.cp, v2.commit_state);
+  EXPECT_THROW(DurableChain(dir.path, opts).recover(), std::runtime_error);
+  EXPECT_EQ(segment_files(dir.path), segments);
 }
 
 TEST(DurableChain, TornTailRecoversToLastDurableRecord) {
