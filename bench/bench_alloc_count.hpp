@@ -1,12 +1,13 @@
 #pragma once
-// Counting global operator new/delete for allocation-contract benches
-// (bench_hotpath's messaging drain, bench_consensus's state layer).
+// Counting global operator new/delete for allocation contracts
+// (bench_hotpath's messaging drain, bench_consensus's state layer,
+// test_metrics's Histogram::record).
 //
 // Include from EXACTLY ONE translation unit per binary: the header defines
 // the (non-inline) global replacement operators, and every heap allocation
-// in the process bumps tbft::bench::alloc_count(). This is also why those
-// benches are plain main()s -- they must not link a framework that
-// allocates on background threads.
+// in the process bumps tbft::bench::alloc_count(). This is also why the
+// benches are plain main()s -- a binary using this must not link a
+// framework that allocates on background threads.
 
 #include <atomic>
 #include <cstdint>

@@ -6,10 +6,11 @@
 //      buffer copies (Payload::stats counters);
 //   2. steady-state message delivery is allocation-free (asserted with a
 //      counting global operator new while draining pre-scheduled traffic);
-//   3. events/sec through the typed 4-ary event heap + shared payloads is
-//      >= 2x a faithful re-implementation of the pre-rewrite core
-//      (std::function closures on a std::priority_queue, one payload vector
-//      copy per recipient, every receiver re-decoding).
+//   3. the messaging core (typed 4-ary event heap + shared payloads) costs
+//      at most kMaxCoreNsPerEvent per delivered event: half the ~130 ns the
+//      pre-rewrite core measured (std::function closures on a
+//      std::priority_queue, one payload vector copy per recipient, every
+//      receiver re-decoding), so a regression to that design fails.
 //
 // Run: bench_hotpath [n] [rounds]. Exit code 0 iff all invariants hold.
 // Emits BENCH_hotpath.json for trajectory tracking.
@@ -17,10 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
-#include <queue>
-#include <vector>
 
 #include "bench_alloc_count.hpp"
 #include "bench_json.hpp"
@@ -208,19 +206,22 @@ Throughput run_flood(std::uint32_t n, int rounds) {
   return tp;
 }
 
-// ---- Messaging-core micro comparison ---------------------------------------
-// Old vs new core under the identical broadcast/drain workload, with the
-// runtime (network model, trace, node logic) stripped from both sides so the
-// ratio isolates exactly what this rewrite changed: event representation,
-// heap layout, payload sharing, and decode-once.
-//
-// Legacy side = what event_queue.cpp + runtime.cpp did before the rewrite:
-// every scheduled event heap-allocated a std::function closure, a broadcast
-// copied its payload vector once per recipient, and every receiver re-ran
-// decode_message over the bytes.
+// ---- Messaging-core micro bench -------------------------------------------
+// The broadcast/drain workload with the runtime (network model, trace, node
+// logic) stripped away, isolating the event representation, heap layout,
+// payload sharing, and decode-once.
 
-/// New core: typed events on the flat 4-ary heap, one frozen payload shared
-/// by all recipients, receivers reading the decode cache.
+/// Ceiling on the core's cost per delivered event (invariant 3). The
+/// pre-rewrite core measured ~130 ns/event at n=64 where the current one
+/// measured ~20 ns; on a slower, shared 4-vCPU container the current core
+/// runs 40-60 ns and the pre-rewrite one 150-230 ns.
+constexpr double kMaxCoreNsPerEvent = 65.0;
+/// The gate reads the fastest of this many core runs: scheduler noise only
+/// ever adds time, so the minimum is the steadiest estimate of the cost.
+constexpr int kCoreRepeats = 5;
+
+/// Typed events on the flat 4-ary heap, one frozen payload shared by all
+/// recipients, receivers reading the decode cache.
 class CountingSink final : public sim::EventSink {
  public:
   void on_deliver_event(NodeId, NodeId, const sim::Payload& payload) override {
@@ -257,55 +258,6 @@ Throughput run_typed_model(std::uint32_t n, int rounds) {
   return tp;
 }
 
-struct LegacyEvent {
-  sim::SimTime at;
-  std::uint64_t seq;
-  std::function<void()> fn;
-};
-struct LegacyLater {
-  bool operator()(const LegacyEvent& a, const LegacyEvent& b) const noexcept {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  }
-};
-
-Throughput run_legacy_model(std::uint32_t n, int rounds) {
-  std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, LegacyLater> heap;
-  std::uint64_t seq = 0;
-  std::uint64_t delivered = 0;
-  sim::SimTime now = 0;
-
-  const auto t0 = std::chrono::steady_clock::now();
-
-  auto broadcast = [&](sim::SimTime at, int round) {
-    const Message m = Vote{1, static_cast<View>(round), Value{0xF100D}};
-    const std::vector<std::uint8_t> bytes = encode_message(m);
-    for (std::uint32_t dst = 0; dst < n; ++dst) {
-      // One payload copy per recipient + one type-erased closure allocation
-      // per event: the pre-rewrite cost model.
-      heap.push(LegacyEvent{at, seq++, [payload = bytes, &delivered] {
-                              const auto decoded = decode_message(payload);
-                              if (decoded) ++delivered;
-                            }});
-    }
-  };
-
-  for (int round = 0; round < rounds; ++round) {
-    for (std::uint32_t src = 0; src < n; ++src) broadcast(now + 1, round);
-    while (!heap.empty()) {
-      LegacyEvent ev = std::move(const_cast<LegacyEvent&>(heap.top()));
-      heap.pop();
-      now = ev.at;
-      ev.fn();
-    }
-  }
-
-  Throughput tp;
-  tp.secs = seconds_since(t0);
-  tp.events = delivered;
-  return tp;
-}
-
 }  // namespace
 }  // namespace tbft::bench
 
@@ -323,23 +275,22 @@ int main(int argc, char** argv) {
   // Warm up all paths once, then measure.
   (void)run_flood(n, rounds / 4);
   (void)run_typed_model(n, rounds / 4);
-  (void)run_legacy_model(n, rounds / 4);
   const Throughput flood = run_flood(n, rounds);
-  const Throughput typed = run_typed_model(n, rounds);
-  const Throughput legacy = run_legacy_model(n, rounds);
-  const double speedup = typed.events_per_sec() / legacy.events_per_sec();
+  Throughput typed = run_typed_model(n, rounds);
+  for (int i = 1; i < kCoreRepeats; ++i) {
+    const Throughput again = run_typed_model(n, rounds);
+    if (again.secs < typed.secs) typed = again;
+  }
+  const bool core_fast = typed.ns_per_event() <= kMaxCoreNsPerEvent;
 
   std::printf("full runtime (flood):          %8.0f events/s  (%.1f ns/event, %llu events)\n",
               flood.events_per_sec(), flood.ns_per_event(),
               static_cast<unsigned long long>(flood.events));
-  std::printf("messaging core, typed/shared:  %8.0f events/s  (%.1f ns/event, %llu events)\n",
-              typed.events_per_sec(), typed.ns_per_event(),
+  std::printf("messaging core, best of %d:     %8.0f events/s  (%.1f ns/event, %llu events)\n",
+              kCoreRepeats, typed.events_per_sec(), typed.ns_per_event(),
               static_cast<unsigned long long>(typed.events));
-  std::printf("messaging core, legacy model:  %8.0f events/s  (%.1f ns/event, %llu events)\n",
-              legacy.events_per_sec(), legacy.ns_per_event(),
-              static_cast<unsigned long long>(legacy.events));
-  std::printf("core speedup vs pre-rewrite:   %.2fx %s\n", speedup,
-              speedup >= 2.0 ? "[ok: >= 2x]" : "[FAIL: < 2x]");
+  std::printf("core cost bound:               %.1f ns/event %s\n", kMaxCoreNsPerEvent,
+              core_fast ? "[ok]" : "[FAIL: core slower than the bound]");
 
   JsonReport report("hotpath");
   report.field("n", n)
@@ -351,9 +302,7 @@ int main(int argc, char** argv) {
       .field("payloads_frozen", flood.payloads_frozen)
       .field("core_events_per_sec", typed.events_per_sec())
       .field("core_ns_per_event", typed.ns_per_event())
-      .field("legacy_events_per_sec", legacy.events_per_sec())
-      .field("legacy_ns_per_event", legacy.ns_per_event())
-      .field("speedup_vs_legacy", speedup)
+      .field("core_ns_per_event_max", kMaxCoreNsPerEvent)
       .field("drain_events", drain.events)
       .field("drain_allocs", drain.allocs)
       .field("allocs_per_delivery", drain.events ? static_cast<double>(drain.allocs) /
@@ -363,7 +312,7 @@ int main(int argc, char** argv) {
       .field("buffer_copies_per_broadcast", counters.buffer_copies_per_broadcast);
   report.write();
 
-  const bool ok = counters.ok && drain.ok && speedup >= 2.0;
+  const bool ok = counters.ok && drain.ok && core_fast;
   std::printf("%s\n", ok ? "ALL HOT-PATH INVARIANTS HOLD" : "HOT-PATH INVARIANT VIOLATION");
   return ok ? 0 : 1;
 }

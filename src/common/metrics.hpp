@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace tbft {
 
@@ -21,35 +20,31 @@ class Counter {
   std::uint64_t value_{0};
 };
 
-/// Streaming summary statistics (count/sum/min/max/mean) plus raw samples for
-/// percentile extraction when a bench needs them.
+/// Streaming summary statistics (count/sum/min/max/mean) in constant
+/// memory: recording never allocates, so a long-running node's own metrics
+/// stay bounded. Callers that need exact percentiles keep their samples
+/// themselves (workload::WorkloadTracker does, for commit latency).
 class Histogram {
  public:
-  void record(double sample) {
-    samples_.push_back(sample);
+  void record(double sample) noexcept {
+    ++count_;
     sum_ += sample;
     min_ = std::min(min_, sample);
     max_ = std::max(max_, sample);
   }
 
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double mean() const noexcept {
-    return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
+    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
-  [[nodiscard]] double min() const noexcept { return samples_.empty() ? 0.0 : min_; }
-  [[nodiscard]] double max() const noexcept { return samples_.empty() ? 0.0 : max_; }
-  [[nodiscard]] double percentile(double p) const;
+  [[nodiscard]] double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
+  [[nodiscard]] double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
 
-  void reset() noexcept {
-    samples_.clear();
-    sum_ = 0;
-    min_ = 1e300;
-    max_ = -1e300;
-  }
+  void reset() noexcept { *this = Histogram{}; }
 
  private:
-  std::vector<double> samples_;
+  std::size_t count_{0};
   double sum_{0};
   double min_{1e300};
   double max_{-1e300};

@@ -1,7 +1,9 @@
 #pragma once
 // Bounded transaction mempool for the multi-shot node (workload path,
 // DESIGN_PERF.md): a FIFO of pending client transactions with an explicit
-// capacity and admission policy, replacing the seed's unbounded std::deque.
+// capacity, replacing the seed's unbounded std::deque. A full pool refuses
+// the arriving transaction (backpressure to the client): an admitted
+// transaction is never evicted to make room.
 //
 // Entries carry an `inflight` mark while they sit in a proposed-but-not-yet-
 // finalized block of this node, so the leader never includes the same
@@ -21,12 +23,6 @@
 
 namespace tbft::multishot {
 
-/// What happens when a transaction arrives at a full mempool.
-enum class MempoolPolicy : std::uint8_t {
-  kRejectNew,   // refuse the arriving transaction (backpressure to the client)
-  kDropOldest,  // evict the oldest non-inflight entry to make room
-};
-
 class BoundedMempool {
  public:
   struct Entry {
@@ -44,43 +40,25 @@ class BoundedMempool {
     bool relayed{false};
   };
 
-  /// Outcome of an admission attempt.
-  enum class Admit : std::uint8_t {
-    kAdmitted,      // appended
-    kRejected,      // refused: full under kRejectNew, or oversized
-    kDroppedOldest, // appended after evicting the oldest non-inflight entry
-  };
+  explicit BoundedMempool(std::size_t capacity) : capacity_(capacity) {}
 
-  BoundedMempool(std::size_t capacity, MempoolPolicy policy)
-      : capacity_(capacity), policy_(policy) {}
-
-  /// Admit `tx`. Transactions larger than `max_tx_bytes` (0 = no limit) can
-  /// never fit a batch; empty ones are indistinguishable from block filler
-  /// padding -- both are rejected outright. A caller that already hashed the
-  /// bytes passes `precomputed_hash` (0 = compute here; a true fnv of 0 only
-  /// costs the recompute).
-  Admit push(std::vector<std::uint8_t> tx, std::size_t max_tx_bytes = 0,
-             std::uint64_t precomputed_hash = 0) {
-    if (tx.empty() || (max_tx_bytes != 0 && tx.size() > max_tx_bytes)) {
+  /// Admit `tx`; false when the pool is full. Transactions larger than
+  /// `max_tx_bytes` (0 = no limit) can never fit a batch; empty ones are
+  /// indistinguishable from block filler padding -- both are refused
+  /// outright. A caller that already hashed the bytes passes
+  /// `precomputed_hash` (0 = compute here; a true fnv of 0 only costs the
+  /// recompute).
+  bool push(std::vector<std::uint8_t> tx, std::size_t max_tx_bytes = 0,
+            std::uint64_t precomputed_hash = 0) {
+    if (tx.empty() || (max_tx_bytes != 0 && tx.size() > max_tx_bytes) ||
+        entries_.size() >= capacity_) {
       ++rejected_;
-      return Admit::kRejected;
-    }
-    bool evicted = false;
-    if (entries_.size() >= capacity_) {
-      if (policy_ == MempoolPolicy::kRejectNew || !evict_oldest()) {
-        ++rejected_;
-        return Admit::kRejected;
-      }
-      evicted = true;
+      return false;
     }
     const std::uint64_t hash = precomputed_hash != 0 ? precomputed_hash : fnv1a64(tx);
     entries_.push_back(Entry{std::move(tx), hash, false, 0});
     ++admitted_;
-    if (evicted) {
-      ++dropped_oldest_;
-      return Admit::kDroppedOldest;
-    }
-    return Admit::kAdmitted;
+    return true;
   }
 
   /// True when an identical transaction is already pending (hash pre-filter,
@@ -122,33 +100,17 @@ class BoundedMempool {
   /// Entries not currently included in an outstanding proposal.
   [[nodiscard]] std::size_t available() const noexcept { return entries_.size() - inflight_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] MempoolPolicy policy() const noexcept { return policy_; }
 
   // Lifetime admission accounting (mirrored into MetricsRegistry by the node).
   [[nodiscard]] std::uint64_t admitted() const noexcept { return admitted_; }
   [[nodiscard]] std::uint64_t rejected() const noexcept { return rejected_; }
-  [[nodiscard]] std::uint64_t dropped_oldest() const noexcept { return dropped_oldest_; }
 
  private:
-  /// Drop the oldest entry that is not inflight (inflight entries are pinned:
-  /// their bytes are referenced by an outstanding proposal's bookkeeping).
-  bool evict_oldest() {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (!it->inflight) {
-        entries_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
   std::size_t capacity_;
-  MempoolPolicy policy_;
   std::deque<Entry> entries_;
   std::size_t inflight_{0};
   std::uint64_t admitted_{0};
   std::uint64_t rejected_{0};
-  std::uint64_t dropped_oldest_{0};
 };
 
 }  // namespace tbft::multishot

@@ -83,7 +83,7 @@ MultishotNode::MultishotNode(MultishotConfig cfg)
     : cfg_(cfg),
       qp_(cfg.quorum_params()),
       chain_(cfg.finalized_tail),
-      mempool_(cfg.mempool_capacity, cfg.mempool_policy) {
+      mempool_(cfg.mempool_capacity) {
   // Both finalization paths (depth-4 rule and claim adoption) notify through
   // this one hook, before the block can be compacted out of the tail.
   chain_.set_on_finalized([this](const Block& b) { note_finalized(b); });
@@ -113,24 +113,13 @@ bool MultishotNode::submit_tx(std::vector<std::uint8_t> tx) {
       return true;
     }
   }
-  const auto verdict = mempool_.push(std::move(tx), cfg_.max_batch_bytes, h);
-  switch (verdict) {
-    case BoundedMempool::Admit::kRejected:
-      metrics.counter("multishot.mempool.rejected").add();
-      break;
-    case BoundedMempool::Admit::kDroppedOldest:
-      metrics.counter("multishot.mempool.dropped_oldest").add();
-      [[fallthrough]];
-    case BoundedMempool::Admit::kAdmitted:
-      metrics.counter("multishot.mempool.admitted").add();
-      break;
-  }
+  const bool admitted = mempool_.push(std::move(tx), cfg_.max_batch_bytes, h);
+  metrics.counter(admitted ? "multishot.mempool.admitted" : "multishot.mempool.rejected").add();
   metrics.histogram("multishot.mempool.depth").record(static_cast<double>(mempool_.size()));
-  if (verdict == BoundedMempool::Admit::kRejected) return false;
+  if (!admitted) return false;
 
   // Single-hop relay: when another node leads the proposal frontier, hand
-  // the request to it (the entry just pushed is entries().back() on every
-  // admission path).
+  // the request to it (the entry just pushed is entries().back()).
   forward_if_foreign_leader(mempool_.entries().back());
   after_admission();
   return true;
@@ -163,18 +152,6 @@ void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
 }
 
 void MultishotNode::after_admission() {
-  // A leader deferring a fresh proposal for transactions (batch_timeout) can
-  // propose now.
-  if (batch_timers_armed_ > 0) {
-    slot_scratch_.clear();
-    slots_.for_each([this](Slot s, SlotState& st) {
-      if (st.batch_timer != 0) slot_scratch_.push_back(s);
-    });
-    for (const Slot s : slot_scratch_) {
-      if (SlotState* st = slots_.find(s); st != nullptr) cancel_batch_timer(*st);
-    }
-    for (const Slot s : slot_scratch_) try_propose(s);
-  }
   // Idle-chain resume: a quiesced (or proposal-suppressed) network re-arms
   // at the proposal frontier and, if this node leads it, proposes the new
   // transaction right away. Gated on suppression having actually happened,
@@ -357,35 +334,6 @@ void MultishotNode::commit_batch(BatchDraft& draft, Slot s, std::size_t payload_
   metrics.histogram("multishot.batch.bytes").record(static_cast<double>(payload_bytes));
 }
 
-bool MultishotNode::defer_for_batch(SlotState& st) {
-  if (cfg_.batch_timeout <= 0 || st.batch_waited) return false;
-  if (mempool_.available() > 0) {
-    cancel_batch_timer(st);
-    return false;
-  }
-  if (st.batch_timer == 0) {
-    // Adaptive mode shortens the wait in proportion to pipeline occupancy:
-    // with several led slots already draining the pool, holding a fresh slot
-    // open for stragglers buys little amortization and costs latency.
-    runtime::Duration wait = cfg_.batch_timeout;
-    if (cfg_.adaptive_batch_txs > cfg_.max_batch_txs) {
-      wait = std::max<runtime::Duration>(
-          1, cfg_.batch_timeout / static_cast<runtime::Duration>(1 + led_inflight()));
-    }
-    st.batch_timer = ctx().set_timer(wait);
-    ++batch_timers_armed_;
-  }
-  return true;
-}
-
-void MultishotNode::cancel_batch_timer(SlotState& st) {
-  if (st.batch_timer == 0) return;
-  ctx().cancel_timer(st.batch_timer);
-  st.batch_timer = 0;
-  TBFT_ASSERT(batch_timers_armed_ > 0);
-  --batch_timers_armed_;
-}
-
 std::optional<std::uint64_t> MultishotNode::parent_for_proposal(Slot s) const {
   const Slot prev = s - 1;
   if (prev == 0) return kGenesisHash;
@@ -433,7 +381,6 @@ void MultishotNode::try_propose(Slot s) {
       ctx().metrics().counter("multishot.idle.skipped_proposals").add();
       return;
     }
-    if (defer_for_batch(*st)) return;
     BatchDraft draft = build_batch(0);
     const std::size_t payload_bytes = draft.payload.size();
     block = Block{s, *parent, ctx().id(), std::move(draft.payload)};
@@ -691,7 +638,6 @@ void MultishotNode::prune_slots() {
       ctx().cancel_timer(st.timer);
       st.timer = 0;
     }
-    cancel_batch_timer(st);
   });
   chain_claims_.advance_base(first);
 }
@@ -833,7 +779,6 @@ void MultishotNode::change_view(Slot from_slot, View new_view) {
     if (t < from_slot || !ts.started || new_view <= ts.view) return;
     ts.view = new_view;
     ts.proposed = false;
-    cancel_batch_timer(ts);  // fresh re-proposals never wait for transactions
     arm_timer(t);
     slot_scratch_.push_back(t);
   });
@@ -904,22 +849,10 @@ void MultishotNode::on_timer(runtime::TimerId id) {
   // Resolve the timer to its slot by scanning the window: timers fire orders
   // of magnitude less often than votes arrive, so the bounded sweep beats
   // maintaining reverse-index maps on the hot path.
-  Slot batch_slot = 0;
   Slot view_slot = 0;
   slots_.for_each([&](Slot s, SlotState& st) {
-    if (st.batch_timer == id) batch_slot = s;
     if (st.timer == id) view_slot = s;
   });
-
-  if (batch_slot != 0) {
-    SlotState* st = slots_.find(batch_slot);
-    st->batch_timer = 0;
-    TBFT_ASSERT(batch_timers_armed_ > 0);
-    --batch_timers_armed_;
-    st->batch_waited = true;  // give up waiting; propose (filler if need be)
-    try_propose(batch_slot);
-    return;
-  }
   if (view_slot == 0) return;
   SlotState* st = slots_.find(view_slot);
   st->timer = 0;
@@ -1367,9 +1300,7 @@ void MultishotNode::handle(NodeId from, const MsForwardTx& m) {
     metrics.counter("multishot.forward.deduped").add();
     return;
   }
-  const auto verdict =
-      mempool_.push(std::vector<std::uint8_t>(m.tx), cfg_.max_batch_bytes, h);
-  if (verdict == BoundedMempool::Admit::kRejected) {
+  if (!mempool_.push(std::vector<std::uint8_t>(m.tx), cfg_.max_batch_bytes, h)) {
     // Not recorded as seen: a rejected relay must stay retryable once the
     // pool drains, or one full-pool moment would poison the request here.
     metrics.counter("multishot.forward.rejected").add();
@@ -1378,8 +1309,8 @@ void MultishotNode::handle(NodeId from, const MsForwardTx& m) {
   forward_seen_.insert(h);
   mempool_.entries().back().relayed = true;
   metrics.counter("multishot.forward.received").add();
-  // Single hop: a relayed request is never re-forwarded; it wakes batching
-  // and the idle chain exactly like a local submission.
+  // Single hop: a relayed request is never re-forwarded; it wakes the idle
+  // chain exactly like a local submission.
   after_admission();
 }
 

@@ -73,17 +73,12 @@ struct MultishotConfig {
   /// ChainInfo answering and range-sync chunks. Tests exercising compaction
   /// set this small.
   std::size_t finalized_tail{FinalizedStore::kDefaultTailCapacity};
-  /// Range-sync progress timeout (re-request cadence). 0 = 3 * delta_bound.
-  runtime::Duration sync_timeout{0};
 
   // --- Client-request forwarding ---
   /// Forward transactions submitted to a non-leader to the proposal-frontier
   /// leader (single-hop relay; receivers dedup by content hash and never
   /// re-forward), cutting idle-chain resume from ~9 delta to ~1 delta.
   bool forward_to_leader{true};
-  /// How long the submitter's local fallback copy stays out of its own
-  /// batches after forwarding (relay failure recovery). 0 = 2 * view_timeout().
-  runtime::Duration forward_retry{0};
 
   // --- Leader batching / mempool (workload path, DESIGN_PERF.md) ---
   /// Most transactions a fresh block carries.
@@ -91,13 +86,8 @@ struct MultishotConfig {
   /// Payload byte budget of a fresh block (frames + nonce; at least one
   /// transaction is always included). Also caps admissible transaction size.
   std::uint32_t max_batch_bytes{4096};
-  /// When > 0, a view-0 leader with an empty (available) mempool defers its
-  /// fresh proposal up to this long waiting for transactions before falling
-  /// back to a filler block. 0 = propose immediately (seed behavior).
-  runtime::Duration batch_timeout{0};
-  /// Mempool capacity and behavior at the bound.
+  /// Mempool capacity; a full pool refuses new transactions.
   std::size_t mempool_capacity{1024};
-  MempoolPolicy mempool_policy{MempoolPolicy::kRejectNew};
 
   // --- Slot pipelining + adaptive batching (DESIGN_PERF.md) ---
   /// Stripe length: how many consecutive slots one leader owns per view.
@@ -171,7 +161,7 @@ class MultishotNode : public runtime::ProtocolNode {
 
   /// Submit a transaction; included in the next fresh block this node
   /// proposes, removed once observed in the finalized chain. Returns false
-  /// when the bounded mempool refuses it (full under kRejectNew, or larger
+  /// when the bounded mempool refuses it (full, or larger
   /// than max_batch_bytes) -- the backpressure signal clients see.
   /// Dedup holds within the dedup horizon (kDedupHorizon slots): a retry of
   /// a transaction committed fewer than H slots ago is acknowledged without
@@ -279,8 +269,6 @@ class MultishotNode : public runtime::ProtocolNode {
     bool started{false};
     View view{0};
     runtime::TimerId timer{0};
-    runtime::TimerId batch_timer{0};  // armed while a fresh proposal waits for txs
-    bool batch_waited{false};     // the batch timeout for this slot expired
     View highest_vc_sent{kNoView};
     std::vector<View> vc_highest;                        // per sender
     ViewHashMap proposal_by_view{kMaxTrackedViewsPerSlot};  // leader's block hash
@@ -305,8 +293,6 @@ class MultishotNode : public runtime::ProtocolNode {
       started = false;
       view = 0;
       timer = 0;
-      batch_timer = 0;
-      batch_waited = false;
       highest_vc_sent = kNoView;
       vc_highest.assign(vc_highest.size(), kNoView);
       proposal_by_view.reset();
@@ -419,8 +405,9 @@ class MultishotNode : public runtime::ProtocolNode {
   void note_frontier(Slot frontier);
   void maybe_request_sync();
   void send_sync_request();
+  /// Range-sync and checkpoint-fetch progress timeout (re-request cadence).
   [[nodiscard]] runtime::Duration sync_timeout() const noexcept {
-    return cfg_.sync_timeout > 0 ? cfg_.sync_timeout : 3 * cfg_.delta_bound;
+    return 3 * cfg_.delta_bound;
   }
   /// Demoted ChainInfo reply: frontier plus a short resident suffix from
   /// `slot` (frontier-only when `slot` was compacted past the tail).
@@ -433,14 +420,15 @@ class MultishotNode : public runtime::ProtocolNode {
   std::size_t adopt_ready_claims();
 
   // --- Client-request forwarding ---
+  /// How long the submitter's local fallback copy stays out of its own
+  /// batches after forwarding (relay failure recovery).
   [[nodiscard]] runtime::Duration forward_retry() const noexcept {
-    return cfg_.forward_retry > 0 ? cfg_.forward_retry : 2 * cfg_.view_timeout();
+    return 2 * cfg_.view_timeout();
   }
   /// Relay a freshly admitted local submission to the frontier leader when
   /// that is not us; holds the local copy out of our own batches meanwhile.
   void forward_if_foreign_leader(BoundedMempool::Entry& e);
-  /// Wake paths shared by local submissions and received forwards: batch
-  /// timer cancellation and idle-chain resume.
+  /// Idle-chain resume, shared by local submissions and received forwards.
   void after_admission();
 
   void change_view(Slot from_slot, View new_view);
@@ -456,10 +444,6 @@ class MultishotNode : public runtime::ProtocolNode {
   };
   [[nodiscard]] BatchDraft build_batch(View view);
   void commit_batch(BatchDraft& draft, Slot s, std::size_t payload_bytes);
-  /// True when a view-0 fresh proposal should wait for transactions
-  /// (batch_timeout armed / not yet expired). Arms the batch timer.
-  bool defer_for_batch(SlotState& st);
-  void cancel_batch_timer(SlotState& st);
   /// Mempool/commit bookkeeping for every finalized block regardless of the
   /// path (finalization rule or ChainInfo adoption).
   void note_finalized(const Block& b);
@@ -582,9 +566,6 @@ class MultishotNode : public runtime::ProtocolNode {
   RecentSet forward_seen_;
   CommitHook commit_hook_;
   storage::DurableChain* durable_{nullptr};
-  /// Batch timers currently armed across the window (fast-path gate for the
-  /// submit_tx wake scan).
-  std::size_t batch_timers_armed_{0};
   /// Set whenever idle suppression acted (a proposal was skipped or a timer
   /// went dormant); consumed by submit_tx so the frontier wake scan only
   /// runs when the pipeline may actually be stalled, never on the loaded

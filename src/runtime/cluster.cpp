@@ -163,14 +163,12 @@ ClusterBuilder& ClusterBuilder::delta_bound(runtime::Duration delta) {
   delta_bound_ = delta;
   return *this;
 }
-ClusterBuilder& ClusterBuilder::batching(std::uint32_t max_txs, std::uint32_t max_bytes,
-                                         runtime::Duration timeout) {
+ClusterBuilder& ClusterBuilder::batching(std::uint32_t max_txs, std::uint32_t max_bytes) {
   if (max_txs == 0 || max_bytes == 0) {
     throw std::invalid_argument("ClusterBuilder: batching caps must be > 0");
   }
   max_batch_txs_ = max_txs;
   max_batch_bytes_ = max_bytes;
-  batch_timeout_ = timeout;
   return *this;
 }
 ClusterBuilder& ClusterBuilder::pipelining(std::uint32_t depth) {
@@ -186,11 +184,9 @@ ClusterBuilder& ClusterBuilder::adaptive_batching(std::uint32_t max_txs) {
   adaptive_batch_txs_ = max_txs;
   return *this;
 }
-ClusterBuilder& ClusterBuilder::mempool(std::size_t capacity,
-                                        multishot::MempoolPolicy policy) {
+ClusterBuilder& ClusterBuilder::mempool(std::size_t capacity) {
   if (capacity == 0) throw std::invalid_argument("ClusterBuilder: mempool capacity must be > 0");
   mempool_capacity_ = capacity;
-  mempool_policy_ = policy;
   return *this;
 }
 ClusterBuilder& ClusterBuilder::storage_tail(std::size_t blocks) {
@@ -303,9 +299,7 @@ multishot::MultishotConfig ClusterBuilder::node_config() const {
   cfg.max_slots = 0;  // production shape: unbounded chain, idle suppression
   cfg.max_batch_txs = max_batch_txs_;
   cfg.max_batch_bytes = max_batch_bytes_;
-  cfg.batch_timeout = batch_timeout_;
   cfg.mempool_capacity = mempool_capacity_;
-  cfg.mempool_policy = mempool_policy_;
   cfg.finalized_tail = finalized_tail_;
   cfg.forward_to_leader = forward_to_leader_;
   cfg.pipeline_depth = pipeline_depth_;

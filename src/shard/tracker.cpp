@@ -73,8 +73,15 @@ TBFT_SHARD_SUM(retry_duplicates)
 
 workload::WorkloadReport ShardedTracker::report(runtime::Time elapsed) const {
   // The histogram-derived fields already span every shard (shared
-  // registry); overwrite the per-tracker counters with cluster sums.
+  // registry); overwrite the per-tracker counters with cluster sums and the
+  // percentiles with ones over every shard's latency samples.
   workload::WorkloadReport r = trackers_.front()->report(elapsed);
+  std::vector<double> latency_ms;
+  for (const auto& tracker : trackers_) {
+    latency_ms.insert(latency_ms.end(), tracker->latency_samples().begin(),
+                      tracker->latency_samples().end());
+  }
+  r.set_latency_percentiles(latency_ms);
   r.submitted = submitted();
   r.admitted = admitted();
   r.rejected = rejected();

@@ -91,15 +91,10 @@ class ShardedTracker final : public workload::TrackerSink {
            misrouted_commits_ == 0;
   }
 
-  /// Aggregate report: summed counters, cluster-wide committed-tx/s, and
-  /// the shared-registry histograms (latency/batch/mempool span all shards).
+  /// Aggregate report: summed counters, cluster-wide committed-tx/s,
+  /// latency percentiles over every shard's samples, and the
+  /// shared-registry histograms (latency/batch/mempool span all shards).
   [[nodiscard]] workload::WorkloadReport report(runtime::Time elapsed) const;
-  /// One shard's counters. Histogram-derived fields still read the shared
-  /// registry and therefore span all shards; use the counters per shard.
-  [[nodiscard]] workload::WorkloadReport shard_report(std::uint32_t shard,
-                                                      runtime::Time elapsed) const {
-    return trackers_[shard]->report(elapsed);
-  }
 
  private:
   void note_commit(std::uint32_t shard, std::uint64_t tag);

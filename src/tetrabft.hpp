@@ -183,10 +183,8 @@ class ClusterBuilder {
   ClusterBuilder& seed(std::uint64_t seed);
   /// Known message-delay bound Delta (drives the 9*Delta view timers).
   ClusterBuilder& delta_bound(runtime::Duration delta);
-  /// Leader batching: cap per fresh block, byte budget, and how long an
-  /// empty-mempool leader defers a fresh proposal waiting for load.
-  ClusterBuilder& batching(std::uint32_t max_txs, std::uint32_t max_bytes,
-                           runtime::Duration timeout = 0);
+  /// Leader batching: transaction cap and byte budget per fresh block.
+  ClusterBuilder& batching(std::uint32_t max_txs, std::uint32_t max_bytes);
   /// Slot pipelining: each leader owns stripes of `depth` consecutive slots,
   /// proposing each one slot ahead of notarization (1 = classic per-slot
   /// rotation, and byte-identical to it). Must be in [1, 16].
@@ -195,7 +193,8 @@ class ClusterBuilder {
   /// toward `max_txs` transactions (byte budget scales in proportion).
   /// Values <= the batching() tx cap disable adaptation (the default).
   ClusterBuilder& adaptive_batching(std::uint32_t max_txs);
-  ClusterBuilder& mempool(std::size_t capacity, multishot::MempoolPolicy policy);
+  /// Per-replica mempool capacity; a full pool refuses submissions.
+  ClusterBuilder& mempool(std::size_t capacity);
   /// Resident finalized blocks kept behind the compaction checkpoint.
   ClusterBuilder& storage_tail(std::size_t blocks);
   /// Relay submissions to the frontier leader while the chain idles.
@@ -263,11 +262,9 @@ class ClusterBuilder {
   runtime::Duration sim_delta_actual_{1 * runtime::kMillisecond};
   std::uint32_t max_batch_txs_{64};
   std::uint32_t max_batch_bytes_{8192};
-  runtime::Duration batch_timeout_{0};
   std::uint32_t pipeline_depth_{1};
   std::uint32_t adaptive_batch_txs_{0};  // <= max_batch_txs_ = off
   std::size_t mempool_capacity_{4096};
-  multishot::MempoolPolicy mempool_policy_{multishot::MempoolPolicy::kRejectNew};
   std::size_t finalized_tail_{multishot::FinalizedStore::kDefaultTailCapacity};
   bool forward_to_leader_{true};
   std::string data_dir_;  // empty = in-memory only

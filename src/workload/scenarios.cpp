@@ -57,13 +57,11 @@ WorkloadRig make_rig(const ScenarioOptions& opts) {
   rig.node_cfg.max_slots = 0;  // chains grow as long as the load needs
   rig.node_cfg.max_batch_txs = opts.max_batch_txs;
   rig.node_cfg.max_batch_bytes = opts.max_batch_bytes;
-  rig.node_cfg.batch_timeout = opts.batch_timeout;
   rig.node_cfg.pipeline_depth = opts.pipeline_depth;
   if (opts.adaptive_batch_txs > opts.max_batch_txs) {
     rig.node_cfg.adaptive_batch_txs = opts.adaptive_batch_txs;
   }
   rig.node_cfg.mempool_capacity = opts.mempool_capacity;
-  rig.node_cfg.mempool_policy = opts.mempool_policy;
 
   for (NodeId i = 0; i < opts.n; ++i) {
     const bool crashed = opts.preset == Preset::kLeaderCrashUnderLoad && i == 0;
@@ -140,10 +138,11 @@ ScenarioResult run_scenario(const ScenarioOptions& opts) {
 
   // Load window plus drain: done once the window closed and every admitted
   // request committed (the admitted > 0 guard keeps the predicate from
-  // tripping before the first submission). Under kDropOldest some admitted
-  // requests are evicted and can never commit, so empty mempools -- every
-  // admitted request finalized or dropped, no batch still in flight -- end
-  // the run too.
+  // tripping before the first submission). A replica that catches up by a
+  // checkpoint install of kDedupHorizon or more slots expires its pool
+  // (multishot.mempool.expired), so an admitted request can be stranded for
+  // good; empty mempools -- every admitted request finalized or expired, no
+  // batch still in flight -- end the run too.
   const auto pools_empty = [&] {
     for (const auto* node : rig.nodes) {
       if (node != nullptr && node->mempool().size() != 0) return false;

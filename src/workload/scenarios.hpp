@@ -50,13 +50,11 @@ struct ScenarioOptions {
   // Node-side batching/mempool knobs (MultishotConfig passthrough).
   std::uint32_t max_batch_txs{64};
   std::uint32_t max_batch_bytes{8192};
-  sim::SimTime batch_timeout{0};
   /// Stripe length: consecutive slots one leader owns (1 = classic).
   std::uint32_t pipeline_depth{1};
   /// Adaptive per-proposal tx ceiling under backlog (<= max_batch_txs = off).
   std::uint32_t adaptive_batch_txs{0};
   std::size_t mempool_capacity{4096};
-  multishot::MempoolPolicy mempool_policy{multishot::MempoolPolicy::kRejectNew};
   sim::SimTime delta_bound{10 * sim::kMillisecond};
   sim::SimTime delta_actual{1 * sim::kMillisecond};
   /// Optional explicit GST with benign pre-GST stochastics (no random drops,

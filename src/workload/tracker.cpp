@@ -1,5 +1,7 @@
 #include "workload/tracker.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "workload/request.hpp"
@@ -17,6 +19,26 @@ void WorkloadReport::print(const char* title) const {
               "", latency_p50_ms, latency_p95_ms, latency_p99_ms, latency_max_ms,
               batch_txs_mean, batch_txs_max, mempool_depth_mean, mempool_depth_max,
               duplicates != 0 ? "  DUPLICATES" : "", foreign != 0 ? "  FOREIGN" : "");
+}
+
+void WorkloadReport::set_latency_percentiles(const std::vector<double>& samples_ms) {
+  latency_p50_ms = percentile(samples_ms, 50);
+  latency_p95_ms = percentile(samples_ms, 95);
+  latency_p99_ms = percentile(samples_ms, 99);
+}
+
+double percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  // Clamp: p outside [0, 100] would index out of range (negative rank floors
+  // below zero and wraps on the size_t cast).
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  if (lo == hi) return samples[lo];
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
 void WorkloadTracker::observe(multishot::MultishotNode& node) {
@@ -79,8 +101,9 @@ void WorkloadTracker::on_finalized(std::size_t observer, const multishot::Block&
     if (!first) continue;  // an earlier observer already committed it
     ++committed_;
     metrics_.counter("workload.committed").add();
-    metrics_.histogram("workload.commit_latency_ms")
-        .record(static_cast<double>(at - sit->second) / runtime::kMillisecond);
+    const double latency_ms = static_cast<double>(at - sit->second) / runtime::kMillisecond;
+    latency_ms_.push_back(latency_ms);
+    metrics_.histogram("workload.commit_latency_ms").record(latency_ms);
     if (const auto lit = listeners_.find(tag_client(tag)); lit != listeners_.end()) {
       lit->second(tag);
     }
@@ -103,9 +126,7 @@ WorkloadReport WorkloadTracker::report(runtime::Time elapsed) const {
   }
   const Histogram& lat = metrics_.histogram("workload.commit_latency_ms");
   r.latency_mean_ms = lat.mean();
-  r.latency_p50_ms = lat.percentile(50);
-  r.latency_p95_ms = lat.percentile(95);
-  r.latency_p99_ms = lat.percentile(99);
+  r.set_latency_percentiles(latency_ms_);
   r.latency_max_ms = lat.max();
   const Histogram& batch = metrics_.histogram("multishot.batch.txs");
   r.batch_txs_mean = batch.mean();
@@ -114,7 +135,6 @@ WorkloadReport WorkloadTracker::report(runtime::Time elapsed) const {
   r.mempool_depth_mean = depth.mean();
   r.mempool_depth_max = depth.max();
   r.mempool_rejected = metrics_.counter("multishot.mempool.rejected").value();
-  r.mempool_dropped_oldest = metrics_.counter("multishot.mempool.dropped_oldest").value();
   return r;
 }
 

@@ -52,15 +52,21 @@ struct WorkloadReport {
   double mempool_depth_mean{0};
   double mempool_depth_max{0};
   std::uint64_t mempool_rejected{0};
-  std::uint64_t mempool_dropped_oldest{0};
 
   [[nodiscard]] std::uint64_t outstanding() const noexcept { return admitted - committed; }
   [[nodiscard]] bool exactly_once() const noexcept { return duplicates == 0 && foreign == 0; }
+
+  /// Fill latency_p50/p95/p99_ms from raw commit-latency samples (ms).
+  void set_latency_percentiles(const std::vector<double>& samples_ms);
 
   friend bool operator==(const WorkloadReport&, const WorkloadReport&) = default;
 
   void print(const char* title) const;
 };
+
+/// Exact percentile `p` (clamped to [0, 100]) of `samples`, interpolating
+/// linearly between closest ranks; 0 when there are no samples.
+[[nodiscard]] double percentile(std::vector<double> samples, double p);
 
 /// The accounting surface generators talk to. One chain has one
 /// WorkloadTracker behind it; a sharded cluster has a shard::ShardedTracker
@@ -128,6 +134,12 @@ class WorkloadTracker final : public TrackerSink {
   [[nodiscard]] bool exactly_once() const noexcept {
     return duplicates_ == 0 && foreign_ == 0;
   }
+  /// Submit-to-first-commit latency (ms) of every committed request, in
+  /// commit order: the exact percentiles the report needs, kept here because
+  /// the registry's histograms are constant-memory summaries.
+  [[nodiscard]] const std::vector<double>& latency_samples() const noexcept {
+    return latency_ms_;
+  }
 
   /// Summarize the run; `elapsed` is the wall (simulated) time the
   /// throughput figure is normalized by.
@@ -141,6 +153,7 @@ class WorkloadTracker final : public TrackerSink {
   std::vector<std::set<std::uint64_t>> seen_;          // per observer
   std::set<std::uint64_t> retried_tags_;               // tags ever re-submitted
   std::map<std::uint32_t, std::function<void(std::uint64_t)>> listeners_;
+  std::vector<double> latency_ms_;
   std::uint64_t submitted_{0};
   std::uint64_t admitted_{0};
   std::uint64_t rejected_{0};

@@ -199,6 +199,12 @@ TEST(Determinism, PipelinedWorkloadIsDeterministic) {
   ASSERT_GT(a.report.committed, 0u);
   EXPECT_EQ(a.trace_digest, b.trace_digest);
   EXPECT_TRUE(a.report == b.report);
+  // Pinned, not only compared run against run: depth 4 + adaptive batching
+  // is the sim-lowload / sim-saturate configuration, so its trace must
+  // survive refactors byte for byte.
+  EXPECT_EQ(a.report.committed, 1204u);
+  EXPECT_EQ(a.trace_digest, 0x7d349789b732c14dULL);
+  EXPECT_EQ(a.elapsed, 165064);
   // And the depth axis has teeth: depth 4 schedules differently than depth 1.
   auto flat = opts;
   flat.pipeline_depth = 1;

@@ -218,8 +218,7 @@ TEST(RuntimeApi, BuilderRejectsInvalidConfigurations) {
   EXPECT_THROW(ClusterBuilder{}.nodes(0).node_config(), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.delta_bound(0), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.batching(0, 1024), std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.mempool(0, multishot::MempoolPolicy::kRejectNew),
-               std::invalid_argument);
+  EXPECT_THROW(ClusterBuilder{}.mempool(0), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.storage_tail(0), std::invalid_argument);
   // n = 4 derives f = 1 and passes; an explicit f = 0 is honored, not
   // treated as "derive".

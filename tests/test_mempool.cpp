@@ -1,6 +1,5 @@
-// Bounded mempool unit tests: capacity enforcement under both admission
-// policies, inflight pinning, and the admission counters the node mirrors
-// into metrics.
+// Bounded mempool unit tests: capacity enforcement, inflight marks, and the
+// admission counters the node mirrors into metrics.
 
 #include "multishot/mempool.hpp"
 
@@ -14,63 +13,36 @@ std::vector<std::uint8_t> tx(std::uint8_t label, std::size_t size = 4) {
 }
 
 TEST(BoundedMempool, RejectNewRefusesAtCapacity) {
-  BoundedMempool pool(2, MempoolPolicy::kRejectNew);
-  EXPECT_EQ(pool.push(tx(1)), BoundedMempool::Admit::kAdmitted);
-  EXPECT_EQ(pool.push(tx(2)), BoundedMempool::Admit::kAdmitted);
-  EXPECT_EQ(pool.push(tx(3)), BoundedMempool::Admit::kRejected);
+  BoundedMempool pool(2);
+  EXPECT_TRUE(pool.push(tx(1)));
+  EXPECT_TRUE(pool.push(tx(2)));
+  EXPECT_FALSE(pool.push(tx(3)));
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_EQ(pool.admitted(), 2u);
   EXPECT_EQ(pool.rejected(), 1u);
-  EXPECT_EQ(pool.dropped_oldest(), 0u);
   // The survivors are the first two, untouched.
   EXPECT_EQ(pool.entries().front().tx, tx(1));
   EXPECT_EQ(pool.entries().back().tx, tx(2));
 }
 
-TEST(BoundedMempool, DropOldestEvictsTheOldestAvailableEntry) {
-  BoundedMempool pool(2, MempoolPolicy::kDropOldest);
-  EXPECT_EQ(pool.push(tx(1)), BoundedMempool::Admit::kAdmitted);
-  EXPECT_EQ(pool.push(tx(2)), BoundedMempool::Admit::kAdmitted);
-  EXPECT_EQ(pool.push(tx(3)), BoundedMempool::Admit::kDroppedOldest);
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.entries().front().tx, tx(2));
-  EXPECT_EQ(pool.entries().back().tx, tx(3));
-  EXPECT_EQ(pool.admitted(), 3u);
-  EXPECT_EQ(pool.dropped_oldest(), 1u);
-}
-
-TEST(BoundedMempool, InflightEntriesArePinnedAgainstEviction) {
-  BoundedMempool pool(2, MempoolPolicy::kDropOldest);
-  (void)pool.push(tx(1));
-  (void)pool.push(tx(2));
-  pool.mark_inflight(pool.entries().front(), 7);
-  // The oldest is inflight; the eviction must take the second entry.
-  EXPECT_EQ(pool.push(tx(3)), BoundedMempool::Admit::kDroppedOldest);
-  EXPECT_EQ(pool.entries().front().tx, tx(1));
-  // With every entry inflight, nothing can be evicted: reject.
-  pool.mark_inflight(pool.entries().back(), 8);
-  pool.mark_inflight(pool.entries().front(), 8);
-  EXPECT_EQ(pool.push(tx(4)), BoundedMempool::Admit::kRejected);
-}
-
 TEST(BoundedMempool, OversizedTransactionsAreRejectedOutright) {
-  BoundedMempool pool(8, MempoolPolicy::kRejectNew);
-  EXPECT_EQ(pool.push(tx(1, 100), /*max_tx_bytes=*/32), BoundedMempool::Admit::kRejected);
-  EXPECT_EQ(pool.push(tx(1, 32), /*max_tx_bytes=*/32), BoundedMempool::Admit::kAdmitted);
+  BoundedMempool pool(8);
+  EXPECT_FALSE(pool.push(tx(1, 100), /*max_tx_bytes=*/32));
+  EXPECT_TRUE(pool.push(tx(1, 32), /*max_tx_bytes=*/32));
   EXPECT_EQ(pool.rejected(), 1u);
 }
 
 TEST(BoundedMempool, EmptyTransactionsAreRejected) {
   // An empty transaction would be indistinguishable from the zero-byte
   // filler padding of blocks and could be falsely reconciled as committed.
-  BoundedMempool pool(8, MempoolPolicy::kRejectNew);
-  EXPECT_EQ(pool.push({}), BoundedMempool::Admit::kRejected);
+  BoundedMempool pool(8);
+  EXPECT_FALSE(pool.push({}));
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.rejected(), 1u);
 }
 
 TEST(BoundedMempool, AvailableTracksInflightMarks) {
-  BoundedMempool pool(4, MempoolPolicy::kRejectNew);
+  BoundedMempool pool(4);
   (void)pool.push(tx(1));
   (void)pool.push(tx(2));
   EXPECT_EQ(pool.available(), 2u);

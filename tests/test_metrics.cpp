@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../bench/bench_alloc_count.hpp"
+
 namespace tbft {
 namespace {
 
@@ -31,52 +33,18 @@ TEST(Metrics, EmptyHistogramIsSafe) {
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
 }
 
-TEST(Metrics, PercentileInterpolates) {
+TEST(Metrics, HistogramRecordNeverAllocates) {
+  // A long-running node records into its histograms on every submission and
+  // proposal: their memory must not grow with the number of samples.
   Histogram h;
-  for (int i = 1; i <= 100; ++i) h.record(i);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 100.0);
-  EXPECT_NEAR(h.percentile(50), 50.5, 1e-9);
-  EXPECT_NEAR(h.percentile(90), 90.1, 0.2);
-}
-
-// Workload reporting (p50/p95/p99 of submit->commit latency) leans on
-// percentile(); the edges must be exact, not approximately sane.
-
-TEST(Metrics, PercentileOfSingleSampleIsThatSampleAtEveryP) {
-  Histogram h;
-  h.record(7.5);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 7.5);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 7.5);
-  EXPECT_DOUBLE_EQ(h.percentile(99), 7.5);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 7.5);
-}
-
-TEST(Metrics, PercentileBoundsAreMinAndMaxRegardlessOfInsertionOrder) {
-  Histogram h;
-  for (double v : {9.0, 1.0, 5.0, 3.0}) h.record(v);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 9.0);
-  EXPECT_NEAR(h.percentile(50), 4.0, 1e-9);  // midpoint of 3 and 5
-}
-
-TEST(Metrics, PercentileClampsOutOfRangeP) {
-  Histogram h;
-  h.record(2.0);
-  h.record(4.0);
-  // p outside [0, 100] must clamp, not index out of bounds.
-  EXPECT_DOUBLE_EQ(h.percentile(-50), 2.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1e9), 4.0);
-}
-
-TEST(Metrics, EmptyPercentileIsZeroForAnyP) {
-  Histogram h;
-  EXPECT_DOUBLE_EQ(h.percentile(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(99), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(-1), 0.0);
+  const std::uint64_t before = bench::alloc_count().load();
+  for (int i = 0; i < 1'000'000; ++i) h.record(static_cast<double>(i % 977));
+  EXPECT_EQ(bench::alloc_count().load() - before, 0u);
+  EXPECT_EQ(h.count(), 1'000'000u);
+  EXPECT_DOUBLE_EQ(h.min(), 0.0);
+  EXPECT_DOUBLE_EQ(h.max(), 976.0);
 }
 
 TEST(Metrics, RegistryReturnsSameObjectByName) {

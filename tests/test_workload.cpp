@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/serde.hpp"
-#include "ms_cluster_helpers.hpp"
 #include "workload/request.hpp"
 #include "workload/scenarios.hpp"
 
@@ -132,63 +131,6 @@ TEST(Workload, TinyMempoolAppliesBackpressure) {
   EXPECT_TRUE(res.report.exactly_once());
 }
 
-TEST(Workload, DropOldestPolicySurfacesDropsAsMetric) {
-  ScenarioOptions opts;
-  opts.preset = Preset::kSteadyState;
-  opts.seed = 15;
-  opts.load_duration = 150 * sim::kMillisecond;
-  opts.rate_per_sec = 4000;
-  opts.mempool_capacity = 4;
-  opts.max_batch_txs = 2;
-  opts.mempool_policy = multishot::MempoolPolicy::kDropOldest;
-  const auto res = run_scenario(opts);
-  EXPECT_GT(res.report.mempool_dropped_oldest, 0u);
-  // Dropped-oldest loses admitted requests by design; the exactly-once
-  // contract (no double commits, no foreign commits) still holds.
-  EXPECT_TRUE(res.report.exactly_once());
-  EXPECT_FALSE(res.all_admitted_committed);
-}
-
-TEST(Workload, BatchTimeoutStillMakesProgressWithoutLoad) {
-  // With batch_timeout set and no transactions at all, every fresh proposal
-  // waits out the timeout and falls back to a filler block: the chain must
-  // still grow, just slower.
-  test::MsClusterOptions opts;
-  opts.max_slots = 6;
-  opts.make_node = [](NodeId, const multishot::MultishotConfig& base) {
-    auto cfg = base;
-    cfg.batch_timeout = 2 * sim::kMillisecond;
-    return std::make_unique<multishot::MultishotNode>(cfg);
-  };
-  auto cluster = test::make_ms_cluster(opts);
-  EXPECT_TRUE(cluster.run_until_finalized(2, 10 * sim::kSecond));
-  EXPECT_TRUE(cluster.chains_consistent());
-}
-
-TEST(Workload, BatchTimeoutProposesImmediatelyOnArrival) {
-  // A deferring leader proposes as soon as a transaction lands, well before
-  // the timeout expires.
-  test::MsClusterOptions opts;
-  opts.max_slots = 8;
-  opts.make_node = [](NodeId, const multishot::MultishotConfig& base) {
-    auto cfg = base;
-    cfg.batch_timeout = 500 * sim::kMillisecond;  // effectively forever
-    return std::make_unique<multishot::MultishotNode>(cfg);
-  };
-  auto cluster = test::make_ms_cluster(opts);
-  // Feed every node so each slot's leader has a transaction when its turn
-  // comes; the pipeline then never waits for the (huge) timeout. A deadline
-  // far below the timeout proves the wake-on-arrival path, not the timer.
-  std::uint32_t seq = 0;
-  for (auto* node : cluster.nodes) {
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(node->submit_tx(workload::encode_request(9, seq++, 16)));
-    }
-  }
-  EXPECT_TRUE(cluster.run_until_finalized(1, 100 * sim::kMillisecond));
-  EXPECT_TRUE(cluster.chains_consistent());
-}
-
 TEST(Workload, ClientRetryRescuesRequestsStrandedAtIsolatedReplica) {
   // ROADMAP open item (client-side retry): node 3 admits submissions but is
   // outbound-dead for the whole run -- the "crashed after admission, before
@@ -258,6 +200,71 @@ TEST(Workload, RetryAccountingAbsorbsDuplicateSubmissions) {
   EXPECT_EQ(tracker.rejected(), 1u);
   EXPECT_EQ(tracker.retried(), 2u);
   EXPECT_TRUE(tracker.exactly_once());
+}
+
+// Workload reporting (p50/p95/p99 of submit->commit latency) leans on
+// percentile(); the edges must be exact, not approximately sane.
+
+TEST(Percentile, Interpolates) {
+  std::vector<double> v;
+  for (int i = 1; i <= 100; ++i) v.push_back(i);
+  EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
+  EXPECT_DOUBLE_EQ(percentile(v, 100), 100.0);
+  EXPECT_NEAR(percentile(v, 50), 50.5, 1e-9);
+  EXPECT_NEAR(percentile(v, 90), 90.1, 0.2);
+}
+
+TEST(Percentile, SingleSampleIsThatSampleAtEveryP) {
+  const std::vector<double> v{7.5};
+  EXPECT_DOUBLE_EQ(percentile(v, 0), 7.5);
+  EXPECT_DOUBLE_EQ(percentile(v, 50), 7.5);
+  EXPECT_DOUBLE_EQ(percentile(v, 99), 7.5);
+  EXPECT_DOUBLE_EQ(percentile(v, 100), 7.5);
+}
+
+TEST(Percentile, BoundsAreMinAndMaxRegardlessOfInsertionOrder) {
+  const std::vector<double> v{9.0, 1.0, 5.0, 3.0};
+  EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
+  EXPECT_DOUBLE_EQ(percentile(v, 100), 9.0);
+  EXPECT_NEAR(percentile(v, 50), 4.0, 1e-9);  // midpoint of 3 and 5
+}
+
+TEST(Percentile, ClampsOutOfRangeP) {
+  const std::vector<double> v{2.0, 4.0};
+  // p outside [0, 100] must clamp, not index out of bounds.
+  EXPECT_DOUBLE_EQ(percentile(v, -50), 2.0);
+  EXPECT_DOUBLE_EQ(percentile(v, 1e9), 4.0);
+}
+
+TEST(Percentile, EmptyIsZeroForAnyP) {
+  EXPECT_DOUBLE_EQ(percentile({}, 0), 0.0);
+  EXPECT_DOUBLE_EQ(percentile({}, 99), 0.0);
+  EXPECT_DOUBLE_EQ(percentile({}, -1), 0.0);
+}
+
+TEST(Workload, ReportPercentilesComeFromTheTrackersOwnSamples) {
+  // The registry's histograms keep no samples; the tracker's latency
+  // samples are what the report's percentiles read.
+  MetricsRegistry metrics;
+  WorkloadTracker tracker(metrics);
+  const std::size_t observer = tracker.add_observer();
+  const auto commit = [&](std::uint32_t seq, runtime::Time at) {
+    tracker.on_submitted(request_tag(1, seq), 0, /*admitted=*/true);
+    serde::Writer w;
+    w.varint(0);  // view nonce
+    w.bytes(encode_request(1, seq, 32));
+    multishot::Block b;
+    b.payload = w.take();
+    tracker.on_finalized(observer, b, at);
+  };
+  commit(0, 1 * runtime::kMillisecond);
+  commit(1, 3 * runtime::kMillisecond);
+  commit(2, 2 * runtime::kMillisecond);
+  EXPECT_EQ(tracker.latency_samples(), (std::vector<double>{1.0, 3.0, 2.0}));
+  const WorkloadReport r = tracker.report(1 * runtime::kSecond);
+  EXPECT_DOUBLE_EQ(r.latency_p50_ms, 2.0);
+  EXPECT_DOUBLE_EQ(r.latency_max_ms, 3.0);
+  EXPECT_DOUBLE_EQ(r.latency_mean_ms, 2.0);
 }
 
 }  // namespace
