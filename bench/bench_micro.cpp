@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): implementation costs of the pieces
 // the paper's complexity analysis talks about -- wire encode/decode, the
 // constant-time VoteRecord update, and the safe-value algorithms
-// (Algorithms 4 and 5, O(v*m*n)) as n and the view number grow.
+// (Algorithms 4 and 5, O(v*m*n)) as n and the view number grow -- plus the
+// mempool's per-transaction admit/reconcile cost as the pool grows.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,8 @@
 #include "core/messages.hpp"
 #include "core/rules.hpp"
 #include "core/vote_record.hpp"
+#include "multishot/block.hpp"
+#include "multishot/mempool.hpp"
 
 namespace {
 
@@ -133,6 +136,51 @@ void BM_CheckerEnabledActions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckerEnabledActions);
+
+/// The mempool's share of one committed transaction, as the node runs it,
+/// with `range(0)` entries already resident: admit a 256-transaction batch
+/// (hash, the submit-path dedup probe, push), mark it inflight as a
+/// proposal does, then reconcile the finalized 256-frame block that carries
+/// it (one index probe per frame, then the slot's inflight release). The
+/// pool returns to its resident size every iteration. Report-only: per-item
+/// time should stay flat across pool sizes.
+void BM_MempoolAdmitReconcile(benchmark::State& state) {
+  using multishot::BoundedMempool;
+  constexpr std::size_t kFrames = 256;
+  const auto resident = static_cast<std::size_t>(state.range(0));
+  auto make_tx = [](std::uint64_t id) {
+    std::vector<std::uint8_t> tx(32, 0x5A);
+    for (int i = 0; i < 8; ++i) tx[i] = static_cast<std::uint8_t>(id >> (8 * i));
+    return tx;
+  };
+  BoundedMempool pool(resident + kFrames);
+  for (std::uint64_t id = 0; id < resident; ++id) pool.push(make_tx(id));
+  std::vector<std::vector<std::uint8_t>> batch;
+  serde::Writer block;
+  block.varint(0);  // view nonce
+  for (std::uint64_t id = resident; id < resident + kFrames; ++id) {
+    batch.push_back(make_tx(id));
+    block.bytes(batch.back());
+  }
+  const std::vector<std::uint8_t> payload = block.take();
+  Slot slot = 0;
+  for (auto _ : state) {
+    ++slot;
+    for (const auto& tx : batch) {
+      const std::uint64_t h = fnv1a64(tx);
+      if (!pool.contains(h, tx)) pool.push(tx, 0, h);
+      pool.mark_inflight(pool.back(), slot);
+    }
+    multishot::for_each_frame(payload, [&pool](std::span<const std::uint8_t> f) {
+      pool.erase_tx(fnv1a64(f), f);
+    });
+    pool.release_through(slot);
+    benchmark::DoNotOptimize(pool.size());
+  }
+  if (pool.size() != resident) state.SkipWithError("pool did not return to its resident size");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kFrames));
+}
+BENCHMARK(BM_MempoolAdmitReconcile)->Arg(64)->Arg(1024)->Arg(4096);
 
 }  // namespace
 

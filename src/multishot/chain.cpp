@@ -7,11 +7,10 @@
 
 namespace tbft::multishot {
 
-bool ChainStore::add_block(const Block& b) {
+bool ChainStore::add_block(const Block& b, std::uint64_t h) {
   if (b.slot < first_unfinalized() || b.slot > first_unfinalized() + kWindow) return false;
   SlotEntry* e = window_.ensure(b.slot);
   TBFT_ASSERT(e != nullptr);  // window base tracks first_unfinalized()
-  const std::uint64_t h = b.hash();
   if (e->find(h) != nullptr) return true;  // duplicate candidate: no-op
   Candidate* slot_for_new = nullptr;
   if (e->used == kMaxCandidatesPerSlot) {
@@ -73,13 +72,14 @@ bool ChainStore::adopt_parent_notarization(Slot slot, View view, std::uint64_t h
   return true;
 }
 
-bool ChainStore::force_finalize(const Block& b) {
+bool ChainStore::force_finalize(Block&& b, std::uint64_t hash) {
   if (b.slot != first_unfinalized() || b.parent_hash != finalized_tip_hash()) return false;
-  store_.append(Block{b});
-  // Notify after the append (the block is resident at the tip) but with the
-  // caller's copy: the hook may re-enter the node (commit hooks drive
-  // closed-loop clients), which must observe the advanced chain.
-  if (on_finalized_) on_finalized_(b);
+  const Slot s = b.slot;
+  store_.append(std::move(b), hash);
+  // Notify after the append, so a hook that re-enters the node (commit hooks
+  // drive closed-loop clients) observes the advanced chain; the block stays
+  // resident for the whole call, exactly as on the rule path below.
+  if (on_finalized_) on_finalized_(*store_.block_at(s), hash);
   prune_finalized();
   return true;
 }
@@ -89,9 +89,9 @@ std::optional<Notarization> ChainStore::notarized(Slot slot) const {
   if (is_finalized(slot)) {
     // Finalized slots answer with the chain's hash while the block is still
     // resident; compacted history can no longer be cited per slot.
-    const Block* b = store_.block_at(slot);
-    if (b == nullptr) return std::nullopt;
-    return Notarization{0, b->hash()};
+    const auto h = store_.hash_at(slot);
+    if (!h) return std::nullopt;
+    return Notarization{0, *h};
   }
   const SlotEntry* e = window_.find(slot);
   if (e == nullptr || !e->has_notarization) return std::nullopt;
@@ -135,13 +135,14 @@ std::size_t ChainStore::try_finalize() {
     TBFT_ASSERT(c != nullptr);
     // Move, don't copy: the slot is pruned right below, and the payload
     // bytes need to live on in the finalized tail anyway.
-    store_.append(std::move(c->block));
+    const std::uint64_t h = c->hash;
+    store_.append(std::move(c->block), h);
     ++finalized;
     // Notify per block while it is guaranteed resident (one append at a
     // time, so even a burst larger than the tail sees each block before
     // compaction). The hook may re-enter the node -- candidate pointers are
     // dead by now and the loop re-derives its state every iteration.
-    if (on_finalized_) on_finalized_(*store_.block_at(s));
+    if (on_finalized_) on_finalized_(*store_.block_at(s), h);
   }
   if (finalized > 0) prune_finalized();
   return finalized;

@@ -50,8 +50,11 @@ class ChainStore {
   /// slot is outside the acceptance window (finalized or too far ahead).
   /// A slot holds at most kMaxCandidatesPerSlot distinct candidates; at the
   /// bound the oldest non-notarized candidate is displaced (the slot stays
-  /// live under Byzantine re-proposal floods).
-  bool add_block(const Block& b);
+  /// live under Byzantine re-proposal floods). `hash` must be b.hash(): the
+  /// node hashes each block once where it enters and stores the hash with
+  /// the candidate (and later in the finalized tail).
+  bool add_block(const Block& b, std::uint64_t hash);
+  bool add_block(const Block& b) { return add_block(b, b.hash()); }
 
   [[nodiscard]] const Block* find_block(Slot slot, std::uint64_t hash) const;
 
@@ -72,8 +75,10 @@ class ChainStore {
 
   /// Adopt a finalized block learned through f+1 matching claims; must
   /// extend the current finalized tip at the first unfinalized slot.
-  /// Returns false (and does nothing) otherwise.
-  bool force_finalize(const Block& b);
+  /// Returns false (and leaves `b` untouched) otherwise; on success the
+  /// block moves into the finalized tail. `hash` must be b.hash().
+  bool force_finalize(Block&& b, std::uint64_t hash);
+  bool force_finalize(const Block& b) { return force_finalize(Block{b}, b.hash()); }
 
   [[nodiscard]] std::optional<Notarization> notarized(Slot slot) const;
 
@@ -85,11 +90,12 @@ class ChainStore {
   /// finalized store in slot order. Returns how many were finalized.
   std::size_t try_finalize();
 
-  /// Invoked once per newly finalized block, in slot order, on BOTH
-  /// finalization paths (rule and adoption), before the block can be
-  /// compacted out of the tail. The multishot node routes its
+  /// Invoked once per newly finalized block (with its stored hash), in slot
+  /// order, on BOTH finalization paths (rule and adoption), before the block
+  /// can be compacted out of the tail. The multishot node routes its
   /// decision/mempool/commit bookkeeping through this.
-  void set_on_finalized(std::function<void(const Block&)> hook) {
+  using FinalizedHook = std::function<void(const Block&, std::uint64_t hash)>;
+  void set_on_finalized(FinalizedHook hook) {
     on_finalized_ = std::move(hook);
   }
 
@@ -100,6 +106,10 @@ class ChainStore {
   /// compacted past the tail.
   [[nodiscard]] const Block* block_at(Slot slot) const noexcept {
     return store_.block_at(slot);
+  }
+  /// Stored hash of the resident finalized block at `slot` (no rehash).
+  [[nodiscard]] std::optional<std::uint64_t> hash_at(Slot slot) const noexcept {
+    return store_.hash_at(slot);
   }
   [[nodiscard]] Slot tail_first() const noexcept { return store_.tail_first(); }
   [[nodiscard]] const Checkpoint& checkpoint() const noexcept { return store_.checkpoint(); }
@@ -158,6 +168,15 @@ class ChainStore {
   /// entries against one snapshot.
   [[nodiscard]] std::vector<std::span<const std::uint8_t>> pending_candidate_frames() const;
 
+  /// Visit every stored candidate of every unfinalized slot as (slot,
+  /// stored hash, block).
+  template <class Fn>
+  void for_each_candidate(Fn&& fn) const {
+    window_.for_each([&](Slot s, const SlotEntry& e) {
+      for (std::size_t i = 0; i < e.used; ++i) fn(s, e.candidates[i].hash, e.candidates[i].block);
+    });
+  }
+
   /// Window slabs ever allocated == peak unfinalized-slot occupancy
   /// (bounded-storage regression tests).
   [[nodiscard]] std::size_t window_slabs() const noexcept { return window_.slab_count(); }
@@ -192,7 +211,7 @@ class ChainStore {
 
  private:
   struct Candidate {
-    std::uint64_t hash{0};  // cached b.hash(), computed once at admission
+    std::uint64_t hash{0};  // b.hash(), computed once where the block entered
     bool has_txs{false};    // payload carries transaction frames
     Block block;
   };
@@ -223,7 +242,7 @@ class ChainStore {
 
   SlotWindow<SlotEntry> window_;   // unfinalized candidate/notarization state
   FinalizedStore store_;           // bounded tail + checkpoint + commit index
-  std::function<void(const Block&)> on_finalized_;
+  FinalizedHook on_finalized_;
 };
 
 }  // namespace tbft::multishot

@@ -5,7 +5,7 @@
 
 namespace tbft::multishot {
 
-void FinalizedStore::append(Block&& b) {
+void FinalizedStore::append(Block&& b, std::uint64_t hash) {
   TBFT_ASSERT(b.slot == tip_ + 1);
   // Compact the oldest resident block before its ring cell is overwritten:
   // fold its hash into the cumulative chain hash and count its committed
@@ -13,28 +13,30 @@ void FinalizedStore::append(Block&& b) {
   // index drop what fell out of the horizon. The payload buffer stays in
   // the ring cell and is recycled by the move-assign below.
   if (tip_ >= tail_first() && slot_count(cap_) == tip_ - checkpoint_.slot) {
-    const Block& oldest = ring_[slot_index(tail_first(), Slot{1}) % cap_];
-    checkpoint_.chain_hash = hash_combine(checkpoint_.chain_hash, oldest.hash());
-    for_each_frame(oldest.payload,
+    const Resident& oldest = *resident(tail_first());
+    checkpoint_.chain_hash = hash_combine(checkpoint_.chain_hash, oldest.hash);
+    for_each_frame(oldest.block.payload,
                    [this](std::span<const std::uint8_t>) { ++checkpoint_.tx_count; });
-    checkpoint_.slot = oldest.slot;
-    checkpoint_.boundary_hash = oldest.hash();
+    checkpoint_.slot = oldest.block.slot;
+    checkpoint_.boundary_hash = oldest.hash;
     index_.evict_through(horizon_floor(checkpoint_.slot));
   }
   tip_ = b.slot;
-  tip_hash_ = b.hash();
+  tip_hash_ = hash;
   for_each_frame(b.payload, [this, &b](std::span<const std::uint8_t> f) {
     index_.insert(fnv1a64(f), b.slot);
   });
-  ring_[slot_index(tip_, Slot{1}) % cap_] = std::move(b);
+  const std::size_t i = slot_index(tip_, Slot{1}) % cap_;
+  if (i >= ring_.size()) ring_.resize(i + 1);  // within the reserved capacity
+  Resident& cell = ring_[i];
+  cell.block = std::move(b);
+  cell.hash = hash;
 }
 
 std::optional<std::uint64_t> FinalizedStore::prefix_digest(Slot s) const {
   if (s < checkpoint_.slot || s > tip_) return std::nullopt;
   std::uint64_t h = checkpoint_.chain_hash;
-  for (Slot t = tail_first(); t <= s; ++t) {
-    h = hash_combine(h, ring_[slot_index(t, Slot{1}) % cap_].hash());
-  }
+  for (Slot t = tail_first(); t <= s; ++t) h = hash_combine(h, resident(t)->hash);
   return h;
 }
 
@@ -72,18 +74,19 @@ std::optional<Checkpoint> FinalizedStore::checkpoint_at(Slot s) const {
   if (s < checkpoint_.slot || s > tip_) return std::nullopt;
   Checkpoint cp = checkpoint_;
   for (Slot t = tail_first(); t <= s; ++t) {
-    const Block& b = ring_[slot_index(t, Slot{1}) % cap_];
-    cp.chain_hash = hash_combine(cp.chain_hash, b.hash());
-    for_each_frame(b.payload, [&cp](std::span<const std::uint8_t>) { ++cp.tx_count; });
+    const Resident& r = *resident(t);
+    cp.chain_hash = hash_combine(cp.chain_hash, r.hash);
+    for_each_frame(r.block.payload,
+                   [&cp](std::span<const std::uint8_t>) { ++cp.tx_count; });
     cp.slot = t;
-    cp.boundary_hash = b.hash();
+    cp.boundary_hash = r.hash;
   }
   return cp;
 }
 
 std::size_t FinalizedStore::resident_bytes() const noexcept {
-  std::size_t bytes = ring_.capacity() * sizeof(Block) + index_.resident_bytes();
-  for (const Block& b : ring_) bytes += b.payload.capacity();
+  std::size_t bytes = ring_.capacity() * sizeof(Resident) + index_.resident_bytes();
+  for (const Resident& r : ring_) bytes += r.block.payload.capacity();
   return bytes;
 }
 

@@ -27,9 +27,10 @@
 //    every anchor a checkpoint-transfer responder serves ([checkpoint.slot,
 //    tip]) still has its full window;
 //  - append() is allocation-free in steady state for filler payloads: the
-//    ring is sized up front, checkpoint folding is arithmetic, and the index
-//    only grows with committed transactions (amortized doubling, and one
-//    survivor rebuild per H/2 slots of compaction). bench_consensus keeps
+//    ring's capacity is reserved up front, checkpoint folding is
+//    arithmetic, and the index only grows with committed transactions
+//    (amortized doubling, and one survivor rebuild per H/2 slots of
+//    compaction). bench_consensus keeps
 //    asserting the zero-alloc contract; bench_storage's bounded-memory gates
 //    measure the block side and the commit index at real batch sizes.
 //
@@ -283,14 +284,22 @@ class FinalizedStore {
   static constexpr std::size_t kDefaultTailCapacity = 4096;
 
   explicit FinalizedStore(std::size_t tail_capacity = kDefaultTailCapacity)
-      : cap_(tail_capacity), ring_(tail_capacity) {
+      : cap_(tail_capacity) {
     TBFT_ASSERT(tail_capacity >= 8);  // finalization bursts notify before compaction
+    // Cells are constructed as slots first reach them: a young chain pays
+    // for (and keeps resident) only the cells it has used.
+    ring_.reserve(cap_);
   }
 
   /// Append the next finalized block (must be tip+1; linkage is the caller's
   /// contract -- ChainStore checks it). Compacts the oldest resident block
-  /// into the checkpoint when the tail is full.
-  void append(Block&& b);
+  /// into the checkpoint when the tail is full. `hash` must be b.hash(): the
+  /// store keeps it beside the block, so no reader hashes the payload again.
+  void append(Block&& b, std::uint64_t hash);
+  void append(Block&& b) {
+    const std::uint64_t hash = b.hash();
+    append(std::move(b), hash);
+  }
 
   /// Total finalized slots == tip slot (0 = empty chain).
   [[nodiscard]] Slot tip() const noexcept { return tip_; }
@@ -302,8 +311,15 @@ class FinalizedStore {
   /// Resident finalized block, or nullptr when `s` is unfinalized or
   /// compacted past the tail.
   [[nodiscard]] const Block* block_at(Slot s) const noexcept {
-    if (s < tail_first() || s > tip_) return nullptr;
-    return &ring_[slot_index(s, Slot{1}) % cap_];
+    const Resident* r = resident(s);
+    return r == nullptr ? nullptr : &r->block;
+  }
+  /// Stored hash of the resident block at `s` (== block_at(s)->hash()),
+  /// nullopt when no block is resident there.
+  [[nodiscard]] std::optional<std::uint64_t> hash_at(Slot s) const noexcept {
+    const Resident* r = resident(s);
+    if (r == nullptr) return std::nullopt;
+    return r->hash;
   }
 
   [[nodiscard]] const Checkpoint& checkpoint() const noexcept { return checkpoint_; }
@@ -360,7 +376,7 @@ class FinalizedStore {
   /// install.
   bool install_checkpoint(const Checkpoint& cp, std::span<const std::uint8_t> commit_state) {
     if (cp.slot <= tip_ || !index_.install(commit_state, cp.slot)) return false;
-    ring_.assign(cap_, Block{});
+    ring_.clear();
     checkpoint_ = cp;
     tip_ = cp.slot;
     tip_hash_ = cp.boundary_hash;
@@ -380,19 +396,31 @@ class FinalizedStore {
   void encode_commit_state(serde::Writer& w, Slot at) const { index_.encode(w, at); }
   void encode_commit_state(serde::Writer& w) const { encode_commit_state(w, checkpoint_.slot); }
 
-  /// Bytes held live by the store: ring block headers + payload capacities +
-  /// the index table (bench_storage's bounded-memory figure).
+  /// Bytes held live by the store: ring cells (block headers + stored
+  /// hashes) + payload capacities + the index table (bench_storage's
+  /// bounded-memory figure).
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
   [[nodiscard]] std::size_t tail_capacity() const noexcept { return cap_; }
 
  private:
+  /// A resident block with its hash, computed once where the block entered.
+  struct Resident {
+    Block block;
+    std::uint64_t hash{0};
+  };
+
+  [[nodiscard]] const Resident* resident(Slot s) const noexcept {
+    if (s < tail_first() || s > tip_) return nullptr;
+    return &ring_[slot_index(s, Slot{1}) % cap_];
+  }
+
   /// Whether the index entry (s, hash of tx) stands for `tx`: byte-checked
   /// against a resident block, trusted for a compacted one.
   [[nodiscard]] bool vouches(Slot s, std::span<const std::uint8_t> tx) const;
 
   std::size_t cap_;
-  std::vector<Block> ring_;  // index = (slot - 1) % cap_
+  std::vector<Resident> ring_;  // index = (slot - 1) % cap_
   Slot tip_{0};
   std::uint64_t tip_hash_{kGenesisHash};
   Checkpoint checkpoint_{};

@@ -19,9 +19,9 @@ std::size_t varint_size(std::uint64_t v) {
   return n;
 }
 
-/// Hash-indexed view of a block's frames for mempool reconciliation: sorted
-/// (fnv1a64, frame) pairs, probed per entry in O(log frames) with an exact
-/// byte comparison only on hash hits.
+/// Hash-indexed view of the pending candidates' frames for build_batch's
+/// dedup probe: sorted (fnv1a64, frame) pairs, probed per entry in
+/// O(log frames) with an exact byte comparison only on hash hits.
 struct FrameIndex {
   explicit FrameIndex(const std::vector<std::span<const std::uint8_t>>& frames) {
     keyed.reserve(frames.size());
@@ -86,7 +86,7 @@ MultishotNode::MultishotNode(MultishotConfig cfg)
       mempool_(cfg.mempool_capacity) {
   // Both finalization paths (depth-4 rule and claim adoption) notify through
   // this one hook, before the block can be compacted out of the tail.
-  chain_.set_on_finalized([this](const Block& b) { note_finalized(b); });
+  chain_.set_on_finalized([this](const Block& b, std::uint64_t h) { note_finalized(b, h); });
 }
 
 void MultishotNode::on_start() {
@@ -119,8 +119,8 @@ bool MultishotNode::submit_tx(std::vector<std::uint8_t> tx) {
   if (!admitted) return false;
 
   // Single-hop relay: when another node leads the proposal frontier, hand
-  // the request to it (the entry just pushed is entries().back()).
-  forward_if_foreign_leader(mempool_.entries().back());
+  // the request to it (the entry just pushed is back()).
+  forward_if_foreign_leader(mempool_.at(mempool_.back()));
   after_admission();
   return true;
 }
@@ -284,7 +284,8 @@ MultishotNode::BatchDraft MultishotNode::build_batch(View view) {
   // kept the fallback) must prove its bytes are not already riding another
   // live slot before it may ride this one.
   std::optional<FrameIndex> pending_index;
-  for (auto& e : mempool_.entries()) {
+  for (auto h = mempool_.front(); h != BoundedMempool::kNone; h = mempool_.next(h)) {
+    BoundedMempool::Entry& e = mempool_.at(h);
     if (e.inflight) continue;       // already in one of my outstanding proposals
     if (e.hold_until > now) continue;  // forwarded; the relay owns it for now
     if (e.hold_until != 0 || e.relayed) {
@@ -318,7 +319,7 @@ MultishotNode::BatchDraft MultishotNode::build_batch(View view) {
     const std::size_t frame = varint_size(e.tx.size()) + e.tx.size();
     if (!draft.entries.empty() && w.size() + frame > cap_bytes) break;
     w.bytes(e.tx);
-    draft.entries.push_back(&e);
+    draft.entries.push_back(h);
   }
   draft.payload = w.take();
   if (draft.payload.size() < cfg_.default_payload_bytes) {
@@ -328,7 +329,7 @@ MultishotNode::BatchDraft MultishotNode::build_batch(View view) {
 }
 
 void MultishotNode::commit_batch(BatchDraft& draft, Slot s, std::size_t payload_bytes) {
-  for (auto* e : draft.entries) mempool_.mark_inflight(*e, s);
+  for (const auto h : draft.entries) mempool_.mark_inflight(h, s);
   auto& metrics = ctx().metrics();
   metrics.histogram("multishot.batch.txs").record(static_cast<double>(draft.entries.size()));
   metrics.histogram("multishot.batch.bytes").record(static_cast<double>(payload_bytes));
@@ -363,6 +364,7 @@ void MultishotNode::try_propose(Slot s) {
   if (!parent) return;
 
   Block block;
+  std::uint64_t block_hash = 0;  // block.hash(), computed once
   if (st->view == 0) {
     // Stripe pacing (Fig. 2: the next leader proposes on *receipt* of the
     // previous proposal): inside a stripe the leader is its own next leader,
@@ -384,6 +386,7 @@ void MultishotNode::try_propose(Slot s) {
     BatchDraft draft = build_batch(0);
     const std::size_t payload_bytes = draft.payload.size();
     block = Block{s, *parent, ctx().id(), std::move(draft.payload)};
+    block_hash = block.hash();
     commit_batch(draft, s, payload_bytes);
   } else {
     // Rule 1 over this slot's suggest messages. The leader's "initial
@@ -399,26 +402,31 @@ void MultishotNode::try_propose(Slot s) {
       }
     }
     std::optional<Block> preferred;
+    std::uint64_t preferred_hash = 0;
     BatchDraft draft;
     bool fresh = false;
     if (const auto nt = chain_.notarized(s)) {
       if (const Block* nb = chain_.find_block(s, nt->hash);
           nb != nullptr && nb->parent_hash == *parent) {
         preferred = *nb;
+        preferred_hash = nt->hash;
       }
     }
     if (!preferred) {
       draft = build_batch(st->view);
       preferred = Block{s, *parent, ctx().id(), std::move(draft.payload)};
+      preferred_hash = preferred->hash();
       fresh = true;
     }
-    const auto val = core::leader_find_safe_value(qp_, st->view, preferred->value(), suggests);
+    const auto val =
+        core::leader_find_safe_value(qp_, st->view, Value{preferred_hash}, suggests);
     if (!val) return;
-    if (val->id == preferred->hash()) {
+    if (val->id == preferred_hash) {
       // Mark the batch only when the fresh block is actually proposed; a
       // Rule-1-forced value discards the draft at no cost.
       if (fresh) commit_batch(draft, s, preferred->payload.size());
       block = std::move(*preferred);
+      block_hash = preferred_hash;
     } else {
       // Rule 1 forces a previously proposed block: re-propose it.
       const Block* existing = chain_.find_block(s, val->id);
@@ -430,17 +438,18 @@ void MultishotNode::try_propose(Slot s) {
         return;
       }
       block = *existing;
+      block_hash = val->id;
     }
   }
 
   st->proposed = true;
-  chain_.add_block(block);
+  chain_.add_block(block, block_hash);
   // The proposal is the leader's implicit vote for its own slot (paper
   // §6.1): record vote-1 locally; the broadcast is counted by receivers.
-  if (st->voted.try_emplace(st->view, block.hash())) {
+  if (st->voted.try_emplace(st->view, block_hash)) {
     const auto& high = st->record.highest(1);
     if (!high.present() || st->view > high.view) {
-      st->record.record(1, st->view, block.value());
+      st->record.record(1, st->view, Value{block_hash});
     }
   }
   do_propose(s, st->view, block);
@@ -488,35 +497,35 @@ void MultishotNode::try_vote(Slot s) {
   }
 
   st->voted.try_emplace(st->view, h);
-  record_vote_effects(s, st->view, *b);
+  record_vote_effects(s, st->view, *b, h);
   broadcast_ms(MsVote{s, st->view, h});
 }
 
-void MultishotNode::record_vote_effects(Slot s, View v, const Block& head) {
+void MultishotNode::record_vote_effects(Slot s, View v, const Block& head,
+                                        std::uint64_t head_hash) {
   // A head vote for slot s is vote-1 for s and implicitly vote-k for slot
   // s-k+1 along the parent chain (Fig. 2); phases are preserved in local
-  // memory for future suggest/proof messages.
+  // memory for future suggest/proof messages. Each ancestor's hash is its
+  // child's parent_hash: the walk never rehashes a block.
   const Block* b = &head;
+  std::uint64_t h = head_hash;
   for (int phase = 1; phase <= 4; ++phase) {
     const Slot target = s - static_cast<Slot>(phase - 1);
     if (target < 1 || s < static_cast<Slot>(phase - 1)) break;
     if (SlotState* ts = slot_state(target, false); ts != nullptr) {
       const auto& high = ts->record.highest(phase);
       if (!high.present() || v > high.view) {
-        ts->record.record(phase, v, b->value());
+        ts->record.record(phase, v, Value{h});
       }
     }
     if (phase == 4 || target == 1) break;
     const Slot parent_slot = target - 1;
-    const Block* pb = chain_.find_block(parent_slot, b->parent_hash);
+    h = b->parent_hash;
+    const Block* pb = chain_.find_block(parent_slot, h);
     if (pb == nullptr) {
-      // A compacted ancestor (block_at == nullptr) is content-unknown too.
-      const Block* fb = chain_.block_at(parent_slot);
-      if (fb != nullptr && fb->hash() == b->parent_hash) {
-        pb = fb;
-      } else {
-        break;  // ancestor content unknown; skip deeper phases
-      }
+      // A compacted ancestor (no stored hash) is content-unknown too.
+      if (chain_.hash_at(parent_slot) != h) break;  // ancestor content unknown
+      pb = chain_.block_at(parent_slot);
     }
     b = pb;
   }
@@ -584,7 +593,7 @@ void MultishotNode::finalize_progress() {
   if (chain_.try_finalize() > 0) prune_slots();
 }
 
-void MultishotNode::note_finalized(const Block& b) {
+void MultishotNode::note_finalized(const Block& b, std::uint64_t hash) {
   // Durability FIRST: the WAL record (and any due checkpoint) must be on
   // its way to disk before the commit is published or acknowledged -- a
   // crash right after the ack must recover the block.
@@ -597,37 +606,39 @@ void MultishotNode::note_finalized(const Block& b) {
   // any frame already committed at an earlier slot -- deterministically,
   // since every node filters the same chain prefix against the same commit
   // index. The common path (no duplicate) publishes the payload untouched.
+  // Each frame is hashed once here; the reconciliation below reuses it.
+  frame_hashes_.clear();
+  bool has_dup = false;
+  for_each_frame(b.payload, [&](std::span<const std::uint8_t> f) {
+    frame_hashes_.push_back(fnv1a64(f));
+    has_dup = has_dup || chain_.committed_before(f, frame_hashes_.back(), b.slot);
+  });
   std::optional<Block> dedup;
-  for (const auto f : payload_frames(b.payload)) {
-    if (!chain_.committed_before(f, fnv1a64(f), b.slot)) continue;
+  if (has_dup) {
     ctx().metrics().counter("multishot.delivery.filtered_dup").add();
     serde::Reader r(b.payload);
     serde::Writer w;
     w.varint(r.varint());  // view nonce survives verbatim
-    for (const auto keep : payload_frames(b.payload)) {
-      if (!chain_.committed_before(keep, fnv1a64(keep), b.slot)) w.bytes(keep);
-    }
+    std::size_t i = 0;
+    for_each_frame(b.payload, [&](std::span<const std::uint8_t> f) {
+      if (!chain_.committed_before(f, frame_hashes_[i++], b.slot)) w.bytes(f);
+    });
     auto filtered = w.take();
     filtered.resize(b.payload.size(), 0);  // zero padding parses as filler
     dedup = Block{b.slot, b.parent_hash, b.proposer, std::move(filtered)};
-    break;
   }
   const Block& delivered = dedup ? *dedup : b;
-  ctx().publish_commit(b.slot, b.value(), delivered.payload);
-  // Mempool reconciliation against the winning block: transactions that made
-  // it into the chain leave the pool; my inflight transactions attributed to
-  // this (or an earlier) slot whose proposal lost/aborted become available
-  // again -- the slot's outcome is now settled, so this cannot double-include.
-  const FrameIndex index(payload_frames(b.payload));
-  auto& entries = mempool_.entries();
-  for (auto it = entries.begin(); it != entries.end();) {
-    if (index.contains(it->hash, it->tx)) {
-      it = mempool_.erase(it);
-      continue;
-    }
-    if (it->inflight && it->slot <= b.slot) mempool_.release(*it);
-    ++it;
-  }
+  ctx().publish_commit(b.slot, Value{hash}, delivered.payload);
+  // Mempool reconciliation against the winning block, one index probe per
+  // frame: transactions that made it into the chain leave the pool; my
+  // inflight transactions attributed to this (or an earlier) slot whose
+  // proposal lost/aborted become available again -- the slot's outcome is
+  // now settled, so this cannot double-include.
+  std::size_t i = 0;
+  for_each_frame(b.payload, [&](std::span<const std::uint8_t> f) {
+    mempool_.erase_tx(frame_hashes_[i++], f);
+  });
+  mempool_.release_through(b.slot);
   if (commit_hook_) commit_hook_(delivered, ctx().now());
 }
 
@@ -664,6 +675,16 @@ void MultishotNode::handle(NodeId from, const MsProposal& m) {
   if (from != cfg_.leader_of(m.slot, m.view)) return;
   SlotState* st = slot_state(m.slot, true);
   if (st == nullptr) return;
+  // The one hash of a received block. A leader's own broadcast comes back to
+  // it: the block stored under its vote needs no second hash once a byte
+  // compare (far cheaper than hashing the payload) confirms it is the same.
+  std::uint64_t h = 0;
+  if (const auto* mine = from == ctx().id() ? st->voted.find(m.view) : nullptr) {
+    if (const Block* b = chain_.find_block(m.slot, *mine); b != nullptr && *b == m.block) {
+      h = *mine;
+    }
+  }
+  if (h == 0) h = m.block.hash();
   // First proposal per view wins -- checked BEFORE the candidate store, so
   // an equivocating leader cannot flood the bounded per-slot storage. A few
   // *alternate* blocks per slot are still stored: if another variant wins
@@ -673,8 +694,8 @@ void MultishotNode::handle(NodeId from, const MsProposal& m) {
   // content-unknown recovery paths take over -- a bounded liveness delay,
   // never a safety issue (all state is content-addressed).
   if (const auto* recorded = st->proposal_by_view.find(m.view); recorded != nullptr) {
-    if (*recorded != m.block.hash() && st->extra_candidates < kMaxExtraCandidatesPerSlot &&
-        chain_.add_block(m.block)) {
+    if (*recorded != h && st->extra_candidates < kMaxExtraCandidatesPerSlot &&
+        chain_.add_block(m.block, h)) {
       ++st->extra_candidates;
     }
     return;
@@ -682,9 +703,8 @@ void MultishotNode::handle(NodeId from, const MsProposal& m) {
   // Record the view's proposal first: a view refused at the tracked-view
   // bound must leave no trace in the bounded candidate store either, or
   // stale-view spam could churn its displacement rotation.
-  const std::uint64_t h = m.block.hash();
   if (!st->proposal_by_view.try_emplace(m.view, h)) return;  // at the view bound
-  if (!chain_.add_block(m.block)) return;  // window race: mapping alone is harmless
+  if (!chain_.add_block(m.block, h)) return;  // window race: mapping alone is harmless
   if (record_timeline_) first_proposal_at_.try_emplace(m.slot, ctx().now());
   // Proposal activity revives a dormant (idle-suppressed) slot.
   if (st->started && st->timer == 0) arm_timer(m.slot);
@@ -921,7 +941,7 @@ std::size_t MultishotNode::adopt_ready_claims() {
     for (std::size_t i = 0; i < slab->used; ++i) {
       ClaimSlab::Claim& claim = slab->claims[i];
       if (!qp_.is_blocking(claim.senders.count())) continue;
-      if (chain_.force_finalize(claim.block)) {
+      if (chain_.force_finalize(std::move(claim.block), claim.hash)) {
         progress = true;
         ++adopted;
         break;
@@ -1190,19 +1210,17 @@ void MultishotNode::install_fetched_checkpoint(const CkptFetch::Identity& ident)
   // either way. A jump of H or more leaves skipped slots no window can
   // decide, so every pre-install entry expires instead (the dedup horizon
   // contract in finalized_store.hpp).
-  auto& entries = mempool_.entries();
   if (ident.cp.slot >= old_first + kDedupHorizon) {
-    ctx().metrics().counter("multishot.mempool.expired").add(entries.size());
-    while (!entries.empty()) mempool_.erase(entries.begin());
+    ctx().metrics().counter("multishot.mempool.expired").add(mempool_.size());
+    mempool_.clear();
   }
-  for (auto it = entries.begin(); it != entries.end();) {
-    if (chain_.commit_slot(it->tx, it->hash) != 0) {
-      it = mempool_.erase(it);
-      continue;
-    }
-    if (it->inflight && it->slot <= ident.cp.slot) mempool_.release(*it);
-    ++it;
+  for (auto h = mempool_.front(); h != BoundedMempool::kNone;) {
+    const auto next = mempool_.next(h);
+    const BoundedMempool::Entry& e = mempool_.at(h);
+    if (chain_.commit_slot(e.tx, e.hash) != 0) mempool_.erase(h);
+    h = next;
   }
+  mempool_.release_through(ident.cp.slot);
   finish_ckpt_fetch();
   prune_slots();
   // Resume: the remaining gap (anchor .. live frontier) is range-syncable
@@ -1248,8 +1266,7 @@ void MultishotNode::handle(NodeId from, const MsBlockRequest& m) {
   if (b == nullptr) {
     // The slot may have finalized here (candidates pruned): serve from the
     // resident finalized tail when the hash matches.
-    const Block* fb = chain_.block_at(m.slot);
-    if (fb != nullptr && fb->hash() == m.block_hash) b = fb;
+    if (chain_.hash_at(m.slot) == m.block_hash) b = chain_.block_at(m.slot);
   }
   if (b == nullptr) return;
   ctx().metrics().counter("multishot.blockreq.served").add();
@@ -1269,7 +1286,7 @@ void MultishotNode::handle(NodeId from, const MsBlockReply& m) {
                         return nt && nt->hash == h;
                       }();
   if (!wanted) return;
-  if (!chain_.add_block(m.block)) return;  // window race: drop
+  if (!chain_.add_block(m.block, h)) return;  // window race: drop
   if (st != nullptr && st->wanted_hash == h) st->wanted_hash = 0;
   ctx().metrics().counter("multishot.blockreq.adopted").add();
   // The recovered bytes can complete a notarization's finalization chain,
@@ -1307,7 +1324,7 @@ void MultishotNode::handle(NodeId from, const MsForwardTx& m) {
     return;
   }
   forward_seen_.insert(h);
-  mempool_.entries().back().relayed = true;
+  mempool_.at(mempool_.back()).relayed = true;
   metrics.counter("multishot.forward.received").add();
   // Single hop: a relayed request is never re-forwarded; it wakes the idle
   // chain exactly like a local submission.

@@ -370,7 +370,7 @@ class MultishotNode : public runtime::ProtocolNode {
   /// spreads the backlog across. Bounded window sweep, proposal-time only.
   [[nodiscard]] std::uint32_t led_inflight() const;
   void try_vote(Slot s);
-  void record_vote_effects(Slot s, View v, const Block& head);
+  void record_vote_effects(Slot s, View v, const Block& head, std::uint64_t head_hash);
   void on_notarized(Slot s);
   void finalize_progress();
 
@@ -440,13 +440,14 @@ class MultishotNode : public runtime::ProtocolNode {
   /// (commit_batch), so a discarded candidate costs nothing.
   struct BatchDraft {
     std::vector<std::uint8_t> payload;
-    std::vector<BoundedMempool::Entry*> entries;
+    std::vector<BoundedMempool::Handle> entries;
   };
   [[nodiscard]] BatchDraft build_batch(View view);
   void commit_batch(BatchDraft& draft, Slot s, std::size_t payload_bytes);
   /// Mempool/commit bookkeeping for every finalized block regardless of the
-  /// path (finalization rule or ChainInfo adoption).
-  void note_finalized(const Block& b);
+  /// path (finalization rule or ChainInfo adoption); `hash` is the block's
+  /// stored hash.
+  void note_finalized(const Block& b, std::uint64_t hash);
   void prune_slots();
 
   /// Range-sync requester state: one in-flight ranged request at a time,
@@ -578,6 +579,7 @@ class MultishotNode : public runtime::ProtocolNode {
   // Reusable scratch for view-change tallies and window sweeps.
   std::vector<View> view_scratch_;
   std::vector<Slot> slot_scratch_;
+  std::vector<std::uint64_t> frame_hashes_;  // note_finalized, per frame
 
   bool record_timeline_{false};
   std::map<Slot, runtime::Time> notarized_at_;

@@ -334,5 +334,85 @@ TEST(Chain, NotarizedFinalizedSlotReportsChainHash) {
   EXPECT_EQ(c.required_parent(2), b1.hash());
 }
 
+/// Every candidate's and every resident finalized block's stored hash
+/// equals a fresh Block::hash(); returns how many were checked.
+std::size_t expect_stored_hashes_exact(const ChainStore& c) {
+  std::size_t checked = 0;
+  c.for_each_candidate([&](Slot s, std::uint64_t stored, const Block& b) {
+    EXPECT_EQ(stored, b.hash()) << "candidate at slot " << s;
+    ++checked;
+  });
+  for (Slot s = c.tail_first(); s <= c.finalized_count(); ++s) {
+    const Block* b = c.block_at(s);
+    EXPECT_NE(b, nullptr) << "finalized slot " << s;
+    if (b == nullptr) continue;
+    EXPECT_EQ(c.hash_at(s), b->hash()) << "finalized slot " << s;
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(Chain, StoredHashesAlwaysEqualARecompute) {
+  // The node hashes a block once where it enters and every holder reads the
+  // stored copy: after add_block, finalization (rule and adoption, through
+  // tail compaction) and restore, each stored hash must match a recompute.
+  ChainStore c(8);
+  std::uint64_t parent = kGenesisHash;
+  std::vector<Block> chain;
+  auto next_block = [&](Slot s) {
+    Block b{s, parent, static_cast<NodeId>(s % 4), {0, 2, static_cast<std::uint8_t>(s), 7}};
+    parent = b.hash();
+    chain.push_back(b);
+    return b;
+  };
+  for (Slot s = 1; s <= 24; ++s) {  // the depth-4 rule
+    const Block b = next_block(s);
+    ASSERT_TRUE(c.add_block(b));
+    Block rival = b;  // a second candidate per slot, pruned at finalization
+    rival.proposer = 99;
+    ASSERT_TRUE(c.add_block(rival));
+    EXPECT_GT(expect_stored_hashes_exact(c), 0u);
+    ASSERT_TRUE(c.notarize(s, 0, b.hash()));
+    c.try_finalize();
+  }
+  ASSERT_EQ(c.finalized_count(), 21u);
+  // Adoption: the pending notarized tail, then fresh blocks.
+  for (Slot s = 22; s <= 24; ++s) ASSERT_TRUE(c.force_finalize(chain[s - 1]));
+  for (Slot s = 25; s <= 28; ++s) ASSERT_TRUE(c.force_finalize(next_block(s)));
+  EXPECT_EQ(c.tail_first(), 21u);  // compaction ran
+  EXPECT_EQ(expect_stored_hashes_exact(c), 8u);
+
+  ChainStore restored(8);
+  const Checkpoint cp = c.checkpoint();
+  std::vector<Block> tail;
+  for (Slot s = c.tail_first(); s <= c.finalized_count(); ++s) tail.push_back(*c.block_at(s));
+  serde::Writer w;
+  c.finalized().encode_commit_state(w);
+  restored.restore_state(cp, w.data(), std::move(tail));
+  EXPECT_EQ(restored.finalized_count(), c.finalized_count());
+  EXPECT_EQ(expect_stored_hashes_exact(restored), c.finalized_count() - cp.slot);
+  EXPECT_EQ(restored.prefix_digest(restored.finalized_count()),
+            c.prefix_digest(c.finalized_count()));
+}
+
+TEST(Chain, EquivocatingTwinGetsItsOwnStoredHash) {
+  // Equivocation copies a block and mutates the copy (EquivocatingProposer,
+  // sim adversaries): the hash lives beside the stored block, never inside
+  // Block, so the twin cannot inherit the original's.
+  ChainStore c;
+  const Block original = mk(1, kGenesisHash);
+  Block twin = original;
+  twin.payload.push_back(0xEE);
+  ASSERT_TRUE(c.add_block(original));
+  ASSERT_TRUE(c.add_block(twin));
+  std::vector<std::uint64_t> stored;
+  c.for_each_candidate([&](Slot, std::uint64_t h, const Block&) { stored.push_back(h); });
+  ASSERT_EQ(stored.size(), 2u);
+  EXPECT_NE(stored[0], stored[1]);
+  EXPECT_EQ(expect_stored_hashes_exact(c), 2u);
+  EXPECT_EQ(*c.find_block(1, twin.hash()), twin);
+  EXPECT_EQ(*c.find_block(1, original.hash()), original);
+}
+
 }  // namespace
 }  // namespace tbft::multishot

@@ -201,7 +201,7 @@ TEST(FinalizedStore, ChainStoreTailAccessorsAcrossCompaction) {
 TEST(FinalizedStore, ForceFinalizeNotifiesHookInOrder) {
   ChainStore c(8);
   std::vector<Slot> notified;
-  c.set_on_finalized([&](const Block& b) { notified.push_back(b.slot); });
+  c.set_on_finalized([&](const Block& b, std::uint64_t) { notified.push_back(b.slot); });
   std::uint64_t parent = kGenesisHash;
   for (Slot s = 1; s <= 20; ++s) {
     Block b = mk(s, parent);
