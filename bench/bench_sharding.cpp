@@ -19,7 +19,7 @@
 //    replica exactly once, in exactly its home shard (no duplicates, no
 //    foreign bytes, no misroutes), with straggler retries absorbed;
 //  - every shard's chains are prefix-consistent across replicas;
-//  - sim section: a ShardedTracker-audited generated load on the S=4
+//  - sim section: a WorkloadTracker-audited generated load on the S=4
 //    deterministic backend drains exactly-once with every shard active.
 //
 // Run: bench_sharding [--seed S] [--n N] [--rate R] [--window-ms W]
@@ -36,9 +36,9 @@
 
 #include "bench_cli.hpp"
 #include "bench_json.hpp"
-#include "shard/tracker.hpp"
 #include "tetrabft.hpp"
 #include "workload/request.hpp"
+#include "workload/scenarios.hpp"
 
 namespace {
 
@@ -201,7 +201,7 @@ struct SimResult {
   }
 };
 
-/// ShardedTracker-audited generated load on the S=4 deterministic backend.
+/// WorkloadTracker-audited generated load on the S=4 deterministic backend.
 SimResult run_sim_audit(std::uint64_t seed) {
   constexpr std::uint32_t kN = 4;
   constexpr std::uint32_t kShards = 4;
@@ -213,26 +213,20 @@ SimResult run_sim_audit(std::uint64_t seed) {
                      .delta_bound(10 * runtime::kMillisecond)
                      .batching(16, 4096)
                      .build_sim();
-  shard::ShardedTracker tracker(cluster->simulation().metrics(), kShards);
+  workload::WorkloadTracker tracker(cluster->simulation().metrics(), kShards);
   for (NodeId i = 0; i < kN; ++i) {
-    for (std::uint32_t k = 0; k < kShards; ++k) tracker.observe(k, cluster->instance(i, k));
+    for (std::uint32_t k = 0; k < kShards; ++k) tracker.observe(cluster->instance(i, k), k);
   }
   std::vector<workload::SubmitPort*> targets;
   for (NodeId i = 0; i < kN; ++i) targets.push_back(&cluster->port(i));
 
   constexpr runtime::Duration kLoad = 400 * runtime::kMillisecond;
-  for (std::uint32_t c = 0; c < 2; ++c) {
-    workload::OpenLoopConfig oc;
-    oc.base.client_id = c;
-    oc.base.request_bytes = 48;
-    oc.base.stop = kLoad;
-    oc.base.retry_timeout = 200 * runtime::kMillisecond;
-    oc.rate_per_sec = 1000.0;
-    std::vector<workload::SubmitPort*> rotated(targets.begin() + c, targets.end());
-    rotated.insert(rotated.end(), targets.begin(), targets.begin() + c);
-    cluster->add_client(
-        std::make_unique<workload::OpenLoopClient>(oc, std::move(rotated), tracker));
-  }
+  workload::ClientLoad load;
+  load.rate_per_sec = 1000.0;
+  load.request_bytes = 48;
+  load.stop = kLoad;
+  load.retry_timeout = 200 * runtime::kMillisecond;
+  workload::add_clients(cluster->simulation(), load, targets, tracker);
   cluster->start();
   r.drained = cluster->simulation().run_until_pred(
       [&] {
@@ -246,7 +240,7 @@ SimResult run_sim_audit(std::uint64_t seed) {
   r.all_shards_active = true;
   r.consistent = true;
   for (std::uint32_t k = 0; k < kShards; ++k) {
-    r.all_shards_active = r.all_shards_active && tracker.shard_tracker(k).committed() > 0;
+    r.all_shards_active = r.all_shards_active && tracker.committed_on(k) > 0;
     r.consistent =
         r.consistent && multishot::chains_prefix_consistent(cluster->shard_instances(k));
   }

@@ -10,11 +10,11 @@
 #include "common/assert.hpp"
 #include "multishot/node.hpp"
 #include "shard/mux.hpp"
-#include "shard/tracker.hpp"
+#include "shard/router.hpp"
 #include "sim/adversary.hpp"
 #include "sim/runtime.hpp"
 #include "storage/durable_chain.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenarios.hpp"
 
 namespace tbft::chaos {
 
@@ -129,7 +129,7 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   const std::uint32_t S = plan.shards;
   std::vector<shard::ShardMux*> muxes(plan.n, nullptr);
   std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables(plan.n);
-  shard::ShardedTracker tracker(simu->metrics(), S);
+  workload::WorkloadTracker tracker(simu->metrics(), S);
 
   // Build -- or rebuild, recovering whatever durable state the directories
   // hold -- replica i's honest mux.
@@ -141,7 +141,7 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
           storage::replica_dir(work_dir, i, k, S), durable_options()));
       auto instance = std::make_unique<multishot::MultishotNode>(node_cfg);
       durables[i].back()->attach(*instance);
-      tracker.observe(k, *instance);
+      tracker.observe(*instance, k);
       instances.push_back(std::move(instance));
     }
     auto mux = std::make_unique<shard::ShardMux>(std::move(instances));
@@ -178,8 +178,7 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
     }
   }
 
-  // Clients target honest replicas only (their ports survive churn), with
-  // staggered round-robin start points, exactly like the workload rig.
+  // Clients target honest replicas only (their ports survive churn).
   std::vector<std::unique_ptr<workload::SubmitPort>> ports;
   std::vector<workload::SubmitPort*> honest;
   for (NodeId i = 0; i < plan.n; ++i) {
@@ -187,43 +186,22 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
       // Routes each request to its home shard on the live mux; a down
       // replica rejects (backpressure), exactly like a dead TCP endpoint.
       ports.push_back(std::make_unique<shard::RoutedPort>(
-          shard::ShardRouter(S), [&muxes, i](std::uint32_t k, std::vector<std::uint8_t> tx) {
+          tracker.router(), [&muxes, i](std::uint32_t k, std::vector<std::uint8_t> tx) {
             return muxes[i] != nullptr && muxes[i]->submit(k, std::move(tx));
           }));
       honest.push_back(ports.back().get());
     }
   }
-  TBFT_ASSERT_MSG(!honest.empty(), "chaos plan with no honest replica");
-
-  for (std::uint32_t c = 0; c < plan.clients; ++c) {
-    workload::ClientConfig base;
-    base.client_id = c;
-    base.request_bytes = plan.request_bytes;
-    base.start = 0;
-    base.stop = plan.load_duration;
-    base.retry_timeout = plan.client_retry_timeout;
-    std::vector<workload::SubmitPort*> targets;
-    for (std::size_t i = 0; i < honest.size(); ++i) {
-      targets.push_back(honest[(c + i) % honest.size()]);
-    }
-    if (plan.load == LoadShape::kClosedLoop) {
-      workload::ClosedLoopConfig cl;
-      cl.base = base;
-      cl.outstanding = plan.outstanding;
-      simu->add_client(
-          std::make_unique<workload::ClosedLoopClient>(cl, targets, tracker));
-    } else {
-      workload::OpenLoopConfig ol;
-      ol.base = base;
-      ol.rate_per_sec = plan.rate_per_sec;
-      if (plan.load == LoadShape::kOpenBurst) {
-        ol.burst_period = plan.load_duration / 4;
-        ol.burst_duty = 0.25;
-        ol.burst_multiplier = 4.0;
-      }
-      simu->add_client(std::make_unique<workload::OpenLoopClient>(ol, targets, tracker));
-    }
-  }
+  workload::ClientLoad load;
+  load.clients = plan.clients;
+  load.closed_loop = plan.load == LoadShape::kClosedLoop;
+  load.burst = plan.load == LoadShape::kOpenBurst;
+  load.rate_per_sec = plan.rate_per_sec;
+  load.outstanding = plan.outstanding;
+  load.request_bytes = plan.request_bytes;
+  load.stop = plan.load_duration;
+  load.retry_timeout = plan.client_retry_timeout;
+  workload::add_clients(*simu, load, honest, tracker);
 
   simu->start();
 

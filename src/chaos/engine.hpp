@@ -13,8 +13,9 @@
 //  - bounded at-least-once spill: double-commits attributable to client
 //    retries stay <= the number of retries (each retry opens at most one
 //    known duplication window);
-//  - post-heal liveness: every admitted request commits (or is provably
-//    dropped by mempool policy) before the drain deadline.
+//  - post-heal liveness: every admitted request commits before the drain
+//    deadline (client retries rescue requests stranded in a crashed
+//    replica's mempool).
 
 #include <filesystem>
 #include <string>
@@ -27,7 +28,7 @@ namespace tbft::chaos {
 struct ChaosVerdict {
   workload::WorkloadReport report;
   bool chains_consistent{false};
-  bool drained{false};          // all admitted committed (or pools empty) in time
+  bool drained{false};          // all admitted committed in time
   bool progressed{false};       // at least one request committed
   std::uint64_t trace_digest{0};
   Slot max_finalized{0};

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "shard/tracker.hpp"
 #include "storage/durable_chain.hpp"
 
 namespace tbft {

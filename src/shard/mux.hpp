@@ -22,7 +22,7 @@
 //    stream in shard order at on_start (deterministic across backends).
 //  - metrics() forwards to the outer per-host registry: counters and
 //    histograms aggregate across shards by construction, which is exactly
-//    what cross-shard accounting wants (shard/tracker.hpp).
+//    what cross-shard accounting wants (workload/tracker.hpp).
 //
 // The Host threading contract carries over untouched: the outer host
 // serializes on_start/on_message/on_timer per physical node, so all S

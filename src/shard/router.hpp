@@ -5,7 +5,7 @@
 // A request's home shard is a pure function of its workload tag
 // (`(client << 32) | seq`, see workload/request.hpp): `shard_of(tag) =
 // mix64(tag) % shards`. Everything that must agree on request placement --
-// submit ports, client retries, the cross-shard tracker, the benches --
+// submit ports, client retries, the workload tracker, the benches --
 // derives the shard from the tag through this one function, so a request
 // can never commit on two shards by mis-routing.
 //
@@ -18,8 +18,13 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "workload/generator.hpp"
+#include "workload/request.hpp"
 
 namespace tbft::shard {
 
@@ -61,6 +66,32 @@ class ShardRouter {
 
  private:
   std::uint32_t shards_{1};
+};
+
+/// SubmitPort that dispatches each request to its tag's home shard -- the
+/// front half of key routing. One RoutedPort stands in front of one
+/// replica; `dispatch(shard, tx)` delivers into that replica's shard
+/// instance (tbft::Cluster::port on every host, the workload rig's and the
+/// chaos engine's muxes). Client retries walk replicas, not shards: a
+/// retried tag hashes to the same home shard at every replica, so retry
+/// stays within the key's shard by construction. A non-request transaction
+/// (no parseable tag) goes to shard 0.
+class RoutedPort final : public workload::SubmitPort {
+ public:
+  using Dispatch = std::function<bool(std::uint32_t shard, std::vector<std::uint8_t>)>;
+
+  RoutedPort(ShardRouter router, Dispatch dispatch)
+      : router_(router), dispatch_(std::move(dispatch)) {}
+
+  bool submit(std::vector<std::uint8_t> tx) override {
+    const auto tag = workload::parse_request_tag(tx);
+    const std::uint32_t shard = tag ? router_.shard_of(*tag) : 0;
+    return dispatch_(shard, std::move(tx));
+  }
+
+ private:
+  ShardRouter router_;
+  Dispatch dispatch_;
 };
 
 }  // namespace tbft::shard

@@ -197,7 +197,8 @@ class ClusterBuilder {
   ClusterBuilder& mempool(std::size_t capacity);
   /// Resident finalized blocks kept behind the compaction checkpoint.
   ClusterBuilder& storage_tail(std::size_t blocks);
-  /// Relay submissions to the frontier leader while the chain idles.
+  /// Relay each admitted submission to the leader of the proposal
+  /// frontier, both while the chain idles and under load.
   ClusterBuilder& forwarding(bool on);
   /// Simulated actual delay (build_sim only; build_local runs on real time).
   ClusterBuilder& sim_delta_actual(runtime::Duration delta);

@@ -6,11 +6,12 @@
 
 #include "common/assert.hpp"
 #include "workload/request.hpp"
+#include "workload/tracker.hpp"
 
 namespace tbft::workload {
 
 LoadClient::LoadClient(ClientConfig cfg, std::vector<SubmitPort*> targets,
-                       TrackerSink& tracker)
+                       WorkloadTracker& tracker)
     : cfg_(cfg), tracker_(tracker), targets_(std::move(targets)) {
   TBFT_ASSERT_MSG(!targets_.empty(), "a load client needs at least one target port");
   // One listener per client: commits settle the retry book first, then the
@@ -73,7 +74,7 @@ void LoadClient::run_retries() {
 // ---- Open loop -------------------------------------------------------------
 
 OpenLoopClient::OpenLoopClient(OpenLoopConfig cfg, std::vector<SubmitPort*> targets,
-                               TrackerSink& tracker)
+                               WorkloadTracker& tracker)
     : LoadClient(cfg.base, std::move(targets), tracker), ol_(cfg) {
   TBFT_ASSERT(ol_.rate_per_sec > 0);
 }
@@ -112,7 +113,7 @@ void OpenLoopClient::on_client_timer(runtime::TimerId) {
 // ---- Closed loop -----------------------------------------------------------
 
 ClosedLoopClient::ClosedLoopClient(ClosedLoopConfig cfg, std::vector<SubmitPort*> targets,
-                                   TrackerSink& tracker)
+                                   WorkloadTracker& tracker)
     : LoadClient(cfg.base, std::move(targets), tracker), cl_(cfg) {
   TBFT_ASSERT(cl_.outstanding > 0);
 }

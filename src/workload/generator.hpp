@@ -11,8 +11,9 @@
 //    the next submission. Offered load adapts to system speed.
 //
 // Clients submit through SubmitPort -- the facade boundary (tetrabft.hpp)
-// -- never into MultishotNode internals; the scenario rig adapts replicas
-// (or crash doubles) behind ports.
+// -- never into MultishotNode internals: every simulated load run (the
+// scenario rig, the chaos engine, the facade) hands them shard::RoutedPorts
+// in front of its replicas, wired by add_clients (workload/scenarios.hpp).
 //
 // Client-side retry (models real client libraries): with
 // ClientConfig::retry_timeout set, a client re-submits an admitted-but-
@@ -31,15 +32,16 @@
 #include <vector>
 
 #include "runtime/host.hpp"
-#include "workload/tracker.hpp"
 
 namespace tbft::workload {
 
+class WorkloadTracker;
+
 /// Transport-agnostic submission target: one consensus replica as a client
-/// sees it. Implemented over MultishotNode::submit_tx by the scenario rig
-/// and by the tetrabft.hpp facade (Cluster::port, which routes by key on
-/// every backend); a remote client would implement it over a client
-/// connection. Returns mempool admission.
+/// sees it. Implemented by shard::RoutedPort, which routes each request by
+/// key to its home shard's instance (tetrabft.hpp's Cluster::port, the
+/// scenario rig, the chaos engine); a remote client would implement it over
+/// a client connection. Returns mempool admission.
 class SubmitPort {
  public:
   virtual ~SubmitPort() = default;
@@ -85,7 +87,7 @@ struct ClosedLoopConfig {
 /// selection, tracker accounting, and the client-side retry book.
 class LoadClient : public runtime::ProtocolNode {
  public:
-  LoadClient(ClientConfig cfg, std::vector<SubmitPort*> targets, TrackerSink& tracker);
+  LoadClient(ClientConfig cfg, std::vector<SubmitPort*> targets, WorkloadTracker& tracker);
 
   void on_message(NodeId, const Payload&) override {}
   /// Intercepts the retry timer; everything else goes to on_client_timer.
@@ -109,7 +111,7 @@ class LoadClient : public runtime::ProtocolNode {
   }
 
   ClientConfig cfg_;
-  TrackerSink& tracker_;
+  WorkloadTracker& tracker_;
 
  private:
   struct PendingRetry {
@@ -134,7 +136,7 @@ class LoadClient : public runtime::ProtocolNode {
 class OpenLoopClient final : public LoadClient {
  public:
   OpenLoopClient(OpenLoopConfig cfg, std::vector<SubmitPort*> targets,
-                 TrackerSink& tracker);
+                 WorkloadTracker& tracker);
 
   void on_start() override;
 
@@ -151,7 +153,7 @@ class OpenLoopClient final : public LoadClient {
 class ClosedLoopClient final : public LoadClient {
  public:
   ClosedLoopClient(ClosedLoopConfig cfg, std::vector<SubmitPort*> targets,
-                   TrackerSink& tracker);
+                   WorkloadTracker& tracker);
 
   void on_start() override;
 

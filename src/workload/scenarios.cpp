@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "shard/mux.hpp"
 #include "sim/adversary.hpp"
 
 namespace tbft::workload {
@@ -16,6 +17,39 @@ const char* preset_name(Preset p) {
     case Preset::kJunkFloodUnderLoad: return "junk-flood-under-load";
   }
   return "?";
+}
+
+void add_clients(sim::Simulation& sim, const ClientLoad& load,
+                 const std::vector<SubmitPort*>& ports, WorkloadTracker& tracker) {
+  TBFT_ASSERT_MSG(!ports.empty(), "a loaded run needs at least one target port");
+  for (std::uint32_t c = 0; c < load.clients; ++c) {
+    ClientConfig base;
+    base.client_id = c;
+    base.request_bytes = load.request_bytes;
+    base.start = 0;
+    base.stop = load.stop;
+    base.retry_timeout = load.retry_timeout;
+    std::vector<SubmitPort*> targets;
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      targets.push_back(ports[(c + i) % ports.size()]);
+    }
+    if (load.closed_loop) {
+      ClosedLoopConfig cl;
+      cl.base = base;
+      cl.outstanding = load.outstanding;
+      sim.add_client(std::make_unique<ClosedLoopClient>(cl, std::move(targets), tracker));
+    } else {
+      OpenLoopConfig ol;
+      ol.base = base;
+      ol.rate_per_sec = load.rate_per_sec;
+      if (load.burst) {
+        ol.burst_period = load.stop / 4;
+        ol.burst_duty = 0.25;
+        ol.burst_multiplier = 4.0;
+      }
+      sim.add_client(std::make_unique<OpenLoopClient>(ol, std::move(targets), tracker));
+    }
+  }
 }
 
 bool WorkloadRig::chains_consistent() const {
@@ -63,6 +97,10 @@ WorkloadRig make_rig(const ScenarioOptions& opts) {
   }
   rig.node_cfg.mempool_capacity = opts.mempool_capacity;
 
+  rig.tracker = std::make_unique<WorkloadTracker>(rig.sim->metrics());
+  // Each honest replica is built the way the facade builds one: a
+  // one-shard ShardMux, reached through a key-routing SubmitPort.
+  std::vector<SubmitPort*> honest;
   for (NodeId i = 0; i < opts.n; ++i) {
     const bool crashed = opts.preset == Preset::kLeaderCrashUnderLoad && i == 0;
     const bool junk = opts.preset == Preset::kJunkFloodUnderLoad && i == opts.n - 1;
@@ -73,62 +111,31 @@ WorkloadRig make_rig(const ScenarioOptions& opts) {
       rig.nodes.push_back(nullptr);
       rig.sim->add_node(std::make_unique<sim::RandomJunkNode>(opts.delta_actual));
     } else {
-      auto node = std::make_unique<multishot::MultishotNode>(rig.node_cfg);
-      rig.nodes.push_back(node.get());
-      rig.sim->add_node(std::move(node));
-    }
-  }
-
-  rig.tracker = std::make_unique<WorkloadTracker>(rig.sim->metrics());
-  // Generators never touch MultishotNode directly: each honest replica is
-  // wrapped in a SubmitPort, the same boundary the tetrabft.hpp facade
-  // exposes, so the load path stays transport-agnostic.
-  struct ReplicaPort final : SubmitPort {
-    explicit ReplicaPort(multishot::MultishotNode& n) : node(&n) {}
-    bool submit(std::vector<std::uint8_t> tx) override {
-      return node->submit_tx(std::move(tx));
-    }
-    multishot::MultishotNode* node;
-  };
-  std::vector<SubmitPort*> honest;
-  for (auto* node : rig.nodes) {
-    if (node != nullptr) {
-      rig.tracker->observe(*node);
-      rig.ports.push_back(std::make_unique<ReplicaPort>(*node));
+      std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
+      instances.push_back(std::make_unique<multishot::MultishotNode>(rig.node_cfg));
+      auto mux = std::make_unique<shard::ShardMux>(std::move(instances));
+      shard::ShardMux* replica = mux.get();
+      rig.nodes.push_back(&replica->instance(0));
+      rig.tracker->observe(replica->instance(0));
+      rig.ports.push_back(std::make_unique<shard::RoutedPort>(
+          rig.tracker->router(), [replica](std::uint32_t k, std::vector<std::uint8_t> tx) {
+            return replica->submit(k, std::move(tx));
+          }));
       honest.push_back(rig.ports.back().get());
+      rig.sim->add_node(std::move(mux));
     }
   }
-  TBFT_ASSERT_MSG(!honest.empty(), "a workload scenario needs at least one honest node");
 
-  for (std::uint32_t c = 0; c < opts.clients; ++c) {
-    ClientConfig base;
-    base.client_id = c;
-    base.request_bytes = opts.request_bytes;
-    base.start = 0;
-    base.stop = opts.load_duration;
-    base.retry_timeout = opts.client_retry_timeout;
-    // Stagger round-robin start points so clients spread across nodes.
-    std::vector<SubmitPort*> targets;
-    for (std::size_t i = 0; i < honest.size(); ++i) {
-      targets.push_back(honest[(c + i) % honest.size()]);
-    }
-    if (opts.closed_loop) {
-      ClosedLoopConfig cl;
-      cl.base = base;
-      cl.outstanding = opts.outstanding;
-      rig.sim->add_client(std::make_unique<ClosedLoopClient>(cl, targets, *rig.tracker));
-    } else {
-      OpenLoopConfig ol;
-      ol.base = base;
-      ol.rate_per_sec = opts.rate_per_sec;
-      if (opts.preset == Preset::kBurst) {
-        ol.burst_period = opts.load_duration / 4;
-        ol.burst_duty = 0.25;
-        ol.burst_multiplier = 4.0;
-      }
-      rig.sim->add_client(std::make_unique<OpenLoopClient>(ol, targets, *rig.tracker));
-    }
-  }
+  ClientLoad load;
+  load.clients = opts.clients;
+  load.closed_loop = opts.closed_loop;
+  load.burst = opts.preset == Preset::kBurst;
+  load.rate_per_sec = opts.rate_per_sec;
+  load.outstanding = opts.outstanding;
+  load.request_bytes = opts.request_bytes;
+  load.stop = opts.load_duration;
+  load.retry_timeout = opts.client_retry_timeout;
+  add_clients(*rig.sim, load, honest, *rig.tracker);
   return rig;
 }
 

@@ -68,14 +68,37 @@ struct ScenarioOptions {
   runtime::Duration client_retry_timeout{0};
 };
 
+/// The client side of a loaded sim run. Client c has tag namespace c,
+/// submits during [0, stop) and walks the ports round-robin starting at
+/// port c, so clients spread across replicas.
+struct ClientLoad {
+  std::uint32_t clients{2};
+  bool closed_loop{false};
+  /// Open loop only: 4x the rate for the first quarter of each quarter of
+  /// the load window.
+  bool burst{false};
+  double rate_per_sec{2000.0};   // per open-loop client
+  std::uint32_t outstanding{8};  // per closed-loop client
+  std::uint32_t request_bytes{64};
+  sim::SimTime stop{0};
+  runtime::Duration retry_timeout{0};
+};
+
+/// Add `load`'s clients to `sim`, targeting `ports` and reporting to
+/// `tracker`. Every simulated load run wires its clients here.
+void add_clients(sim::Simulation& sim, const ClientLoad& load,
+                 const std::vector<SubmitPort*>& ports, WorkloadTracker& tracker);
+
 /// A wired run for tests that drive the simulation themselves. Actor
 /// pointers are owned by `sim`.
 struct WorkloadRig {
   std::unique_ptr<sim::Simulation> sim;
   std::unique_ptr<WorkloadTracker> tracker;
-  std::vector<multishot::MultishotNode*> nodes;  // nullptr for crashed/junk
-  /// Submission ports the generators target (one per honest node, in node
-  /// order) -- the same boundary tetrabft.hpp's Cluster::port implements.
+  /// Each honest replica's chain instance (a one-shard shard::ShardMux,
+  /// as the facade builds); nullptr for crashed/junk.
+  std::vector<multishot::MultishotNode*> nodes;
+  /// Submission ports the generators target (one shard::RoutedPort per
+  /// honest replica, in node order).
   std::vector<std::unique_ptr<SubmitPort>> ports;
   multishot::MultishotConfig node_cfg;
   sim::SimTime gst{0};

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/assert.hpp"
+
 #include "workload/request.hpp"
 
 namespace tbft::workload {
@@ -41,11 +43,21 @@ double percentile(std::vector<double> samples, double p) {
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
-void WorkloadTracker::observe(multishot::MultishotNode& node) {
-  const std::size_t observer = add_observer();
+WorkloadTracker::WorkloadTracker(MetricsRegistry& metrics, std::uint32_t shards)
+    : metrics_(metrics), router_(shards), committed_on_(shards, 0) {}
+
+void WorkloadTracker::observe(multishot::MultishotNode& node, std::uint32_t shard) {
+  const std::size_t observer = add_observer(shard);
   node.set_commit_hook([this, observer](const multishot::Block& b, runtime::Time at) {
     on_finalized(observer, b, at);
   });
+}
+
+std::size_t WorkloadTracker::add_observer(std::uint32_t shard) {
+  TBFT_ASSERT_MSG(shard < router_.shards(), "observed shard out of range");
+  observer_shard_.push_back(shard);
+  seen_.emplace_back();
+  return seen_.size() - 1;
 }
 
 void WorkloadTracker::on_submitted(std::uint64_t tag, runtime::Time at, bool admitted) {
@@ -77,6 +89,7 @@ void WorkloadTracker::on_retry(std::uint64_t tag, runtime::Time at, bool admitte
 
 void WorkloadTracker::on_finalized(std::size_t observer, const multishot::Block& b,
                                    runtime::Time at) {
+  const std::uint32_t shard = observer_shard_[observer];
   for (const std::uint64_t tag : extract_request_tags(b.payload)) {
     if (!seen_[observer].insert(tag).second) {
       // A retried tag landing twice in one chain is the at-least-once
@@ -97,9 +110,22 @@ void WorkloadTracker::on_finalized(std::size_t observer, const multishot::Block&
       metrics_.counter("workload.foreign").add();
       continue;
     }
-    const auto [cit, first] = commit_time_.emplace(tag, at);
-    if (!first) continue;  // an earlier observer already committed it
+    const auto [cit, first] = first_commit_.emplace(tag, FirstCommit{at, shard});
+    if (!first) {
+      // An earlier observer already committed it: fine on the same shard
+      // (another replica of that chain), a violation on any other.
+      if (cit->second.shard != shard) {
+        ++cross_shard_commits_;
+        metrics_.counter("workload.cross_shard_commits").add();
+      }
+      continue;
+    }
+    if (shard != router_.shard_of(tag)) {
+      ++misrouted_commits_;
+      metrics_.counter("workload.misrouted_commits").add();
+    }
     ++committed_;
+    ++committed_on_[shard];
     metrics_.counter("workload.committed").add();
     const double latency_ms = static_cast<double>(at - sit->second) / runtime::kMillisecond;
     latency_ms_.push_back(latency_ms);

@@ -4,7 +4,8 @@
 // workload committed through the deterministic Simulation, the threaded
 // LocalRunner and loopback TCP -- the route in the frame header -- yields
 // identical per-shard chains), cross-shard exactly-once accounting under
-// generated load, the facade's range guards, and the n=64-per-shard
+// generated load and under forced misrouted / cross-shard / foreign
+// commits, the facade's range guards, and the n=64-per-shard
 // configuration the large-n sizing fixes enable.
 
 #include <gtest/gtest.h>
@@ -15,9 +16,10 @@
 #include <set>
 #include <vector>
 
-#include "shard/tracker.hpp"
+#include "common/serde.hpp"
 #include "tetrabft.hpp"
 #include "workload/request.hpp"
+#include "workload/scenarios.hpp"
 
 namespace tbft {
 namespace {
@@ -184,29 +186,22 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
                      .delta_bound(10 * kMillisecond)
                      .batching(16, 4096)
                      .build_sim();
-  shard::ShardedTracker tracker(cluster->simulation().metrics(), kShards);
+  workload::WorkloadTracker tracker(cluster->simulation().metrics(), kShards);
   for (NodeId i = 0; i < kNodes; ++i) {
     for (std::uint32_t k = 0; k < kShards; ++k) {
-      tracker.observe(k, cluster->instance(i, k));
+      tracker.observe(cluster->instance(i, k), k);
     }
   }
   std::vector<workload::SubmitPort*> targets;
   for (NodeId i = 0; i < kNodes; ++i) targets.push_back(&cluster->port(i));
 
   constexpr runtime::Duration kLoad = 300 * kMillisecond;
-  for (std::uint32_t c = 0; c < 2; ++c) {
-    workload::OpenLoopConfig oc;
-    oc.base.client_id = c;
-    oc.base.request_bytes = 48;
-    oc.base.stop = kLoad;
-    oc.base.retry_timeout = 200 * kMillisecond;  // retries stay in the home shard
-    oc.rate_per_sec = 800.0;
-    // Stagger the round-robin start so clients spread over replicas.
-    std::vector<workload::SubmitPort*> rotated(targets.begin() + c, targets.end());
-    rotated.insert(rotated.end(), targets.begin(), targets.begin() + c);
-    cluster->add_client(
-        std::make_unique<workload::OpenLoopClient>(oc, std::move(rotated), tracker));
-  }
+  workload::ClientLoad load;  // two staggered open-loop clients
+  load.rate_per_sec = 800.0;
+  load.request_bytes = 48;
+  load.stop = kLoad;
+  load.retry_timeout = 200 * kMillisecond;  // retries stay in the home shard
+  workload::add_clients(cluster->simulation(), load, targets, tracker);
   cluster->start();
   const bool drained = cluster->wait_for(
       [&] {
@@ -222,11 +217,11 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
       << " cross=" << tracker.cross_shard_commits()
       << " misrouted=" << tracker.misrouted_commits();
   // Every shard saw traffic (mix64 spreads two clients' seqs), and the
-  // aggregate books reconcile with the per-shard ones.
+  // per-shard counts sum to the total.
   std::uint64_t committed_sum = 0;
   for (std::uint32_t k = 0; k < kShards; ++k) {
-    EXPECT_GT(tracker.shard_tracker(k).committed(), 0u) << "idle shard " << k;
-    committed_sum += tracker.shard_tracker(k).committed();
+    EXPECT_GT(tracker.committed_on(k), 0u) << "idle shard " << k;
+    committed_sum += tracker.committed_on(k);
   }
   EXPECT_EQ(committed_sum, tracker.committed());
   const workload::WorkloadReport report = tracker.report(cluster->simulation().now());
@@ -239,28 +234,109 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
   }
 }
 
+/// A finalized block carrying the given requests (client 3), as a chain
+/// instance would hand it to the tracker's commit hook.
+multishot::Block block_of(const std::vector<std::uint32_t>& seqs) {
+  serde::Writer w;
+  w.varint(0);  // view nonce
+  for (const std::uint32_t seq : seqs) w.bytes(workload::encode_request(3, seq, 32));
+  multishot::Block b;
+  b.payload = w.take();
+  return b;
+}
+
 TEST(Sharding, TrackerRoutesSubmissionsToHomeShardBooks) {
   MetricsRegistry metrics;
-  shard::ShardedTracker tracker(metrics, kShards);
+  workload::WorkloadTracker tracker(metrics, kShards);
+  std::vector<std::size_t> observer;
+  for (std::uint32_t k = 0; k < kShards; ++k) observer.push_back(tracker.add_observer(k));
+  std::vector<std::uint64_t> expected(kShards, 0);
   for (std::uint32_t j = 0; j < 64; ++j) {
     const std::uint64_t tag = workload::request_tag(3, j);
     tracker.on_submitted(tag, /*at=*/j, /*admitted=*/true);
-    const std::uint32_t home = tracker.router().shard_of(tag);
-    EXPECT_GE(tracker.shard_tracker(home).submitted(), 1u);
+    ++expected[tracker.router().shard_of(tag)];
   }
   EXPECT_EQ(tracker.submitted(), 64u);
   EXPECT_EQ(tracker.admitted(), 64u);
   EXPECT_EQ(tracker.outstanding(), 64u);
+  // Each request finalizes on its home shard: the per-shard counts follow
+  // the router, sum to the total, and exactly-once holds.
+  for (std::uint32_t j = 0; j < 64; ++j) {
+    const std::uint32_t home = tracker.router().shard_of(workload::request_tag(3, j));
+    tracker.on_finalized(observer[home], block_of({j}), /*at=*/100 + j);
+  }
   std::uint64_t per_shard = 0;
   for (std::uint32_t k = 0; k < kShards; ++k) {
-    per_shard += tracker.shard_tracker(k).submitted();
+    EXPECT_EQ(tracker.committed_on(k), expected[k]) << "shard " << k;
+    EXPECT_GT(expected[k], 0u) << "64 tags leave shard " << k << " idle";
+    per_shard += tracker.committed_on(k);
   }
   EXPECT_EQ(per_shard, 64u);
-  // A rejected retry of a known tag stays absorbed in its home shard.
-  const std::uint64_t tag = workload::request_tag(3, 0);
-  tracker.on_retry(tag, /*at=*/100, /*admitted=*/false);
+  EXPECT_EQ(tracker.committed(), 64u);
+  EXPECT_TRUE(tracker.exactly_once());
+  // A rejected retry of a known tag is absorbed.
+  tracker.on_retry(workload::request_tag(3, 0), /*at=*/200, /*admitted=*/false);
   EXPECT_EQ(tracker.retried(), 1u);
-  EXPECT_EQ(tracker.shard_tracker(tracker.router().shard_of(tag)).retried(), 1u);
+  EXPECT_EQ(tracker.admitted(), 64u);
+}
+
+TEST(Sharding, TrackerFlagsMisroutedCrossShardAndForeignCommits) {
+  // Shard of seq j's tag, and some other shard.
+  const shard::ShardRouter router(kShards);
+  const auto home = [&](std::uint32_t j) { return router.shard_of(workload::request_tag(3, j)); };
+  const auto away = [&](std::uint32_t j) { return (home(j) + 1) % kShards; };
+  struct Books {
+    MetricsRegistry metrics;
+    workload::WorkloadTracker tracker{metrics, kShards};
+    std::vector<std::size_t> observer;
+    Books() {
+      for (std::uint32_t k = 0; k < kShards; ++k) observer.push_back(tracker.add_observer(k));
+      for (std::uint32_t j = 0; j < 2; ++j) {
+        tracker.on_submitted(workload::request_tag(3, j), /*at=*/0, /*admitted=*/true);
+      }
+    }
+    void finalize(std::uint32_t shard, std::uint32_t seq) {
+      tracker.on_finalized(observer[shard], block_of({seq}), /*at=*/10);
+    }
+  };
+
+  {  // Control: both requests on their home shards.
+    Books b;
+    b.finalize(home(0), 0);
+    b.finalize(home(1), 1);
+    EXPECT_TRUE(b.tracker.exactly_once());
+    EXPECT_TRUE(b.tracker.all_admitted_committed());
+  }
+  {  // A first commit on a non-home shard is misrouted.
+    Books b;
+    b.finalize(away(0), 0);
+    EXPECT_EQ(b.tracker.misrouted_commits(), 1u);
+    EXPECT_EQ(b.tracker.cross_shard_commits(), 0u);
+    EXPECT_EQ(b.tracker.foreign(), 0u);
+    EXPECT_EQ(b.tracker.committed_on(away(0)), 1u);
+    EXPECT_FALSE(b.tracker.exactly_once());
+  }
+  {  // One tag committed on two shards: the second is cross-shard, though
+     // each shard's chain holds it once.
+    Books b;
+    b.finalize(home(0), 0);
+    b.finalize(away(0), 0);
+    EXPECT_EQ(b.tracker.cross_shard_commits(), 1u);
+    EXPECT_EQ(b.tracker.misrouted_commits(), 0u);
+    EXPECT_EQ(b.tracker.duplicates(), 0u);
+    EXPECT_EQ(b.tracker.committed(), 1u);
+    EXPECT_FALSE(b.tracker.exactly_once());
+  }
+  {  // A never-submitted tag is foreign, and only foreign: it never enters
+     // the first-commit ledger, whichever shard it lands on.
+    Books b;
+    b.finalize(away(7), 7);
+    EXPECT_EQ(b.tracker.foreign(), 1u);
+    EXPECT_EQ(b.tracker.misrouted_commits(), 0u);
+    EXPECT_EQ(b.tracker.cross_shard_commits(), 0u);
+    EXPECT_EQ(b.tracker.committed(), 0u);
+    EXPECT_FALSE(b.tracker.exactly_once());
+  }
 }
 
 TEST(Sharding, NonRequestBytesRouteToShardZero) {
