@@ -85,8 +85,7 @@ SweepResult run_local_sweep(const SweepConfig& cfg, std::uint32_t shards) {
       .seed(cfg.seed + shards)  // distinct streams per sweep point
       .delta_bound(1 * runtime::kSecond)  // in-process: never view-change
       .batching(cfg.batch_txs, cfg.batch_bytes)
-      .mempool(8192)
-      .forwarding(true);
+      .mempool(8192);
   auto cluster = b.build_local();
   const shard::ShardRouter& router = cluster->router();
 

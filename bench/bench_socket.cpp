@@ -106,8 +106,7 @@ Run run_once(const Params& p) {
       .seed(p.seed)
       .delta_bound(1 * runtime::kSecond)  // loopback: never view-change
       .batching(p.batch_txs, p.batch_bytes)
-      .mempool(std::max<std::size_t>(4096, 2 * p.outstanding))
-      .forwarding(true);
+      .mempool(std::max<std::size_t>(4096, 2 * p.outstanding));
   auto cluster = b.build_socket();
 
   const auto epoch = Clock::now();

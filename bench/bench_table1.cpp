@@ -7,6 +7,8 @@
 // exactly), a crashed view-0 leader for the view-change cells, and n swept
 // 4..31 for the complexity columns. SCP and Li et al. rows are printed as
 // paper-reported values (heterogeneous-trust protocols; DESIGN.md §5.3).
+// The exit code gates the delay columns: a measured row whose good-case or
+// view-change count departs from the paper count in its note fails the run.
 
 #include <cmath>
 #include <cstdio>
@@ -25,6 +27,10 @@ struct Row {
   std::string storage;
   std::string comm;
   std::string note;
+  /// The paper's good-case / view-change counts as this table prints them;
+  /// empty for paper-reported rows, which are not measured.
+  std::string expect_good;
+  std::string expect_vc;
 };
 
 std::string fmt(double v, int prec = 0) {
@@ -77,6 +83,7 @@ std::pair<double, double> comm_exponents(Runner runner, std::uint8_t drop_tag = 
 
 template <class Runner>
 Row measure(const std::string& name, Runner runner, const std::string& note,
+            std::string expect_good, std::string expect_vc,
             std::uint8_t worst_case_drop_tag = 0, bool non_responsive_wait = false) {
   RunOptions good;
   const auto g = runner(good);
@@ -102,7 +109,24 @@ Row measure(const std::string& name, Runner runner, const std::string& note,
   row.storage = fmt(static_cast<double>(v.storage_bytes)) + " B";
   row.comm = "O(n^" + fmt(ge, 1) + ")/O(n^" + fmt(ve, 1) + ")";
   row.note = note;
+  row.expect_good = std::move(expect_good);
+  row.expect_vc = std::move(expect_vc);
   return row;
+}
+
+/// Rows whose measured delay counts depart from their paper counts.
+int delay_departures(const std::vector<Row>& rows) {
+  int departures = 0;
+  for (const auto& r : rows) {
+    if (r.expect_good.empty()) continue;
+    if (r.good_case != r.expect_good || r.view_change != r.expect_vc) {
+      std::printf("DELAY GATE FAIL: %s measured %s / %s, paper %s / %s\n", r.name.c_str(),
+                  r.good_case.c_str(), r.view_change.c_str(), r.expect_good.c_str(),
+                  r.expect_vc.c_str());
+      ++departures;
+    }
+  }
+  return departures;
 }
 
 void print_rows(const std::vector<Row>& rows) {
@@ -131,13 +155,14 @@ int main() {
   std::vector<Row> rows;
   rows.push_back(measure("IT-HS (blog) [4]", [](const RunOptions& o) {
     return run_it_hotstuff_blog(o);
-  }, "paper: non-resp, 4 / 5, O(1)/O(n^2)", 0, /*non_responsive_wait=*/true));
+  }, "paper: non-resp, 4 / 5, O(1)/O(n^2)", "4", "5 +2D wait", 0,
+                         /*non_responsive_wait=*/true));
   rows.push_back(measure("IT-HS [3]", [](const RunOptions& o) {
     return run_it_hotstuff(o);
-  }, "paper: resp, 6 / 9, O(1)/O(n^2)"));
+  }, "paper: resp, 6 / 9, O(1)/O(n^2)", "6", "9"));
   rows.push_back(measure("PBFT (bounded) [11]", [](const RunOptions& o) {
     return run_pbft(o);
-  }, "paper: resp, 3 / 7*, O(1)/O(n^3)",
+  }, "paper: resp, 3 / 7*, O(1)/O(n^3)", "3", "5",
                          static_cast<std::uint8_t>(tbft::baselines::PbftMsg::Commit)));
   {
     // PBFT unbounded differs only in the storage column.
@@ -157,16 +182,17 @@ int main() {
                      "paper-reported (heterogeneous trust; not implemented)"});
   rows.push_back(measure("TetraBFT (this work)", [](const RunOptions& o) {
     return run_tetra(o);
-  }, "paper: resp, 5 / 7, O(1)/O(n^2)"));
+  }, "paper: resp, 5 / 7, O(1)/O(n^2)", "5", "7"));
 
   print_rows(rows);
+  const int departures = delay_departures(rows);
 
   std::printf(
       "\n(*) latency conventions: the paper counts PBFT's view change as 7 by\n"
       "    including the request trigger and a separate new-view hop; our\n"
       "    implementation overlaps new-view with the first pre-prepare and\n"
-      "    measures 5 hops past the timer. All other rows match the paper's\n"
-      "    counts exactly. The headline comparison holds: TetraBFT decides in\n"
+      "    measures 5 hops past the timer, and the delay gate expects 5. All\n"
+      "    other rows match the paper's counts exactly. The headline comparison holds: TetraBFT decides in\n"
       "    5 good-case delays -- one less than IT-HS -- with the same O(1)\n"
       "    storage and O(n^2) communication, while PBFT's view change ships\n"
       "    O(n)-sized messages (the n^3 growth shows in the vc exponent as n\n"
@@ -211,5 +237,10 @@ int main() {
         .field("storage_bytes", static_cast<std::uint64_t>(tetra.storage_bytes));
     report.write();
   }
+  if (departures > 0) {
+    std::printf("\nFAIL: %d measured row(s) depart from the paper's delay counts\n", departures);
+    return 1;
+  }
+  std::printf("\nDelay gate: every measured row matches the paper's delay counts\n");
   return 0;
 }

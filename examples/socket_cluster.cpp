@@ -88,7 +88,6 @@ int run_child(NodeId id, int to_parent, int from_parent) {
       .seed(7)
       .delta_bound(500 * runtime::kMillisecond)  // generous: loaded CI machines
       .batching(/*max_txs=*/1, /*max_bytes=*/4096)  // one tx per slot
-      .forwarding(false)
       .shards(kShards);
   auto node = b.build_socket_node(id);
   runtime::SocketHost& host = node->host(id);

@@ -116,9 +116,6 @@ class Spec {
   [[nodiscard]] int bit_index(int r, int phase, int v) const noexcept {
     return (r * 4 + (phase - 1)) * cfg_.values + (v - 1);
   }
-  [[nodiscard]] static std::int8_t round_of(const State& s, int p) noexcept {
-    return s.round[p];
-  }
 
   SpecConfig cfg_;
 };

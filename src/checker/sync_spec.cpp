@@ -163,7 +163,7 @@ PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
       }
       // Propose(i): build_batch. The probe: skip when any candidate already
       // carries the tx -- committed (tx_finalized) always, pending
-      // (tx_in_pending_candidate) unless mutated away.
+      // (the pending_candidate_frames probe) unless mutated away.
       if (s.copy[i] == Copy::kBatchable &&
           (s.cand[i] == Cand::kNone || s.cand[i] == Cand::kAbandoned)) {
         const bool held_elsewhere =

@@ -124,14 +124,6 @@ class Payload {
     return p;
   }
 
-  /// Deep-copy arbitrary bytes. Counted as a buffer copy; keep off hot paths.
-  static Payload copy_of(std::span<const std::uint8_t> bytes) {
-    Payload p;
-    p.rep_ = new Rep(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
-    bump(stats().buffer_copies);
-    return p;
-  }
-
   [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
     return rep_ ? std::span<const std::uint8_t>(rep_->bytes) : std::span<const std::uint8_t>{};
   }

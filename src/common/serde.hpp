@@ -19,6 +19,16 @@
 
 namespace tbft::serde {
 
+/// Bytes Writer::varint spends on `v`.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 class Writer {
  public:
   Writer() = default;

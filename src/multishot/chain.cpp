@@ -171,26 +171,6 @@ bool ChainStore::candidate_has_txs(Slot slot, std::uint64_t hash) const {
   return c == nullptr || c->has_txs;
 }
 
-bool ChainStore::tx_in_pending_candidate(std::uint64_t hash,
-                                         std::span<const std::uint8_t> tx) const {
-  bool found = false;
-  window_.for_each([&](Slot s, const SlotEntry& e) {
-    if (found || is_finalized(s)) return;
-    for (std::size_t i = 0; i < e.used && !found; ++i) {
-      const Candidate& c = e.candidates[i];
-      if (!c.has_txs) continue;
-      for (const auto frame : payload_frames(c.block.payload)) {
-        if (frame.size() == tx.size() && fnv1a64(frame) == hash &&
-            std::equal(frame.begin(), frame.end(), tx.begin())) {
-          found = true;
-          break;
-        }
-      }
-    }
-  });
-  return found;
-}
-
 std::vector<std::span<const std::uint8_t>> ChainStore::pending_candidate_frames() const {
   std::vector<std::span<const std::uint8_t>> frames;
   window_.for_each([&](Slot s, const SlotEntry& e) {

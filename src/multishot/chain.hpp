@@ -155,17 +155,12 @@ class ChainStore {
   /// not stored locally (unknown content is conservatively pending).
   [[nodiscard]] bool candidate_has_txs(Slot slot, std::uint64_t hash) const;
 
-  /// True when `tx` (with precomputed fnv1a64 `hash`) appears as a frame in
-  /// any locally stored candidate of an unfinalized slot. Forward-fallback
-  /// resume probe: a relayed copy already riding a pending proposal means
-  /// re-batching the local copy now could commit the same bytes twice.
-  [[nodiscard]] bool tx_in_pending_candidate(std::uint64_t hash,
-                                             std::span<const std::uint8_t> tx) const;
-
   /// Frames of every locally stored candidate of every unfinalized slot
   /// (spans borrow the candidates' payload storage -- valid until the next
-  /// mutation). Bulk form of tx_in_pending_candidate for probing many
-  /// entries against one snapshot.
+  /// mutation). Forward-fallback resume probe: a relayed copy already riding
+  /// a pending proposal means re-batching the local copy now could commit
+  /// the same bytes twice; build_batch indexes one snapshot of these frames
+  /// for all of its entries.
   [[nodiscard]] std::vector<std::span<const std::uint8_t>> pending_candidate_frames() const;
 
   /// Visit every stored candidate of every unfinalized slot as (slot,

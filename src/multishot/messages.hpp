@@ -242,6 +242,13 @@ struct MsSyncChunk {
   friend bool operator==(const MsSyncChunk&, const MsSyncChunk&) = default;
 
   static constexpr std::size_t kMaxBlocksPerChunk = 16;
+  /// Encoded size of a full chunk whose blocks each carry `payload_bytes`:
+  /// the largest message a replica sends when no block exceeds that payload.
+  [[nodiscard]] static constexpr std::uint64_t max_encoded_bytes(
+      std::uint64_t payload_bytes) noexcept {
+    const std::uint64_t block = 8 + 8 + 4 + serde::varint_size(payload_bytes) + payload_bytes;
+    return 1 + 3 * 8 + serde::varint_size(kMaxBlocksPerChunk) + kMaxBlocksPerChunk * block;
+  }
 
   void encode(serde::Writer& w) const {
     w.u8(static_cast<std::uint8_t>(MsType::SyncChunk));

@@ -10,14 +10,6 @@
 namespace tbft::multishot {
 
 namespace {
-std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
 
 /// Hash-indexed view of the pending candidates' frames for build_batch's
 /// dedup probe: sorted (fnv1a64, frame) pairs, probed per entry in
@@ -126,7 +118,6 @@ bool MultishotNode::submit_tx(std::vector<std::uint8_t> tx) {
 }
 
 void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
-  if (!cfg_.forward_to_leader) return;
   // Relay both into a suppressed (parked) chain -- resuming an idle chain in
   // ~1 delta instead of the ~9 delta view-change rotation -- and under load,
   // where the frontier leader batches the request into its next proposal
@@ -316,7 +307,7 @@ MultishotNode::BatchDraft MultishotNode::build_batch(View view) {
       }
     }
     if (draft.entries.size() >= cap_txs) break;
-    const std::size_t frame = varint_size(e.tx.size()) + e.tx.size();
+    const std::size_t frame = serde::varint_size(e.tx.size()) + e.tx.size();
     if (!draft.entries.empty() && w.size() + frame > cap_bytes) break;
     w.bytes(e.tx);
     draft.entries.push_back(h);
@@ -673,6 +664,14 @@ void MultishotNode::on_message(NodeId from, const Payload& payload) {
 
 void MultishotNode::handle(NodeId from, const MsProposal& m) {
   if (from != cfg_.leader_of(m.slot, m.view)) return;
+  // No honest leader builds a payload past the bound, so an oversize block
+  // is Byzantine: storing it would let it win notarization and then
+  // overflow every peer's frame limit in the range-sync chunks that carry
+  // it. Refused, its view stalls and the view timer rotates the leader.
+  if (m.block.payload.size() > cfg_.max_payload_bytes()) {
+    ctx().metrics().counter("multishot.proposal.oversize").add();
+    return;
+  }
   SlotState* st = slot_state(m.slot, true);
   if (st == nullptr) return;
   // The one hash of a received block. A leader's own broadcast comes back to

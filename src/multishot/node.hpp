@@ -42,6 +42,7 @@
 #include <set>
 #include <vector>
 
+#include "common/serde.hpp"
 #include "common/types.hpp"
 #include "core/rules.hpp"
 #include "core/vote_record.hpp"
@@ -73,12 +74,6 @@ struct MultishotConfig {
   /// ChainInfo answering and range-sync chunks. Tests exercising compaction
   /// set this small.
   std::size_t finalized_tail{FinalizedStore::kDefaultTailCapacity};
-
-  // --- Client-request forwarding ---
-  /// Forward transactions submitted to a non-leader to the proposal-frontier
-  /// leader (single-hop relay; receivers dedup by content hash and never
-  /// re-forward), cutting idle-chain resume from ~9 delta to ~1 delta.
-  bool forward_to_leader{true};
 
   // --- Leader batching / mempool (workload path, DESIGN_PERF.md) ---
   /// Most transactions a fresh block carries.
@@ -117,11 +112,22 @@ struct MultishotConfig {
     return static_cast<NodeId>((stripe + static_cast<std::uint64_t>(v)) % n);
   }
   /// Hard ceiling on a fresh proposal's payload byte budget once adaptive
-  /// batching may widen batches (transport frame sizing uses this too).
+  /// batching may widen batches.
   [[nodiscard]] std::uint64_t adaptive_bytes_ceiling() const {
     if (adaptive_batch_txs <= max_batch_txs) return max_batch_bytes;
     return static_cast<std::uint64_t>(max_batch_bytes) * adaptive_batch_txs /
            std::max<std::uint32_t>(1, max_batch_txs);
+  }
+  /// The largest payload an honest leader builds: a batch within the
+  /// adaptive byte ceiling; or the view nonce plus one admissible
+  /// transaction frame (a batch always takes its first transaction); or
+  /// filler padding. Replicas refuse larger proposals, and the socket frame
+  /// limit is sized from it.
+  [[nodiscard]] std::uint64_t max_payload_bytes() const {
+    const std::uint64_t one_tx = serde::varint_size(~std::uint64_t{0}) +
+                                 serde::varint_size(max_batch_bytes) + max_batch_bytes;
+    return std::max({adaptive_bytes_ceiling(), one_tx,
+                     static_cast<std::uint64_t>(default_payload_bytes)});
   }
 };
 

@@ -1,5 +1,6 @@
 #include "tetrabft.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -121,10 +122,6 @@ sim::Simulation& Cluster::simulation() {
   return *sim_;
 }
 
-NodeId Cluster::add_client(std::unique_ptr<runtime::ProtocolNode> client) {
-  return simulation().add_client(std::move(client));
-}
-
 runtime::LocalRunner& Cluster::runner() {
   if (!runner_) throw std::logic_error("Cluster::runner: not a build_local() cluster");
   return *runner_;
@@ -193,15 +190,6 @@ ClusterBuilder& ClusterBuilder::storage_tail(std::size_t blocks) {
   finalized_tail_ = blocks;
   return *this;
 }
-ClusterBuilder& ClusterBuilder::forwarding(bool on) {
-  forward_to_leader_ = on;
-  return *this;
-}
-ClusterBuilder& ClusterBuilder::sim_delta_actual(runtime::Duration delta) {
-  if (delta <= 0) throw std::invalid_argument("ClusterBuilder: sim_delta_actual must be > 0");
-  sim_delta_actual_ = delta;
-  return *this;
-}
 ClusterBuilder& ClusterBuilder::data_dir(std::string path) {
   if (path.empty()) {
     throw std::invalid_argument(
@@ -233,46 +221,6 @@ ClusterBuilder& ClusterBuilder::wal_segment_bytes(std::size_t bytes) {
   return *this;
 }
 
-ClusterBuilder& ClusterBuilder::socket_backoff(runtime::Duration base,
-                                               runtime::Duration cap, double jitter) {
-  if (base <= 0 || cap < base) {
-    throw std::invalid_argument("ClusterBuilder: socket_backoff needs 0 < base <= cap");
-  }
-  if (jitter < 0 || jitter > 1) {
-    throw std::invalid_argument("ClusterBuilder: socket_backoff jitter must be in [0, 1]");
-  }
-  socket_backoff_base_ = base;
-  socket_backoff_cap_ = cap;
-  socket_backoff_jitter_ = jitter;
-  return *this;
-}
-ClusterBuilder& ClusterBuilder::socket_liveness(runtime::Duration ping_after,
-                                                runtime::Duration drop_after) {
-  if (ping_after <= 0 || drop_after <= ping_after) {
-    throw std::invalid_argument(
-        "ClusterBuilder: socket_liveness needs 0 < ping_after < drop_after");
-  }
-  socket_ping_after_ = ping_after;
-  socket_drop_after_ = drop_after;
-  return *this;
-}
-ClusterBuilder& ClusterBuilder::socket_queue(std::size_t max_payloads) {
-  if (max_payloads == 0) {
-    throw std::invalid_argument("ClusterBuilder: socket_queue must be > 0");
-  }
-  socket_queue_ = max_payloads;
-  return *this;
-}
-ClusterBuilder& ClusterBuilder::socket_max_frame(std::size_t bytes) {
-  if (bytes < 4096) {
-    throw std::invalid_argument(
-        "ClusterBuilder: socket_max_frame below 4096 bytes cannot carry even a "
-        "small block");
-  }
-  socket_max_frame_ = bytes;
-  return *this;
-}
-
 multishot::MultishotConfig ClusterBuilder::node_config() const {
   const std::uint32_t f = f_.has_value() ? *f_ : (n_ > 0 ? (n_ - 1) / 3 : 0);
   // QuorumParams validates n > 3f (and n > 0) with a descriptive throw.
@@ -300,7 +248,6 @@ multishot::MultishotConfig ClusterBuilder::node_config() const {
   cfg.max_batch_bytes = max_batch_bytes_;
   cfg.mempool_capacity = mempool_capacity_;
   cfg.finalized_tail = finalized_tail_;
-  cfg.forward_to_leader = forward_to_leader_;
   cfg.pipeline_depth = pipeline_depth_;
   if (adaptive_batch_txs_ > max_batch_txs_) {
     cfg.adaptive_batch_txs = adaptive_batch_txs_;
@@ -308,32 +255,11 @@ multishot::MultishotConfig ClusterBuilder::node_config() const {
   return cfg;
 }
 
-runtime::SocketHostConfig ClusterBuilder::socket_host_config(
-    NodeId id, net::Endpoint listen) const {
-  // Validate against the largest proposal the node may actually emit: under
-  // adaptive batching that is the scaled byte ceiling, not the base cap.
-  const std::uint64_t max_proposal_bytes = node_config().adaptive_bytes_ceiling();
-  if (socket_max_frame_ < max_proposal_bytes + 4096) {
-    throw std::logic_error(
-        "ClusterBuilder: socket_max_frame(" + std::to_string(socket_max_frame_) +
-        ") leaves no headroom over the largest proposal payload (" +
-        std::to_string(max_proposal_bytes) +
-        " bytes); a full proposal would be dropped as oversize -- raise "
-        "socket_max_frame or lower the batching/adaptive_batching caps");
-  }
-  runtime::SocketHostConfig hc;
-  hc.id = id;
-  hc.n = n_;
-  hc.seed = seed_;
-  hc.listen = std::move(listen);
-  hc.backoff_base = socket_backoff_base_;
-  hc.backoff_cap = socket_backoff_cap_;
-  hc.backoff_jitter = socket_backoff_jitter_;
-  hc.ping_after = socket_ping_after_;
-  hc.drop_after = socket_drop_after_;
-  hc.max_queue = socket_queue_;
-  hc.max_frame_bytes = socket_max_frame_;
-  return hc;
+std::size_t ClusterBuilder::max_frame_bytes() const {
+  const std::uint64_t chunk =
+      multishot::MsSyncChunk::max_encoded_bytes(node_config().max_payload_bytes());
+  return static_cast<std::size_t>(
+      std::max<std::uint64_t>(runtime::SocketHostConfig{}.max_frame_bytes, chunk));
 }
 
 std::unique_ptr<Cluster> ClusterBuilder::build(Cluster::Backend backend, NodeId first,
@@ -342,17 +268,20 @@ std::unique_ptr<Cluster> ClusterBuilder::build(Cluster::Backend backend, NodeId 
   auto cluster = std::unique_ptr<Cluster>(new Cluster(backend, node_cfg.n, shards_));
   Cluster& c = *cluster;
   if (backend == Cluster::Backend::kSim) {
-    sim::SimConfig sc;
+    sim::SimConfig sc;  // links: the NetworkConfig default, a constant 1 ms
     sc.seed = seed_;
     sc.net.delta_bound = delta_bound_;
-    sc.net.delta_actual = sim_delta_actual_;
-    sc.net.delta_min = sim_delta_actual_;
     c.sim_ = std::make_unique<sim::Simulation>(sc);
     c.sim_->add_commit_sink(c.hub_);
   } else if (backend == Cluster::Backend::kThreads) {
     c.runner_ = std::make_unique<runtime::LocalRunner>(runtime::LocalRunnerConfig{seed_});
     c.runner_->add_commit_sink(c.hub_);
   }
+  runtime::SocketHostConfig host_cfg;
+  host_cfg.n = n_;
+  host_cfg.seed = seed_;
+  host_cfg.listen = listen;
+  host_cfg.max_frame_bytes = max_frame_bytes();
   storage::DurableOptions opts;
   opts.segment_bytes = wal_segment_bytes_;
   opts.flush_every = wal_flush_every_;
@@ -380,8 +309,8 @@ std::unique_ptr<Cluster> ClusterBuilder::build(Cluster::Backend backend, NodeId 
       case Cluster::Backend::kSockets:
         // The host binds at construction, so an ephemeral port is known
         // immediately and nothing ever guesses a free one.
-        c.hosts_[i] = std::make_unique<runtime::SocketHost>(socket_host_config(i, listen),
-                                                            std::move(mux));
+        host_cfg.id = i;
+        c.hosts_[i] = std::make_unique<runtime::SocketHost>(host_cfg, std::move(mux));
         c.hosts_[i]->add_commit_sink(c.hub_);
         break;
     }

@@ -187,7 +187,6 @@ class SocketHost final : public Host {
 
   /// Direct node access: only from the loop thread (via post) or
   /// while the host is not running.
-  [[nodiscard]] ProtocolNode& protocol_node() { return *node_; }
   template <class T>
   [[nodiscard]] T& node_as() {
     return dynamic_cast<T&>(*node_);

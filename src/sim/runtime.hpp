@@ -100,9 +100,6 @@ class Simulation final : public EventSink {
   [[nodiscard]] std::uint32_t node_count() const noexcept {
     return static_cast<std::uint32_t>(nodes_.size());
   }
-  [[nodiscard]] std::uint32_t client_count() const noexcept {
-    return static_cast<std::uint32_t>(clients_.size());
-  }
 
   [[nodiscard]] Network& network() noexcept { return network_; }
   [[nodiscard]] Trace& trace() noexcept { return trace_; }

@@ -113,15 +113,6 @@ class Trace {
     return h;
   }
 
-  void reset_message_counters() noexcept {
-    total_messages_ = 0;
-    total_bytes_ = 0;
-    dropped_messages_ = 0;
-    bytes_by_type_arr_.fill(0);
-    messages_by_type_arr_.fill(0);
-    messages_.clear();
-  }
-
  private:
   /// Build the sparse map view of a flat per-tag counter array (accessor
   /// path only; rebuilding is cheap next to any run that filled it).

@@ -17,18 +17,24 @@
 // ClusterBuilder::shards() chain instances (one at the default S = 1).
 //  - build_local(): a runtime::LocalRunner -- wall-clock time, OS threads,
 //    shared-memory message passing;
-//  - build_sim():   a sim::Simulation -- deterministic virtual time, the
-//    verification tool of record. Client actors (workload generators)
-//    attach with add_client; the facade adds every replica before any
-//    client, and the Simulation rejects out-of-order additions with a
-//    clear error instead of silently renumbering actors;
+//  - build_sim():   a sim::Simulation -- deterministic virtual time over
+//    constant 1 ms links, the verification tool of record. Client actors
+//    (workload generators) attach through simulation().add_client; the
+//    facade adds every replica before any client, and the Simulation
+//    rejects out-of-order additions with a clear error instead of silently
+//    renumbering actors;
 //  - build_socket(): n runtime::SocketHosts talking TCP over loopback --
 //    every message crosses a real socket, its shard route in the frame
 //    header. For genuinely multi-process deployments, build_socket_node()
 //    hosts ONE replica; the caller distributes listen ports (ephemeral
 //    binds are discoverable via host(id).port()) and wires peers with
 //    host(id).set_peer_endpoint before start() -- see
-//    examples/socket_cluster.cpp.
+//    examples/socket_cluster.cpp. Hosts take the runtime::SocketHostConfig
+//    defaults for redial backoff, liveness and queueing; their frame limit
+//    is derived from the batching caps (ClusterBuilder::max_frame_bytes).
+//
+// Every unbounded chain relays each admitted submission to the leader of
+// its proposal frontier (multishot/node.hpp); there is no switch.
 
 #include <condition_variable>
 #include <cstdint>
@@ -135,10 +141,9 @@ class Cluster {
   [[nodiscard]] storage::DurableChain* durable(NodeId id, std::uint32_t shard = 0);
 
   // Backend-specific access; each throws std::logic_error on another backend.
+  /// The sim host. Client actors attach with simulation().add_client, which
+  /// is always legal: the builder added every replica already.
   [[nodiscard]] sim::Simulation& simulation();
-  /// Attach a client actor to the sim. Always legal: the builder added every
-  /// replica already, which is the ordering Simulation::add_node enforces.
-  NodeId add_client(std::unique_ptr<runtime::ProtocolNode> client);
   [[nodiscard]] runtime::LocalRunner& runner();
   [[nodiscard]] runtime::SocketHost& host(NodeId id);
 
@@ -197,11 +202,6 @@ class ClusterBuilder {
   ClusterBuilder& mempool(std::size_t capacity);
   /// Resident finalized blocks kept behind the compaction checkpoint.
   ClusterBuilder& storage_tail(std::size_t blocks);
-  /// Relay each admitted submission to the leader of the proposal
-  /// frontier, both while the chain idles and under load.
-  ClusterBuilder& forwarding(bool on);
-  /// Simulated actual delay (build_sim only; build_local runs on real time).
-  ClusterBuilder& sim_delta_actual(runtime::Duration delta);
 
   /// Root directory for durable storage. Each chain instance gets its
   /// storage::replica_dir (created on demand): a write-ahead log of
@@ -221,25 +221,13 @@ class ClusterBuilder {
   /// fewer files).
   ClusterBuilder& wal_segment_bytes(std::size_t bytes);
 
-  /// Socket transport: redial backoff after a lost connection (first delay,
-  /// exponential, saturating at `cap`), with a seeded mean-preserving
-  /// `jitter` fraction spread around each delay (0 = deterministic,
-  /// must be <= 1).
-  ClusterBuilder& socket_backoff(runtime::Duration base, runtime::Duration cap,
-                                 double jitter = 0.1);
-  /// Socket transport: send a ping after `ping_after` of rx silence; drop a
-  /// connection silent for `drop_after` (half-open detection).
-  ClusterBuilder& socket_liveness(runtime::Duration ping_after,
-                                  runtime::Duration drop_after);
-  /// Socket transport: outbound payloads buffered per peer before newest
-  /// are dropped (and counted) -- a dead peer must not grow memory.
-  ClusterBuilder& socket_queue(std::size_t max_payloads);
-  /// Socket transport: largest accepted rx frame payload. Must exceed the
-  /// largest encoded protocol message (batches, range-sync replies).
-  ClusterBuilder& socket_max_frame(std::size_t bytes);
-
   /// The validated MultishotConfig every backend builds from.
   [[nodiscard]] multishot::MultishotConfig node_config() const;
+  /// The socket hosts' rx frame payload limit: the larger of the 1 MiB
+  /// SocketHostConfig default and a full range-sync chunk
+  /// (MsSyncChunk::kMaxBlocksPerChunk blocks) of node_config()'s
+  /// max_payload_bytes() -- the largest message an honest replica sends.
+  [[nodiscard]] std::size_t max_frame_bytes() const;
 
   [[nodiscard]] std::unique_ptr<Cluster> build_local() const;
   [[nodiscard]] std::unique_ptr<Cluster> build_sim() const;
@@ -260,29 +248,16 @@ class ClusterBuilder {
   std::uint32_t shards_{1};
   std::uint64_t seed_{1};
   runtime::Duration delta_bound_{50 * runtime::kMillisecond};
-  runtime::Duration sim_delta_actual_{1 * runtime::kMillisecond};
   std::uint32_t max_batch_txs_{64};
   std::uint32_t max_batch_bytes_{8192};
   std::uint32_t pipeline_depth_{1};
   std::uint32_t adaptive_batch_txs_{0};  // <= max_batch_txs_ = off
   std::size_t mempool_capacity_{4096};
   std::size_t finalized_tail_{multishot::FinalizedStore::kDefaultTailCapacity};
-  bool forward_to_leader_{true};
   std::string data_dir_;  // empty = in-memory only
   Slot checkpoint_every_{1024};
   std::uint32_t wal_flush_every_{64};
   std::size_t wal_segment_bytes_{storage::DurableOptions{}.segment_bytes};
-  runtime::Duration socket_backoff_base_{10 * runtime::kMillisecond};
-  runtime::Duration socket_backoff_cap_{1 * runtime::kSecond};
-  double socket_backoff_jitter_{0.1};
-  runtime::Duration socket_ping_after_{500 * runtime::kMillisecond};
-  runtime::Duration socket_drop_after_{2 * runtime::kSecond};
-  std::size_t socket_queue_{4096};
-  std::size_t socket_max_frame_{1u << 20};
-
-  /// The validated SocketHostConfig for node `id` (peers unwired).
-  [[nodiscard]] runtime::SocketHostConfig socket_host_config(
-      NodeId id, net::Endpoint listen) const;
 
   /// Replicas [first, last) of `backend`, each a ShardMux with its durable
   /// chains recovered and attached; sockets listen on `listen`.

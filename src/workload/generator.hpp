@@ -106,9 +106,6 @@ class LoadClient : public runtime::ProtocolNode {
 
   /// Submit one fresh request to the next target; returns admission.
   bool submit_one();
-  [[nodiscard]] bool window_open() const {
-    return ctx().now() >= cfg_.start && ctx().now() < cfg_.stop;
-  }
 
   ClientConfig cfg_;
   WorkloadTracker& tracker_;

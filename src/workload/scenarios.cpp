@@ -8,17 +8,6 @@
 
 namespace tbft::workload {
 
-const char* preset_name(Preset p) {
-  switch (p) {
-    case Preset::kSteadyState: return "steady-state";
-    case Preset::kBurst: return "burst";
-    case Preset::kPartitionDuringLoad: return "partition-during-load";
-    case Preset::kLeaderCrashUnderLoad: return "leader-crash-under-load";
-    case Preset::kJunkFloodUnderLoad: return "junk-flood-under-load";
-  }
-  return "?";
-}
-
 void add_clients(sim::Simulation& sim, const ClientLoad& load,
                  const std::vector<SubmitPort*>& ports, WorkloadTracker& tracker) {
   TBFT_ASSERT_MSG(!ports.empty(), "a loaded run needs at least one target port");

@@ -31,8 +31,6 @@ enum class Preset : std::uint8_t {
   kJunkFloodUnderLoad,
 };
 
-[[nodiscard]] const char* preset_name(Preset p);
-
 struct ScenarioOptions {
   Preset preset{Preset::kSteadyState};
   std::uint32_t n{4};

@@ -258,7 +258,7 @@ TEST(ForwardSpec, PendingProbeKeepsCommitsExactlyOnce) {
 TEST(ForwardSpec, DroppingThePendingProbeDoubleCommits) {
   // The exact race the chaos fuzzer surfaced (seeds 205/362 pre-fix): the
   // origin's hold expires while the leader's candidate is still pending;
-  // without the tx_in_pending_candidate probe it re-batches, and both
+  // without the pending_candidate_frames probe it re-batches, and both
   // candidates commit.
   ForwardSpecConfig cfg;
   cfg.mutation = ForwardSpecConfig::Mutation::NoPendingProbe;

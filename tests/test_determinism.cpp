@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "cluster_helpers.hpp"
+#include "equivalence_helpers.hpp"
 #include "ms_cluster_helpers.hpp"
 #include "sim/adversary.hpp"
 #include "tetrabft.hpp"
@@ -154,38 +155,33 @@ TEST(Determinism, DepthOneIsByteIdenticalToUnpipelined) {
   EXPECT_EQ(depth1.elapsed, 157572);
 }
 
-// The facade builds every replica as a ShardMux, S = 1 included, and a
-// one-shard mux must be invisible: the run is pinned to the trace digest and
-// end time the same configuration produced when build_sim() built bare
-// MultishotNodes (test_local_runner.cpp's equivalence config: 24 seeded
-// one-tx blocks, no relaying), at depth 1 and depth 4.
-TEST(Determinism, OneShardFacadeIsByteIdenticalToBareNodes) {
+// The facade's cross-host equivalence run (equivalence_helpers.hpp: 24
+// one-tx blocks seeded at the slot-1 leader, relay on) is pinned to its
+// trace digest and end time at depth 1 and depth 4, so a refactor of the
+// facade, the one-shard mux or the relay cannot move it unnoticed. At
+// depth 4 the pin also covers the view-change path: once node 1's stripe
+// finalizes, the filler leaders of the next stripes find nothing pending
+// and go idle, and node 1's remaining transactions wait for a 9-Delta view
+// change per stripe (ROADMAP item 7).
+TEST(Determinism, FacadeEquivalenceRunIsPinned) {
   const auto run = [](std::uint32_t depth) {
-    ClusterBuilder b;
-    b.nodes(4)
-        .seed(7)
-        .delta_bound(1 * sim::kSecond)
-        .sim_delta_actual(1 * sim::kMillisecond)
-        .batching(/*max_txs=*/1, /*max_bytes=*/4096)
-        .forwarding(false)
-        .pipelining(depth);
-    auto cluster = b.build_sim();
-    for (std::uint8_t j = 0; j < 24; ++j) {
-      EXPECT_TRUE(cluster->submit(j % 4, {'e', 'q', 'v', 0, j, 0xA5, 0x5A,
-                                          static_cast<std::uint8_t>(j * 7)}));
-    }
+    auto cluster = equivalence_builder().pipelining(depth).build_sim();
+    EXPECT_TRUE(seed_eq_txs(*cluster));
     cluster->start();
     EXPECT_TRUE(cluster->wait_for(
         [&] {
-          const auto chains = cluster->shard_instances();
-          return std::all_of(chains.begin(), chains.end(),
-                             [](const auto* c) { return c->finalized_count() >= 24; });
+          for (const auto* c : cluster->shard_instances()) {
+            for (std::uint32_t j = 0; j < kEqTxs; ++j) {
+              if (!c->tx_finalized(eq_tx(j))) return false;
+            }
+          }
+          return true;
         },
-        60 * sim::kSecond));
+        300 * sim::kSecond));
     return std::make_pair(cluster->simulation().trace().digest(), cluster->simulation().now());
   };
-  EXPECT_EQ(run(1), std::make_pair(std::uint64_t{0xdca4b64836b9d1f2}, sim::SimTime{28000}));
-  EXPECT_EQ(run(4), std::make_pair(std::uint64_t{0xfbabe5c0a84062ff}, sim::SimTime{28000}));
+  EXPECT_EQ(run(1), std::make_pair(std::uint64_t{0xf525904a8be20881}, sim::SimTime{97000}));
+  EXPECT_EQ(run(4), std::make_pair(std::uint64_t{0x9aea3d6406943a40}, sim::SimTime{108083000}));
 }
 
 // A pipelined + adaptive run is still a pure function of seed + config.

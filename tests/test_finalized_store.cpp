@@ -8,6 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+#include <variant>
+#include <vector>
+
 #include "multishot/finalized_store.hpp"
 #include "multishot/node.hpp"
 #include "ms_cluster_helpers.hpp"
@@ -290,6 +297,277 @@ TEST(StorageCompaction, CatchUpOlderThanTailRecoversViaCheckpointTransfer) {
   // The adopted checkpoint carries the commit history: the straggler now
   // holds a compacted prefix consistent with everyone else's.
   EXPECT_GT(c.nodes[3]->chain().checkpoint().slot, 8u);
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+// --- Checkpoint-fetch state machine -----------------------------------------
+// The straggler (the highest id) is cut off while the others finalize past
+// the small tails of the lowest `small_tail_nodes` replicas; after the heal
+// Gate::route shapes every delivery that touches it.
+
+std::uint8_t ms_type(const sim::Envelope& env) {
+  const auto bytes = env.payload.bytes();
+  return bytes.empty() ? 0 : bytes[0];
+}
+bool is(const sim::Envelope& env, MsType t) {
+  return ms_type(env) == static_cast<std::uint8_t>(t);
+}
+
+struct Gate {
+  bool healed{false};
+  /// After the heal: extra delay over the 1 ms link, or nullopt to drop.
+  std::function<std::optional<sim::SimTime>(const sim::Envelope&)> route;
+  std::uint32_t ckpt_broadcasts{0};   // MsCheckpointRequest rounds the straggler sent
+  std::uint32_t chunks_delivered{0};  // MsCheckpointChunks that reached it
+};
+
+MsClusterOptions straggler_opts(std::uint32_t n, Slot max_slots, std::uint32_t small_tail_nodes,
+                                const std::shared_ptr<Gate>& gate) {
+  MsClusterOptions opts;
+  opts.n = n;
+  opts.f = (n - 1) / 3;
+  opts.max_slots = max_slots;
+  opts.gst = 3600 * sim::kSecond;  // the adversary below decides every delivery
+  opts.make_node = [small_tail_nodes](NodeId id, const MultishotConfig& cfg)
+      -> std::unique_ptr<sim::ProtocolNode> {
+    MultishotConfig c = cfg;
+    if (id < small_tail_nodes) c.finalized_tail = 8;
+    return std::make_unique<MultishotNode>(c);
+  };
+  const NodeId straggler = n - 1;
+  opts.adversary = [gate, straggler](const sim::Envelope& env, sim::SimTime send_time)
+      -> std::optional<sim::DeliveryDecision> {
+    sim::SimTime extra = 0;
+    if (env.src == straggler || env.dst == straggler) {
+      if (!gate->healed) return sim::DeliveryDecision{.drop = true, .deliver_at = 0};
+      if (gate->route) {
+        const auto delay = gate->route(env);
+        if (!delay) return sim::DeliveryDecision{.drop = true, .deliver_at = 0};
+        extra = *delay;
+      }
+      if (env.src == straggler && env.dst == 0 && is(env, MsType::CheckpointRequest)) {
+        ++gate->ckpt_broadcasts;
+      }
+      if (env.dst == straggler && is(env, MsType::CheckpointChunk)) ++gate->chunks_delivered;
+    }
+    return sim::DeliveryDecision{.drop = false,
+                                 .deliver_at = send_time + sim::kMillisecond + extra};
+  };
+  return opts;
+}
+
+/// Run until every replica but the straggler finalized `lead` slots, then
+/// heal the straggler's links.
+void lead_then_heal(MsCluster& c, Gate& gate, Slot lead) {
+  const auto others_done = [&] {
+    for (NodeId i = 0; i + 1 < c.opts.n; ++i) {
+      if (c.nodes[i]->finalized_count() < lead) return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(c.sim->run_until_pred(others_done, 200 * c.timeout()));
+  ASSERT_EQ(c.nodes.back()->finalized_count(), 0u);
+  gate.healed = true;
+}
+
+std::uint64_t counter(MsCluster& c, const char* name) {
+  return c.sim->metrics().counter(name).value();
+}
+
+TEST(CheckpointFetch, ProgressTimerAbandonsASilentFetchAndReRequestsAPartialOne) {
+  auto gate = std::make_shared<Gate>();
+  auto c = make_ms_cluster(straggler_opts(4, 60, 3, gate));
+  lead_then_heal(c, *gate, 56);
+
+  // No chunk arrives: the progress timer abandons the fetch, and the next
+  // refusal round starts a fresh one. Every request round so far opened a
+  // fetch.
+  gate->route = [](const sim::Envelope& env) -> std::optional<sim::SimTime> {
+    if (is(env, MsType::CheckpointChunk)) return std::nullopt;
+    return 0;
+  };
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return counter(c, "multishot.ckpt.requests") >= 2; }, c.sim->now() + 100 * c.timeout()));
+  EXPECT_EQ(gate->ckpt_broadcasts, counter(c, "multishot.ckpt.requests"));
+  EXPECT_EQ(counter(c, "multishot.ckpt.installed"), 0u);
+
+  // One responder's chunks arrive (one vouch, below f+1): the fetch made
+  // progress, so the timer re-requests within the same fetch.
+  gate->route = [](const sim::Envelope& env) -> std::optional<sim::SimTime> {
+    if (is(env, MsType::CheckpointChunk) && env.src != 0) return std::nullopt;
+    return 0;
+  };
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return gate->ckpt_broadcasts > counter(c, "multishot.ckpt.requests"); },
+      c.sim->now() + 100 * c.timeout()));
+  EXPECT_EQ(counter(c, "multishot.ckpt.installed"), 0u);
+
+  // Every responder: f+1 vouch for the state and the straggler installs it.
+  gate->route = nullptr;
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return counter(c, "multishot.ckpt.installed") >= 1; }, c.sim->now() + 100 * c.timeout()));
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return c.nodes[3]->finalized_count() + 8 >= c.nodes[0]->finalized_count(); },
+      c.sim->now() + 100 * c.timeout()));
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+/// Answers every checkpoint request with a forged one-chunk state for the
+/// requested anchor: its identity is the first the requester sees, but no
+/// other replica vouches for it.
+class ForgingResponder : public MultishotNode {
+ public:
+  using MultishotNode::MultishotNode;
+
+  void on_message(NodeId from, const Payload& payload) override {
+    const auto m = multishot::decode_ms(payload.bytes());
+    if (m && std::holds_alternative<multishot::MsCheckpointRequest>(*m)) {
+      multishot::MsCheckpointChunk forged;
+      forged.cp.slot = std::get<multishot::MsCheckpointRequest>(*m).at;
+      forged.cp.chain_hash = 0xBAD;
+      forged.cp.boundary_hash = 0xBAD;
+      forged.data = {0xBA, 0xD0};
+      forged.state_hash = fnv1a64(forged.data);
+      forged.state_size = forged.data.size();
+      send_ms(from, forged);
+      return;
+    }
+    MultishotNode::on_message(from, payload);
+  }
+};
+
+TEST(CheckpointFetch, SwitchesToTheIdentityThatReachesFPlusOneVouchesFirst) {
+  auto gate = std::make_shared<Gate>();
+  MsClusterOptions opts = straggler_opts(4, 60, 3, gate);
+  const auto honest = opts.make_node;
+  opts.make_node = [honest](NodeId id, const MultishotConfig& cfg)
+      -> std::unique_ptr<sim::ProtocolNode> {
+    if (id != 0) return honest(id, cfg);
+    MultishotConfig c = cfg;
+    c.finalized_tail = 8;
+    return std::make_unique<ForgingResponder>(c);
+  };
+  auto c = make_ms_cluster(opts);
+  lead_then_heal(c, *gate, 56);
+  // The honest chunks trail the forged one by a millisecond, so the forged
+  // identity is the one the fetch chose first.
+  gate->route = [](const sim::Envelope& env) -> std::optional<sim::SimTime> {
+    return is(env, MsType::CheckpointChunk) && env.src != 0 ? sim::kMillisecond : 0;
+  };
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return counter(c, "multishot.ckpt.requests") >= 1; }, c.sim->now() + 100 * c.timeout()));
+  // The honest identity reaches f+1 vouches, the fetch switches to it and
+  // re-requests its bytes: installed well inside one progress-timer period
+  // (3 Delta), not by a timer-driven retry.
+  const sim::SimTime started = c.sim->now();
+  ASSERT_TRUE(c.sim->run_until_pred([&] { return counter(c, "multishot.ckpt.installed") >= 1; },
+                                    started + c.opts.delta_bound));
+  EXPECT_EQ(counter(c, "multishot.ckpt.requests"), 1u);
+  EXPECT_EQ(gate->ckpt_broadcasts, 2u);  // the fetch's request + the switch's
+  EXPECT_EQ(c.nodes[3]->chain().checkpoint().chain_hash,
+            c.nodes[1]->chain().finalized().checkpoint_at(c.nodes[3]->chain().checkpoint().slot)
+                ->chain_hash);
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return c.nodes[3]->finalized_count() + 8 >= c.nodes[1]->finalized_count(); },
+      c.sim->now() + 100 * c.timeout()));
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+// n = 7: the three small-tail replicas refuse the straggler's range request
+// (f+1 hints open a fetch) while the three full-tail replicas serve it, so
+// range sync finalizes the straggler up to the anchor while the fetch is
+// still open. Their chunks trail the refusals by a millisecond so the fetch
+// opens first.
+std::shared_ptr<Gate> overtaking_gate(bool deliver_ckpt_from_all) {
+  auto gate = std::make_shared<Gate>();
+  gate->route = [deliver_ckpt_from_all](const sim::Envelope& env) -> std::optional<sim::SimTime> {
+    if (is(env, MsType::SyncChunk) && env.src >= 3) return sim::kMillisecond;
+    if (is(env, MsType::CheckpointChunk) && !deliver_ckpt_from_all && env.src != 0) {
+      return std::nullopt;
+    }
+    return 0;
+  };
+  return gate;
+}
+
+TEST(CheckpointFetch, InstallOvertakenByRangeSyncIsSkipped) {
+  auto gate = overtaking_gate(/*deliver_ckpt_from_all=*/true);
+  auto c = make_ms_cluster(straggler_opts(7, 40, 3, gate));
+  lead_then_heal(c, *gate, 37);
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return c.nodes[6]->finalized_count() >= c.nodes[0]->finalized_count(); },
+      c.sim->now() + 100 * c.timeout()));
+  c.sim->run_until(c.sim->now() + 10 * c.opts.delta_bound);
+  // The fetch opened and its state arrived with f+1 vouches, but range sync
+  // had already finalized past the anchor: nothing is installed over it.
+  EXPECT_EQ(counter(c, "multishot.ckpt.requests"), 1u);
+  EXPECT_GE(gate->chunks_delivered, 3u);
+  EXPECT_EQ(counter(c, "multishot.ckpt.installed"), 0u);
+  EXPECT_EQ(c.nodes[6]->chain().checkpoint().slot, 0u);  // nothing compacted or installed
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+TEST(CheckpointFetch, ProgressTimerEndsAFetchOvertakenByRangeSync) {
+  // Only one responder's chunks arrive (progress, but one vouch): without
+  // the overtaken check the timer would re-request a state no longer needed.
+  auto gate = overtaking_gate(/*deliver_ckpt_from_all=*/false);
+  auto c = make_ms_cluster(straggler_opts(7, 40, 3, gate));
+  lead_then_heal(c, *gate, 37);
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return c.nodes[6]->finalized_count() >= c.nodes[0]->finalized_count(); },
+      c.sim->now() + 100 * c.timeout()));
+  c.sim->run_until(c.sim->now() + 10 * c.opts.delta_bound);
+  EXPECT_EQ(counter(c, "multishot.ckpt.requests"), 1u);
+  EXPECT_GE(gate->chunks_delivered, 1u);
+  EXPECT_EQ(gate->ckpt_broadcasts, 1u);
+  EXPECT_EQ(counter(c, "multishot.ckpt.installed"), 0u);
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+TEST(CheckpointFetch, InstallReconcilesThePoolAgainstTheSkippedRange) {
+  // The straggler holds two transactions while cut off: `committed` also
+  // reaches node 0 and commits inside the range the checkpoint skips;
+  // `pending` exists nowhere else. The installed digest set covers the
+  // whole jump (well under the dedup horizon), so `committed` leaves the
+  // pool at install and `pending` stays -- and later commits exactly once.
+  auto gate = std::make_shared<Gate>();
+  auto c = make_ms_cluster(straggler_opts(4, 160, 3, gate));
+  const std::vector<std::uint8_t> committed = {'c', 'k', 'p', 't', 1};
+  const std::vector<std::uint8_t> pending = {'c', 'k', 'p', 't', 2};
+  ASSERT_TRUE(c.nodes[3]->submit_tx(committed));
+  ASSERT_TRUE(c.nodes[3]->submit_tx(pending));
+  ASSERT_TRUE(c.nodes[0]->submit_tx(committed));
+  struct Deliveries final : runtime::CommitSink {
+    void on_commit(const runtime::Commit& commit) override {
+      if (commit.node != 0) return;
+      for (const auto f : multishot::payload_frames(commit.payload)) {
+        ++count[std::vector<std::uint8_t>(f.begin(), f.end())];
+      }
+    }
+    std::map<std::vector<std::uint8_t>, std::uint32_t> count;
+  } deliveries;
+  c.sim->add_commit_sink(deliveries);
+
+  lead_then_heal(c, *gate, 60);
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return counter(c, "multishot.ckpt.installed") >= 1; }, c.sim->now() + 100 * c.timeout()));
+  EXPECT_EQ(counter(c, "multishot.mempool.expired"), 0u);
+  EXPECT_FALSE(c.nodes[3]->mempool().contains(fnv1a64(committed), committed));
+  EXPECT_TRUE(c.nodes[3]->mempool().contains(fnv1a64(pending), pending));
+  EXPECT_EQ(c.nodes[3]->mempool().size(), 1u);
+
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] {
+        for (const auto* node : c.nodes) {
+          if (!node->tx_finalized(pending)) return false;
+        }
+        return true;
+      },
+      c.sim->now() + 200 * c.timeout()));
+  c.sim->run_until(c.sim->now() + 10 * c.opts.delta_bound);
+  EXPECT_EQ(deliveries.count[committed], 1u);
+  EXPECT_EQ(deliveries.count[pending], 1u);
+  EXPECT_TRUE(c.nodes[3]->mempool().empty());
   EXPECT_TRUE(c.chains_consistent());
 }
 

@@ -22,7 +22,7 @@ struct IdleRig {
   MultishotConfig cfg;
 };
 
-IdleRig make_idle_rig(std::uint32_t n = 4, bool forward_to_leader = true) {
+IdleRig make_idle_rig(std::uint32_t n = 4) {
   sim::SimConfig sc;
   sc.net.gst = 0;
   sc.net.delta_actual = 1 * sim::kMillisecond;
@@ -31,8 +31,7 @@ IdleRig make_idle_rig(std::uint32_t n = 4, bool forward_to_leader = true) {
   IdleRig rig;
   rig.cfg.n = n;
   rig.cfg.f = (n - 1) / 3;
-  rig.cfg.max_slots = 0;  // unbounded chain: idle suppression active
-  rig.cfg.forward_to_leader = forward_to_leader;
+  rig.cfg.max_slots = 0;  // unbounded chain: idle suppression and the relay active
   rig.sim = std::make_unique<sim::Simulation>(sc);
   for (std::uint32_t i = 0; i < n; ++i) {
     auto node = std::make_unique<MultishotNode>(rig.cfg);
@@ -113,25 +112,28 @@ TEST(IdleQuiescence, ResumesViaForwardingWhenSubmitterIsNotLeader) {
   EXPECT_GE(fwd->second, 1u);
 }
 
-TEST(IdleQuiescence, ResumesViaViewChangeWhenForwardingDisabled) {
-  // The pre-forwarding resume path must keep working (it is also the
-  // fallback when the relay target is crashed): the submitter's re-armed
-  // timer forces a view change and leadership rotates to it.
-  auto rig = make_idle_rig(4, /*forward_to_leader=*/false);
+TEST(IdleQuiescence, ResumesViaViewChangeWhenRelayTargetIsSilent) {
+  // The relay's fallback: the frontier leader is down, so the relayed copy
+  // is lost. The submitter's re-armed timer forces a view change, leadership
+  // rotates, and once the relay's hold expires the submitter's own copy
+  // commits.
+  auto rig = make_idle_rig();
   rig.sim->run_to_quiescence(5 * sim::kSecond);
 
   const NodeId leader = rig.cfg.leader_of(1, 0);
+  rig.sim->crash_node(leader);
   const NodeId submitter = (leader + 1) % rig.cfg.n;
   const std::vector<std::uint8_t> tx = {0xCA, 0xFE};
   EXPECT_TRUE(rig.nodes[submitter]->submit_tx(tx));
 
   const auto committed = [&] {
-    for (const auto* node : rig.nodes) {
-      if (!node->tx_finalized(tx)) return false;
+    for (NodeId i = 0; i < rig.cfg.n; ++i) {
+      if (i != leader && !rig.nodes[i]->tx_finalized(tx)) return false;
     }
     return true;
   };
   EXPECT_TRUE(rig.sim->run_until_pred(committed, 30 * sim::kSecond));
+  EXPECT_EQ(rig.sim->metrics().counter("multishot.forward.sent").value(), 1u);
   const auto& by_type = rig.sim->trace().messages_by_type();
   EXPECT_GT(by_type.count(static_cast<std::uint8_t>(multishot::MsType::ViewChange)), 0u);
 }

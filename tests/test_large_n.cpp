@@ -161,7 +161,6 @@ TEST(LargeN, HundredTwentyEightNodeCommitteeCommitsAndAgrees) {
                      .nodes(128)
                      .seed(31)
                      .delta_bound(50 * kMillisecond)
-                     .sim_delta_actual(1 * kMillisecond)
                      .batching(/*max_txs=*/4, /*max_bytes=*/4096)
                      .build_sim();
   constexpr std::uint32_t kTx = 4;

@@ -9,10 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "equivalence_helpers.hpp"
 #include "sim/adversary.hpp"
 #include "tetrabft.hpp"
 
@@ -21,70 +21,34 @@ namespace {
 
 using runtime::kMillisecond;
 using runtime::kSecond;
+using test::EqCommits;
+using test::eq_tx;
+using test::equivalence_builder;
+using test::seed_eq_txs;
 
-constexpr std::uint32_t kNodes = 4;
-constexpr std::uint32_t kTxCount = 24;  // -> tx-bearing slots 1..24
-
-/// Unique, deterministic transaction bytes for tx j.
-std::vector<std::uint8_t> tx_bytes(std::uint32_t j) {
-  return {'e', 'q', 'v', static_cast<std::uint8_t>(j >> 8), static_cast<std::uint8_t>(j),
-          0xA5, 0x5A, static_cast<std::uint8_t>(j * 7)};
-}
-
-/// One block per transaction (max_batch_txs = 1) and no relaying keeps the
-/// tx -> slot assignment a pure function of the seeding order: node j%4
-/// proposes its seeds FIFO at the slots it leads, identically under any
-/// host. delta_bound is generous so the real-time runner never view-changes
-/// even under TSan scheduling.
-ClusterBuilder equivalence_builder() {
-  ClusterBuilder b;
-  b.nodes(kNodes)
-      .seed(7)
-      .delta_bound(1 * kSecond)
-      .sim_delta_actual(1 * kMillisecond)
-      .batching(/*max_txs=*/1, /*max_bytes=*/4096)
-      .forwarding(false);
-  return b;
-}
-
-/// Run a sim cluster until every replica finalized `target` slots.
-bool run_until_all_finalized(Cluster& sim_cluster, Slot target) {
-  return sim_cluster.wait_for(
-      [&] {
-        const auto chains = sim_cluster.shard_instances();
-        return std::all_of(chains.begin(), chains.end(),
-                           [target](const auto* c) { return c->finalized_count() >= target; });
-      },
-      60 * kSecond);
-}
+constexpr std::uint32_t kNodes = test::kEqNodes;
+constexpr std::uint32_t kTxCount = test::kEqTxs;
 
 TEST(LocalRunner, CommitsIdenticalChainToSimulation) {
   // --- Simulation side -----------------------------------------------------
+  EqCommits sim_commits;
   auto sim_cluster = equivalence_builder().build_sim();
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    ASSERT_TRUE(sim_cluster->submit(j % kNodes, tx_bytes(j)));
-  }
+  sim_commits.attach(*sim_cluster);
+  ASSERT_TRUE(seed_eq_txs(*sim_cluster));
   sim_cluster->start();
-  ASSERT_TRUE(run_until_all_finalized(*sim_cluster, kTxCount));
+  ASSERT_TRUE(sim_cluster->wait_for([&] { return sim_commits.complete(); }, 60 * kSecond));
 
   // --- LocalRunner side ----------------------------------------------------
+  EqCommits local_commits;  // outlives the cluster's threads
   auto local = equivalence_builder().build_local();
-  std::map<NodeId, std::uint64_t> last_stream;  // guarded by the cluster's commit lock
-  local->on_commit([&](const runtime::Commit& c) { last_stream[c.node] = c.stream; });
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->submit(j % kNodes, tx_bytes(j));  // pre-start: seeds mempools
-  }
+  local_commits.attach(*local);
+  seed_eq_txs(*local);
   local->start();
-  const bool all_done = local->wait_for(
-      [&] {
-        if (last_stream.size() < kNodes) return false;
-        return std::all_of(last_stream.begin(), last_stream.end(),
-                           [](const auto& kv) { return kv.second >= kTxCount; });
-      },
-      120 * kSecond);
+  const bool all_done =
+      local->wait_for([&] { return local_commits.complete(); }, 120 * kSecond);
   local->stop();
   ASSERT_TRUE(all_done) << "LocalRunner did not finalize all " << kTxCount
-                        << " transaction slots in time";
+                        << " transactions in time";
 
   // --- Identical finalized chains ------------------------------------------
   // Definition 2 across *both* runs at once: every pair among the 8 observed
@@ -95,18 +59,14 @@ TEST(LocalRunner, CommitsIdenticalChainToSimulation) {
   for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&local->instance(i));
   EXPECT_TRUE(multishot::chains_prefix_consistent(all_chains));
 
+  // Every replica under both hosts committed each transaction at the same
+  // slot, and every slot up to the last transaction carries byte-identical
+  // blocks.
   for (NodeId i = 0; i < kNodes; ++i) {
-    EXPECT_GE(sim_cluster->instance(i).finalized_count(), kTxCount);
-    EXPECT_GE(local->instance(i).finalized_count(), kTxCount);
+    EXPECT_EQ(local_commits.slot[i], sim_commits.slot[0]) << "node " << i;
+    EXPECT_EQ(sim_commits.slot[i], sim_commits.slot[0]) << "node " << i;
   }
-  // Every transaction is committed under both hosts, and the tx-bearing
-  // slots carry byte-identical blocks.
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    const auto tx = tx_bytes(j);
-    EXPECT_TRUE(sim_cluster->instance(0).tx_finalized(tx)) << "sim lost tx " << j;
-    EXPECT_TRUE(local->instance(0).tx_finalized(tx)) << "runner lost tx " << j;
-  }
-  for (Slot s = 1; s <= kTxCount; ++s) {
+  for (Slot s = 1; s <= sim_commits.last_tx_slot(); ++s) {
     const multishot::Block* a = sim_cluster->instance(0).block_at(s);
     const multishot::Block* b = local->instance(0).block_at(s);
     ASSERT_NE(a, nullptr);
@@ -121,38 +81,30 @@ TEST(LocalRunner, CommitsIdenticalChainToSimulation) {
 // The protocol only ever uses *relative* delays, so bounded skew shifts
 // timers without breaking consensus; this is the threaded-runner proof.
 TEST(LocalRunner, ClockSkewedNodesStayConsistentAndLive) {
+  EqCommits commits;  // outlives the cluster's threads
   auto local = equivalence_builder().build_local();
   local->runner().set_clock_skew(1, 50 * kMillisecond, 0.0);
   local->runner().set_clock_skew(2, -30 * kMillisecond, 1e-4);
   local->runner().set_clock_skew(3, 0, -1e-4);
 
-  std::map<NodeId, std::uint64_t> last_stream;
-  local->on_commit([&](const runtime::Commit& c) { last_stream[c.node] = c.stream; });
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->submit(j % kNodes, tx_bytes(j));
-  }
+  commits.attach(*local);
+  seed_eq_txs(*local);
   local->start();
-  const bool all_done = local->wait_for(
-      [&] {
-        if (last_stream.size() < kNodes) return false;
-        return std::all_of(last_stream.begin(), last_stream.end(),
-                           [](const auto& kv) { return kv.second >= kTxCount; });
-      },
-      120 * kSecond);
+  const bool all_done = local->wait_for([&] { return commits.complete(); }, 120 * kSecond);
   local->stop();
-  ASSERT_TRUE(all_done) << "skewed cluster did not finalize all slots in time";
+  ASSERT_TRUE(all_done) << "skewed cluster did not finalize every transaction in time";
 
   std::vector<multishot::MultishotNode*> chains;
   for (NodeId i = 0; i < kNodes; ++i) chains.push_back(&local->instance(i));
   EXPECT_TRUE(multishot::chains_prefix_consistent(chains));
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    EXPECT_TRUE(local->instance(0).tx_finalized(tx_bytes(j))) << "lost tx " << j;
+    EXPECT_TRUE(local->instance(0).tx_finalized(eq_tx(j))) << "lost tx " << j;
   }
 }
 
 TEST(LocalRunner, StopIsIdempotentAndStopsQuiescentCluster) {
   auto local = equivalence_builder().build_local();
-  local->submit(0, tx_bytes(0));
+  local->submit(0, eq_tx(0));
   local->start();
   EXPECT_TRUE(local->runner().running());
   local->stop();
@@ -178,11 +130,11 @@ TEST(RuntimeApi, CommitSinksDoNotPerturbSimTraces) {
   const auto run = [](bool with_sink, CountingSink* sink) {
     auto cluster = equivalence_builder().build_sim();
     if (with_sink) cluster->simulation().add_commit_sink(*sink);
-    for (std::uint32_t j = 0; j < kTxCount; ++j) {
-      EXPECT_TRUE(cluster->submit(j % kNodes, tx_bytes(j)));
-    }
+    EXPECT_TRUE(seed_eq_txs(*cluster));
     cluster->start();
-    EXPECT_TRUE(run_until_all_finalized(*cluster, kTxCount));
+    EXPECT_TRUE(cluster->wait_for(
+        [&] { return cluster->instance(0).tx_finalized(eq_tx(kTxCount - 1)); },
+        60 * kSecond));
     return cluster->simulation().trace().digest();
   };
 
@@ -192,7 +144,7 @@ TEST(RuntimeApi, CommitSinksDoNotPerturbSimTraces) {
   const std::uint64_t observed = run(true, &sink);
   EXPECT_EQ(plain_a, plain_b);
   EXPECT_EQ(plain_a, observed);
-  // Every node publishes every finalized slot: 4 nodes x >= 24 tx slots.
+  // Every node publishes every finalized slot, each transaction's among them.
   EXPECT_GE(sink.commits, static_cast<std::uint64_t>(kNodes) * kTxCount);
   EXPECT_GE(sink.last_stream, 1u);
   EXPECT_GT(sink.payload_bytes, 0u);  // multishot commits carry block payloads
@@ -229,7 +181,7 @@ TEST(RuntimeApi, BuilderRejectsInvalidConfigurations) {
 TEST(RuntimeApi, SimPortsAreTheWorkloadSubmitBoundary) {
   auto cluster = equivalence_builder().build_sim();
   workload::SubmitPort& port = cluster->port(1);
-  EXPECT_TRUE(port.submit(tx_bytes(0)));
+  EXPECT_TRUE(port.submit(eq_tx(0)));
   EXPECT_EQ(cluster->instance(1).mempool().size(), 1u);
 }
 

@@ -128,6 +128,54 @@ TEST(MultishotViewChange, EquivocatingProposerCannotForkTheChain) {
   EXPECT_TRUE(c.sim->trace().agreement_holds());
 }
 
+/// Byzantine leader: its view-0 proposal for slot 2 carries one byte more
+/// than any honest leader builds (max_payload_bytes()).
+class OversizeProposer : public multishot::MultishotNode {
+ public:
+  explicit OversizeProposer(multishot::MultishotConfig cfg) : MultishotNode(cfg) {}
+
+ protected:
+  void do_propose(Slot s, View v, const multishot::Block& block) override {
+    if (s != 2 || v != 0) {
+      MultishotNode::do_propose(s, v, block);
+      return;
+    }
+    multishot::Block big = block;
+    big.payload.resize(static_cast<std::size_t>(config().max_payload_bytes()) + 1, 0xB1);
+    broadcast_ms(multishot::MsProposal{s, v, big});
+  }
+};
+
+TEST(MultishotViewChange, OversizeProposalIsRefusedAndTheChainRecovers) {
+  // Stored, the block could win notarization and then overflow every
+  // peer's frame limit inside range-sync chunks. Refused on receipt, its
+  // view gets no votes and the slot recovers through a view change.
+  MsClusterOptions opts;
+  opts.max_slots = 20;
+  opts.make_node = [](NodeId id, const multishot::MultishotConfig& cfg)
+      -> std::unique_ptr<sim::ProtocolNode> {
+    if (id == 2) return std::make_unique<OversizeProposer>(cfg);
+    return nullptr;
+  };
+  auto c = make_ms_cluster(opts);
+  c.sim->run_until(c.timeout() / 2);
+  for (const auto* node : c.nodes) {
+    EXPECT_FALSE(node->chain().notarized(2).has_value());
+    EXPECT_EQ(node->finalized_count(), 0u);
+  }
+  // Every replica refused it, the proposer's own loopback included.
+  EXPECT_EQ(c.sim->metrics().counter("multishot.proposal.oversize").value(), 4u);
+
+  ASSERT_TRUE(c.run_until_finalized(8, 30 * c.timeout()));
+  EXPECT_TRUE(c.chains_consistent());
+  EXPECT_GT(c.sim->metrics().counter("multishot.viewchange.sent").value(), 0u);
+  const std::uint64_t bound = c.nodes[0]->config().max_payload_bytes();
+  for (const auto* node : c.nodes) {
+    ASSERT_NE(node->block_at(2), nullptr);
+    EXPECT_LE(node->block_at(2)->payload.size(), bound);
+  }
+}
+
 TEST(MultishotViewChange, FullySilentNodeStallsEveryFourthSlotOnly) {
   // A crashed node leads every n-th slot; each of its slots needs one view
   // change, the rest pipeline normally. The chain still reaches 10 blocks.

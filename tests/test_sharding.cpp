@@ -37,18 +37,20 @@ std::vector<std::uint8_t> routed_tx(std::uint32_t j) {
   return workload::encode_request(/*client=*/9, /*seq=*/j, /*total_bytes=*/24);
 }
 
-/// Same shape as the single-chain equivalence rig (test_local_runner.cpp):
-/// one tx per block and no relaying keeps each shard's tx -> slot map a pure
-/// function of the seeding order under any host.
+/// Same shape as the single-chain equivalence rig (equivalence_helpers.hpp):
+/// one tx per block, every tx seeded pre-start at node 1 -- the view-0
+/// leader of slot 1 in every shard, which never relays -- keeps each
+/// shard's tx -> slot map a pure function of the seeding order under any
+/// host.
+constexpr NodeId kSeedNode = 1;
+
 ClusterBuilder sharded_builder() {
   ClusterBuilder b;
   b.nodes(kNodes)
       .shards(kShards)
       .seed(7)
       .delta_bound(1 * kSecond)
-      .sim_delta_actual(1 * kMillisecond)
-      .batching(/*max_txs=*/1, /*max_bytes=*/4096)
-      .forwarding(false);
+      .batching(/*max_txs=*/1, /*max_bytes=*/4096);
   return b;
 }
 
@@ -79,16 +81,15 @@ TEST(Sharding, SimVsLocalRunnerCommitIdenticalChainsPerShard) {
     ++txs_in_shard[router.shard_of(workload::request_tag(9, j))];
   }
 
-  // Tag-hash routing decouples a tx's shard from the leader rotation, so a
-  // shard's leader can face an empty local mempool (forwarding is off) and
-  // propose FILLER while real txs sit on other replicas. Slot counts are
-  // therefore NOT a drain signal; both backends wait until every routed tx
-  // is finalized in its home shard on every replica.
+  // Only node 1 holds transactions, so the other leaders of each shard
+  // propose FILLER in between. Slot counts are therefore NOT a drain signal;
+  // every backend waits until every routed tx is finalized in its home
+  // shard on every replica.
 
   // --- Simulation side -----------------------------------------------------
   auto sim_cluster = sharded_builder().build_sim();
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    ASSERT_TRUE(sim_cluster->submit(j % kNodes, routed_tx(j)));
+    ASSERT_TRUE(sim_cluster->submit(kSeedNode, routed_tx(j)));
   }
   sim_cluster->start();
   const bool sim_done = sim_cluster->wait_for(
@@ -117,7 +118,7 @@ TEST(Sharding, SimVsLocalRunnerCommitIdenticalChainsPerShard) {
       }
     });
     for (std::uint32_t j = 0; j < kTxCount; ++j) {
-      cluster->submit(j % kNodes, routed_tx(j));  // pre-start: seeds mempools
+      cluster->submit(kSeedNode, routed_tx(j));  // pre-start: seeds mempools
     }
     cluster->start();
     const bool all_done = cluster->wait_for(
@@ -383,7 +384,6 @@ TEST(Sharding, LargeCommitteePerShardCommitsRoutedLoad) {
                      .shards(2)
                      .seed(13)
                      .delta_bound(50 * kMillisecond)
-                     .sim_delta_actual(1 * kMillisecond)
                      .batching(4, 4096)
                      .build_sim();
   const shard::ShardRouter router(2);

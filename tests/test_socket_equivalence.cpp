@@ -7,87 +7,60 @@
 // process boundary separates this from a deployed cluster (and
 // examples/socket_cluster.cpp removes that).
 //
-// Mirrors tests/test_local_runner.cpp's recipe: one tx per block, no
-// forwarding, generous delta so no host ever view-changes, pre-start mempool
-// seeding so the tx -> slot assignment is a pure function of the seeds.
+// Mirrors tests/test_local_runner.cpp's recipe (equivalence_helpers.hpp):
+// one tx per block, a generous delta so no host ever view-changes, and
+// every transaction seeded pre-start at the slot-1 leader, so the tx ->
+// slot assignment is a pure function of the seeding order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "equivalence_helpers.hpp"
+#include "multishot/messages.hpp"
+#include "net/frame.hpp"
 #include "tetrabft.hpp"
 
 namespace tbft {
 namespace {
 
-using runtime::kMillisecond;
 using runtime::kSecond;
+using test::EqCommits;
+using test::eq_tx;
+using test::equivalence_builder;
+using test::seed_eq_txs;
 
-constexpr std::uint32_t kNodes = 4;
-constexpr std::uint32_t kTxCount = 24;  // -> tx-bearing slots 1..24
-
-std::vector<std::uint8_t> tx_bytes(std::uint32_t j) {
-  return {'e', 'q', 'v', static_cast<std::uint8_t>(j >> 8), static_cast<std::uint8_t>(j),
-          0xA5, 0x5A, static_cast<std::uint8_t>(j * 7)};
-}
-
-ClusterBuilder equivalence_builder() {
-  ClusterBuilder b;
-  b.nodes(kNodes)
-      .seed(7)
-      .delta_bound(1 * kSecond)
-      .sim_delta_actual(1 * kMillisecond)
-      .batching(/*max_txs=*/1, /*max_bytes=*/4096)
-      .forwarding(false);
-  return b;
-}
+constexpr std::uint32_t kNodes = test::kEqNodes;
+constexpr std::uint32_t kTxCount = test::kEqTxs;
 
 TEST(SocketEquivalence, SocketBackendCommitsIdenticalChainToSimAndLocal) {
   // --- Simulation (the reference) -------------------------------------------
+  EqCommits sim_commits;
   auto sim_cluster = equivalence_builder().build_sim();
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    ASSERT_TRUE(sim_cluster->submit(j % kNodes, tx_bytes(j)));
-  }
+  sim_commits.attach(*sim_cluster);
+  ASSERT_TRUE(seed_eq_txs(*sim_cluster));
   sim_cluster->start();
-  ASSERT_TRUE(sim_cluster->wait_for(
-      [&] {
-        const auto chains = sim_cluster->shard_instances();
-        return std::all_of(chains.begin(), chains.end(),
-                           [](const auto* c) { return c->finalized_count() >= kTxCount; });
-      },
-      60 * kSecond));
+  ASSERT_TRUE(sim_cluster->wait_for([&] { return sim_commits.complete(); }, 60 * kSecond));
 
   // --- LocalRunner (shared memory) ------------------------------------------
+  EqCommits local_commits;  // outlives the cluster's threads
   auto local = equivalence_builder().build_local();
-  std::map<NodeId, std::uint64_t> local_streams;  // guarded by the commit lock
-  local->on_commit([&](const runtime::Commit& c) { local_streams[c.node] = c.stream; });
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->submit(j % kNodes, tx_bytes(j));
-  }
+  local_commits.attach(*local);
+  seed_eq_txs(*local);
   local->start();
-  const auto finalized_all = [kTx = kTxCount](const std::map<NodeId, std::uint64_t>& m) {
-    if (m.size() < kNodes) return false;
-    return std::all_of(m.begin(), m.end(),
-                       [kTx](const auto& kv) { return kv.second >= kTx; });
-  };
-  ASSERT_TRUE(local->wait_for([&] { return finalized_all(local_streams); }, 120 * kSecond));
+  ASSERT_TRUE(local->wait_for([&] { return local_commits.complete(); }, 120 * kSecond));
   local->stop();
 
   // --- Loopback TCP -----------------------------------------------------------
+  EqCommits socket_commits;  // outlives the cluster's threads
   auto sockets = equivalence_builder().build_socket();
-  std::map<NodeId, std::uint64_t> socket_streams;  // guarded by the commit lock
-  sockets->on_commit(
-      [&](const runtime::Commit& c) { socket_streams[c.node] = c.stream; });
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    sockets->submit(j % kNodes, tx_bytes(j));  // pre-start: seeds mempools inline
-  }
+  socket_commits.attach(*sockets);
+  seed_eq_txs(*sockets);  // pre-start: seeds the mempool inline
   sockets->start();
-  ASSERT_TRUE(
-      sockets->wait_for([&] { return finalized_all(socket_streams); }, 120 * kSecond))
-      << "socket cluster did not finalize all " << kTxCount << " tx slots in time";
+  ASSERT_TRUE(sockets->wait_for([&] { return socket_commits.complete(); }, 120 * kSecond))
+      << "socket cluster did not finalize all " << kTxCount << " transactions in time";
   sockets->stop();
 
   // --- Identical finalized chains, all twelve observations ------------------
@@ -97,15 +70,15 @@ TEST(SocketEquivalence, SocketBackendCommitsIdenticalChainToSimAndLocal) {
   for (NodeId i = 0; i < kNodes; ++i) all_chains.push_back(&sockets->instance(i));
   EXPECT_TRUE(multishot::chains_prefix_consistent(all_chains));
 
+  // Every replica on every host committed each transaction at the same slot.
   for (NodeId i = 0; i < kNodes; ++i) {
-    EXPECT_GE(sockets->instance(i).finalized_count(), kTxCount);
+    EXPECT_EQ(sim_commits.slot[i], sim_commits.slot[0]) << "sim node " << i;
+    EXPECT_EQ(local_commits.slot[i], sim_commits.slot[0]) << "local node " << i;
+    EXPECT_EQ(socket_commits.slot[i], sim_commits.slot[0]) << "socket node " << i;
   }
-  for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    EXPECT_TRUE(sockets->instance(0).tx_finalized(tx_bytes(j)))
-        << "socket cluster lost tx " << j;
-  }
-  // Per-slot byte equality against BOTH other hosts.
-  for (Slot s = 1; s <= kTxCount; ++s) {
+  // Per-slot byte equality against BOTH other hosts, up to the last
+  // transaction.
+  for (Slot s = 1; s <= sim_commits.last_tx_slot(); ++s) {
     const multishot::Block* sim_b = sim_cluster->instance(0).block_at(s);
     const multishot::Block* loc_b = local->instance(0).block_at(s);
     const multishot::Block* sock_b = sockets->instance(0).block_at(s);
@@ -131,7 +104,7 @@ TEST(SocketEquivalence, SocketBackendCommitsIdenticalChainToSimAndLocal) {
 
 TEST(SocketEquivalence, StopIsIdempotentAndReplicaAccessIsGuarded) {
   auto sockets = equivalence_builder().build_socket();
-  sockets->submit(0, tx_bytes(0));
+  sockets->submit(0, eq_tx(0));
   sockets->start();
   EXPECT_THROW((void)sockets->instance(0), std::logic_error);
   sockets->stop();
@@ -139,22 +112,48 @@ TEST(SocketEquivalence, StopIsIdempotentAndReplicaAccessIsGuarded) {
   (void)sockets->instance(0);  // quiescent: safe now
 }
 
-TEST(SocketEquivalence, BuilderValidatesSocketKnobs) {
-  EXPECT_THROW(ClusterBuilder{}.socket_backoff(0, 1 * kSecond), std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.socket_backoff(1 * kSecond, 1 * kMillisecond),
-               std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.socket_liveness(0, 1 * kSecond), std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.socket_liveness(1 * kSecond, 1 * kMillisecond),
-               std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.socket_queue(0), std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.socket_max_frame(16), std::invalid_argument);
-  // A frame cap that cannot carry a full proposal batch is a config error
-  // caught at build time, not a mysterious oversize-drop at runtime.
-  EXPECT_THROW(
-      ClusterBuilder{}.batching(64, 2u << 20).socket_max_frame(1u << 20).build_socket(),
-      std::logic_error);
+// The socket frame limit is derived, not configured: it must carry the
+// largest message an honest replica sends, a full range-sync chunk of
+// blocks at max_payload_bytes(). The adaptive sim-* shape (~2 MiB chunks)
+// overflowed the old fixed 1 MiB limit, and batching(64, 2 MiB) was refused.
+TEST(SocketEquivalence, DerivedFrameLimitCarriesAFullSyncChunk) {
+  const std::vector<ClusterBuilder> shapes = {
+      ClusterBuilder{}.batching(16, 8192).adaptive_batching(256),
+      ClusterBuilder{}.batching(64, 2u << 20),
+  };
+  for (const ClusterBuilder& b : shapes) {
+    const std::uint64_t payload = b.node_config().max_payload_bytes();
+    multishot::MsSyncChunk chunk{.frontier = 100, .tail_first = 1, .start = 1, .blocks = {}};
+    for (Slot s = 1; s <= multishot::MsSyncChunk::kMaxBlocksPerChunk; ++s) {
+      chunk.blocks.push_back(multishot::Block{
+          s, 0x1234, 2, std::vector<std::uint8_t>(static_cast<std::size_t>(payload), 0x7E)});
+    }
+    const std::vector<std::uint8_t> body = multishot::encode_ms(chunk);
+    EXPECT_EQ(body.size(), multishot::MsSyncChunk::max_encoded_bytes(payload));
+    EXPECT_GT(body.size(), std::size_t{1} << 20) << "both shapes outgrow the 1 MiB default";
+
+    std::vector<std::uint8_t> frame(net::kFrameHeaderBytes);
+    net::put_frame_header(frame.data(), net::FrameKind::kData,
+                          static_cast<std::uint32_t>(body.size()));
+    frame.insert(frame.end(), body.begin(), body.end());
+    net::FrameDecoder decoder(net::FrameDecoder::Limits{b.max_frame_bytes()});
+    std::size_t frames = 0;
+    EXPECT_TRUE(decoder.feed(frame, [&](net::FrameKind, std::uint16_t,
+                                        std::vector<std::uint8_t>&& got) {
+      ++frames;
+      EXPECT_EQ(got, body);
+    }));
+    EXPECT_EQ(frames, 1u);
+    EXPECT_EQ(decoder.counters().dropped_oversize, 0u);
+    // The fixed default the limit replaced would poison the connection.
+    net::FrameDecoder fixed;
+    EXPECT_FALSE(fixed.feed(frame, [](net::FrameKind, std::uint16_t,
+                                      std::vector<std::uint8_t>&&) {}));
+    EXPECT_NO_THROW((void)b.build_socket());
+  }
+  // Small batches keep the default limit.
+  EXPECT_EQ(ClusterBuilder{}.max_frame_bytes(), std::size_t{1} << 20);
   EXPECT_THROW(ClusterBuilder{}.nodes(4).build_socket_node(4), std::invalid_argument);
 }
-
 }  // namespace
 }  // namespace tbft
