@@ -98,17 +98,24 @@ PathExploreResult explore_sync(const SyncSpecConfig& cfg) {
 
 // --- Forwarded-transaction exactly-once -------------------------------------
 //
-// Two holders i in {0, 1}; per holder a copy state and a candidate-block
-// state. Delivery is abstracted away (candidates are globally visible --
-// the BFS interleavings already cover "probed before the other proposed").
+// Two holders, 0 = the leader the relay targets and 1 = the origin; per
+// holder a copy state, whether it knows of a twin (a relayed copy, or the
+// origin's copy once relayed -- only those copies run the dedup probes),
+// and a candidate-block state. Delivery is abstracted away (candidates are
+// globally visible -- the BFS interleavings already cover "probed before
+// the other proposed").
 
 namespace {
 
-enum class Copy : std::int8_t { kHold, kBatchable, kSpent };
+enum class Copy : std::int8_t { kNone, kHold, kBatchable, kSpent };
 enum class Cand : std::int8_t { kNone, kPending, kCommitted, kAbandoned };
 
+constexpr int kLeader = 0;
+constexpr int kOrigin = 1;
+
 struct FwdState {
-  std::array<Copy, 2> copy{Copy::kBatchable, Copy::kHold};  // leader, origin
+  std::array<Copy, 2> copy{Copy::kNone, Copy::kBatchable};  // leader, origin
+  std::array<bool, 2> twin{false, false};
   std::array<Cand, 2> cand{Cand::kNone, Cand::kNone};
 
   friend bool operator==(const FwdState&, const FwdState&) = default;
@@ -119,6 +126,7 @@ struct FwdStateHash {
     std::size_t h = 0;
     for (int i = 0; i < 2; ++i) {
       h = h * 16 + static_cast<std::size_t>(s.copy[i]);
+      h = h * 2 + (s.twin[i] ? 1 : 0);
       h = h * 16 + static_cast<std::size_t>(s.cand[i]);
     }
     return h;
@@ -134,6 +142,7 @@ int commit_count(const FwdState& s) {
 PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
   PathExploreResult res;
   const bool probe_pending = cfg.mutation != ForwardSpecConfig::Mutation::NoPendingProbe;
+  const bool relay_holds = cfg.mutation != ForwardSpecConfig::Mutation::ReRelayDropsHold;
 
   std::unordered_set<FwdState, FwdStateHash> seen;
   std::deque<FwdState> frontier;
@@ -152,6 +161,21 @@ PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
     }
 
     std::vector<FwdState> next;
+    // Relay: once per tx, from the origin's twin-free copy while no pending
+    // candidate carries it (a batchable copy is never inflight) -- at
+    // admission, or as the re-relay when the origin's stripe has passed.
+    // Received copies are never re-forwarded (single hop).
+    if (s.copy[kOrigin] == Copy::kBatchable && !s.twin[kOrigin] &&
+        s.copy[kLeader] == Copy::kNone) {
+      FwdState t = s;
+      t.copy[kLeader] = Copy::kBatchable;
+      t.twin[kLeader] = true;
+      if (relay_holds) {
+        t.copy[kOrigin] = Copy::kHold;
+        t.twin[kOrigin] = true;
+      }
+      next.push_back(t);
+    }
     for (int i = 0; i < 2; ++i) {
       const int j = 1 - i;
       // Expire(i): the hold timeout fires. Timeouts are not guards -- the
@@ -161,13 +185,15 @@ PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
         t.copy[i] = Copy::kBatchable;
         next.push_back(t);
       }
-      // Propose(i): build_batch. The probe: skip when any candidate already
-      // carries the tx -- committed (tx_finalized) always, pending
-      // (the pending_candidate_frames probe) unless mutated away.
+      // Propose(i): build_batch. A copy with a twin probes first: skip when
+      // any candidate already carries the tx -- committed (tx_finalized)
+      // always, pending (the pending_candidate_frames probe) unless mutated
+      // away. A twin-free copy batches unprobed.
       if (s.copy[i] == Copy::kBatchable &&
           (s.cand[i] == Cand::kNone || s.cand[i] == Cand::kAbandoned)) {
         const bool held_elsewhere =
-            s.cand[j] == Cand::kCommitted || (probe_pending && s.cand[j] == Cand::kPending);
+            s.twin[i] && (s.cand[j] == Cand::kCommitted ||
+                          (probe_pending && s.cand[j] == Cand::kPending));
         if (!held_elsewhere) {
           FwdState t = s;
           t.cand[i] = Cand::kPending;
@@ -182,7 +208,9 @@ PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
         next.push_back(t);
         FwdState u = s;
         u.cand[i] = Cand::kAbandoned;
-        u.copy[i] = Copy::kHold;  // the batch's txs return to the holder
+        // The batch's txs return to the holder: a twin's copy as a held
+        // fallback, a twin-free copy batchable as before.
+        u.copy[i] = s.twin[i] ? Copy::kHold : Copy::kBatchable;
         next.push_back(u);
       }
     }

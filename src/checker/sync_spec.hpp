@@ -13,13 +13,21 @@
 // Invariant: the laggard never adopts a non-truth id. The BlockingOffByOne
 // mutation (threshold f) lets an all-Byzantine claimer set force a lie.
 //
-// ForwardSpec -- one forwarded transaction, two holders (the origin kept an
-// inflight copy, the recipient leader has it batchable), each running the
-// real build_batch rule: batch only when NO pending or committed candidate
-// already carries the tx. Holds expire freely (timeouts are not guards);
-// the probe at batch time is the guard. Invariant: at most one commit. The
-// NoPendingProbe mutation (batch checks committed blocks only) reproduces
-// exactly the double-commit race the chaos fuzzer found in seeds 205/362.
+// ForwardSpec -- one client transaction, two holders: the origin admitted
+// it, the leader may receive a relayed copy. Until the origin relays, its
+// copy has no twin and batches without probing. The relay is one action,
+// taken either at admission or later, when the origin's stripe has passed
+// with the copy still in its pool (the re-relay of a stranded pool); it is
+// enabled only while the origin holds no pending candidate for the tx. It
+// hands the leader a batchable copy and holds the origin's. From then on
+// both copies run the real build_batch rule: batch only when NO pending or
+// committed candidate already carries the tx. Holds expire freely
+// (timeouts are not guards); the probe at batch time is the guard.
+// Invariant: at most one commit. Each mutation drops one guard clause:
+// NoPendingProbe (batch checks committed blocks only) reproduces exactly
+// the double-commit race the chaos fuzzer found in seeds 205/362, and
+// ReRelayDropsHold (the origin relays but keeps its copy twin-free and
+// batchable) lets both copies ride live slots.
 
 #include <cstdint>
 #include <string>
@@ -67,13 +75,14 @@ PathExploreResult explore_sync(const SyncSpecConfig& cfg);
 struct ForwardSpecConfig {
   enum class Mutation : std::uint8_t {
     None = 0,
-    NoPendingProbe,  // build_batch ignores pending candidates (pre-fix bug)
+    NoPendingProbe,    // build_batch ignores pending candidates (pre-fix bug)
+    ReRelayDropsHold,  // the relay leaves the origin's copy batchable, unprobed
   };
   Mutation mutation{Mutation::None};
 };
 
-/// Exhaustively explore propose / commit / abandon / expire interleavings of
-/// one forwarded tx across its two holders. Violation: two commits.
+/// Exhaustively explore relay / propose / commit / abandon / expire
+/// interleavings of one tx across its two holders. Violation: two commits.
 PathExploreResult explore_forward(const ForwardSpecConfig& cfg);
 
 }  // namespace tbft::checker

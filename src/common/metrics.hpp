@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace tbft {
 
@@ -52,19 +54,27 @@ class Histogram {
 
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
+  template <typename T>
+  using Map = std::map<std::string, T, std::less<>>;
 
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const noexcept {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms() const noexcept {
-    return histograms_;
-  }
+  /// Lookups compare against the stored keys directly (transparent
+  /// comparator), so a hit costs no allocation: per-transaction call sites
+  /// pass literals, and most names outgrow the small-string buffer.
+  Counter& counter(std::string_view name) { return find_or_add(counters_, name); }
+  Histogram& histogram(std::string_view name) { return find_or_add(histograms_, name); }
+
+  [[nodiscard]] const Map<Counter>& counters() const noexcept { return counters_; }
+  [[nodiscard]] const Map<Histogram>& histograms() const noexcept { return histograms_; }
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Histogram> histograms_;
+  template <typename T>
+  static T& find_or_add(Map<T>& map, std::string_view name) {
+    if (const auto it = map.find(name); it != map.end()) return it->second;
+    return map.emplace(std::string(name), T{}).first->second;
+  }
+
+  Map<Counter> counters_;
+  Map<Histogram> histograms_;
 };
 
 }  // namespace tbft

@@ -56,9 +56,8 @@ class Payload {
   /// Global accounting. Relaxed atomics: exact totals, safe under the
   /// threaded runner; no ordering between counters is implied.
   struct Stats {
-    std::atomic<std::uint64_t> frozen{0};         // payloads created from a scratch Writer
-    std::atomic<std::uint64_t> adopted{0};        // payloads that adopted a byte vector
-    std::atomic<std::uint64_t> buffer_copies{0};  // deep byte-buffer duplications (hot path: 0)
+    std::atomic<std::uint64_t> frozen{0};   // payloads created from a scratch Writer
+    std::atomic<std::uint64_t> adopted{0};  // payloads that adopted a byte vector
     std::atomic<std::uint64_t> caches_attached{0};
     std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> cache_misses{0};
@@ -66,7 +65,6 @@ class Payload {
     void reset() noexcept {
       frozen.store(0, std::memory_order_relaxed);
       adopted.store(0, std::memory_order_relaxed);
-      buffer_copies.store(0, std::memory_order_relaxed);
       caches_attached.store(0, std::memory_order_relaxed);
       cache_hits.store(0, std::memory_order_relaxed);
       cache_misses.store(0, std::memory_order_relaxed);

@@ -44,8 +44,8 @@ class BoundedMempool {
     std::uint64_t hash{0};  // fnv1a64(tx), computed once at admission
     Slot slot{0};           // slot of that proposal (valid iff inflight)
     /// Excluded from this node's own batches until then: set when the entry
-    /// was forwarded to the frontier leader (the relay owns it; the local
-    /// copy is the fallback should the relay fail). 0 = batchable now.
+    /// was relayed to another leader (the relay owns it; the local copy is
+    /// the fallback should the relay fail). 0 = batchable now.
     runtime::Time hold_until{0};
     bool inflight{false};   // included in a proposed, unfinalized block
     /// Admitted via MsForwardTx: the origin keeps a fallback copy, so this

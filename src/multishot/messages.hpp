@@ -288,21 +288,26 @@ struct MsSyncChunk {
 };
 
 /// Single-hop client-request relay: a transaction submitted to a non-leader
-/// is forwarded to the proposal-frontier leader so an idle chain resumes in
-/// ~1 delta instead of waiting out a ~9 delta view change. Receivers dedup
-/// by content hash and never re-forward.
+/// is forwarded to the leader that will propose next, so an idle chain
+/// resumes in ~1 delta instead of waiting out a ~9 delta view change.
+/// Receivers dedup by content hash and never re-forward. The stamp is the
+/// sender's first unfinalized slot: a relay that arrives too far behind the
+/// receiver's chain for the commit index to still dedup it is dropped.
 struct MsForwardTx {
   std::vector<std::uint8_t> tx;
+  Slot first_unfinalized{0};
 
   friend bool operator==(const MsForwardTx&, const MsForwardTx&) = default;
 
   void encode(serde::Writer& w) const {
     w.u8(static_cast<std::uint8_t>(MsType::ForwardTx));
     w.bytes(tx);
+    w.varint(first_unfinalized);
   }
   static MsForwardTx decode(serde::Reader& r) {
     MsForwardTx m;
     m.tx = r.bytes();
+    m.first_unfinalized = r.varint();
     if (m.tx.empty()) r.fail();  // empty = indistinguishable from filler
     return m;
   }

@@ -117,19 +117,41 @@ bool MultishotNode::submit_tx(std::vector<std::uint8_t> tx) {
   return true;
 }
 
+NodeId MultishotNode::relay_target() const {
+  Slot t = proposal_frontier();
+  if (cfg_.pipeline_depth > 1) {
+    // The frontier slot's proposal is usually out already, so relaying to
+    // its leader makes the request wait for that leader's next free slot --
+    // up to a whole stripe rotation away. Target the first slot still
+    // awaiting its proposal instead. Depth 1 keeps the frontier leader:
+    // there the next slot's leader is typically about to propose already,
+    // and the frontier target measured faster.
+    const Slot limit = chain_.first_unfinalized() + ChainStore::kWindow;
+    for (; t < limit; ++t) {
+      const SlotState* st = slots_.find(t);
+      if (st == nullptr || (!st->proposed && st->proposal_by_view.find(st->view) == nullptr)) {
+        break;
+      }
+    }
+  }
+  return cfg_.leader_of(t, view_of(t));
+}
+
 void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
   // Relay both into a suppressed (parked) chain -- resuming an idle chain in
   // ~1 delta instead of the ~9 delta view-change rotation -- and under load,
-  // where the frontier leader batches the request into its next proposal
+  // where the next leader batches the request into its next proposal
   // instead of the bytes waiting up to n * pipeline_depth slots for the
   // submitter's own stripe. The loaded path was once disabled over a
   // double-commit race between the two pools' inclusion; that window is
   // closed by the hold below plus the commit-index and pending-candidate
   // probes in build_batch (verified by the ForwardSpec checker).
   if (cfg_.max_slots != 0) return;
-  const Slot frontier = proposal_frontier();
-  const NodeId leader = cfg_.leader_of(frontier, view_of(frontier));
-  if (leader == ctx().id()) return;
+  const NodeId leader = relay_target();
+  if (leader != ctx().id()) relay(e, leader);
+}
+
+void MultishotNode::relay(BoundedMempool::Entry& e, NodeId leader) {
   // The relay owns the request for one retry period: holding the local
   // fallback copy out of our own batches keeps the same bytes from racing
   // into two different slots. If the leader crashed or the relay was lost,
@@ -139,7 +161,40 @@ void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
   // commit-index check.
   e.hold_until = ctx().now() + forward_retry();
   ctx().metrics().counter("multishot.forward.sent").add();
-  send_ms(leader, MsForwardTx{e.tx});
+  send_ms(leader, MsForwardTx{e.tx, chain_.first_unfinalized()});
+}
+
+void MultishotNode::rerelay_on_target_edge() {
+  // Depth 1 is exempt: its rotation returns to this node within n slots
+  // and the filler momentum of the tx-bearing slots carries the chain
+  // there, so a stranded pool costs little -- and depth-1 traces stay
+  // byte-identical.
+  if (cfg_.max_slots != 0 || cfg_.pipeline_depth <= 1) return;
+  const NodeId leader = relay_target();
+  if (leader == last_relay_target_) return;
+  if (last_relay_target_ == ctx().id()) stranded_ = true;  // our stripe passed
+  last_relay_target_ = leader;
+  if (leader == ctx().id() || !stranded_) return;
+  // Only work this node admitted for itself is re-relayed, once (it gets
+  // the usual hold); received relays are never re-forwarded (single hop).
+  // Each new target gets at most the stripe's worth of full batches it can
+  // propose: a leader handed more keeps the excess past its own stripe,
+  // where the idle leaders after it cannot see it. The rest waits for the
+  // next target change.
+  std::size_t budget = static_cast<std::size_t>(cfg_.pipeline_depth) *
+                       std::max(cfg_.max_batch_txs, cfg_.adaptive_batch_txs);
+  stranded_ = false;
+  for (auto h = mempool_.front(); h != BoundedMempool::kNone; h = mempool_.next(h)) {
+    BoundedMempool::Entry& e = mempool_.at(h);
+    if (e.inflight || e.relayed || e.hold_until != 0) continue;
+    if (budget == 0) {
+      stranded_ = true;
+      break;
+    }
+    --budget;
+    ctx().metrics().counter("multishot.forward.rerelayed").add();
+    relay(e, leader);
+  }
 }
 
 void MultishotNode::after_admission() {
@@ -537,6 +592,7 @@ void MultishotNode::on_notarized(Slot s) {
   try_vote(s + 1);
   try_propose(s + 1);
   try_propose(proposal_frontier() + 1);  // a stripe slot held by pacing
+  rerelay_on_target_edge();
 }
 
 // An equivocating leader can split one view's votes so that slot s
@@ -1306,6 +1362,15 @@ void MultishotNode::handle(NodeId from, const MsBlockReply& m) {
 void MultishotNode::handle(NodeId from, const MsForwardTx& m) {
   (void)from;
   auto& metrics = ctx().metrics();
+  // A relay stamped too far behind our chain may have a twin committed at
+  // a slot the commit index no longer covers (kDedupHorizon): admitting it
+  // could commit the bytes twice. The sender's held copy still carries it.
+  constexpr Slot kStale = kDedupHorizon - ChainStore::kWindow;
+  const Slot first = chain_.first_unfinalized();
+  if (first > kStale && m.first_unfinalized < first - kStale) {
+    metrics.counter("multishot.forward.expired").add();
+    return;
+  }
   // Dedup, hashed once: committed requests answer from the commit index;
   // a copy already pending here (submitted directly while the relay was in
   // flight) from the pool probe; in-flight re-forwards (a client retrying

@@ -431,9 +431,22 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] runtime::Duration forward_retry() const noexcept {
     return 2 * cfg_.view_timeout();
   }
-  /// Relay a freshly admitted local submission to the frontier leader when
-  /// that is not us; holds the local copy out of our own batches meanwhile.
+  /// The leader a relayed request goes to: at depth 1 the proposal
+  /// frontier's leader; deeper, the leader of the first slot at or past the
+  /// frontier this node has seen no proposal for at the slot's current view
+  /// (the frontier stripe's proposals are usually already out).
+  [[nodiscard]] NodeId relay_target() const;
+  /// Relay a freshly admitted local submission to relay_target() when that
+  /// is not us; holds the local copy out of our own batches meanwhile.
   void forward_if_foreign_leader(BoundedMempool::Entry& e);
+  /// Send `e` to `leader`, stamped, and hold the local copy.
+  void relay(BoundedMempool::Entry& e, NodeId leader);
+  /// Depth > 1: once relay_target() moves from this node to a foreign
+  /// leader, relay the work admitted while this node was the target (never
+  /// relayed, not held, not inflight), one stripe's worth to each new
+  /// target in turn -- otherwise it waits a whole stripe rotation, or a
+  /// view change when the next leaders go idle.
+  void rerelay_on_target_edge();
   /// Idle-chain resume, shared by local submissions and received forwards.
   void after_admission();
 
@@ -578,6 +591,10 @@ class MultishotNode : public runtime::ProtocolNode {
   /// runs when the pipeline may actually be stalled, never on the loaded
   /// hot path.
   bool idle_suppressed_{false};
+  /// relay_target() at the last rerelay_on_target_edge(), and whether this
+  /// node may still hold work stranded since its own stripe passed.
+  NodeId last_relay_target_{~NodeId{0}};
+  bool stranded_{false};
 
   // Reusable encode scratch (see encode_ms_payload): grows once to the
   // high-water message size, then every encode is a single freeze.

@@ -33,8 +33,9 @@
 //    defaults for redial backoff, liveness and queueing; their frame limit
 //    is derived from the batching caps (ClusterBuilder::max_frame_bytes).
 //
-// Every unbounded chain relays each admitted submission to the leader of
-// its proposal frontier (multishot/node.hpp); there is no switch.
+// Every unbounded chain relays each admitted submission to the leader that
+// proposes next (MultishotNode::relay_target, multishot/node.hpp); there is
+// no switch.
 
 #include <condition_variable>
 #include <cstdint>

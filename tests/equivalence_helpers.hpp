@@ -4,8 +4,10 @@
 // host ever view-changes, even under TSan scheduling). Every transaction is
 // seeded before start() at node 1, the view-0 leader of slot 1 at every
 // pipelining depth: the relay only moves a submission off a replica that
-// does not lead the proposal frontier, so node 1 never relays, and each
-// transaction's slot is a pure function of the seeding order under any host.
+// does not lead the proposal frontier, so at depth 1 node 1 never relays,
+// and each transaction's slot is a pure function of the seeding order under
+// any host. (At depth > 1 node 1 re-relays what its stripe left over; only
+// the sim determinism pin runs that shape.)
 // The other leaders propose filler in between, so the suites wait on the
 // transactions themselves, never on a slot count.
 

@@ -20,6 +20,7 @@ struct MsClusterOptions {
   std::uint64_t seed{1};
   std::uint32_t timeout_delta_multiple{9};
   Slot max_slots{20};
+  std::uint32_t pipeline_depth{1};
   std::function<std::unique_ptr<sim::ProtocolNode>(NodeId, const multishot::MultishotConfig&)>
       make_node{};
   sim::AdversaryHook adversary{};
@@ -67,6 +68,7 @@ inline MsCluster make_ms_cluster(MsClusterOptions opts) {
   cfg.delta_bound = opts.delta_bound;
   cfg.timeout_delta_multiple = opts.timeout_delta_multiple;
   cfg.max_slots = opts.max_slots;
+  cfg.pipeline_depth = opts.pipeline_depth;
 
   MsCluster cluster;
   cluster.opts = opts;

@@ -250,9 +250,23 @@ TEST(SyncSpec, BlockingOffByOneLetsByzantinesForgeASlot) {
 }
 
 TEST(ForwardSpec, PendingProbeKeepsCommitsExactlyOnce) {
+  // Relay at admission and the re-relay of a stranded copy are one action
+  // in the spec; every interleaving of it with proposals, commits, aborts
+  // and hold expiry commits the tx at most once.
   const auto res = explore_forward(ForwardSpecConfig{});
   EXPECT_TRUE(res.exhaustive_ok()) << res.violated_property;
   EXPECT_GT(res.states, 1u);
+}
+
+TEST(ForwardSpec, ReRelayWithoutTheHoldDoubleCommits) {
+  // A stranded copy re-relayed to the next leader must be held at the
+  // origin: left batchable (and twin-free, so unprobed) it rides the
+  // origin's next proposal while the leader's copy rides another slot.
+  ForwardSpecConfig cfg;
+  cfg.mutation = ForwardSpecConfig::Mutation::ReRelayDropsHold;
+  const auto res = explore_forward(cfg);
+  EXPECT_TRUE(res.violation);
+  EXPECT_EQ(res.violated_property, "AtMostOneCommit");
 }
 
 TEST(ForwardSpec, DroppingThePendingProbeDoubleCommits) {

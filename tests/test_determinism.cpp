@@ -142,16 +142,19 @@ TEST(Determinism, WorkloadSeedsDiverge) {
 
 // pipeline_depth = 1 must reproduce the pre-pipelining protocol BYTE-
 // identically: the pipelining machinery (striped leader schedule, stripe
-// pacing, adaptive caps) is a strict no-op at depth 1. Comparing against a
+// pacing, adaptive caps, the first-unproposed-slot relay target and the
+// stranded-pool re-relay) is a strict no-op at depth 1. Comparing against a
 // second run of the same config would prove nothing, so the run is pinned
 // to the trace digest and end time recorded before stripe pacing landed.
+// The digest also covers MsForwardTx's first_unfinalized stamp, recorded
+// with the same committed count and end time as without it.
 TEST(Determinism, DepthOneIsByteIdenticalToUnpipelined) {
   auto opts = loaded_opts(false, 0xABCD);
   opts.pipeline_depth = 1;
   opts.adaptive_batch_txs = 0;
   const auto depth1 = workload::run_scenario(opts);
   EXPECT_EQ(depth1.report.committed, 176u);
-  EXPECT_EQ(depth1.trace_digest, 0xd47d97886a9f2048ULL);
+  EXPECT_EQ(depth1.trace_digest, 0x41b65ebc27a88387ULL);
   EXPECT_EQ(depth1.elapsed, 157572);
 }
 
@@ -159,10 +162,9 @@ TEST(Determinism, DepthOneIsByteIdenticalToUnpipelined) {
 // one-tx blocks seeded at the slot-1 leader, relay on) is pinned to its
 // trace digest and end time at depth 1 and depth 4, so a refactor of the
 // facade, the one-shard mux or the relay cannot move it unnoticed. At
-// depth 4 the pin also covers the view-change path: once node 1's stripe
-// finalizes, the filler leaders of the next stripes find nothing pending
-// and go idle, and node 1's remaining transactions wait for a 9-Delta view
-// change per stripe (ROADMAP item 7).
+// depth 4 the pin also covers the stranded-pool re-relay: node 1's stripe
+// ends with 20 transactions still in its pool, and it relays them, one
+// stripe's worth to each next leader, so no view change is needed.
 TEST(Determinism, FacadeEquivalenceRunIsPinned) {
   const auto run = [](std::uint32_t depth) {
     auto cluster = equivalence_builder().pipelining(depth).build_sim();
@@ -181,7 +183,7 @@ TEST(Determinism, FacadeEquivalenceRunIsPinned) {
     return std::make_pair(cluster->simulation().trace().digest(), cluster->simulation().now());
   };
   EXPECT_EQ(run(1), std::make_pair(std::uint64_t{0xf525904a8be20881}, sim::SimTime{97000}));
-  EXPECT_EQ(run(4), std::make_pair(std::uint64_t{0x9aea3d6406943a40}, sim::SimTime{108083000}));
+  EXPECT_EQ(run(4), std::make_pair(std::uint64_t{0x50ce9cbb04dc4dc2}, sim::SimTime{41000}));
 }
 
 // A pipelined + adaptive run is still a pure function of seed + config.
@@ -199,7 +201,7 @@ TEST(Determinism, PipelinedWorkloadIsDeterministic) {
   // is the sim-lowload / sim-saturate configuration, so its trace must
   // survive refactors byte for byte.
   EXPECT_EQ(a.report.committed, 1204u);
-  EXPECT_EQ(a.trace_digest, 0x7d349789b732c14dULL);
+  EXPECT_EQ(a.trace_digest, 0x7d50507706abbcbdULL);
   EXPECT_EQ(a.elapsed, 165064);
   // And the depth axis has teeth: depth 4 schedules differently than depth 1.
   auto flat = opts;

@@ -57,6 +57,25 @@ TEST(Metrics, RegistryReturnsSameObjectByName) {
   EXPECT_EQ(reg.histogram("h").count(), 1u);
 }
 
+TEST(Metrics, RepeatedLookupOfAnExistingNameIsTheSameObjectAndNeverAllocates) {
+  // Per-transaction call sites look names up on every submission, relay and
+  // batch; names past the small-string buffer must not allocate a key on a
+  // hit, and only a miss inserts.
+  MetricsRegistry reg;
+  Counter& c = reg.counter("multishot.mempool.admitted");
+  Histogram& h = reg.histogram("multishot.mempool.depth");
+  bool same = true;
+  const std::uint64_t before = bench::alloc_count().load();
+  for (int i = 0; i < 1000; ++i) {
+    same = same && &reg.counter("multishot.mempool.admitted") == &c &&
+           &reg.histogram("multishot.mempool.depth") == &h;
+  }
+  EXPECT_EQ(bench::alloc_count().load() - before, 0u);
+  EXPECT_TRUE(same);
+  EXPECT_EQ(reg.counters().size(), 1u);
+  EXPECT_EQ(reg.histograms().size(), 1u);
+}
+
 TEST(Metrics, HistogramReset) {
   Histogram h;
   h.record(5);

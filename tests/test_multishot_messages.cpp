@@ -1,9 +1,14 @@
 // Wire-format tests for the multi-shot message set: roundtrips, malformed
 // input rejection, and the decode bounds that protect against Byzantine
-// resource-exhaustion (ChainInfo block caps, slot-0 rejection).
+// resource-exhaustion (ChainInfo block caps, slot-0 rejection), plus the
+// receiver-side expiry of stale relay stamps.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "ms_cluster_helpers.hpp"
 #include "multishot/messages.hpp"
 
 namespace tbft::multishot {
@@ -214,10 +219,70 @@ TEST(MsMessages, CheckpointChunkBoundsEnforced) {
 }
 
 TEST(MsMessages, ForwardTxRoundtripAndEmptyRejected) {
-  const MsForwardTx m{{0xDE, 0xAD, 0xBE, 0xEF}};
+  const MsForwardTx m{{0xDE, 0xAD, 0xBE, 0xEF}, 7};
   EXPECT_EQ(roundtrip(m), m);
   const auto bytes = encode_ms(MsMessage{MsForwardTx{}});
   EXPECT_FALSE(decode_ms(bytes).has_value());
+}
+
+TEST(MsMessages, ForwardTxStampRoundtripsAndATruncatedStampIsRejected) {
+  // A multi-byte varint stamp survives the roundtrip...
+  const MsForwardTx m{{0x01, 0x02}, 300000};
+  EXPECT_EQ(roundtrip(m), m);
+  // ...and a relay cut anywhere inside its stamp fails to decode.
+  const auto bytes = encode_ms(MsMessage{m});
+  const std::size_t stamp_at = bytes.size() - serde::varint_size(m.first_unfinalized);
+  for (std::size_t len = stamp_at; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + len);
+    EXPECT_FALSE(decode_ms(cut).has_value()) << "truncated to " << len << " bytes";
+  }
+}
+
+/// Sends the receiver one relay per stamp at start, as a sender whose chain
+/// sits at that slot would.
+class RelaySender : public sim::ProtocolNode {
+ public:
+  RelaySender(NodeId dst, std::vector<MsForwardTx> relays)
+      : dst_(dst), relays_(std::move(relays)) {}
+  void on_start() override {
+    for (const auto& m : relays_) ctx().send(dst_, Payload(encode_ms(MsMessage{m})));
+  }
+  void on_message(NodeId, const Payload&) override {}
+  void on_timer(runtime::TimerId) override {}
+
+ private:
+  NodeId dst_;
+  std::vector<MsForwardTx> relays_;
+};
+
+TEST(MsMessages, ReceiverDropsARelayStampedPastTheDedupHorizon) {
+  // Node 0 resumes at slot 5001. A relay stamped more than
+  // kDedupHorizon - kWindow below that could have a twin committed where
+  // node 0's commit index no longer looks, so it is dropped and counted;
+  // a relay stamped at the edge of that bound is admitted.
+  constexpr Slot kResume = 5000;
+  constexpr Slot kBound = kDedupHorizon - ChainStore::kWindow;
+  const MsForwardTx stale{{0xA1}, kResume + 1 - kBound - 1};
+  const MsForwardTx fresh{{0xB2}, kResume + 1 - kBound};
+  test::MsClusterOptions opts;
+  opts.make_node = [&](NodeId id,
+                       const MultishotConfig& cfg) -> std::unique_ptr<sim::ProtocolNode> {
+    if (id == 1) return std::make_unique<RelaySender>(0, std::vector{stale, fresh});
+    if (id != 0) return nullptr;
+    auto node = std::make_unique<MultishotNode>(cfg);
+    node->restore_chain(Checkpoint{kResume, 0x1234, 0, 0x5678}, {}, {});
+    return node;
+  };
+  auto cluster = test::make_ms_cluster(opts);
+  cluster.sim->run_until(2 * opts.delta_actual);
+
+  const auto& node = *cluster.nodes[0];
+  ASSERT_EQ(node.chain().first_unfinalized(), kResume + 1);
+  auto& metrics = cluster.sim->metrics();
+  EXPECT_EQ(metrics.counter("multishot.forward.expired").value(), 1u);
+  EXPECT_EQ(metrics.counter("multishot.forward.received").value(), 1u);
+  EXPECT_FALSE(node.mempool().contains(fnv1a64(stale.tx), stale.tx));
+  EXPECT_TRUE(node.mempool().contains(fnv1a64(fresh.tx), fresh.tx));
 }
 
 TEST(MsMessages, BlockRequestRoundtripAndSlotZeroRejected) {

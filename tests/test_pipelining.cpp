@@ -18,6 +18,12 @@
 //    stripe in one instant and the proposal front drifts far ahead of
 //    notarization. Paced, proposals stay one slot ahead (Fig. 2) and
 //    low-load latency stays close to depth 1.
+//  - Relay target: once the frontier stripe's proposals are all out, its
+//    leader has no free slot until its next stripe; a relayed request must
+//    go to the leader of the first slot still awaiting its proposal.
+//  - Stranded pool: work a leader admitted for itself and could not propose
+//    in its stripe is handed on to the next leaders, so it never waits for a
+//    view change.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +32,9 @@
 
 #include "chaos/engine.hpp"
 #include "chaos/scenario.hpp"
+#include "equivalence_helpers.hpp"
+#include "ms_cluster_helpers.hpp"
+#include "multishot/messages.hpp"
 #include "workload/scenarios.hpp"
 
 namespace tbft::test {
@@ -163,10 +172,74 @@ TEST(Pipelining, StripeRunAheadIsPaced) {
   // proposals run at most one slot ahead of notarization.
   EXPECT_TRUE(d4.early.empty()) << d4.early.size() << " early proposals, first at slot "
                                 << d4.early.front();
-  // With the run-ahead gone, a stripe costs little latency at low load.
+  // With the run-ahead gone and the relay aimed at the next free slot, a
+  // stripe costs little latency at low load.
   ASSERT_GT(d1.p50_ms, 0.0);
-  EXPECT_LE(d4.p50_ms, 2.5 * d1.p50_ms) << "depth-4 p50 " << d4.p50_ms << " ms vs depth-1 "
+  EXPECT_LE(d4.p50_ms, 1.5 * d1.p50_ms) << "depth-4 p50 " << d4.p50_ms << " ms vs depth-1 "
                                         << d1.p50_ms << " ms";
+}
+
+TEST(Pipelining, RelayGoesToTheLeaderOfTheFirstUnproposedSlot) {
+  // Depth 4, n = 4: node 1 leads slots 1-4, node 2 slots 5-8 (view 0). A
+  // transaction at node 1 keeps the chain busy through stripe 1; then a
+  // client submits to node 3 the moment slot 4's proposal reaches it. The
+  // frontier (slot 3 or 4) is still node 1's, but node 1 has no free slot
+  // left in this stripe: the relay must go to node 2, which proposes slot
+  // 5 next.
+  MsClusterOptions opts;
+  opts.max_slots = 0;  // unbounded chain: the relay is active
+  opts.pipeline_depth = 4;
+  MsCluster c = make_ms_cluster(opts);
+  ASSERT_TRUE(c.nodes[1]->submit_tx({0x01}));
+  multishot::MultishotNode& submitter = *c.nodes[3];
+  ASSERT_TRUE(c.sim->run_until_pred([&] { return submitter.probe_slot(4).proposal_seen; },
+                                    sim::kSecond));
+  ASSERT_LE(submitter.proposal_frontier(), 4u);
+
+  const std::vector<std::uint8_t> tx = {0xCA, 0xFE};
+  const sim::SimTime submitted_at = c.sim->now();
+  ASSERT_TRUE(submitter.submit_tx(tx));
+  const auto committed = [&] {
+    for (const auto* node : c.nodes) {
+      if (!node->tx_finalized(tx)) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(c.sim->run_until_pred(committed, sim::kSecond));
+  EXPECT_LE(c.sim->now() - submitted_at, 10 * opts.delta_actual);
+
+  std::vector<NodeId> relayed_to;
+  for (const auto& m : c.sim->trace().messages()) {
+    if (m.src == 3 && m.type_tag == static_cast<std::uint8_t>(multishot::MsType::ForwardTx)) {
+      relayed_to.push_back(m.dst);
+    }
+  }
+  EXPECT_EQ(relayed_to, std::vector<NodeId>{2});
+}
+
+TEST(Pipelining, StrandedPoolIsHandedOnWithoutAViewChange) {
+  // 24 one-transaction blocks seeded at node 1, the stripe-1 leader: its
+  // stripe carries 4, and the other 20 are still in its pool when the stripe
+  // passes. The leaders after it see nothing pending of their own; unless
+  // node 1 hands the work on, they go idle and each stripe costs a view
+  // change.
+  auto cluster = equivalence_builder().pipelining(4).build_sim();
+  ASSERT_TRUE(seed_eq_txs(*cluster));
+  cluster->start();
+  const auto committed = [&] {
+    for (const auto* c : cluster->shard_instances()) {
+      for (std::uint32_t j = 0; j < kEqTxs; ++j) {
+        if (!c->tx_finalized(eq_tx(j))) return false;
+      }
+    }
+    return true;
+  };
+  const auto view_timeout = cluster->shard_instances()[0]->config().view_timeout();
+  EXPECT_TRUE(cluster->wait_for(committed, view_timeout));
+  const auto& trace = cluster->simulation().trace();
+  const auto by_type = trace.messages_by_type();
+  EXPECT_EQ(by_type.count(static_cast<std::uint8_t>(multishot::MsType::ViewChange)), 0u);
+  EXPECT_GT(by_type.count(static_cast<std::uint8_t>(multishot::MsType::ForwardTx)), 0u);
 }
 
 }  // namespace

@@ -53,7 +53,6 @@ SPECS = {
         "metrics": {
             "allocs_per_delivery": "lower",
             "encodes_per_broadcast": "lower",
-            "buffer_copies_per_broadcast": "lower",
         },
     },
     "consensus": {
