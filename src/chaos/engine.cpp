@@ -70,17 +70,23 @@ storage::DurableOptions durable_options() {
 }
 
 /// Triage lines for one honest chain of an undrained run: where it stopped
-/// finalizing and what its first unfinalized slots are waiting for.
+/// finalizing, which nodes its leader schedule skips, and what its first
+/// unfinalized slots are waiting for.
 void append_triage(std::string& out, const std::string& who,
                    const multishot::MultishotNode& node) {
   constexpr Slot kSlots = 4;
   const Slot first = node.chain().first_unfinalized();
   char line[160];
-  std::snprintf(line, sizeof line, "%s: first_unfinalized=%llu frontier=%llu pool=%zu\n",
+  std::snprintf(line, sizeof line, "%s: first_unfinalized=%llu frontier=%llu pool=%zu skipped=[",
                 who.c_str(), static_cast<unsigned long long>(first),
                 static_cast<unsigned long long>(node.proposal_frontier()),
                 node.mempool().size());
   out += line;
+  for (const NodeId j : node.skipped_leaders()) {
+    if (out.back() != '[') out += ',';
+    out += std::to_string(j);
+  }
+  out += "]\n";
   for (Slot s = first; s < first + kSlots; ++s) {
     const auto probe = node.probe_slot(s);
     const auto nt = node.chain().notarized(s);

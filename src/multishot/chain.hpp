@@ -43,8 +43,9 @@ struct Notarization {
 
 class ChainStore {
  public:
-  explicit ChainStore(std::size_t tail_capacity = FinalizedStore::kDefaultTailCapacity)
-      : window_(kWindow + 1, 1), store_(tail_capacity) {}
+  explicit ChainStore(std::size_t tail_capacity = FinalizedStore::kDefaultTailCapacity,
+                      LeaderSchedule schedule = {})
+      : window_(kWindow + 1, 1), store_(tail_capacity, std::move(schedule)) {}
 
   /// Remember a candidate block (from a proposal). Returns false when the
   /// slot is outside the acceptance window (finalized or too far ahead).
@@ -199,6 +200,8 @@ class ChainStore {
   /// storage against Byzantine far-future spam; honest traffic stays within
   /// the finality depth of 5).
   static constexpr Slot kWindow = 64;
+  static_assert(kScheduleLag == kWindow + 1,
+                "a replica handling slot s has finalized every slot <= s - kScheduleLag");
   /// Distinct candidate blocks tracked per slot (equivocation/re-proposal
   /// bound; honest slots see one candidate per view). Must be >= 2 so the
   /// displacement rule in add_block can always spare the notarized block.

@@ -20,7 +20,9 @@ void FinalizedStore::append(Block&& b, std::uint64_t hash) {
     checkpoint_.slot = oldest.block.slot;
     checkpoint_.boundary_hash = oldest.hash;
     index_.evict_through(horizon_floor(checkpoint_.slot));
+    schedule_cp_.apply(oldest.block.slot, oldest.block.proposer);
   }
+  last_outcome_ = schedule_.apply(b.slot, b.proposer);
   tip_ = b.slot;
   tip_hash_ = hash;
   for_each_frame(b.payload, [this, &b](std::span<const std::uint8_t> f) {
@@ -82,6 +84,25 @@ std::optional<Checkpoint> FinalizedStore::checkpoint_at(Slot s) const {
     cp.boundary_hash = r.hash;
   }
   return cp;
+}
+
+bool FinalizedStore::install_commit_state(std::span<const std::uint8_t> blob, Slot at) {
+  serde::Reader r(blob);
+  auto index = CommitIndex::read(r, at);
+  LeaderSchedule schedule = schedule_.empty_at(at);
+  if (!index || !schedule.read(r, at) || !r.done()) return false;
+  index_ = std::move(*index);
+  schedule_ = schedule;
+  schedule_cp_ = std::move(schedule);
+  return true;
+}
+
+LeaderSchedule FinalizedStore::schedule_at(Slot at) const {
+  if (at == tip_) return schedule_;
+  TBFT_ASSERT(at >= checkpoint_.slot && at < tip_);
+  LeaderSchedule s = schedule_cp_;
+  for (Slot t = tail_first(); t <= at; ++t) s.apply(t, resident(t)->block.proposer);
+  return s;
 }
 
 std::size_t FinalizedStore::resident_bytes() const noexcept {

@@ -49,6 +49,7 @@
 #include "common/hash.hpp"
 #include "common/serde.hpp"
 #include "multishot/block.hpp"
+#include "multishot/leader_schedule.hpp"
 
 namespace tbft::multishot {
 
@@ -133,6 +134,7 @@ struct Checkpoint {
 ///    an expired entry may never be delivered: clients retry on timeout;
 ///  - WAL replay re-delivers nothing (the pool is not durable).
 inline constexpr Slot kDedupHorizon = 4096;
+static_assert(kProbePeriod == kDedupHorizon, "a skipped leader probes once per dedup horizon");
 
 /// Lowest slot a horizon anchored at `s` no longer covers: entries with
 /// slot <= horizon_floor(s) are outside (s - H, s].
@@ -218,28 +220,37 @@ class CommitIndex {
 
   /// Replace the whole index with a blob encode(w, at) produced. Total:
   /// returns false and changes nothing on a truncated or trailing-garbage
-  /// blob, a count the blob's own bytes cannot hold (the resource bound: a
-  /// peer's blob is capped by MsCheckpointChunk::kMaxStateBytes), an entry
-  /// outside (at - H, at], or entries out of canonical order.
+  /// blob, or anything read() refuses.
   bool install(std::span<const std::uint8_t> blob, Slot at) {
     serde::Reader r(blob);
+    auto fresh = read(r, at);
+    if (!fresh || !r.done()) return false;
+    *this = std::move(*fresh);
+    return true;
+  }
+
+  /// Decode one encode(w, at) from `r`, which may continue past it (the
+  /// commit-state blob). nullopt on a truncated index, a count the
+  /// remaining bytes cannot hold (the resource bound: a peer's blob is
+  /// capped by MsCheckpointChunk::kMaxStateBytes), an entry outside
+  /// (at - H, at], or entries out of canonical order.
+  static std::optional<CommitIndex> read(serde::Reader& r, Slot at) {
     const std::uint64_t count = r.varint();
-    if (!r.ok() || count > r.remaining() / 16) return false;
+    if (!r.ok() || count > r.remaining() / 16) return std::nullopt;
     CommitIndex fresh;
     Entry prev{};
     for (std::uint64_t i = 0; i < count; ++i) {
       const Entry e{r.u64(), r.u64()};
       if (e.slot <= horizon_floor(at) || e.slot > at || e.slot < prev.slot ||
           (e.slot == prev.slot && e.key < prev.key)) {
-        return false;
+        return std::nullopt;
       }
       fresh.insert(e.key, e.slot);
       prev = e;
     }
-    if (!r.done()) return false;
+    if (!r.ok()) return std::nullopt;
     fresh.evicted_through_ = horizon_floor(at);
-    *this = std::move(fresh);
-    return true;
+    return fresh;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return used_; }
@@ -283,8 +294,12 @@ class FinalizedStore {
   /// tests exercising compaction pass a small capacity explicitly.
   static constexpr std::size_t kDefaultTailCapacity = 4096;
 
-  explicit FinalizedStore(std::size_t tail_capacity = kDefaultTailCapacity)
-      : cap_(tail_capacity) {
+  /// `schedule` is the leader schedule the store advances with every
+  /// finalized block and carries in its commit state; the default (no
+  /// schedule) suits bare stores.
+  explicit FinalizedStore(std::size_t tail_capacity = kDefaultTailCapacity,
+                          LeaderSchedule schedule = {})
+      : cap_(tail_capacity), schedule_(schedule), schedule_cp_(std::move(schedule)) {
     TBFT_ASSERT(tail_capacity >= 8);  // finalization bursts notify before compaction
     // Cells are constructed as slots first reach them: a young chain pays
     // for (and keeps resident) only the cells it has used.
@@ -361,7 +376,12 @@ class FinalizedStore {
   /// changes nothing) when the commit state does not install.
   bool restore(const Checkpoint& cp, std::span<const std::uint8_t> commit_state) {
     TBFT_ASSERT(tip_ == 0);
-    if (!commit_state.empty() && !index_.install(commit_state, cp.slot)) return false;
+    if (commit_state.empty()) {
+      schedule_ = schedule_.empty_at(cp.slot);
+      schedule_cp_ = schedule_;
+    } else if (!install_commit_state(commit_state, cp.slot)) {
+      return false;
+    }
     checkpoint_ = cp;
     tip_ = cp.slot;
     tip_hash_ = cp.boundary_hash;
@@ -375,7 +395,7 @@ class FinalizedStore {
   /// cp is not ahead of the current tip or the commit state does not
   /// install.
   bool install_checkpoint(const Checkpoint& cp, std::span<const std::uint8_t> commit_state) {
-    if (cp.slot <= tip_ || !index_.install(commit_state, cp.slot)) return false;
+    if (cp.slot <= tip_ || !install_commit_state(commit_state, cp.slot)) return false;
     ring_.clear();
     checkpoint_ = cp;
     tip_ = cp.slot;
@@ -390,11 +410,21 @@ class FinalizedStore {
   /// is gone, slots above the tip do not exist yet).
   [[nodiscard]] std::optional<Checkpoint> checkpoint_at(Slot s) const;
 
-  /// Canonical commit state of anchor `at`: the digest set of slots
-  /// (at - kDedupHorizon, at] (defaults to the checkpoint slot). Paired with
-  /// restore / install_checkpoint on the receiving side.
-  void encode_commit_state(serde::Writer& w, Slot at) const { index_.encode(w, at); }
+  /// Canonical commit state of anchor `at`, for any `at` in
+  /// [checkpoint.slot, tip]: the digest set of slots (at - kDedupHorizon,
+  /// at], then the leader schedule's state at `at` (defaults to the
+  /// checkpoint slot). Paired with restore / install_checkpoint on the
+  /// receiving side.
+  void encode_commit_state(serde::Writer& w, Slot at) const {
+    index_.encode(w, at);
+    schedule_at(at).encode(w);
+  }
   void encode_commit_state(serde::Writer& w) const { encode_commit_state(w, checkpoint_.slot); }
+
+  /// The leader schedule as of the tip, and what appending the tip block
+  /// did to it.
+  [[nodiscard]] const LeaderSchedule& schedule() const noexcept { return schedule_; }
+  [[nodiscard]] LeaderSchedule::Outcome last_outcome() const noexcept { return last_outcome_; }
 
   /// Bytes held live by the store: ring cells (block headers + stored
   /// hashes) + payload capacities + the index table (bench_storage's
@@ -415,6 +445,14 @@ class FinalizedStore {
     return &ring_[slot_index(s, Slot{1}) % cap_];
   }
 
+  /// Decode a commit-state blob (index, then schedule) anchored at `at` and
+  /// adopt both halves, or neither: false on a malformed blob, trailing
+  /// bytes included.
+  bool install_commit_state(std::span<const std::uint8_t> blob, Slot at);
+  /// The schedule's state at `at` in [checkpoint.slot, tip]: the
+  /// checkpoint's state advanced over the resident blocks through `at`.
+  [[nodiscard]] LeaderSchedule schedule_at(Slot at) const;
+
   /// Whether the index entry (s, hash of tx) stands for `tx`: byte-checked
   /// against a resident block, trusted for a compacted one.
   [[nodiscard]] bool vouches(Slot s, std::span<const std::uint8_t> tx) const;
@@ -425,6 +463,9 @@ class FinalizedStore {
   std::uint64_t tip_hash_{kGenesisHash};
   Checkpoint checkpoint_{};
   CommitIndex index_;
+  LeaderSchedule schedule_;     // as of tip_
+  LeaderSchedule schedule_cp_;  // as of checkpoint_.slot
+  LeaderSchedule::Outcome last_outcome_{LeaderSchedule::Outcome::kLed};
 };
 
 }  // namespace tbft::multishot

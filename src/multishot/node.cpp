@@ -74,7 +74,7 @@ std::optional<MsMessage> decode_ms(std::span<const std::uint8_t> payload) {
 MultishotNode::MultishotNode(MultishotConfig cfg)
     : cfg_(cfg),
       qp_(cfg.quorum_params()),
-      chain_(cfg.finalized_tail),
+      chain_(cfg.finalized_tail, LeaderSchedule(cfg.n, cfg.f, cfg.pipeline_depth)),
       mempool_(cfg.mempool_capacity) {
   // Both finalization paths (depth-4 rule and claim adoption) notify through
   // this one hook, before the block can be compacted out of the tail.
@@ -134,7 +134,7 @@ NodeId MultishotNode::relay_target() const {
       }
     }
   }
-  return cfg_.leader_of(t, view_of(t));
+  return leader_of(t, view_of(t));
 }
 
 void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
@@ -145,8 +145,10 @@ void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
   // submitter's own stripe. The loaded path was once disabled over a
   // double-commit race between the two pools' inclusion; that window is
   // closed by the hold below plus the commit-index and pending-candidate
-  // probes in build_batch (verified by the ForwardSpec checker).
-  if (cfg_.max_slots != 0) return;
+  // probes in build_batch (verified by the ForwardSpec checker). Bounded
+  // chains keep requests local, except on a skipped node, which leads
+  // nothing until a probe readmits it.
+  if (cfg_.max_slots != 0 && !self_skipped()) return;
   const NodeId leader = relay_target();
   if (leader != ctx().id()) relay(e, leader);
 }
@@ -168,12 +170,19 @@ void MultishotNode::rerelay_on_target_edge() {
   // Depth 1 is exempt: its rotation returns to this node within n slots
   // and the filler momentum of the tx-bearing slots carries the chain
   // there, so a stranded pool costs little -- and depth-1 traces stay
-  // byte-identical.
-  if (cfg_.max_slots != 0 || cfg_.pipeline_depth <= 1) return;
+  // byte-identical. A skipped node is not: its rotation does not return
+  // before a probe, at any depth and on bounded chains too, so the pool it
+  // held when it learned of the skip is stranded (note_finalized, checkpoint
+  // install) and goes to the leaders that took its stripes.
+  const bool skipped = self_skipped();
+  if (!skipped && (cfg_.max_slots != 0 || cfg_.pipeline_depth <= 1)) return;
+  if (skipped && !stranded_) return;
   const NodeId leader = relay_target();
-  if (leader == last_relay_target_) return;
-  if (last_relay_target_ == ctx().id()) stranded_ = true;  // our stripe passed
-  last_relay_target_ = leader;
+  if (!skipped) {
+    if (leader == last_relay_target_) return;
+    if (last_relay_target_ == ctx().id()) stranded_ = true;  // our stripe passed
+    last_relay_target_ = leader;
+  }
   if (leader == ctx().id() || !stranded_) return;
   // Only work this node admitted for itself is re-relayed, once (it gets
   // the usual hold); received relays are never re-forwarded (single hop).
@@ -226,8 +235,7 @@ bool MultishotNode::tx_finalized(std::span<const std::uint8_t> tx) const {
 }
 
 MultishotNode::SlotState* MultishotNode::slot_state(Slot s, bool create) {
-  if (s < 1 || chain_.is_finalized(s)) return nullptr;
-  if (s > chain_.first_unfinalized() + ChainStore::kWindow) return nullptr;
+  if (!in_window(s)) return nullptr;
   if (!create) return slots_.find(s);
   SlotState* st = slots_.ensure(s);
   if (st != nullptr && st->vc_highest.size() != cfg_.n) st->size_for(cfg_.n);
@@ -404,7 +412,7 @@ void MultishotNode::try_propose(Slot s) {
   if (cfg_.max_slots != 0 && s > cfg_.max_slots) return;
   SlotState* st = slot_state(s, true);
   if (st == nullptr || st->proposed) return;
-  if (cfg_.leader_of(s, st->view) != ctx().id()) return;
+  if (leader_of(s, st->view) != ctx().id()) return;
 
   const auto parent = parent_for_proposal(s);
   if (!parent) return;
@@ -419,7 +427,7 @@ void MultishotNode::try_propose(Slot s) {
     // own un-notarized previous slot therefore waits until that slot is the
     // first one not yet notarized; on_notarized re-tries the frontier.
     if (s > proposal_frontier() + 1 && !chain_.notarized(s - 1) &&
-        cfg_.leader_of(s - 1, 0) == cfg_.leader_of(s, 0)) {
+        leader_of(s - 1, 0) == leader_of(s, 0)) {
       return;
     }
     // Idle-chain suppression (unbounded chains): a filler block that no
@@ -505,7 +513,7 @@ std::uint32_t MultishotNode::led_inflight() const {
   std::uint32_t count = 0;
   slots_.for_each([&](Slot s, const SlotState& st) {
     if (st.proposed && !chain_.is_finalized(s) &&
-        cfg_.leader_of(s, st.view) == ctx().id()) {
+        leader_of(s, st.view) == ctx().id()) {
       ++count;
     }
   });
@@ -686,6 +694,18 @@ void MultishotNode::note_finalized(const Block& b, std::uint64_t hash) {
     mempool_.erase_tx(frame_hashes_[i++], f);
   });
   mempool_.release_through(b.slot);
+  switch (chain_.finalized().last_outcome()) {
+    case LeaderSchedule::Outcome::kSkipped:
+      ctx().metrics().counter("multishot.leader.skipped").add();
+      if (self_skipped()) stranded_ = true;
+      break;
+    case LeaderSchedule::Outcome::kProbe:
+    case LeaderSchedule::Outcome::kReadmitted:
+      ctx().metrics().counter("multishot.leader.probes").add();
+      break;
+    default:
+      break;
+  }
   if (commit_hook_) commit_hook_(delivered, ctx().now());
 }
 
@@ -719,7 +739,9 @@ void MultishotNode::on_message(NodeId from, const Payload& payload) {
 }
 
 void MultishotNode::handle(NodeId from, const MsProposal& m) {
-  if (from != cfg_.leader_of(m.slot, m.view)) return;
+  // The window first: only there does the schedule read history every
+  // replica has finalized.
+  if (!in_window(m.slot) || from != leader_of(m.slot, m.view)) return;
   // No honest leader builds a payload past the bound, so an oversize block
   // is Byzantine: storing it would let it win notarization and then
   // overflow every peer's frame limit in the range-sync chunks that carry
@@ -795,7 +817,7 @@ void MultishotNode::handle(NodeId from, const MsVote& m) {
 }
 
 void MultishotNode::handle(NodeId from, const MsSuggest& m) {
-  if (cfg_.leader_of(m.slot, m.view) != ctx().id()) return;
+  if (!in_window(m.slot) || leader_of(m.slot, m.view) != ctx().id()) return;
   SlotState* st = slot_state(m.slot, true);
   if (st == nullptr) return;
   auto& slot_msg = st->suggests[from];
@@ -841,6 +863,10 @@ void MultishotNode::handle(NodeId from, const MsViewChange& m) {
   }
   const View enter_target = kth_highest(qp_.quorum_size());
   if (enter_target > st->view) {
+    // A quorum moved past this slot's view: a node that never started it
+    // (no proposal for its predecessor reached it, as after a restart)
+    // enters the view too, or the new leader would miss its suggest.
+    st->started = true;
     change_view(m.slot, enter_target);
   }
 }
@@ -848,7 +874,19 @@ void MultishotNode::handle(NodeId from, const MsViewChange& m) {
 void MultishotNode::change_view(Slot from_slot, View new_view) {
   // Move every started, unfinalized slot >= from_slot to the new view
   // (Algorithm 2); abort their tentative blocks and exchange suggest/proof
-  // so the new leaders can re-propose safe values.
+  // so the new leaders can re-propose safe values. The highest such slot's
+  // stripe moves whole: its later slots never started (their predecessors'
+  // proposals never came), and left at view 0 under the same failed leader
+  // each would wait out a timeout of its own.
+  Slot top = 0;
+  slots_.for_each([&](Slot t, const SlotState& ts) {
+    if (t >= from_slot && ts.started && new_view > ts.view) top = t;
+  });
+  if (top != 0) {
+    const NodeId failed = leader_of(top, 0);
+    const Slot limit = chain_.first_unfinalized() + ChainStore::kWindow;
+    for (Slot t = top + 1; t <= limit && leader_of(t, 0) == failed; ++t) start_slot(t);
+  }
   slot_scratch_.clear();
   slots_.for_each([&](Slot t, SlotState& ts) {
     if (t < from_slot || !ts.started || new_view <= ts.view) return;
@@ -861,7 +899,7 @@ void MultishotNode::change_view(Slot from_slot, View new_view) {
     SlotState& ts = *slots_.find(t);
     broadcast_ms(MsProof{t, new_view, ts.record.highest(1), ts.record.prev(1),
                          ts.record.highest(4)});
-    send_ms(cfg_.leader_of(t, new_view),
+    send_ms(leader_of(t, new_view),
             MsSuggest{t, new_view, ts.record.highest(2), ts.record.prev(2),
                       ts.record.highest(3)});
   }
@@ -1276,6 +1314,7 @@ void MultishotNode::install_fetched_checkpoint(const CkptFetch::Identity& ident)
     h = next;
   }
   mempool_.release_through(ident.cp.slot);
+  if (self_skipped()) stranded_ = true;
   finish_ckpt_fetch();
   prune_slots();
   // Resume: the remaining gap (anchor .. live frontier) is range-syncable

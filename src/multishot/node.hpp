@@ -103,13 +103,12 @@ struct MultishotConfig {
   [[nodiscard]] runtime::Duration view_timeout() const {
     return static_cast<runtime::Duration>(timeout_delta_multiple) * delta_bound;
   }
-  /// Per-(slot, view) rotating leader over pipeline stripes: slots are
-  /// assigned in runs of `pipeline_depth` (stripe k = slots (k-1)*depth+1 ..
-  /// k*depth), and views rotate the stripe owner. Depth 1 reduces exactly to
-  /// the classic (s + v) % n walk.
+  /// The base rotation over pipeline stripes (rotation_leader): slots are
+  /// assigned in runs of `pipeline_depth`, and views rotate the stripe
+  /// owner. Replicas run MultishotNode::leader_of, which equals this while
+  /// no node is skipped for a failed lead (leader_schedule.hpp).
   [[nodiscard]] NodeId leader_of(Slot s, View v) const {
-    const std::uint64_t stripe = (s + pipeline_depth - 1) / pipeline_depth;
-    return static_cast<NodeId>((stripe + static_cast<std::uint64_t>(v)) % n);
+    return rotation_leader(s, v, n, pipeline_depth);
   }
   /// Hard ceiling on a fresh proposal's payload byte budget once adaptive
   /// batching may widen batches.
@@ -185,6 +184,17 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] const Block* block_at(Slot s) const noexcept { return chain_.block_at(s); }
   [[nodiscard]] View view_of(Slot s) const;
   [[nodiscard]] const MultishotConfig& config() const noexcept { return cfg_; }
+  /// Leader of (s, v): the base rotation with the nodes that failed their
+  /// last view-0 lead skipped, read from finalized history kScheduleLag
+  /// slots back (leader_schedule.hpp). Every replica agrees on it for any
+  /// slot inside its window; outside it the answer is a best guess.
+  [[nodiscard]] NodeId leader_of(Slot s, View v) const {
+    return chain_.finalized().schedule().leader_of(s, v);
+  }
+  /// Nodes skipped as view-0 leaders as of the finalized tip, ascending.
+  [[nodiscard]] std::span<const NodeId> skipped_leaders() const noexcept {
+    return chain_.finalized().schedule().skipped();
+  }
   /// The next slot a view-0 fresh proposal would go to: first unfinalized
   /// slot past the notarized suffix.
   [[nodiscard]] Slot proposal_frontier() const {
@@ -358,6 +368,12 @@ class MultishotNode : public runtime::ProtocolNode {
     }
   };
 
+  /// Slots this node tracks: unfinalized and at most kWindow past the
+  /// first unfinalized slot. The schedule is agreed exactly on these.
+  [[nodiscard]] bool in_window(Slot s) const noexcept {
+    return s >= 1 && !chain_.is_finalized(s) &&
+           s <= chain_.first_unfinalized() + ChainStore::kWindow;
+  }
   SlotState* slot_state(Slot s, bool create);
   void start_slot(Slot s);
   void arm_timer(Slot s);
@@ -445,8 +461,13 @@ class MultishotNode : public runtime::ProtocolNode {
   /// leader, relay the work admitted while this node was the target (never
   /// relayed, not held, not inflight), one stripe's worth to each new
   /// target in turn -- otherwise it waits a whole stripe rotation, or a
-  /// view change when the next leaders go idle.
+  /// view change when the next leaders go idle. A skipped node relays its
+  /// stranded work the same way, at any depth.
   void rerelay_on_target_edge();
+  [[nodiscard]] bool self_skipped() const {
+    const auto skipped = skipped_leaders();
+    return std::binary_search(skipped.begin(), skipped.end(), ctx().id());
+  }
   /// Idle-chain resume, shared by local submissions and received forwards.
   void after_admission();
 
@@ -592,7 +613,8 @@ class MultishotNode : public runtime::ProtocolNode {
   /// hot path.
   bool idle_suppressed_{false};
   /// relay_target() at the last rerelay_on_target_edge(), and whether this
-  /// node may still hold work stranded since its own stripe passed.
+  /// node may still hold work stranded since its own stripe passed (or
+  /// since it learned it is skipped).
   NodeId last_relay_target_{~NodeId{0}};
   bool stranded_{false};
 

@@ -12,10 +12,21 @@ namespace fs = std::filesystem;
 
 namespace {
 constexpr std::uint32_t kMagic = 0x4B43'4254;  // 'TBCK' little-endian
-constexpr std::uint32_t kVersion = 2;  // 2: commit state holds the dedup horizon only
+// 2: commit state holds the dedup horizon only; 3: then the leader schedule.
+constexpr std::uint32_t kVersion = 3;
 
 fs::path main_path(const fs::path& dir) { return dir / "checkpoint"; }
 fs::path tmp_path(const fs::path& dir) { return dir / "checkpoint.tmp"; }
+
+/// A version 2 commit state is the commit index alone; version 3 appends
+/// the leader schedule's state, which a version 2 file did not keep: it
+/// loads as an empty skip set.
+std::vector<std::uint8_t> upgrade_v2_commit_state(std::vector<std::uint8_t> v2) {
+  serde::Writer w;
+  multishot::LeaderSchedule{}.encode(w);
+  v2.insert(v2.end(), w.data().begin(), w.data().end());
+  return v2;
+}
 
 /// Version 1 commit state held every commit: u64 rotated_below | varint
 /// count | (key u64, slot u64) entries | varint bloom count | blooms | bool
@@ -74,7 +85,7 @@ bool load_checkpoint(const fs::path& dir, DurableCheckpoint& out) {
   serde::Reader r(body);
   if (r.u32() != kMagic) return false;
   const std::uint32_t version = r.u32();
-  if (version != kVersion && version != 1) {
+  if (version < 1 || version > kVersion) {
     throw std::runtime_error("checkpoint: unsupported format version " +
                              std::to_string(version) + " in " + main_path(dir).string());
   }
@@ -85,6 +96,7 @@ bool load_checkpoint(const fs::path& dir, DurableCheckpoint& out) {
   if (version == 1) {
     loaded.commit_state = upgrade_v1_commit_state(loaded.commit_state, loaded.cp.slot);
   }
+  if (version <= 2) loaded.commit_state = upgrade_v2_commit_state(std::move(loaded.commit_state));
   out = std::move(loaded);
   return true;
 }

@@ -413,20 +413,26 @@ TEST(DurableChain, VersionOneCheckpointUpgradesAndNeverTruncatesTheWal) {
     }
     ASSERT_GT(durable.wal_stats().segments_reclaimed, 0u);
   }
-  DurableCheckpoint v2;
-  ASSERT_TRUE(load_checkpoint(dir.path, v2));
-  ASSERT_GE(v2.cp.slot, 70u);
+  DurableCheckpoint v3;
+  ASSERT_TRUE(load_checkpoint(dir.path, v3));
+  ASSERT_GE(v3.cp.slot, 70u);
   const std::vector<fs::path> segments = segment_files(dir.path);
+  // A version 2 commit state is the commit index alone (no leader schedule).
+  serde::Reader v3_reader(v3.commit_state);
+  const auto index = CommitIndex::read(v3_reader, v3.cp.slot);
+  ASSERT_TRUE(index.has_value());
+  const std::vector<std::uint8_t> v2_state = encoded(*index, v3.cp.slot);
 
-  // The same state as the parent format wrote it (no Bloom epochs): it
-  // upgrades to the identical version 2 state, and recovery replays the
+  // The same state as the parent formats wrote it (no Bloom epochs): each
+  // upgrades to the identical version 3 state, and recovery replays the
   // WAL tail on top instead of truncating it against genesis.
-  write_checkpoint_file(dir.path, 1, v2.cp, v1_commit_state(0, v2.commit_state));
-  {
+  for (const std::uint32_t version : {1u, 2u}) {
+    write_checkpoint_file(dir.path, version, v3.cp,
+                          version == 1 ? v1_commit_state(0, v2_state) : v2_state);
     DurableChain durable(dir.path, opts);
     const RecoveredState rec = durable.recover();
-    EXPECT_EQ(rec.checkpoint, v2.cp);
-    EXPECT_EQ(rec.commit_state, v2.commit_state);
+    EXPECT_EQ(rec.checkpoint, v3.cp);
+    EXPECT_EQ(rec.commit_state, v3.commit_state);
     EXPECT_EQ(rec.tip(), 100u);
     FinalizedStore restored(8);
     ASSERT_TRUE(restored.restore(rec.checkpoint, rec.commit_state));
@@ -436,9 +442,9 @@ TEST(DurableChain, VersionOneCheckpointUpgradesAndNeverTruncatesTheWal) {
 
   // Bloom epochs cannot be made exact, and an unknown version cannot be
   // read: both refuse to recover, and the WAL stays as it was.
-  write_checkpoint_file(dir.path, 1, v2.cp, v1_commit_state(64, v2.commit_state));
+  write_checkpoint_file(dir.path, 1, v3.cp, v1_commit_state(64, v2_state));
   EXPECT_THROW(DurableChain(dir.path, opts).recover(), std::runtime_error);
-  write_checkpoint_file(dir.path, 3, v2.cp, v2.commit_state);
+  write_checkpoint_file(dir.path, 4, v3.cp, v3.commit_state);
   EXPECT_THROW(DurableChain(dir.path, opts).recover(), std::runtime_error);
   EXPECT_EQ(segment_files(dir.path), segments);
 }
