@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "ms_bench_common.hpp"
+#include "ms_cluster_helpers.hpp"
 
 namespace tbft::bench {
 namespace {
@@ -21,9 +21,10 @@ void run_fig2() {
       "vote-2 for s-1, vote-3 for s-2, vote-4 for s-3; block s finalized\n"
       "once slots s..s+3 are notarized");
 
-  MsRunOptions opts;
+  test::MsClusterOptions opts;
   opts.max_slots = 24;
-  auto c = make_ms_bench_cluster(opts);
+  auto c = test::make_ms_cluster(opts);
+  for (auto* node : c.nodes) node->set_record_timeline(true);
   if (!c.run_until_finalized(20, 60 * sim::kSecond)) {
     std::printf("ERROR: pipeline failed to finalize 20 blocks\n");
     return;
@@ -61,9 +62,10 @@ void run_throughput_comparison() {
       "single-shot TetraBFT (same simulator, same delta)");
 
   // Pipelined: blocks finalized per delta.
-  MsRunOptions opts;
+  test::MsClusterOptions opts;
   opts.max_slots = 64;
-  auto c = make_ms_bench_cluster(opts);
+  auto c = test::make_ms_cluster(opts);
+  for (auto* node : c.nodes) node->set_record_timeline(true);
   if (!c.run_until_finalized(60, 120 * sim::kSecond)) {
     std::printf("ERROR: pipeline stalled\n");
     return;

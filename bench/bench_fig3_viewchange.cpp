@@ -9,7 +9,7 @@
 #include <set>
 
 #include "bench_common.hpp"
-#include "ms_bench_common.hpp"
+#include "ms_cluster_helpers.hpp"
 
 namespace tbft::bench {
 namespace {
@@ -20,7 +20,7 @@ void run_fig3() {
       "slot 2's view-0 leader (node 2) never proposes; timers fire at\n"
       "9*Delta; the view change names the lowest unfinalized slot");
 
-  MsRunOptions opts;
+  test::MsClusterOptions opts;
   opts.max_slots = 16;
   opts.delta_actual = 1 * sim::kMillisecond;
   opts.delta_bound = 10 * sim::kMillisecond;
@@ -31,7 +31,8 @@ void run_fig3() {
     }
     return nullptr;
   };
-  auto c = make_ms_bench_cluster(opts);
+  auto c = test::make_ms_cluster(opts);
+  for (auto* node : c.nodes) node->set_record_timeline(true);
   if (!c.run_until_finalized(10, 120 * sim::kSecond)) {
     std::printf("ERROR: recovery failed\n");
     return;
@@ -89,10 +90,6 @@ void run_fig3() {
       static_cast<double>(first_renotarization - first_vc) / opts.delta_actual);
 
   // Aborted-slot bound (§6.2: at most the finality depth).
-  std::set<Slot> reproposed;
-  for (const auto& [slot, at] : node->first_proposal_at()) {
-    (void)at;
-  }
   std::printf("aborted window: slots re-proposed in view 1 are bounded by the\n"
               "finality depth (checked by the suggest count above: <= 6 slots x n)\n");
 }

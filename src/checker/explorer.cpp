@@ -1,8 +1,5 @@
 #include "checker/explorer.hpp"
 
-#include <deque>
-#include <unordered_set>
-
 #include "common/hash.hpp"
 
 namespace tbft::checker {
@@ -46,42 +43,15 @@ std::string check_state(const Spec& spec, const State& s, bool check_aux) {
 }  // namespace
 
 ExploreResult explore_bfs(const Spec& spec, std::uint64_t state_cap, bool check_aux) {
-  ExploreResult res;
   const int honest = spec.config().honest();
-
-  std::unordered_set<StateKey, StateKeyHash> seen;
-  std::deque<std::pair<State, int>> frontier;
-
-  const State init = spec.canonicalize(spec.initial_state());
-  seen.insert(key_of(init, honest));
-  frontier.emplace_back(init, 0);
-  res.states = 1;
-
-  while (!frontier.empty()) {
-    auto [state, depth] = std::move(frontier.front());
-    frontier.pop_front();
-    res.max_depth = std::max(res.max_depth, depth);
-
-    const auto violated = check_state(spec, state, check_aux);
-    if (!violated.empty()) {
-      res.violation = true;
-      res.violated_property = violated;
-      return res;
-    }
-
-    for (const Action& a : spec.enabled_actions(state)) {
-      ++res.transitions;
-      const State next = spec.canonicalize(spec.apply(state, a));
-      if (!seen.insert(key_of(next, honest)).second) continue;
-      ++res.states;
-      if (res.states >= state_cap) {
-        res.capped = true;
-        return res;
-      }
-      frontier.emplace_back(next, depth + 1);
-    }
-  }
-  return res;
+  return explore_breadth_first<StateKeyHash>(
+      spec.canonicalize(spec.initial_state()),
+      [honest](const State& s) { return key_of(s, honest); },
+      [&spec, check_aux](const State& s) { return check_state(spec, s, check_aux); },
+      [&spec](const State& s, auto&& emit) {
+        for (const Action& a : spec.enabled_actions(s)) emit(spec.canonicalize(spec.apply(s, a)));
+      },
+      state_cap);
 }
 
 ExploreResult explore_random(const Spec& spec, std::uint64_t walks, int depth,

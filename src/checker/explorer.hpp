@@ -4,24 +4,12 @@
 // randomized walker for bounds too large to exhaust.
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
+#include "checker/bfs.hpp"
 #include "checker/spec.hpp"
 #include "common/rng.hpp"
 
 namespace tbft::checker {
-
-struct ExploreResult {
-  std::uint64_t states{0};       // distinct canonical states visited
-  std::uint64_t transitions{0};  // actions applied
-  int max_depth{0};
-  bool capped{false};            // state cap hit before exhausting
-  bool violation{false};
-  std::string violated_property;
-
-  [[nodiscard]] bool exhaustive_ok() const noexcept { return !capped && !violation; }
-};
 
 /// Breadth-first exhaustive exploration of the reachable state space (after
 /// canonicalization). Checks Consistency and, when `check_aux`, the paper's

@@ -2,9 +2,7 @@
 
 #include <array>
 #include <cstddef>
-#include <deque>
-#include <unordered_set>
-#include <vector>
+#include <string>
 
 #include "common/assert.hpp"
 
@@ -41,28 +39,13 @@ int count_claims(const SyncState& s, int claimers, std::int8_t id) {
 
 }  // namespace
 
-PathExploreResult explore_sync(const SyncSpecConfig& cfg) {
+ExploreResult explore_sync(const SyncSpecConfig& cfg) {
   TBFT_ASSERT(cfg.claimers() <= 8);   // sync spec is bounded to 8 claimers
   TBFT_ASSERT(cfg.byz <= cfg.f);      // Byzantine claimers within the budget
-  PathExploreResult res;
-
-  std::unordered_set<SyncState, SyncStateHash> seen;
-  std::deque<SyncState> frontier;
-  frontier.push_back(SyncState{});
-  seen.insert(frontier.front());
-  res.states = 1;
-
-  while (!frontier.empty()) {
-    const SyncState s = frontier.front();
-    frontier.pop_front();
-
-    if (s.adopted == 2) {
-      res.violation = true;
-      res.violated_property = "AdoptedIsTruth";
-      return res;
-    }
-
-    std::vector<SyncState> next;
+  const auto check = [](const SyncState& s) {
+    return std::string(s.adopted == 2 ? "AdoptedIsTruth" : "");
+  };
+  const auto expand = [&cfg](const SyncState& s, auto&& emit) {
     // Claim(p, id): each claimer speaks once; honest claimers report the
     // ground truth, wildcards say whatever helps.
     for (int p = 0; p < cfg.claimers(); ++p) {
@@ -71,7 +54,7 @@ PathExploreResult explore_sync(const SyncSpecConfig& cfg) {
         if (p >= cfg.byz && id != 1) continue;  // honest: truth only
         SyncState t = s;
         t.claim[p] = id;
-        next.push_back(t);
+        emit(t);
       }
     }
     // Adopt(id): threshold distinct claimers agree. The laggard has no way
@@ -82,18 +65,12 @@ PathExploreResult explore_sync(const SyncSpecConfig& cfg) {
         if (count_claims(s, cfg.claimers(), id) < cfg.threshold()) continue;
         SyncState t = s;
         t.adopted = id;
-        next.push_back(t);
+        emit(t);
       }
     }
-
-    for (const SyncState& t : next) {
-      ++res.transitions;
-      if (!seen.insert(t).second) continue;
-      ++res.states;
-      frontier.push_back(t);
-    }
-  }
-  return res;
+  };
+  return explore_breadth_first<SyncStateHash>(
+      SyncState{}, [](const SyncState& s) { return s; }, check, expand);
 }
 
 // --- Forwarded-transaction exactly-once -------------------------------------
@@ -139,28 +116,13 @@ int commit_count(const FwdState& s) {
 
 }  // namespace
 
-PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
-  PathExploreResult res;
+ExploreResult explore_forward(const ForwardSpecConfig& cfg) {
   const bool probe_pending = cfg.mutation != ForwardSpecConfig::Mutation::NoPendingProbe;
   const bool relay_holds = cfg.mutation != ForwardSpecConfig::Mutation::ReRelayDropsHold;
-
-  std::unordered_set<FwdState, FwdStateHash> seen;
-  std::deque<FwdState> frontier;
-  frontier.push_back(FwdState{});
-  seen.insert(frontier.front());
-  res.states = 1;
-
-  while (!frontier.empty()) {
-    const FwdState s = frontier.front();
-    frontier.pop_front();
-
-    if (commit_count(s) > 1) {
-      res.violation = true;
-      res.violated_property = "AtMostOneCommit";
-      return res;
-    }
-
-    std::vector<FwdState> next;
+  const auto check = [](const FwdState& s) {
+    return std::string(commit_count(s) > 1 ? "AtMostOneCommit" : "");
+  };
+  const auto expand = [=](const FwdState& s, auto&& emit) {
     // Relay: once per tx, from the origin's twin-free copy while no pending
     // candidate carries it (a batchable copy is never inflight) -- at
     // admission, or as the re-relay when the origin's stripe has passed.
@@ -174,7 +136,7 @@ PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
         t.copy[kOrigin] = Copy::kHold;
         t.twin[kOrigin] = true;
       }
-      next.push_back(t);
+      emit(t);
     }
     for (int i = 0; i < 2; ++i) {
       const int j = 1 - i;
@@ -183,7 +145,7 @@ PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
       if (s.copy[i] == Copy::kHold) {
         FwdState t = s;
         t.copy[i] = Copy::kBatchable;
-        next.push_back(t);
+        emit(t);
       }
       // Propose(i): build_batch. A copy with a twin probes first: skip when
       // any candidate already carries the tx -- committed (tx_finalized)
@@ -198,31 +160,25 @@ PathExploreResult explore_forward(const ForwardSpecConfig& cfg) {
           FwdState t = s;
           t.cand[i] = Cand::kPending;
           t.copy[i] = Copy::kSpent;
-          next.push_back(t);
+          emit(t);
         }
       }
       // Commit(i) / Abandon(i): consensus decides the candidate's fate.
       if (s.cand[i] == Cand::kPending) {
         FwdState t = s;
         t.cand[i] = Cand::kCommitted;
-        next.push_back(t);
+        emit(t);
         FwdState u = s;
         u.cand[i] = Cand::kAbandoned;
         // The batch's txs return to the holder: a twin's copy as a held
         // fallback, a twin-free copy batchable as before.
         u.copy[i] = s.twin[i] ? Copy::kHold : Copy::kBatchable;
-        next.push_back(u);
+        emit(u);
       }
     }
-
-    for (const FwdState& t : next) {
-      ++res.transitions;
-      if (!seen.insert(t).second) continue;
-      ++res.states;
-      frontier.push_back(t);
-    }
-  }
-  return res;
+  };
+  return explore_breadth_first<FwdStateHash>(
+      FwdState{}, [](const FwdState& s) { return s; }, check, expand);
 }
 
 }  // namespace tbft::checker

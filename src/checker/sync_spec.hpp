@@ -30,21 +30,10 @@
 // batchable) lets both copies ride live slots.
 
 #include <cstdint>
-#include <string>
+
+#include "checker/bfs.hpp"
 
 namespace tbft::checker {
-
-/// Shared result shape for the self-contained explorers below (the main
-/// explorer is coupled to the single-shot `Spec`; these state spaces are
-/// a few hundred states, so each spec carries its own BFS).
-struct PathExploreResult {
-  std::uint64_t states{0};
-  std::uint64_t transitions{0};
-  bool violation{false};
-  std::string violated_property;
-
-  [[nodiscard]] bool exhaustive_ok() const noexcept { return !violation; }
-};
 
 // --- Range-sync adoption ----------------------------------------------------
 
@@ -68,7 +57,7 @@ struct SyncSpecConfig {
 /// Exhaustively explore all claim interleavings. Ids are abstracted to
 /// {truth = 1, lie = 2}; honest claimers only ever claim 1, Byzantine
 /// claimers claim either. Violation: the laggard adopts 2.
-PathExploreResult explore_sync(const SyncSpecConfig& cfg);
+ExploreResult explore_sync(const SyncSpecConfig& cfg);
 
 // --- Forwarded-transaction exactly-once -------------------------------------
 
@@ -83,6 +72,6 @@ struct ForwardSpecConfig {
 
 /// Exhaustively explore relay / propose / commit / abandon / expire
 /// interleavings of one tx across its two holders. Violation: two commits.
-PathExploreResult explore_forward(const ForwardSpecConfig& cfg);
+ExploreResult explore_forward(const ForwardSpecConfig& cfg);
 
 }  // namespace tbft::checker

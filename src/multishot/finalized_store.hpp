@@ -108,8 +108,7 @@ struct Checkpoint {
 /// replica must agree on H for delivery to stay identical across nodes.
 ///
 /// Contract: an honest copy of a transaction is never re-included more
-/// than H slots after its twin (given the relay-delay assumption stated
-/// below), so within H the filter keeps delivery
+/// than H slots after its twin, so within H the filter keeps delivery
 /// exactly-once; past H a client retry is a new transaction. The argument:
 ///  - a pool entry (held forward fallbacks and relayed copies included)
 ///    leaves when a finalized block carrying its bytes is reconciled
@@ -121,12 +120,13 @@ struct Checkpoint {
 ///  - a copy admitted after its twin finalized locally is refused by
 ///    commit_slot only while the twin sits above checkpoint.slot - H. The
 ///    one in-protocol late admission is a relayed copy (MsForwardTx) whose
-///    twin, the sender's held fallback, committed after forward_retry: its
-///    exactly-once assumes the relay reaches its leader before that
-///    leader's checkpoint passes the twin's slot + H -- a delay bound of
-///    about H slots of progress, which partial synchrony does not give
-///    before GST. Stamping the relay with the sender's first unfinalized
-///    slot would remove the assumption; it changes the wire format;
+///    twin, the sender's held fallback, committed after forward_retry. The
+///    relay is stamped with the sender's first unfinalized slot F, and the
+///    twin commits no lower than F (the sender still pooled it there). A
+///    receiver drops a relay stamped more than H - kWindow below its own
+///    first unfinalized slot (multishot.forward.expired), so an admitted
+///    relayed copy rides at most F + H: within H of its twin, however long
+///    the relay was delayed;
 ///  - checkpoint state transfer skips per-block reconciliation: its
 ///    installed window (at - H, at] decides every entry exactly when the
 ///    jump is shorter than H, and a longer jump expires the whole

@@ -92,15 +92,14 @@ void MultishotNode::on_start() {
 bool MultishotNode::submit_tx(std::vector<std::uint8_t> tx) {
   auto& metrics = ctx().metrics();
   // Same dedup the relay path runs, hashed once: a client retrying a
-  // request this node already committed (commit index), already holds
-  // pending (pool probe), or already accepted from a relay (recent set)
-  // gets success without a second pool entry -- re-admitting any of them
-  // could commit the same bytes twice and break exactly-once.
+  // request this node already committed (commit index) or already holds
+  // pending (pool probe, relayed-in copies included) gets success without a
+  // second pool entry -- re-admitting either could commit the same bytes
+  // twice and break exactly-once.
   std::uint64_t h = 0;
   if (!tx.empty()) {
     h = fnv1a64(tx);
-    if (chain_.commit_slot(tx, h) != 0 || mempool_.contains(h, tx) ||
-        forward_seen_.contains(h)) {
+    if (chain_.commit_slot(tx, h) != 0 || mempool_.contains(h, tx)) {
       metrics.counter("multishot.submit.deduped").add();
       return true;
     }
@@ -145,10 +144,7 @@ void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
   // submitter's own stripe. The loaded path was once disabled over a
   // double-commit race between the two pools' inclusion; that window is
   // closed by the hold below plus the commit-index and pending-candidate
-  // probes in build_batch (verified by the ForwardSpec checker). Bounded
-  // chains keep requests local, except on a skipped node, which leads
-  // nothing until a probe readmits it.
-  if (cfg_.max_slots != 0 && !self_skipped()) return;
+  // probes in build_batch (verified by the ForwardSpec checker).
   const NodeId leader = relay_target();
   if (leader != ctx().id()) relay(e, leader);
 }
@@ -171,11 +167,11 @@ void MultishotNode::rerelay_on_target_edge() {
   // and the filler momentum of the tx-bearing slots carries the chain
   // there, so a stranded pool costs little -- and depth-1 traces stay
   // byte-identical. A skipped node is not: its rotation does not return
-  // before a probe, at any depth and on bounded chains too, so the pool it
-  // held when it learned of the skip is stranded (note_finalized, checkpoint
-  // install) and goes to the leaders that took its stripes.
+  // before a probe, at any depth, so the pool it held when it learned of
+  // the skip is stranded (note_finalized, checkpoint install) and goes to
+  // the leaders that took its stripes.
   const bool skipped = self_skipped();
-  if (!skipped && (cfg_.max_slots != 0 || cfg_.pipeline_depth <= 1)) return;
+  if (!skipped && cfg_.pipeline_depth <= 1) return;
   if (skipped && !stranded_) return;
   const NodeId leader = relay_target();
   if (!skipped) {
@@ -184,18 +180,28 @@ void MultishotNode::rerelay_on_target_edge() {
     last_relay_target_ = leader;
   }
   if (leader == ctx().id() || !stranded_) return;
-  // Only work this node admitted for itself is re-relayed, once (it gets
-  // the usual hold); received relays are never re-forwarded (single hop).
+  // Only work this node admitted for itself is re-relayed (it gets the
+  // usual hold); received relays are never re-forwarded (single hop). An
+  // unskipped node relays an entry once: when that relay's hold lapses, its
+  // own batches take the copy back. A skipped node batches nothing, so a
+  // lapsed hold means the relay was lost or refused and the entry goes out
+  // again; while a hold is live it stays stranded and keeps checking.
   // Each new target gets at most the stripe's worth of full batches it can
   // propose: a leader handed more keeps the excess past its own stripe,
   // where the idle leaders after it cannot see it. The rest waits for the
   // next target change.
   std::size_t budget = static_cast<std::size_t>(cfg_.pipeline_depth) *
                        std::max(cfg_.max_batch_txs, cfg_.adaptive_batch_txs);
+  const runtime::Time now = ctx().now();
   stranded_ = false;
   for (auto h = mempool_.front(); h != BoundedMempool::kNone; h = mempool_.next(h)) {
     BoundedMempool::Entry& e = mempool_.at(h);
-    if (e.inflight || e.relayed || e.hold_until != 0) continue;
+    if (e.inflight || e.relayed) continue;
+    if (e.hold_until != 0 && !skipped) continue;
+    if (e.hold_until > now) {
+      stranded_ = true;
+      continue;
+    }
     if (budget == 0) {
       stranded_ = true;
       break;
@@ -211,7 +217,7 @@ void MultishotNode::after_admission() {
   // at the proposal frontier and, if this node leads it, proposes the new
   // transaction right away. Gated on suppression having actually happened,
   // so the loaded hot path never pays the window scan.
-  if (cfg_.max_slots == 0 && idle_suppressed_) {
+  if (idle_suppressed_) {
     idle_suppressed_ = false;
     const Slot frontier = proposal_frontier();
     wake_slot(frontier);
@@ -717,7 +723,6 @@ void MultishotNode::prune_slots() {
       st.timer = 0;
     }
   });
-  chain_claims_.advance_base(first);
 }
 
 void MultishotNode::on_message(NodeId from, const Payload& payload) {
@@ -1003,17 +1008,16 @@ void MultishotNode::on_timer(runtime::TimerId id) {
 }
 
 void MultishotNode::note_block_claim(NodeId from, const Block& b) {
-  const Slot first = chain_.first_unfinalized();
-  if (b.slot < first || b.slot > first + kClaimWindow) return;
-  ClaimSlab* slab = chain_claims_.ensure(b.slot);
-  if (slab == nullptr) return;
+  SlotState* st = slot_state(b.slot, true);
+  if (st == nullptr) return;  // finalized, or past the window
+  ClaimSet& claims = st->claims;
   const std::uint64_t h = b.hash();
-  ClaimSlab::Claim* claim = slab->find(h);
+  ClaimSet::Claim* claim = claims.find(h);
   if (claim == nullptr) {
     // One created claim per sender per slot: honest senders claim a
     // single hash, so only Byzantine fan-out is refused here.
-    if (slab->sender_has_claim(from)) return;
-    claim = slab->add(h, cfg_.n, max_claims_per_slot(cfg_.f));
+    if (claims.sender_has_claim(from)) return;
+    claim = claims.add(h, cfg_.n, max_claims_per_slot(cfg_.f));
     if (claim == nullptr) return;  // per-slot claim bound reached
     claim->block = b;
   }
@@ -1029,10 +1033,10 @@ std::size_t MultishotNode::adopt_ready_claims() {
   bool progress = true;
   while (progress) {
     progress = false;
-    ClaimSlab* slab = chain_claims_.find(chain_.first_unfinalized());
-    if (slab == nullptr) break;
-    for (std::size_t i = 0; i < slab->used; ++i) {
-      ClaimSlab::Claim& claim = slab->claims[i];
+    SlotState* st = slots_.find(chain_.first_unfinalized());
+    if (st == nullptr) break;
+    for (std::size_t i = 0; i < st->claims.used; ++i) {
+      ClaimSet::Claim& claim = st->claims.claims[i];
       if (!qp_.is_blocking(claim.senders.count())) continue;
       if (chain_.force_finalize(std::move(claim.block), claim.hash)) {
         progress = true;
@@ -1048,7 +1052,7 @@ std::size_t MultishotNode::adopt_ready_claims() {
     try_vote(next);
     try_propose(next);
     // A caught-up node with pending transactions restarts the pipeline.
-    if (cfg_.max_slots == 0 && !mempool_.empty()) {
+    if (!mempool_.empty()) {
       const Slot frontier = proposal_frontier();
       wake_slot(frontier);
       try_propose(frontier);
@@ -1411,22 +1415,18 @@ void MultishotNode::handle(NodeId from, const MsForwardTx& m) {
     return;
   }
   // Dedup, hashed once: committed requests answer from the commit index;
-  // a copy already pending here (submitted directly while the relay was in
-  // flight) from the pool probe; in-flight re-forwards (a client retrying
-  // via different nodes) from the recent set.
+  // a copy already pending here -- submitted directly, or an earlier relay
+  // of the same request (a client retrying via different nodes) -- from
+  // the pool probe.
   const std::uint64_t h = fnv1a64(m.tx);
-  if (chain_.commit_slot(m.tx, h) != 0 || mempool_.contains(h, m.tx) ||
-      forward_seen_.contains(h)) {
+  if (chain_.commit_slot(m.tx, h) != 0 || mempool_.contains(h, m.tx)) {
     metrics.counter("multishot.forward.deduped").add();
     return;
   }
   if (!mempool_.push(std::vector<std::uint8_t>(m.tx), cfg_.max_batch_bytes, h)) {
-    // Not recorded as seen: a rejected relay must stay retryable once the
-    // pool drains, or one full-pool moment would poison the request here.
     metrics.counter("multishot.forward.rejected").add();
     return;
   }
-  forward_seen_.insert(h);
   mempool_.at(mempool_.back()).relayed = true;
   metrics.counter("multishot.forward.received").add();
   // Single hop: a relayed request is never re-forwarded; it wakes the idle

@@ -18,7 +18,7 @@
 // Engineering completions mirroring the single-shot node (DESIGN.md §7):
 // monotone view-change counting per slot, and ChainInfo catch-up answered
 // to view-changes for already-finalized slots (adopted on f+1 matching
-// claims).
+// claims, kept in the same per-slot state as the votes).
 //
 // State layout (DESIGN_PERF.md "Consensus state layer"): per-slot state
 // lives in a flat SlotWindow ring over the bounded unfinalized window, with
@@ -34,6 +34,10 @@
 // no view-change traffic is newer than the slots' views. Submissions,
 // proposals and view-change messages re-arm dormant slots, so a loaded run
 // quiesces naturally and resumes on new traffic.
+//
+// Bounded and unbounded chains run one rule set: client relay, re-relay of
+// stranded work and catch-up resume alike. max_slots only caps proposals
+// (and exempts the chain from idle suppression).
 
 #include <algorithm>
 #include <functional>
@@ -64,7 +68,9 @@ struct MultishotConfig {
   runtime::Duration delta_bound{10 * runtime::kMillisecond};
   std::uint32_t timeout_delta_multiple{9};
   /// Leaders do not propose blocks for slots beyond this (0 = unbounded).
-  /// Unbounded chains enable idle suppression: see the header comment.
+  /// That cap is its only effect on the protocol, apart from idle
+  /// suppression, which runs on unbounded chains only (header comment).
+  /// Every production path runs unbounded; tests and benches bound a run.
   Slot max_slots{0};
   /// Payload bytes attached to fresh blocks when the mempool is empty.
   std::uint32_t default_payload_bytes{8};
@@ -139,7 +145,7 @@ struct MultishotConfig {
 /// (honest claims agree; only Byzantine senders fan out). Historical floor.
 inline constexpr std::size_t kMaxClaimsPerSlot = 32;
 /// Per-slot claim bound: each Byzantine sender can create at most one claim
-/// (ClaimSlab::sender_has_claim), so f + 2 entries always leave room for the
+/// (ClaimSet::sender_has_claim), so f + 2 entries always leave room for the
 /// honest hash (f = 21/42 at n = 64/128).
 [[nodiscard]] constexpr std::size_t max_claims_per_slot(std::uint32_t f) noexcept {
   return kMaxClaimsPerSlot > f + 2 ? kMaxClaimsPerSlot : f + 2;
@@ -242,13 +248,12 @@ class MultishotNode : public runtime::ProtocolNode {
   void restore_chain(const Checkpoint& cp, std::span<const std::uint8_t> commit_state,
                      std::vector<Block> tail) {
     chain_.restore_state(cp, commit_state, std::move(tail));
-    // The consensus windows start at slot 1; a restored chain resumes at its
+    // The slot window starts at slot 1; a restored chain resumes at its
     // recovered frontier. Without this advance every slot_state() probe at
     // the frontier lands outside the ring and the node can never arm a
-    // timer or propose again. Both windows are empty pre-start, so no
-    // eviction (timer cancellation) runs.
+    // timer or propose again. The window is empty pre-start, so no eviction
+    // (timer cancellation) runs.
     slots_.advance_base(chain_.first_unfinalized());
-    chain_claims_.advance_base(chain_.first_unfinalized());
   }
   /// Persist every newly finalized block through `d` (WAL append + periodic
   /// durable checkpoint) before it is acknowledged. `d` must outlive the
@@ -272,65 +277,16 @@ class MultishotNode : public runtime::ProtocolNode {
   /// Bound on per-slot containers keyed by view (defends against Byzantine
   /// view-number spam; honest traffic uses a handful of views).
   static constexpr std::size_t kMaxTrackedViewsPerSlot = 32;
-  /// Finalized-block claims (ChainInfo and sync chunks) are only tracked
-  /// this far past the finalized tip; doubles as the range-sync pipeline
-  /// depth -- blocks past it could not be adopted yet anyway.
-  static constexpr Slot kClaimWindow = 64;
-  static constexpr Slot kSyncPipelineDepth = kClaimWindow;
+  /// Range-sync pipeline depth: finalized-block claims live in the slot
+  /// window (SlotState::claims), so blocks past it could not be claimed yet.
+  static constexpr Slot kSyncPipelineDepth = ChainStore::kWindow;
   /// Alternate equivocating blocks stored per slot via the proposal path
   /// (beyond each view's recorded first proposal).
   static constexpr std::uint8_t kMaxExtraCandidatesPerSlot = 4;
 
-  struct SlotState {
-    bool started{false};
-    View view{0};
-    runtime::TimerId timer{0};
-    View highest_vc_sent{kNoView};
-    std::vector<View> vc_highest;                        // per sender
-    ViewHashMap proposal_by_view{kMaxTrackedViewsPerSlot};  // leader's block hash
-    VoteLedger votes{kMaxTrackedViewsPerSlot * 4};
-    ViewHashMap voted{kMaxTrackedViewsPerSlot};  // my head vote per view
-    bool proposed{false};                        // I proposed in the current view
-    /// Alternate (equivocating) blocks stored for this slot beyond the
-    /// first-per-view ones. Bounded per *slot* (a leader of several views
-    /// of one slot could otherwise alternate views to flood candidates).
-    std::uint8_t extra_candidates{0};
-    /// Content-recovery want: the hash whose bytes this node asked peers
-    /// for (MsBlockRequest). Replies are accepted only against this or the
-    /// slot's recorded notarization hash.
-    std::uint64_t wanted_hash{0};
-    core::VoteRecord record;                     // implicit per-slot phase history
-    std::vector<std::optional<MsSuggest>> suggests;  // latest per sender
-    std::vector<std::optional<MsProof>> proofs;      // latest per sender
-
-    /// SlotWindow recycle hook: logical defaults, capacity kept. Per-sender
-    /// vectors re-clear at their current size; size_for() sizes fresh slabs.
-    void reset() {
-      started = false;
-      view = 0;
-      timer = 0;
-      highest_vc_sent = kNoView;
-      vc_highest.assign(vc_highest.size(), kNoView);
-      proposal_by_view.reset();
-      votes.reset();
-      voted.reset();
-      proposed = false;
-      extra_candidates = 0;
-      wanted_hash = 0;
-      record = core::VoteRecord{};
-      suggests.assign(suggests.size(), std::nullopt);
-      proofs.assign(proofs.size(), std::nullopt);
-    }
-    void size_for(std::uint32_t n) {
-      vc_highest.assign(n, kNoView);
-      suggests.assign(n, std::nullopt);
-      proofs.assign(n, std::nullopt);
-    }
-  };
-
-  /// Claimed finalized blocks per slot (ChainInfo catch-up): flat analogue
-  /// of the former (slot, hash) -> {senders, block} maps.
-  struct ClaimSlab {
+  /// Claimed finalized blocks of one slot (ChainInfo and sync chunks):
+  /// hash -> {senders, block}, adopted on f+1 matching senders.
+  struct ClaimSet {
     struct Claim {
       std::uint64_t hash{0};
       NodeBitmap senders;
@@ -365,6 +321,55 @@ class MultishotNode : public runtime::ProtocolNode {
       c.hash = hash;
       c.senders.reset(n);
       return &c;
+    }
+  };
+
+  struct SlotState {
+    bool started{false};
+    View view{0};
+    runtime::TimerId timer{0};
+    View highest_vc_sent{kNoView};
+    std::vector<View> vc_highest;                        // per sender
+    ViewHashMap proposal_by_view{kMaxTrackedViewsPerSlot};  // leader's block hash
+    VoteLedger votes{kMaxTrackedViewsPerSlot * 4};
+    ViewHashMap voted{kMaxTrackedViewsPerSlot};  // my head vote per view
+    bool proposed{false};                        // I proposed in the current view
+    /// Alternate (equivocating) blocks stored for this slot beyond the
+    /// first-per-view ones. Bounded per *slot* (a leader of several views
+    /// of one slot could otherwise alternate views to flood candidates).
+    std::uint8_t extra_candidates{0};
+    /// Content-recovery want: the hash whose bytes this node asked peers
+    /// for (MsBlockRequest). Replies are accepted only against this or the
+    /// slot's recorded notarization hash.
+    std::uint64_t wanted_hash{0};
+    core::VoteRecord record;                     // implicit per-slot phase history
+    std::vector<std::optional<MsSuggest>> suggests;  // latest per sender
+    std::vector<std::optional<MsProof>> proofs;      // latest per sender
+    ClaimSet claims;  // finalized-block claims for this slot (catch-up)
+
+    /// SlotWindow recycle hook: logical defaults, capacity kept. Per-sender
+    /// vectors re-clear at their current size; size_for() sizes fresh slabs.
+    void reset() {
+      started = false;
+      view = 0;
+      timer = 0;
+      highest_vc_sent = kNoView;
+      vc_highest.assign(vc_highest.size(), kNoView);
+      proposal_by_view.reset();
+      votes.reset();
+      voted.reset();
+      proposed = false;
+      extra_candidates = 0;
+      wanted_hash = 0;
+      record = core::VoteRecord{};
+      suggests.assign(suggests.size(), std::nullopt);
+      proofs.assign(proofs.size(), std::nullopt);
+      claims.reset();
+    }
+    void size_for(std::uint32_t n) {
+      vc_highest.assign(n, kNoView);
+      suggests.assign(n, std::nullopt);
+      proofs.assign(n, std::nullopt);
     }
   };
 
@@ -462,7 +467,9 @@ class MultishotNode : public runtime::ProtocolNode {
   /// relayed, not held, not inflight), one stripe's worth to each new
   /// target in turn -- otherwise it waits a whole stripe rotation, or a
   /// view change when the next leaders go idle. A skipped node relays its
-  /// stranded work the same way, at any depth.
+  /// stranded work the same way, at any depth, and also relays again
+  /// whatever it relayed before once that hold lapses: it leads nothing, so
+  /// its own batches never take the copy back.
   void rerelay_on_target_edge();
   [[nodiscard]] bool self_skipped() const {
     const auto skipped = skipped_leaders();
@@ -552,59 +559,13 @@ class MultishotNode : public runtime::ProtocolNode {
   void install_fetched_checkpoint(const CkptFetch::Identity& id);
   void finish_ckpt_fetch();
 
-  /// Bounded recent-hash set for forward dedup: open addressing over a
-  /// power-of-two table, cleared wholesale at 3/4 occupancy (that is the
-  /// dedup window; re-forwards of *committed* requests are caught by the
-  /// commit index regardless, so clearing only re-opens a brief window for
-  /// in-flight duplicates a Byzantine relay could inject anyway).
-  class RecentSet {
-   public:
-    explicit RecentSet(std::size_t capacity = 4096) : slots_(capacity, 0) {
-      // The probe masks below require a power-of-two table.
-      TBFT_ASSERT(capacity > 0 && (capacity & (capacity - 1)) == 0);
-    }
-
-    [[nodiscard]] bool contains(std::uint64_t h) const noexcept {
-      if (h == 0) h = 1;  // 0 marks empty cells
-      const std::size_t mask = slots_.size() - 1;
-      std::size_t i = static_cast<std::size_t>(mix64(h)) & mask;
-      while (slots_[i] != 0) {
-        if (slots_[i] == h) return true;
-        i = (i + 1) & mask;
-      }
-      return false;
-    }
-
-    void insert(std::uint64_t h) {
-      if (h == 0) h = 1;
-      if ((used_ + 1) * 4 > slots_.size() * 3) {
-        std::fill(slots_.begin(), slots_.end(), 0);
-        used_ = 0;
-      }
-      const std::size_t mask = slots_.size() - 1;
-      std::size_t i = static_cast<std::size_t>(mix64(h)) & mask;
-      while (slots_[i] != 0) {
-        if (slots_[i] == h) return;
-        i = (i + 1) & mask;
-      }
-      slots_[i] = h;
-      ++used_;
-    }
-
-   private:
-    std::vector<std::uint64_t> slots_;
-    std::size_t used_{0};
-  };
-
   MultishotConfig cfg_;
   QuorumParams qp_;
   ChainStore chain_;
   SlotWindow<SlotState> slots_{ChainStore::kWindow + 1, 1};
-  SlotWindow<ClaimSlab> chain_claims_{kClaimWindow + 1, 1};
   BoundedMempool mempool_;
   SyncState sync_;
   CkptFetch ckpt_;
-  RecentSet forward_seen_;
   CommitHook commit_hook_;
   storage::DurableChain* durable_{nullptr};
   /// Set whenever idle suppression acted (a proposal was skipped or a timer

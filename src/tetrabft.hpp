@@ -33,7 +33,7 @@
 //    defaults for redial backoff, liveness and queueing; their frame limit
 //    is derived from the batching caps (ClusterBuilder::max_frame_bytes).
 //
-// Every unbounded chain relays each admitted submission to the leader that
+// Every replica relays each admitted submission to the leader that
 // proposes next (MultishotNode::relay_target, multishot/node.hpp); there is
 // no switch.
 

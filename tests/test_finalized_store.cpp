@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -568,6 +569,46 @@ TEST(CheckpointFetch, InstallReconcilesThePoolAgainstTheSkippedRange) {
   EXPECT_EQ(deliveries.count[committed], 1u);
   EXPECT_EQ(deliveries.count[pending], 1u);
   EXPECT_TRUE(c.nodes[3]->mempool().empty());
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+TEST(CheckpointFetch, SkippedNodeRelaysAgainOnceItsLostRelayLapses) {
+  // Unbounded chain, the production shape. The straggler admits `pending`
+  // while cut off: the relay to the frontier leader is dropped and its own
+  // copy is held. Its view-0 leads fail meanwhile, so after the heal it
+  // installs a checkpoint and is a skipped leader: it proposes nothing, and
+  // only a second relay, once the lost one's hold lapses, commits `pending`.
+  auto gate = std::make_shared<Gate>();
+  auto c = make_ms_cluster(straggler_opts(4, /*max_slots=*/0, 3, gate));
+  const std::vector<std::uint8_t> pending = {'s', 'k', 'i', 'p', 1};
+  ASSERT_TRUE(c.nodes[3]->submit_tx(pending));
+  ASSERT_EQ(counter(c, "multishot.forward.sent"), 1u);
+
+  // An unbounded chain with an empty pool idles: a trickle of transactions
+  // at node 0 carries the others far past the small tails.
+  for (std::uint32_t load = 0; c.nodes[0]->finalized_count() < 60; ++load) {
+    ASSERT_LT(load, 10'000u);
+    ASSERT_TRUE(c.nodes[0]->submit_tx({'l', static_cast<std::uint8_t>(load >> 8),
+                                       static_cast<std::uint8_t>(load)}));
+    c.sim->run_until(c.sim->now() + c.opts.delta_bound);
+  }
+  ASSERT_EQ(c.nodes[3]->finalized_count(), 0u);
+  gate->healed = true;
+
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return counter(c, "multishot.ckpt.installed") >= 1; }, c.sim->now() + 100 * c.timeout()));
+  const auto skipped = c.nodes[3]->skipped_leaders();
+  ASSERT_TRUE(std::find(skipped.begin(), skipped.end(), NodeId{3}) != skipped.end());
+  EXPECT_TRUE(c.nodes[3]->mempool().contains(fnv1a64(pending), pending));
+
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] {
+        for (const auto* node : c.nodes) {
+          if (!node->tx_finalized(pending)) return false;
+        }
+        return true;
+      },
+      c.sim->now() + 100 * c.timeout()));
   EXPECT_TRUE(c.chains_consistent());
 }
 

@@ -31,7 +31,7 @@ IdleRig make_idle_rig(std::uint32_t n = 4) {
   IdleRig rig;
   rig.cfg.n = n;
   rig.cfg.f = (n - 1) / 3;
-  rig.cfg.max_slots = 0;  // unbounded chain: idle suppression and the relay active
+  rig.cfg.max_slots = 0;  // unbounded chain: idle suppression active
   rig.sim = std::make_unique<sim::Simulation>(sc);
   for (std::uint32_t i = 0; i < n; ++i) {
     auto node = std::make_unique<MultishotNode>(rig.cfg);

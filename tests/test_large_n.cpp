@@ -113,7 +113,7 @@ TEST(LargeN, FanOutBoundsScaleWithF) {
   EXPECT_EQ(multishot::max_claims_per_slot(42), 44u);   // n = 128
   for (std::uint32_t f = 0; f <= 64; ++f) {
     EXPECT_GT(multishot::max_claims_per_slot(f), f + 1u)
-        << "a flooder set must never exhaust the claim slab, f=" << f;
+        << "a flooder set must never exhaust a slot's claims, f=" << f;
   }
 
   EXPECT_EQ(multishot::max_ckpt_identities(1), 4u);

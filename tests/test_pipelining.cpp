@@ -187,7 +187,7 @@ TEST(Pipelining, RelayGoesToTheLeaderOfTheFirstUnproposedSlot) {
   // left in this stripe: the relay must go to node 2, which proposes slot
   // 5 next.
   MsClusterOptions opts;
-  opts.max_slots = 0;  // unbounded chain: the relay is active
+  opts.max_slots = 0;  // unbounded chain, the production shape
   opts.pipeline_depth = 4;
   MsCluster c = make_ms_cluster(opts);
   ASSERT_TRUE(c.nodes[1]->submit_tx({0x01}));
