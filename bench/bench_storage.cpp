@@ -13,8 +13,8 @@
 //   3. RANGE SYNC: a node that missed `gap` slots (cut off from proposals
 //      and catch-up traffic while the other three keep finalizing) must
 //      reach the tip through the pipelined sync protocol while the chain
-//      keeps growing -- the old 8-blocks-per-view-change ChainInfo path
-//      could never close a four-digit gap against live traffic.
+//      keeps growing -- the few blocks a view-change reply carries could
+//      never close a four-digit gap against live traffic.
 //   4. RECOVERY REPLAY: a crashed node must come back fast -- replaying a
 //      `slots`-record WAL (checksum + parent-linkage verified per record)
 //      must sustain >= 100k blocks/sec.
@@ -197,7 +197,6 @@ SyncResult run_sync(Slot gap) {
           -> std::optional<sim::DeliveryDecision> {
         const std::uint8_t tag = env.payload.empty() ? 0 : env.payload.front();
         const bool starve = tag == static_cast<std::uint8_t>(MsType::Proposal) ||
-                            tag == static_cast<std::uint8_t>(MsType::ChainInfo) ||
                             tag == static_cast<std::uint8_t>(MsType::SyncChunk);
         if (*cut_off && env.dst == 3 && starve) {
           return sim::DeliveryDecision{.drop = true, .deliver_at = 0};

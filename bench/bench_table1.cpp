@@ -177,9 +177,9 @@ int main() {
     rows.push_back(row);
   }
   rows.push_back(Row{"SCP [25]", "n/a", "6", "4", "O(1)", "O(n^2)",
-                     "paper-reported (heterogeneous trust; not implemented)"});
+                     "paper-reported (heterogeneous trust; not implemented)", "", ""});
   rows.push_back(Row{"Li et al. [24]", "non-responsive", "6", "6", "unbounded", "unbounded",
-                     "paper-reported (heterogeneous trust; not implemented)"});
+                     "paper-reported (heterogeneous trust; not implemented)", "", ""});
   rows.push_back(measure("TetraBFT (this work)", [](const RunOptions& o) {
     return run_tetra(o);
   }, "paper: resp, 5 / 7, O(1)/O(n^2)", "5", "7"));

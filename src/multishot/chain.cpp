@@ -21,7 +21,7 @@ bool ChainStore::add_block(const Block& b, std::uint64_t h) {
     // the most recently admitted (live) candidate. The notarized block's
     // content is always spared -- the finalization rule may still need it.
     // Displaced content, if it ever wins, is recoverable through the usual
-    // content-unknown paths (re-proposal, ChainInfo, range sync).
+    // content-unknown paths (re-proposal, view-change and range-sync replies).
     std::size_t victim = e->next_victim % kMaxCandidatesPerSlot;
     if (e->has_notarization && e->candidates[victim].hash == e->notar.hash) {
       victim = (victim + 1) % kMaxCandidatesPerSlot;

@@ -6,8 +6,9 @@
 // chain length:
 //
 //  - a ring of the most recent `tail_capacity` finalized blocks (the tail)
-//    serves every reader that needs block *content* -- ChainInfo answering,
-//    range-sync chunks, parent lookups, mempool reconciliation;
+//    serves every reader that needs block *content* -- the MsSyncChunk
+//    replies to view changes and range requests, parent lookups, mempool
+//    reconciliation;
 //  - blocks that fall off the tail are folded into a Checkpoint: the slot of
 //    the compaction boundary, a cumulative chain hash over every compacted
 //    block (order-sensitive, so two stores with equal checkpoints hold the
@@ -289,8 +290,8 @@ class CommitIndex {
 
 class FinalizedStore {
  public:
-  /// Default tail: long enough that ChainInfo answering, range-sync serving
-  /// and every in-simulation consistency check read from resident blocks;
+  /// Default tail: long enough that view-change and range-sync replies and
+  /// every in-simulation consistency check read from resident blocks;
   /// tests exercising compaction pass a small capacity explicitly.
   static constexpr std::size_t kDefaultTailCapacity = 4096;
 

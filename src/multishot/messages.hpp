@@ -23,7 +23,6 @@ enum class MsType : std::uint8_t {
   Suggest = 13,
   Proof = 14,
   ViewChange = 15,
-  ChainInfo = 16,
   SyncRequest = 17,
   SyncChunk = 18,
   ForwardTx = 19,
@@ -164,43 +163,6 @@ struct MsViewChange {
   }
 };
 
-/// Frontier discovery (demoted from the catch-up workhorse it used to be):
-/// the sender's first unfinalized slot plus a short finalized suffix, sent
-/// in response to a view-change for an already-finalized slot. A straggler
-/// adopts a block once f+1 distinct senders claim it (>= 1 honest claim,
-/// and honest finalized chains agree); gaps wider than the few blocks
-/// carried here are closed by the ranged sync protocol below, which the
-/// advertised frontier triggers. Multi-shot analogue of the single-shot
-/// Decide.
-struct MsChainInfo {
-  Slot frontier{0};  // sender's first unfinalized slot
-  std::vector<Block> blocks;
-
-  friend bool operator==(const MsChainInfo&, const MsChainInfo&) = default;
-
-  static constexpr std::size_t kMaxBlocks = 4;
-
-  void encode(serde::Writer& w) const {
-    w.u8(static_cast<std::uint8_t>(MsType::ChainInfo));
-    w.u64(frontier);
-    w.varint(blocks.size());
-    for (const auto& b : blocks) b.encode(w);
-  }
-  static MsChainInfo decode(serde::Reader& r) {
-    MsChainInfo m;
-    m.frontier = r.u64();
-    const auto count = r.varint();
-    if (m.frontier < 1 || count > kMaxBlocks) {
-      r.fail();
-      return m;
-    }
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      m.blocks.push_back(Block::decode(r));
-    }
-    return m;
-  }
-};
-
 /// Ranged catch-up: "stream me finalized blocks [from, upto)". Broadcast --
 /// in the unauthenticated model a block is only adopted once f+1 distinct
 /// senders vouch for it, so the requester needs the range from f+1 peers
@@ -226,13 +188,17 @@ struct MsSyncRequest {
   }
 };
 
-/// One pipelined slice of a sync response: up to kMaxBlocksPerChunk
-/// consecutive finalized blocks starting at `start`, plus the responder's
-/// frontier (the continuation cursor: the requester keeps re-requesting
-/// until it reaches it). An empty chunk (start == 0) is a refusal-with-hint:
-/// the responder's tail no longer holds the requested range (compacted), or
-/// it has nothing finalized there -- the frontier still tells the requester
-/// where the tip is.
+/// The one finalized-block reply: up to kMaxBlocksPerChunk consecutive
+/// finalized blocks starting at `start`, plus the responder's frontier (the
+/// continuation cursor: the requester keeps re-requesting until it reaches
+/// it). It answers a range request, one chunk per slice, and a view change
+/// for an already-finalized slot, with a few blocks from that slot (frontier
+/// discovery). A straggler adopts a block once f+1 distinct senders claim
+/// it (>= 1 honest claim, and honest finalized chains agree): the
+/// multi-shot analogue of the single-shot Decide. An empty chunk
+/// (start == 0) is a refusal-with-hint: the responder's tail no longer
+/// holds the requested range (compacted), or it has nothing finalized
+/// there -- the frontier still tells the requester where the tip is.
 struct MsSyncChunk {
   Slot frontier{0};    // responder's first unfinalized slot
   Slot tail_first{1};  // first slot still resident in the responder's tail
@@ -382,8 +348,8 @@ struct MsCheckpointChunk {
 /// `block_hash` at `slot`". A quorum of votes can notarize a hash whose
 /// content this node never received (votes carry hashes only), and Rule 1
 /// can force a leader to re-propose a previously proposed value it does not
-/// hold -- both dead-end without the bytes, because range sync and ChainInfo
-/// serve finalized blocks only. The request is broadcast; any peer holding
+/// hold -- both dead-end without the bytes, because MsSyncChunk serves
+/// finalized blocks only. The request is broadcast; any peer holding
 /// the block (candidate store or finalized chain) answers, and the
 /// content-addressed hash authenticates the reply: one honest copy anywhere
 /// in the network unblocks the slot.
@@ -432,9 +398,8 @@ struct MsBlockReply {
 };
 
 using MsMessage = std::variant<MsProposal, MsVote, MsSuggest, MsProof, MsViewChange,
-                               MsChainInfo, MsSyncRequest, MsSyncChunk, MsForwardTx,
-                               MsCheckpointRequest, MsCheckpointChunk, MsBlockRequest,
-                               MsBlockReply>;
+                               MsSyncRequest, MsSyncChunk, MsForwardTx, MsCheckpointRequest,
+                               MsCheckpointChunk, MsBlockRequest, MsBlockReply>;
 
 std::vector<std::uint8_t> encode_ms(const MsMessage& m);
 

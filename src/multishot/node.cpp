@@ -57,7 +57,6 @@ std::optional<MsMessage> decode_ms(std::span<const std::uint8_t> payload) {
     case MsType::Suggest: out = MsSuggest::decode(r); break;
     case MsType::Proof: out = MsProof::decode(r); break;
     case MsType::ViewChange: out = MsViewChange::decode(r); break;
-    case MsType::ChainInfo: out = MsChainInfo::decode(r); break;
     case MsType::SyncRequest: out = MsSyncRequest::decode(r); break;
     case MsType::SyncChunk: out = MsSyncChunk::decode(r); break;
     case MsType::ForwardTx: out = MsForwardTx::decode(r); break;
@@ -812,7 +811,7 @@ void MultishotNode::handle(NodeId from, const MsVote& m) {
   if (st == nullptr) return;
   // Vote traffic revives a dormant slot just like proposals do: a quorum of
   // votes can complete a content-unknown notarization this node must then
-  // chase (view change -> ChainInfo), which needs a live timer.
+  // chase (view change -> finalized-block reply), which needs a live timer.
   if (st->started && st->timer == 0) arm_timer(m.slot);
   NodeBitmap& voters = st->votes.voters(m.view, m.block_hash, cfg_.n);
   voters.insert(from);
@@ -840,10 +839,11 @@ void MultishotNode::handle(NodeId from, const MsProof& m) {
 
 void MultishotNode::handle(NodeId from, const MsViewChange& m) {
   if (chain_.is_finalized(m.slot)) {
-    // Catch-up help, demoted to frontier discovery: a short resident suffix
-    // plus our frontier. Gaps wider than kMaxBlocks trigger the requester's
-    // range sync against the advertised frontier.
-    if (from != ctx().id()) send_ms(from, chain_info_for(m.slot));
+    // Catch-up help, frontier discovery: a short resident suffix plus our
+    // frontier, or a refusal hint when the slot was compacted. Wider gaps
+    // trigger the requester's range sync against the advertised frontier,
+    // or its checkpoint fetch.
+    if (from != ctx().id()) send_ms(from, sync_chunk(m.slot, m.slot + kViewChangeReplySlots));
     return;
   }
   SlotState* st = slot_state(m.slot, true);
@@ -930,7 +930,7 @@ void MultishotNode::on_timer(runtime::TimerId id) {
     // means the advertised frontier was stale or Byzantine (honest peers
     // only sent refusal hints) -- drop the sync rather than re-broadcast
     // forever. Genuine lag keeps producing fresh frontier hints through the
-    // view-change -> ChainInfo path and re-triggers it; a forged frontier
+    // view-change reply path and re-triggers it; a forged frontier
     // costs at most one request round per poison message.
     sync_.timer = 0;
     if (sync_.target > chain_.first_unfinalized() && sync_.adopted_since_request > 0) {
@@ -1061,23 +1061,6 @@ std::size_t MultishotNode::adopt_ready_claims() {
   return adopted;
 }
 
-void MultishotNode::handle(NodeId from, const MsChainInfo& m) {
-  for (const Block& b : m.blocks) note_block_claim(from, b);
-  adopt_ready_claims();
-  note_frontier(m.frontier);
-}
-
-MsChainInfo MultishotNode::chain_info_for(Slot slot) const {
-  MsChainInfo info;
-  info.frontier = chain_.first_unfinalized();
-  if (slot < chain_.tail_first()) return info;  // compacted: frontier hint only
-  for (Slot s = slot;
-       s <= chain_.finalized_count() && info.blocks.size() < MsChainInfo::kMaxBlocks; ++s) {
-    info.blocks.push_back(*chain_.block_at(s));
-  }
-  return info;
-}
-
 // --- Range-sync catch-up ---------------------------------------------------
 
 void MultishotNode::note_frontier(Slot frontier) {
@@ -1100,8 +1083,8 @@ void MultishotNode::maybe_request_sync() {
   // A checkpoint fetch owns the catch-up: ranged requests would be refused
   // again (the gap reaches below every answering tail) -- no timer-spin.
   if (ckpt_.anchor != 0) return;
-  // Small gaps heal through the ChainInfo fast path without a round-trip.
-  if (sync_.target <= first + MsChainInfo::kMaxBlocks) return;
+  // Small gaps heal through view-change replies without a round-trip.
+  if (sync_.target <= first + kViewChangeReplySlots) return;
   // An in-flight request still covers unadopted slots: let it stream.
   if (sync_.timer != 0 && sync_.requested_upto > first) return;
   send_sync_request();
@@ -1121,31 +1104,38 @@ void MultishotNode::send_sync_request() {
   broadcast_ms(MsSyncRequest{first, sync_.requested_upto});
 }
 
+MsSyncChunk MultishotNode::sync_chunk(Slot from, Slot upto) const {
+  MsSyncChunk out;
+  out.frontier = chain_.first_unfinalized();
+  out.tail_first = chain_.tail_first();
+  // Serve only resident finalized blocks. Otherwise refuse with a hint: the
+  // range is compacted past our tail, or we hold nothing the requester
+  // lacks. The (tail_first, frontier) pair tells the requester whether
+  // checkpoint transfer is its only way back.
+  const Slot stop =
+      std::min({upto, out.frontier, from + slot_count(MsSyncChunk::kMaxBlocksPerChunk)});
+  if (from < out.tail_first || from >= stop) return out;
+  out.start = from;
+  for (Slot t = from; t < stop; ++t) out.blocks.push_back(*chain_.block_at(t));
+  return out;
+}
+
 void MultishotNode::handle(NodeId from, const MsSyncRequest& m) {
   if (from == ctx().id()) return;  // own broadcast
-  MsSyncChunk hint;
-  hint.frontier = chain_.first_unfinalized();
-  hint.tail_first = chain_.tail_first();
-  // Serve only resident finalized blocks, within the pipeline bound (defends
-  // responder bandwidth against Byzantine huge ranges).
-  const Slot upto = std::min({m.upto, hint.frontier, m.from + kSyncPipelineDepth});
-  if (m.from < chain_.tail_first() || m.from >= upto) {
-    // Refusal with a hint: the range is compacted past our tail, or we hold
-    // nothing the requester lacks. The (tail_first, frontier) pair tells the
-    // requester whether checkpoint transfer is its only way back.
+  // The pipeline bound defends responder bandwidth against Byzantine huge
+  // ranges.
+  const Slot upto = std::min(m.upto, m.from + kSyncPipelineDepth);
+  MsSyncChunk out = sync_chunk(m.from, upto);
+  if (out.blocks.empty()) {
     ctx().metrics().counter("multishot.sync.refused").add();
-    send_ms(from, hint);
+    send_ms(from, out);
     return;
   }
-  for (Slot s = m.from; s < upto; s += slot_count(MsSyncChunk::kMaxBlocksPerChunk)) {
-    MsSyncChunk out;
-    out.frontier = hint.frontier;
-    out.tail_first = hint.tail_first;
-    out.start = s;
-    const Slot stop = std::min(upto, s + slot_count(MsSyncChunk::kMaxBlocksPerChunk));
-    for (Slot t = s; t < stop; ++t) out.blocks.push_back(*chain_.block_at(t));
+  while (!out.blocks.empty()) {
+    const Slot next = out.start + slot_count(out.blocks.size());
     ctx().metrics().counter("multishot.sync.chunks_sent").add();
     send_ms(from, out);
+    out = sync_chunk(next, upto);
   }
 }
 

@@ -16,9 +16,10 @@
 // single-shot rules engine, with block hashes as values).
 //
 // Engineering completions mirroring the single-shot node (DESIGN.md §7):
-// monotone view-change counting per slot, and ChainInfo catch-up answered
-// to view-changes for already-finalized slots (adopted on f+1 matching
-// claims, kept in the same per-slot state as the votes).
+// monotone view-change counting per slot, and catch-up: a view-change for
+// an already-finalized slot is answered with an MsSyncChunk of the blocks
+// from that slot, the same reply a range request gets (adopted on f+1
+// matching claims, kept in the same per-slot state as the votes).
 //
 // State layout (DESIGN_PERF.md "Consensus state layer"): per-slot state
 // lives in a flat SlotWindow ring over the bounded unfinalized window, with
@@ -77,8 +78,8 @@ struct MultishotConfig {
 
   // --- Finalized-chain storage (DESIGN_PERF.md "Finalized-chain storage") ---
   /// Resident finalized blocks kept behind the compaction checkpoint; serves
-  /// ChainInfo answering and range-sync chunks. Tests exercising compaction
-  /// set this small.
+  /// the MsSyncChunk replies to view changes and range requests. Tests
+  /// exercising compaction set this small.
   std::size_t finalized_tail{FinalizedStore::kDefaultTailCapacity};
 
   // --- Leader batching / mempool (workload path, DESIGN_PERF.md) ---
@@ -141,8 +142,8 @@ struct MultishotConfig {
 // at large f the bounds scale so a flooder set cannot exhaust a slab before
 // the honest entry lands.
 
-/// Distinct claimed blocks tracked per slot during ChainInfo catch-up
-/// (honest claims agree; only Byzantine senders fan out). Historical floor.
+/// Distinct claimed blocks tracked per slot during catch-up (honest claims
+/// agree; only Byzantine senders fan out). Historical floor.
 inline constexpr std::size_t kMaxClaimsPerSlot = 32;
 /// Per-slot claim bound: each Byzantine sender can create at most one claim
 /// (ClaimSet::sender_has_claim), so f + 2 entries always leave room for the
@@ -280,11 +281,14 @@ class MultishotNode : public runtime::ProtocolNode {
   /// Range-sync pipeline depth: finalized-block claims live in the slot
   /// window (SlotState::claims), so blocks past it could not be claimed yet.
   static constexpr Slot kSyncPipelineDepth = ChainStore::kWindow;
+  /// Slots a view-change reply covers from the asked slot: gaps this short
+  /// heal without a range request.
+  static constexpr Slot kViewChangeReplySlots = 4;
   /// Alternate equivocating blocks stored per slot via the proposal path
   /// (beyond each view's recorded first proposal).
   static constexpr std::uint8_t kMaxExtraCandidatesPerSlot = 4;
 
-  /// Claimed finalized blocks of one slot (ChainInfo and sync chunks):
+  /// Claimed finalized blocks of one slot (from MsSyncChunk replies):
   /// hash -> {senders, block}, adopted on f+1 matching senders.
   struct ClaimSet {
     struct Claim {
@@ -406,7 +410,6 @@ class MultishotNode : public runtime::ProtocolNode {
   void handle(NodeId from, const MsSuggest& m);
   void handle(NodeId from, const MsProof& m);
   void handle(NodeId from, const MsViewChange& m);
-  void handle(NodeId from, const MsChainInfo& m);
   void handle(NodeId from, const MsSyncRequest& m);
   void handle(NodeId from, const MsSyncChunk& m);
   void handle(NodeId from, const MsForwardTx& m);
@@ -419,8 +422,8 @@ class MultishotNode : public runtime::ProtocolNode {
   /// Broadcast a request for the bytes of (s, hash): a notarization formed
   /// from votes alone, or a Rule-1-forced re-proposal value, can reference
   /// content this node never received -- and churn can have crash-dropped it
-  /// from the nodes that voted (unfinalized blocks are not durable). Range
-  /// sync and ChainInfo serve finalized blocks only, so without this path a
+  /// from the nodes that voted (unfinalized blocks are not durable).
+  /// MsSyncChunk serves finalized blocks only, so without this path a
   /// content-unknown hash at the frontier wedges the chain through every
   /// future view (the seeded fuzzer finds exactly that schedule).
   void request_block_content(Slot s, std::uint64_t hash, bool retransmit = false);
@@ -428,7 +431,7 @@ class MultishotNode : public runtime::ProtocolNode {
 
   // --- Range-sync catch-up (requester side) ---
   /// Fold a peer's advertised frontier into the sync target and (re)issue a
-  /// ranged request when the gap is past what ChainInfo replies can close.
+  /// ranged request when the gap is past what view-change replies can close.
   void note_frontier(Slot frontier);
   void maybe_request_sync();
   void send_sync_request();
@@ -436,11 +439,13 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] runtime::Duration sync_timeout() const noexcept {
     return 3 * cfg_.delta_bound;
   }
-  /// Demoted ChainInfo reply: frontier plus a short resident suffix from
-  /// `slot` (frontier-only when `slot` was compacted past the tail).
-  [[nodiscard]] MsChainInfo chain_info_for(Slot slot) const;
+  /// The chunk of resident finalized blocks [from, upto), clamped at the
+  /// frontier and kMaxBlocksPerChunk, or the refusal hint (start = 0) when
+  /// `from` was compacted past the tail or is not finalized here. Builds
+  /// every MsSyncChunk: range replies and view-change replies alike.
+  [[nodiscard]] MsSyncChunk sync_chunk(Slot from, Slot upto) const;
 
-  // --- Finalized-block claims (shared by ChainInfo and sync chunks) ---
+  // --- Finalized-block claims (from MsSyncChunk replies) ---
   void note_block_claim(NodeId from, const Block& b);
   /// Adopt claims with f+1 matching senders, in chain order; runs the
   /// post-adoption wake/vote/propose hooks. Returns how many were adopted.
@@ -492,7 +497,7 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] BatchDraft build_batch(View view);
   void commit_batch(BatchDraft& draft, Slot s, std::size_t payload_bytes);
   /// Mempool/commit bookkeeping for every finalized block regardless of the
-  /// path (finalization rule or ChainInfo adoption); `hash` is the block's
+  /// path (finalization rule or claim adoption); `hash` is the block's
   /// stored hash.
   void note_finalized(const Block& b, std::uint64_t hash);
   void prune_slots();
@@ -507,7 +512,7 @@ class MultishotNode : public runtime::ProtocolNode {
     /// progress signal. A request window that adopts nothing (forged or
     /// stale frontier, partitioned responders) drops the sync instead of
     /// re-broadcasting forever; genuine lag re-triggers it through the
-    /// next ChainInfo frontier hint.
+    /// frontier of the next view-change reply.
     std::size_t adopted_since_request{0};
   };
 

@@ -61,7 +61,7 @@ TEST(AdversaryUnderLoad, SelectiveProposalDropStarvesVictimUntilGst) {
   // open-loop client keeps the system loaded; node 3 must stall behind the
   // others, then -- this is the range-sync contract -- catch all the way up
   // to the tip while traffic continues, instead of lagging permanently on
-  // 4-blocks-per-view-change ChainInfo crumbs.
+  // the 4-block crumbs of view-change replies.
   ScenarioOptions opts;
   opts.preset = Preset::kSteadyState;
   opts.seed = 32;

@@ -220,7 +220,7 @@ TEST(Chain, AdoptionExtendingTipSlidesWindowAndPrunes) {
   ASSERT_TRUE(c.add_block(ahead));
   ASSERT_TRUE(c.notarize(1, 0, b1.hash()));
 
-  // Adoption at the first unfinalized slot (the ChainInfo path).
+  // Adoption at the first unfinalized slot (the claim path).
   ASSERT_TRUE(c.force_finalize(b1));
   EXPECT_EQ(c.first_unfinalized(), 2u);
   EXPECT_EQ(c.find_block(1, rival.hash()), nullptr);  // pruned with the slide

@@ -106,7 +106,9 @@ TEST(ChaosScenario, FaultBudgetHoldsOnEveryDraw) {
     // Churn exists only with leftover budget (a down node is a fault), the
     // windows are sequential, hit honest nodes only, and heal before the
     // drain phase.
-    if (!p.churn.empty()) EXPECT_LT(byz, p.f);
+    if (!p.churn.empty()) {
+      EXPECT_LT(byz, p.f);
+    }
     sim::SimTime prev_up = 0;
     for (const ChurnEvent& ev : p.churn) {
       EXPECT_EQ(p.roles[ev.node], ByzRole::kHonest);

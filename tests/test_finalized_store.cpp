@@ -474,17 +474,31 @@ TEST(CheckpointFetch, SwitchesToTheIdentityThatReachesFPlusOneVouchesFirst) {
   EXPECT_TRUE(c.chains_consistent());
 }
 
-// n = 7: the three small-tail replicas refuse the straggler's range request
-// (f+1 hints open a fetch) while the three full-tail replicas serve it, so
-// range sync finalizes the straggler up to the anchor while the fetch is
-// still open. Their chunks trail the refusals by a millisecond so the fetch
-// opens first.
+TEST(CheckpointFetch, ViewChangeRefusalsOpenTheFetchWithoutARangeRequest) {
+  // Every peer compacted the straggler's first slot, so each answers its
+  // view-change probe with a refusal hint: f+1 of them open the checkpoint
+  // fetch before any range request goes out to be refused.
+  auto gate = std::make_shared<Gate>();
+  auto c = make_ms_cluster(straggler_opts(4, 60, 3, gate));
+  lead_then_heal(c, *gate, 56);
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return counter(c, "multishot.ckpt.requests") >= 1; }, c.sim->now() + 100 * c.timeout()));
+  EXPECT_EQ(counter(c, "multishot.sync.refused"), 0u);
+}
+
+// n = 7: the three small-tail replicas refuse the straggler's view change
+// and range request (f+1 hints open a fetch) while the three full-tail
+// replicas serve them, so range sync finalizes the straggler up to the
+// anchor while the fetch is still open. Their chunks trail the refusals by a
+// millisecond so the fetch opens first, and the checkpoint chunks trail by
+// 5 ms so the state arrives after range sync overtook the anchor.
 std::shared_ptr<Gate> overtaking_gate(bool deliver_ckpt_from_all) {
   auto gate = std::make_shared<Gate>();
   gate->route = [deliver_ckpt_from_all](const sim::Envelope& env) -> std::optional<sim::SimTime> {
     if (is(env, MsType::SyncChunk) && env.src >= 3) return sim::kMillisecond;
-    if (is(env, MsType::CheckpointChunk) && !deliver_ckpt_from_all && env.src != 0) {
-      return std::nullopt;
+    if (is(env, MsType::CheckpointChunk)) {
+      if (!deliver_ckpt_from_all && env.src != 0) return std::nullopt;
+      return 5 * sim::kMillisecond;
     }
     return 0;
   };

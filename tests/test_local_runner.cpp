@@ -166,8 +166,8 @@ TEST(RuntimeApi, AddNodeAfterClientThrowsClearError) {
 }
 
 TEST(RuntimeApi, BuilderRejectsInvalidConfigurations) {
-  EXPECT_THROW(ClusterBuilder{}.nodes(3).faults(1).node_config(), std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.nodes(0).node_config(), std::invalid_argument);
+  EXPECT_THROW((void)ClusterBuilder{}.nodes(3).faults(1).node_config(), std::invalid_argument);
+  EXPECT_THROW((void)ClusterBuilder{}.nodes(0).node_config(), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.delta_bound(0), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.batching(0, 1024), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.mempool(0), std::invalid_argument);

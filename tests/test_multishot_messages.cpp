@@ -1,6 +1,6 @@
 // Wire-format tests for the multi-shot message set: roundtrips, malformed
 // input rejection, and the decode bounds that protect against Byzantine
-// resource-exhaustion (ChainInfo block caps, slot-0 rejection), plus the
+// resource-exhaustion (SyncChunk block caps, slot-0 rejection), plus the
 // receiver-side expiry of stale relay stamps.
 
 #include <gtest/gtest.h>
@@ -65,28 +65,13 @@ TEST(MsMessages, ViewChangeRoundtrip) {
   EXPECT_EQ(roundtrip(m), m);
 }
 
-TEST(MsMessages, ChainInfoRoundtrip) {
-  MsChainInfo info;
-  info.frontier = 3;
-  info.blocks.push_back(sample_block(1));
-  info.blocks.push_back(sample_block(2));
-  EXPECT_EQ(roundtrip(info), info);
-}
-
-TEST(MsMessages, ChainInfoBlockCapEnforced) {
-  // A Byzantine sender claiming more blocks than the cap must be rejected
-  // before any allocation happens.
+TEST(MsMessages, RetiredTag16IsRejected) {
+  // Tag 16 once carried a second finalized-block reply; view changes are now
+  // answered with MsSyncChunk, so a well-formed frame of the old layout is
+  // an unknown message.
   serde::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsType::ChainInfo));
+  w.u8(16);
   w.u64(1);  // frontier
-  w.varint(MsChainInfo::kMaxBlocks + 1);
-  EXPECT_FALSE(decode_ms(w.data()).has_value());
-}
-
-TEST(MsMessages, ChainInfoFrontierZeroRejected) {
-  serde::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsType::ChainInfo));
-  w.u64(0);  // frontier: first unfinalized slot is always >= 1
   w.varint(0);
   EXPECT_FALSE(decode_ms(w.data()).has_value());
 }
@@ -115,6 +100,16 @@ TEST(MsMessages, SyncChunkRoundtrip) {
   hint.frontier = 9;
   hint.tail_first = 5;
   EXPECT_EQ(roundtrip(hint), hint);
+}
+
+TEST(MsMessages, SyncChunkFrontierZeroRejected) {
+  serde::Writer w;
+  w.u8(static_cast<std::uint8_t>(MsType::SyncChunk));
+  w.u64(0);  // frontier: first unfinalized slot is always >= 1
+  w.u64(1);  // tail_first
+  w.u64(0);  // start: a refusal hint
+  w.varint(0);
+  EXPECT_FALSE(decode_ms(w.data()).has_value());
 }
 
 TEST(MsMessages, SyncChunkBadTailFirstRejected) {

@@ -191,10 +191,10 @@ TEST(MultishotViewChange, FullySilentNodeStallsEveryFourthSlotOnly) {
   EXPECT_TRUE(c.chains_consistent());
 }
 
-TEST(MultishotViewChange, StragglerCatchesUpViaChainInfo) {
+TEST(MultishotViewChange, StragglerCatchesUpViaViewChangeReplies) {
   // Node 3 is partitioned away until GST while the others finalize blocks.
-  // After GST its view-change probes are answered with ChainInfo and it
-  // adopts the finalized prefix.
+  // After GST its view-change probes are answered with finalized-block
+  // chunks (MsSyncChunk) and it adopts the finalized prefix.
   const sim::SimTime gst = 400 * kMillisecond;
   MsClusterOptions opts;
   opts.gst = gst;

@@ -529,6 +529,20 @@ std::size_t process_threads() {
   return static_cast<std::size_t>(std::distance(begin(it), end(it)));
 }
 
+/// process_threads() once it reads the same for 10 polls in a row: a thread
+/// an earlier test joined can stay listed for a moment while it is reaped.
+std::size_t settled_threads() {
+  std::size_t last = process_threads();
+  int same = 0;
+  eventually([&] {
+    const std::size_t now = process_threads();
+    same = now == last ? same + 1 : 0;
+    last = now;
+    return same >= 10;
+  });
+  return last;
+}
+
 /// Records the thread every entry point runs on.
 struct ThreadProbeNode final : ProtocolNode {
   void on_start() override {
@@ -565,7 +579,7 @@ TEST(SocketHost, OneLoopThreadRunsEveryHandler) {
   a.set_peer_endpoint(1, {"127.0.0.1", b.port()});
   b.set_peer_endpoint(0, {"127.0.0.1", a.port()});
 
-  const std::size_t before = process_threads();
+  const std::size_t before = settled_threads();
   a.start();
   EXPECT_EQ(process_threads(), before + 1) << "a SocketHost starts exactly one thread";
   b.start();
@@ -573,6 +587,8 @@ TEST(SocketHost, OneLoopThreadRunsEveryHandler) {
   ASSERT_TRUE(eventually([&] { return probe->kinds().size() == 5; }));
   a.stop();
   b.stop();
+  // stop() joins the loop threads; the kernel may list them a moment longer.
+  eventually([&] { return process_threads() == before; });
   EXPECT_EQ(process_threads(), before);
 
   const std::set<std::string> want{"start", "self", "peer", "timer", "post"};
