@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "checker/explorer.hpp"
+#include "checker/sync_spec.hpp"
 
 namespace {
 
@@ -91,5 +92,25 @@ int main() {
   std::printf(
       "  %-28s -> %s\n", "blocking set of size f",
       "killed by explicit 20-step witness (CheckerMutations.BlockingOffByOne)");
+
+  std::printf(
+      "\nforwarded-tx exactly-once (ForwardSpec: origin, leader, second\n"
+      "leader; relay, view-change release, propose, commit, abort, expiry):\n");
+  const struct {
+    const char* name;
+    ForwardSpecConfig::Mutation mutation;
+  } forward[] = {
+      {"as implemented", ForwardSpecConfig::Mutation::None},
+      {"no pending-candidate probe", ForwardSpecConfig::Mutation::NoPendingProbe},
+      {"re-relay drops the hold", ForwardSpecConfig::Mutation::ReRelayDropsHold},
+      {"release skips the probes", ForwardSpecConfig::Mutation::ReleaseUnprobed},
+  };
+  for (const auto& m : forward) {
+    const auto res = explore_forward(ForwardSpecConfig{m.mutation});
+    std::printf("  %-28s %8llu states %8llu transitions -> %s\n", m.name,
+                static_cast<unsigned long long>(res.states),
+                static_cast<unsigned long long>(res.transitions),
+                res.violation ? res.violated_property.c_str() : (res.capped ? "capped" : "SAFE"));
+  }
   return 0;
 }

@@ -75,25 +75,27 @@ ExploreResult explore_sync(const SyncSpecConfig& cfg) {
 
 // --- Forwarded-transaction exactly-once -------------------------------------
 //
-// Two holders, 0 = the leader the relay targets and 1 = the origin; per
-// holder a copy state, whether it knows of a twin (a relayed copy, or the
-// origin's copy once relayed -- only those copies run the dedup probes),
-// and a candidate-block state. Delivery is abstracted away (candidates are
-// globally visible -- the BFS interleavings already cover "probed before
-// the other proposed").
+// Three holders: 0 = the leader the relay targets, 1 = the origin, and
+// 2 = the leader a released copy is re-relayed to. Per holder a copy state,
+// whether it knows of a twin (a relayed copy, or the origin's copy once
+// relayed -- only those copies run the dedup probes), and a candidate-block
+// state. Delivery is abstracted away (candidates are globally visible --
+// the BFS interleavings already cover "probed before the other proposed").
 
 namespace {
 
 enum class Copy : std::int8_t { kNone, kHold, kBatchable, kSpent };
 enum class Cand : std::int8_t { kNone, kPending, kCommitted, kAbandoned };
 
+constexpr int kHolders = 3;
 constexpr int kLeader = 0;
 constexpr int kOrigin = 1;
+constexpr int kSecond = 2;
 
 struct FwdState {
-  std::array<Copy, 2> copy{Copy::kNone, Copy::kBatchable};  // leader, origin
-  std::array<bool, 2> twin{false, false};
-  std::array<Cand, 2> cand{Cand::kNone, Cand::kNone};
+  std::array<Copy, kHolders> copy{Copy::kNone, Copy::kBatchable, Copy::kNone};
+  std::array<bool, kHolders> twin{false, false, false};
+  std::array<Cand, kHolders> cand{Cand::kNone, Cand::kNone, Cand::kNone};
 
   friend bool operator==(const FwdState&, const FwdState&) = default;
 };
@@ -101,7 +103,7 @@ struct FwdState {
 struct FwdStateHash {
   std::size_t operator()(const FwdState& s) const noexcept {
     std::size_t h = 0;
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < kHolders; ++i) {
       h = h * 16 + static_cast<std::size_t>(s.copy[i]);
       h = h * 2 + (s.twin[i] ? 1 : 0);
       h = h * 16 + static_cast<std::size_t>(s.cand[i]);
@@ -111,14 +113,18 @@ struct FwdStateHash {
 };
 
 int commit_count(const FwdState& s) {
-  return (s.cand[0] == Cand::kCommitted ? 1 : 0) + (s.cand[1] == Cand::kCommitted ? 1 : 0);
+  int c = 0;
+  for (const Cand x : s.cand) c += x == Cand::kCommitted ? 1 : 0;
+  return c;
 }
 
 }  // namespace
 
 ExploreResult explore_forward(const ForwardSpecConfig& cfg) {
-  const bool probe_pending = cfg.mutation != ForwardSpecConfig::Mutation::NoPendingProbe;
-  const bool relay_holds = cfg.mutation != ForwardSpecConfig::Mutation::ReRelayDropsHold;
+  using Mutation = ForwardSpecConfig::Mutation;
+  const bool probe_pending = cfg.mutation != Mutation::NoPendingProbe;
+  const bool relay_holds = cfg.mutation != Mutation::ReRelayDropsHold;
+  const bool release_probes = cfg.mutation != Mutation::ReleaseUnprobed;
   const auto check = [](const FwdState& s) {
     return std::string(commit_count(s) > 1 ? "AtMostOneCommit" : "");
   };
@@ -138,8 +144,25 @@ ExploreResult explore_forward(const ForwardSpecConfig& cfg) {
       }
       emit(t);
     }
-    for (int i = 0; i < 2; ++i) {
-      const int j = 1 - i;
+    // Release: a view change moves the slot off the leader the origin
+    // relayed to (take_back_relays). Not a guard on the leader's fate -- a
+    // suspected leader may still have batched its copy. The origin's held
+    // copy turns batchable but keeps its twin, so it still probes (hold =
+    // now, not 0); when the new target is another leader, that leader gets
+    // a twin copy too (once: received copies are never re-forwarded, and a
+    // second release finds the copy batchable here already).
+    if (s.copy[kOrigin] == Copy::kHold) {
+      FwdState t = s;
+      t.copy[kOrigin] = Copy::kBatchable;
+      if (!release_probes) t.twin[kOrigin] = false;
+      emit(t);
+      if (s.copy[kSecond] == Copy::kNone) {
+        t.copy[kSecond] = Copy::kBatchable;
+        t.twin[kSecond] = true;
+        emit(t);
+      }
+    }
+    for (int i = 0; i < kHolders; ++i) {
       // Expire(i): the hold timeout fires. Timeouts are not guards -- the
       // copy simply becomes batchable again; build_batch's probe decides.
       if (s.copy[i] == Copy::kHold) {
@@ -148,15 +171,17 @@ ExploreResult explore_forward(const ForwardSpecConfig& cfg) {
         emit(t);
       }
       // Propose(i): build_batch. A copy with a twin probes first: skip when
-      // any candidate already carries the tx -- committed (tx_finalized)
-      // always, pending (the pending_candidate_frames probe) unless mutated
-      // away. A twin-free copy batches unprobed.
+      // any other candidate already carries the tx -- committed
+      // (tx_finalized) always, pending (the pending_candidate_frames probe)
+      // unless mutated away. A twin-free copy batches unprobed.
       if (s.copy[i] == Copy::kBatchable &&
           (s.cand[i] == Cand::kNone || s.cand[i] == Cand::kAbandoned)) {
-        const bool held_elsewhere =
-            s.twin[i] && (s.cand[j] == Cand::kCommitted ||
-                          (probe_pending && s.cand[j] == Cand::kPending));
-        if (!held_elsewhere) {
+        bool carried = false;
+        for (int j = 0; j < kHolders; ++j) {
+          carried = carried || (j != i && (s.cand[j] == Cand::kCommitted ||
+                                           (probe_pending && s.cand[j] == Cand::kPending)));
+        }
+        if (!(s.twin[i] && carried)) {
           FwdState t = s;
           t.cand[i] = Cand::kPending;
           t.copy[i] = Copy::kSpent;

@@ -13,21 +13,26 @@
 // Invariant: the laggard never adopts a non-truth id. The BlockingOffByOne
 // mutation (threshold f) lets an all-Byzantine claimer set force a lie.
 //
-// ForwardSpec -- one client transaction, two holders: the origin admitted
-// it, the leader may receive a relayed copy. Until the origin relays, its
+// ForwardSpec -- one client transaction, three holders: the origin admitted
+// it, the leader may receive a relayed copy, and a second leader may
+// receive the copy the origin takes back. Until the origin relays, its
 // copy has no twin and batches without probing. The relay is one action,
 // taken either at admission or later, when the origin's stripe has passed
 // with the copy still in its pool (the re-relay of a stranded pool); it is
 // enabled only while the origin holds no pending candidate for the tx. It
-// hands the leader a batchable copy and holds the origin's. From then on
-// both copies run the real build_batch rule: batch only when NO pending or
-// committed candidate already carries the tx. Holds expire freely
-// (timeouts are not guards); the probe at batch time is the guard.
-// Invariant: at most one commit. Each mutation drops one guard clause:
-// NoPendingProbe (batch checks committed blocks only) reproduces exactly
-// the double-commit race the chaos fuzzer found in seeds 205/362, and
-// ReRelayDropsHold (the origin relays but keeps its copy twin-free and
-// batchable) lets both copies ride live slots.
+// hands the leader a batchable copy and holds the origin's. The release is
+// the take-back when a view change moves the slot off that leader: the
+// origin's held copy turns batchable, still probed, and may also go to the
+// second leader. From then on every copy runs the real build_batch rule:
+// batch only when NO other pending or committed candidate already carries
+// the tx. Holds expire freely (timeouts are not guards); the probe at batch
+// time is the guard. Invariant: at most one commit. Each mutation drops
+// one guard clause: NoPendingProbe (batch checks committed blocks only)
+// reproduces exactly the double-commit race the chaos fuzzer found in seeds
+// 205/362; ReRelayDropsHold (the origin relays but keeps its copy
+// twin-free and batchable) lets both copies ride live slots; and
+// ReleaseUnprobed (the release clears the hold to 0, so the origin's copy
+// skips the probes) rides the origin's copy beside the leader's.
 
 #include <cstdint>
 
@@ -66,12 +71,14 @@ struct ForwardSpecConfig {
     None = 0,
     NoPendingProbe,    // build_batch ignores pending candidates (pre-fix bug)
     ReRelayDropsHold,  // the relay leaves the origin's copy batchable, unprobed
+    ReleaseUnprobed,   // the release sets hold_until = 0: the copy skips the probes
   };
   Mutation mutation{Mutation::None};
 };
 
-/// Exhaustively explore relay / propose / commit / abandon / expire
-/// interleavings of one tx across its two holders. Violation: two commits.
+/// Exhaustively explore relay / release / propose / commit / abandon /
+/// expire interleavings of one tx across its three holders. Violation: two
+/// commits.
 ExploreResult explore_forward(const ForwardSpecConfig& cfg);
 
 }  // namespace tbft::checker

@@ -121,7 +121,8 @@ struct Checkpoint {
 ///  - a copy admitted after its twin finalized locally is refused by
 ///    commit_slot only while the twin sits above checkpoint.slot - H. The
 ///    one in-protocol late admission is a relayed copy (MsForwardTx) whose
-///    twin, the sender's held fallback, committed after forward_retry. The
+///    twin, the sender's fallback, committed once its hold lapsed or a
+///    view change off the relay's leader took it back. The
 ///    relay is stamped with the sender's first unfinalized slot F, and the
 ///    twin commits no lower than F (the sender still pooled it there). A
 ///    receiver drops a relay stamped more than H - kWindow below its own

@@ -45,8 +45,13 @@ class BoundedMempool {
     Slot slot{0};           // slot of that proposal (valid iff inflight)
     /// Excluded from this node's own batches until then: set when the entry
     /// was relayed to another leader (the relay owns it; the local copy is
-    /// the fallback should the relay fail). 0 = batchable now.
+    /// the fallback should the relay fail). 0 = batchable now; a lapsed or
+    /// taken-back hold stays nonzero, so build_batch still probes the copy.
     runtime::Time hold_until{0};
+    /// The leader this node last relayed the entry to (valid once
+    /// hold_until != 0 on an entry admitted here): a view change off that
+    /// leader takes the hold back.
+    NodeId relay_to{0};
     bool inflight{false};   // included in a proposed, unfinalized block
     /// Admitted via MsForwardTx: the origin keeps a fallback copy, so this
     /// entry has a twin elsewhere and must pass the build_batch dedup probes

@@ -151,12 +151,14 @@ void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
 void MultishotNode::relay(BoundedMempool::Entry& e, NodeId leader) {
   // The relay owns the request for one retry period: holding the local
   // fallback copy out of our own batches keeps the same bytes from racing
-  // into two different slots. If the leader crashed or the relay was lost,
-  // the hold expires and the local copy resumes through the view-change
-  // path; an idle chain commits the relayed copy orders of magnitude
-  // earlier, and a late relayed duplicate is caught by the receiver's
-  // commit-index check.
+  // into two different slots. If the leader fails its slot, the view change
+  // that moves the slot off it takes the hold back at once
+  // (take_back_relays); a relay lost to a live leader waits the hold out,
+  // and then the local copy rides this node's own batches. An idle chain
+  // commits the relayed copy orders of magnitude earlier, and a late
+  // relayed duplicate is caught by the receiver's commit-index check.
   e.hold_until = ctx().now() + forward_retry();
+  e.relay_to = leader;
   ctx().metrics().counter("multishot.forward.sent").add();
   send_ms(leader, MsForwardTx{e.tx, chain_.first_unfinalized()});
 }
@@ -209,6 +211,30 @@ void MultishotNode::rerelay_on_target_edge() {
     ctx().metrics().counter("multishot.forward.rerelayed").add();
     relay(e, leader);
   }
+}
+
+void MultishotNode::take_back_relays(NodeId failed) {
+  // Each copy relayed to `failed` and still held here would otherwise sit
+  // out forward_retry() -- twice the view timeout that just moved the slot
+  // -- while the live leaders propose without it. The copy turns batchable
+  // here at once: hold_until = now, not 0, so it keeps build_batch's twin
+  // probes (the failed leader may have batched it after all). It also goes
+  // to the new target, unless that is this node or `failed` again, so the
+  // re-proposal of the moved slot can carry it; whichever proposal comes
+  // first, the other copy's probes skip it. Holding the copies here instead
+  // would funnel the whole backlog through that one leader's batches.
+  const NodeId target = relay_target();
+  const bool rerelay = target != ctx().id() && target != failed;
+  const runtime::Time now = ctx().now();
+  std::uint64_t released = 0;
+  for (auto h = mempool_.front(); h != BoundedMempool::kNone; h = mempool_.next(h)) {
+    BoundedMempool::Entry& e = mempool_.at(h);
+    if (e.inflight || e.relayed || e.hold_until <= now || e.relay_to != failed) continue;
+    ++released;
+    if (rerelay) relay(e, target);
+    e.hold_until = now;
+  }
+  if (released != 0) ctx().metrics().counter("multishot.forward.released").add(released);
 }
 
 void MultishotNode::after_admission() {
@@ -884,8 +910,12 @@ void MultishotNode::change_view(Slot from_slot, View new_view) {
   // proposals never came), and left at view 0 under the same failed leader
   // each would wait out a timeout of its own.
   Slot top = 0;
+  View top_view = 0;  // the view `top` leaves: its leader failed it
   slots_.for_each([&](Slot t, const SlotState& ts) {
-    if (t >= from_slot && ts.started && new_view > ts.view) top = t;
+    if (t >= from_slot && ts.started && new_view > ts.view) {
+      top = t;
+      top_view = ts.view;
+    }
   });
   if (top != 0) {
     const NodeId failed = leader_of(top, 0);
@@ -900,6 +930,12 @@ void MultishotNode::change_view(Slot from_slot, View new_view) {
     arm_timer(t);
     slot_scratch_.push_back(t);
   });
+  // Before the suggests go out: a copy re-relayed to a new leader then
+  // reaches it ahead of this node's suggest, in time for its re-proposal.
+  if (top != 0) {
+    const NodeId left = leader_of(top, top_view);
+    if (left != ctx().id()) take_back_relays(left);
+  }
   for (const Slot t : slot_scratch_) {
     SlotState& ts = *slots_.find(t);
     broadcast_ms(MsProof{t, new_view, ts.record.highest(1), ts.record.prev(1),

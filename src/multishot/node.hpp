@@ -453,7 +453,9 @@ class MultishotNode : public runtime::ProtocolNode {
 
   // --- Client-request forwarding ---
   /// How long the submitter's local fallback copy stays out of its own
-  /// batches after forwarding (relay failure recovery).
+  /// batches after forwarding, unless a view change off the relay's leader
+  /// takes it back first (take_back_relays): the fallback for a relay lost
+  /// to a live leader.
   [[nodiscard]] runtime::Duration forward_retry() const noexcept {
     return 2 * cfg_.view_timeout();
   }
@@ -480,6 +482,12 @@ class MultishotNode : public runtime::ProtocolNode {
     const auto skipped = skipped_leaders();
     return std::binary_search(skipped.begin(), skipped.end(), ctx().id());
   }
+  /// A view change moved slots off `failed` (the leader of the view they
+  /// left, not this node): every entry this node relayed to it and still
+  /// holds -- neither inflight nor received from another node -- turns
+  /// batchable here (still probed) and is relayed to relay_target() unless
+  /// that is this node or `failed`.
+  void take_back_relays(NodeId failed);
   /// Idle-chain resume, shared by local submissions and received forwards.
   void after_admission();
 

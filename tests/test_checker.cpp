@@ -251,8 +251,9 @@ TEST(SyncSpec, BlockingOffByOneLetsByzantinesForgeASlot) {
 
 TEST(ForwardSpec, PendingProbeKeepsCommitsExactlyOnce) {
   // Relay at admission and the re-relay of a stranded copy are one action
-  // in the spec; every interleaving of it with proposals, commits, aborts
-  // and hold expiry commits the tx at most once.
+  // in the spec; every interleaving of it and of the view-change release
+  // (origin copy batchable and probed, a twin to a second leader) with
+  // proposals, commits, aborts and hold expiry commits the tx at most once.
   const auto res = explore_forward(ForwardSpecConfig{});
   EXPECT_TRUE(res.exhaustive_ok()) << res.violated_property;
   EXPECT_GT(res.states, 1u);
@@ -264,6 +265,17 @@ TEST(ForwardSpec, ReRelayWithoutTheHoldDoubleCommits) {
   // origin's next proposal while the leader's copy rides another slot.
   ForwardSpecConfig cfg;
   cfg.mutation = ForwardSpecConfig::Mutation::ReRelayDropsHold;
+  const auto res = explore_forward(cfg);
+  EXPECT_TRUE(res.violation);
+  EXPECT_EQ(res.violated_property, "AtMostOneCommit");
+}
+
+TEST(ForwardSpec, ReleaseWithoutTheProbesDoubleCommits) {
+  // The release must leave the origin's copy marked as having a twin (hold
+  // = now, not 0): cleared to 0 it batches unprobed while the leader it was
+  // relayed to -- suspected, not proven, crashed -- commits its own copy.
+  ForwardSpecConfig cfg;
+  cfg.mutation = ForwardSpecConfig::Mutation::ReleaseUnprobed;
   const auto res = explore_forward(cfg);
   EXPECT_TRUE(res.violation);
   EXPECT_EQ(res.violated_property, "AtMostOneCommit");

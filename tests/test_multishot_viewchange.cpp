@@ -215,6 +215,61 @@ TEST(MultishotViewChange, StragglerCatchesUpViaViewChangeReplies) {
   EXPECT_TRUE(c.chains_consistent());
 }
 
+/// n = 4 with node 0 crashed from the start: a transaction submitted at
+/// node 2 while node 0 leads its proposal frontier is relayed to node 0 and
+/// held at node 2 for forward_retry() = 2 view timeouts. The view change
+/// that moves node 0's slot to a live leader must take that copy back, so
+/// every live replica finalizes the transaction within one view timeout
+/// plus a few delta.
+void expect_relay_to_crashed_leader_commits_after_one_view_change(std::uint32_t depth) {
+  MsClusterOptions opts;
+  opts.pipeline_depth = depth;
+  opts.max_slots = 40;
+  opts.make_node = [](NodeId id,
+                      const multishot::MultishotConfig&) -> std::unique_ptr<sim::ProtocolNode> {
+    if (id == 0) return std::make_unique<sim::SilentNode>();
+    return nullptr;
+  };
+  auto c = make_ms_cluster(opts);
+  multishot::MultishotNode& origin = *c.nodes[2];
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] {
+        const Slot f = origin.proposal_frontier();
+        return origin.leader_of(f, origin.probe_slot(f).view) == 0;
+      },
+      c.timeout()));
+  const std::vector<std::uint8_t> tx{0x7E, 0x01, 0x02};
+  const sim::SimTime submitted = c.sim->now();
+  ASSERT_TRUE(origin.submit_tx(tx));
+  EXPECT_EQ(c.sim->metrics().counter("multishot.forward.sent").value(), 1u);
+
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] {
+        for (const auto* node : c.nodes) {
+          if (node != nullptr && !node->tx_finalized(tx)) return false;
+        }
+        return true;
+      },
+      submitted + 10 * c.timeout()));
+  EXPECT_TRUE(c.chains_consistent());
+  EXPECT_EQ(c.sim->metrics().counter("multishot.forward.released").value(), 1u);
+  const sim::SimTime commit_after = c.sim->now() - submitted;
+  EXPECT_LE(commit_after, c.timeout() + 5 * opts.delta_bound);
+  EXPECT_LT(commit_after, 2 * c.timeout());  // forward_retry()
+}
+
+TEST(MultishotViewChange, RelayToCrashedLeaderCommitsAfterOneViewChange) {
+  // The held copy is re-relayed to the slot's view-1 leader and turns
+  // batchable at node 2. Without the take-back it committed after 277 ms.
+  expect_relay_to_crashed_leader_commits_after_one_view_change(1);
+}
+
+TEST(MultishotViewChange, RelayToCrashedLeaderCommitsAfterOneViewChangeAtDepth4) {
+  // Depth 4: the view change moves node 0's whole stripe at once. Without
+  // the take-back it committed after 206 ms.
+  expect_relay_to_crashed_leader_commits_after_one_view_change(4);
+}
+
 class MultishotRandomized : public testing::TestWithParam<int> {};
 
 TEST_P(MultishotRandomized, ConsistencyUnderRandomFaultsAndAsynchrony) {
