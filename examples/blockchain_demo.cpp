@@ -2,7 +2,7 @@
 // chain of blocks, one notarization per message delay, with client
 // transactions flowing into blocks and out as finalized state.
 //
-//   ./build/examples/blockchain_demo
+//   ./build/blockchain_demo
 
 #include <cstdio>
 #include <string>
@@ -41,7 +41,7 @@ int main() {
   }
 
   simulation.start();
-  simulation.run_until_pred(
+  const bool reached = simulation.run_until_pred(
       [&] {
         for (auto* n : nodes) {
           if (n->finalized_count() < 12) return false;
@@ -63,10 +63,12 @@ int main() {
   }
 
   std::printf("\ntransaction inclusion:\n");
+  bool all_included = true;
   for (const auto& tx : txs) {
     const std::vector<std::uint8_t> bytes(tx.begin(), tx.end());
     bool everywhere = true;
     for (auto* n : nodes) everywhere = everywhere && n->tx_finalized(bytes);
+    all_included = all_included && everywhere;
     std::printf("  %-16s %s\n", tx.c_str(),
                 everywhere ? "finalized on every node" : "NOT finalized everywhere");
   }
@@ -74,9 +76,11 @@ int main() {
   // Consistency check across nodes (Definition 2 of the paper).
   const bool consistent = multishot::chains_prefix_consistent(nodes);
   std::printf("\nchains prefix-consistent across all nodes: %s\n", consistent ? "yes" : "NO");
-  std::printf("throughput: %llu blocks in %lld ms of simulated time (1 block per delay)\n",
-              static_cast<unsigned long long>(count),
-              static_cast<long long>(simulation.trace().decision_of(0, count)->at /
-                                     sim::kMillisecond));
-  return 0;
+  if (const auto last = simulation.trace().decision_of(0, count)) {
+    std::printf("throughput: %llu blocks in %lld ms of simulated time (1 block per delay)\n",
+                static_cast<unsigned long long>(count),
+                static_cast<long long>(last->at / sim::kMillisecond));
+  }
+  if (!reached) std::printf("fewer than 12 blocks finalized on every node\n");
+  return reached && all_included && consistent ? 0 : 1;
 }

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include "chaos/fuzzer.hpp"
@@ -40,6 +41,19 @@ bool parse_str(const char* arg, const char* name, std::string& out) {
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   out = arg + len + 1;
   return true;
+}
+
+/// Appends one "fuzz_driver --seed=N  # plan -> failure" line per failure
+/// to `path`; no-op when `path` is empty.
+void append_failures(const std::string& path, std::span<const chaos::FuzzResult> failures) {
+  if (path.empty() || failures.empty()) return;
+  if (std::FILE* f = std::fopen(path.c_str(), "a")) {
+    for (const chaos::FuzzResult& r : failures) {
+      std::fprintf(f, "%s  # %s -> %s\n", r.reproducer().c_str(), r.plan.c_str(),
+                   r.failure.c_str());
+    }
+    std::fclose(f);
+  }
 }
 
 }  // namespace
@@ -90,20 +104,13 @@ int main(int argc, char** argv) {
     if (!r.verdict.drained) std::printf("undrained triage:\n%s", r.verdict.triage.c_str());
     std::printf("%s seed=%" PRIu64 " digest=%016" PRIx64 "%s%s\n", r.passed ? "PASS" : "FAIL",
                 seed, r.verdict.trace_digest, r.passed ? "" : " failure=", r.failure.c_str());
+    if (!r.passed) append_failures(fail_file, {&r, 1});
     return r.passed ? 0 : 1;
   }
 
   const chaos::FuzzBatchResult batch =
       chaos::fuzz_batch(first, count, scratch, verbose, keep);
-  if (!fail_file.empty() && !batch.failures.empty()) {
-    if (std::FILE* f = std::fopen(fail_file.c_str(), "a")) {
-      for (const chaos::FuzzResult& r : batch.failures) {
-        std::fprintf(f, "%s  # %s -> %s\n", r.reproducer().c_str(), r.plan.c_str(),
-                     r.failure.c_str());
-      }
-      std::fclose(f);
-    }
-  }
+  append_failures(fail_file, batch.failures);
   std::printf("fuzz: %" PRIu64 "/%" PRIu64 " seeds passed (first=%" PRIu64 ")\n",
               batch.ran - batch.failed, batch.ran, first);
   return batch.failed > 125 ? 125 : static_cast<int>(batch.failed);

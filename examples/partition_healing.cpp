@@ -3,7 +3,7 @@
 // through the Decide catch-up path -- demonstrating both safety during
 // asynchrony and optimistic responsiveness after it (paper §2, §1.2).
 //
-//   ./build/examples/partition_healing
+//   ./build/partition_healing
 
 #include <cstdio>
 
@@ -73,7 +73,7 @@ int main() {
       static_cast<unsigned long long>(d3->value.id),
       static_cast<double>(d3->at) / sim::kMillisecond,
       static_cast<double>(d3->at - gst) / sim::kMillisecond);
-  std::printf("agreement across the partition: %s\n",
-              simulation.trace().agreement_holds() ? "holds" : "VIOLATED");
-  return 0;
+  const bool agreement = simulation.trace().agreement_holds();
+  std::printf("agreement across the partition: %s\n", agreement ? "holds" : "VIOLATED");
+  return agreement ? 0 : 1;
 }

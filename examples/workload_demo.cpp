@@ -42,6 +42,7 @@ int main() {
               part.report.latency_p50_ms, part.report.latency_max_ms);
 
   const bool ok = steady.all_admitted_committed && steady.report.exactly_once() &&
-                  part.all_admitted_committed && part.report.exactly_once();
+                  steady.chains_consistent && part.all_admitted_committed &&
+                  part.report.exactly_once() && part.chains_consistent;
   return ok ? 0 : 1;
 }

@@ -17,8 +17,8 @@ namespace tbft::baselines {
 
 using core::VoteRef;
 
-/// Monotone per-sender view-change counting (same scheme as TetraNode; see
-/// DESIGN.md §7): a view-change for view w supports every view <= w.
+/// Monotone per-sender view-change counting (same scheme as TetraNode in
+/// core/node.hpp): a view-change for view w supports every view <= w.
 class ViewChangeCounter {
  public:
   void reset(std::uint32_t n) { highest_.assign(n, kNoView); }

@@ -6,7 +6,7 @@
 // and 9 with a view change (view-change, request, status, then the six
 // in-view phases) against TetraBFT's 7.
 //
-// Fidelity note (DESIGN.md §2.5): the phase structure, responsiveness
+// Fidelity note: the phase structure, responsiveness
 // mechanism (the new leader acts on n-f status messages, never on a timer),
 // lock/key safety shape and message/storage complexity match the original;
 // the status-verification details are simplified to the lock/unlock rule

@@ -6,7 +6,7 @@
 // 2*Delta period after a view change before proposing, so it hears from
 // *every* well-behaved node rather than just a quorum. When the actual
 // delay delta << Delta, that wait dominates recovery -- the responsiveness
-// gap bench_responsiveness measures.
+// gap bench_table1's responsiveness column measures.
 
 #include <array>
 #include <map>

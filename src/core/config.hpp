@@ -17,7 +17,8 @@ struct TetraConfig {
 
   /// View timeout = timeout_delta_multiple * delta_bound. The paper
   /// justifies 9 (2 for view-change spread + 6 for suggest/proof, proposal
-  /// and four votes, + 1 margin). bench_timeout sweeps this.
+  /// and four votes, + 1 margin); tests/test_node_viewchange.cpp checks the
+  /// 6*Delta in-view budget.
   std::uint32_t timeout_delta_multiple{9};
 
   /// This node's initial value (the consensus input).

@@ -196,7 +196,7 @@ void TetraNode::handle(NodeId from, const Proof& p) {
 
 void TetraNode::handle(NodeId from, const ViewChange& vc) {
   // Help stragglers: a decided node answers any view-change with its
-  // decision (DESIGN.md §7).
+  // decision (the catch-up completion described in node.hpp).
   if (decision_ && from != ctx().id()) {
     scratch_.clear();
     Decide{*decision_}.encode(scratch_);

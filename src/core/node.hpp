@@ -4,7 +4,7 @@
 // view-change) and a decision on a quorum of vote-4.
 //
 // Two well-known engineering completions the paper's pseudocode leaves
-// implicit are documented in DESIGN.md §7 and implemented here:
+// implicit are implemented here:
 //  - messages for a *future* view are buffered (bounded: the latest message
 //    per sender and kind) and replayed when the view is entered, since view
 //    entry can be skewed by up to 2*Delta across honest nodes;
@@ -29,7 +29,7 @@
 
 namespace tbft::core {
 
-/// Decision catch-up notice (DESIGN.md §7); tag value continues MsgType.
+/// Decision catch-up notice (see the file comment); tag value continues MsgType.
 struct Decide {
   Value value{};
 
@@ -129,7 +129,7 @@ class TetraNode : public runtime::ProtocolNode {
   // A view-change for view w supports entering every view <= w (monotone
   // counting), which keeps storage at O(n) and -- unlike literal
   // exact-view counting -- cannot deadlock when pre-GST losses scatter
-  // honest nodes across views (DESIGN.md §7).
+  // honest nodes across views.
   std::vector<View> vc_highest_;
 
   // Decision catch-up claims (first per sender).

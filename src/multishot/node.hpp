@@ -15,7 +15,7 @@
 // leaders re-propose safe values under Rules 1/3 (reused verbatim from the
 // single-shot rules engine, with block hashes as values).
 //
-// Engineering completions mirroring the single-shot node (DESIGN.md §7):
+// Engineering completions mirroring the single-shot node (core/node.hpp):
 // monotone view-change counting per slot, and catch-up: a view-change for
 // an already-finalized slot is answered with an MsSyncChunk of the blocks
 // from that slot, the same reply a range request gets (adopted on f+1

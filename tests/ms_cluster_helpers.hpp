@@ -1,5 +1,5 @@
 #pragma once
-// Harness for multi-shot TetraBFT integration tests and benches.
+// Harness for multi-shot TetraBFT integration tests.
 
 #include <functional>
 #include <memory>

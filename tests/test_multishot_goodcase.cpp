@@ -22,15 +22,20 @@ TEST(MultishotGood, ChainGrowsAndStaysConsistent) {
 TEST(MultishotGood, OneBlockPerDeltaSteadyState) {
   // Fig. 2 timing: block for slot s is proposed at (s-1)*delta and
   // finalized at (s+4)*delta; successive finalizations are delta apart.
-  MsClusterOptions opts;
-  opts.max_slots = 16;
-  auto c = make_ms_cluster(opts);
-  ASSERT_TRUE(c.run_until_finalized(12, 10 * c.timeout()));
-  const auto& trace = c.sim->trace();
-  for (Slot s = 1; s <= 12; ++s) {
-    const auto d = trace.decision_of(0, s);
-    ASSERT_TRUE(d.has_value()) << "slot " << s;
-    EXPECT_EQ(d->at, static_cast<sim::SimTime>(s + 4) * opts.delta_actual) << "slot " << s;
+  // Striping the leader schedule (depth 4) keeps the same timeline.
+  for (const std::uint32_t depth : {1u, 4u}) {
+    MsClusterOptions opts;
+    opts.max_slots = 24;
+    opts.pipeline_depth = depth;
+    auto c = make_ms_cluster(opts);
+    ASSERT_TRUE(c.run_until_finalized(20, 10 * c.timeout())) << "depth " << depth;
+    const auto& trace = c.sim->trace();
+    for (Slot s = 1; s <= 20; ++s) {
+      const auto d = trace.decision_of(0, s);
+      ASSERT_TRUE(d.has_value()) << "depth " << depth << " slot " << s;
+      EXPECT_EQ(d->at, static_cast<sim::SimTime>(s + 4) * opts.delta_actual)
+          << "depth " << depth << " slot " << s;
+    }
   }
 }
 

@@ -45,14 +45,18 @@ TEST(ViewChange, RecoveryLatencyIsTimeoutPlusSevenDelays) {
   // All honest nodes time out at 9*Delta together, exchange view-change
   // (1 delay), then suggest/proof (1), proposal (1), votes (4): decision at
   // timeout + 7 message delays when delta_actual = delta.
-  ClusterOptions opts = silent_leader_opts();
-  opts.delta_actual = 1 * kMillisecond;
-  auto c = make_cluster(opts);
-  ASSERT_TRUE(c.run_until_all_decided(20 * c.timeout()));
-  for (NodeId i : tetra_ids(c)) {
-    const auto d = c.sim->trace().decision_of(i);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->at, c.timeout() + 7 * opts.delta_actual) << "node " << i;
+  // Optimistic responsiveness (§1.2): the 7 delays scale with the actual
+  // delay, whatever the bound.
+  for (const sim::SimTime delta : {kMillisecond / 10, 1 * kMillisecond}) {
+    ClusterOptions opts = silent_leader_opts();
+    opts.delta_actual = delta;
+    auto c = make_cluster(opts);
+    ASSERT_TRUE(c.run_until_all_decided(20 * c.timeout()));
+    for (NodeId i : tetra_ids(c)) {
+      const auto d = c.sim->trace().decision_of(i);
+      ASSERT_TRUE(d.has_value());
+      EXPECT_EQ(d->at, c.timeout() + 7 * delta) << "node " << i << " delta " << delta;
+    }
   }
 }
 
@@ -114,31 +118,36 @@ TEST(ViewChange, NoRegressionToLowerViews) {
   for (NodeId i : tetra_ids(c)) EXPECT_GE(c.tetra[i]->current_view(), 1);
 }
 
-TEST(ViewChange, TimeoutMultipleBelowEightLivelocksAtWorstCaseDelay) {
-  // Ablation of the 9*Delta analysis (paper §3.2): when the actual delay
-  // equals the bound (delta = Delta), each view needs ~7 delays after entry
-  // to decide, but a 3*Delta timer aborts every view after ~4 delays. The
-  // protocol stays safe but makes no decisions -- demonstrating why the
-  // paper's timeout must exceed the full in-view exchange (~8*Delta).
-  ClusterOptions opts = silent_leader_opts();
-  opts.timeout_delta_multiple = 3;
-  opts.delta_actual = opts.delta_bound;  // slowest admissible network
-  auto c = make_cluster(opts);
-  EXPECT_FALSE(c.run_until_all_decided(40 * c.timeout()));
-  EXPECT_EQ(c.decided_count(), 0u);
-  EXPECT_TRUE(c.sim->trace().agreement_holds());  // safety is unaffected
-  // Views keep churning.
-  for (NodeId i : tetra_ids(c)) EXPECT_GT(c.tetra[i]->current_view(), 5);
-}
-
-TEST(ViewChange, NineDeltaSufficesAtWorstCaseDelay) {
-  // The flip side: at delta_actual == delta_bound, the 9x multiple decides
-  // within view 1 after a silent view 0.
-  ClusterOptions opts = silent_leader_opts();
-  opts.delta_actual = opts.delta_bound;
-  auto c = make_cluster(opts);
-  ASSERT_TRUE(c.run_until_all_decided(30 * c.timeout()));
-  for (NodeId i : tetra_ids(c)) EXPECT_EQ(c.tetra[i]->current_view(), 1);
+TEST(ViewChange, SixDeltaIsTheInViewBudgetAtWorstCaseDelay) {
+  // Ablation of the 9*Delta analysis (paper §3.2) at the slowest admissible
+  // network (delta = Delta). All honest timers fire together; the view
+  // change takes 1 delay, then view 1 needs 6 more (suggest/proof,
+  // proposal, four votes): the paper's 6*Delta in-view budget. A 5*Delta
+  // timer aborts every view before its vote-4 quorum lands -- safe, but a
+  // livelock. From 6*Delta up, view 1 decides at (multiple + 7)*Delta. The
+  // paper's 9 adds 2*Delta of view-entry spread after asynchrony, which a
+  // simultaneous timeout does not need, and 1 of margin.
+  for (const std::uint32_t multiple : {5u, 6u, 9u}) {
+    ClusterOptions opts = silent_leader_opts();
+    opts.timeout_delta_multiple = multiple;
+    opts.delta_actual = opts.delta_bound;
+    auto c = make_cluster(opts);
+    const bool decided = c.run_until_all_decided(40 * c.timeout());
+    EXPECT_TRUE(c.sim->trace().agreement_holds()) << multiple;  // safety is unaffected
+    if (multiple < 6) {
+      EXPECT_FALSE(decided) << multiple;
+      EXPECT_EQ(c.decided_count(), 0u) << multiple;
+      // Views keep churning.
+      for (NodeId i : tetra_ids(c)) EXPECT_GT(c.tetra[i]->current_view(), 5) << multiple;
+      continue;
+    }
+    ASSERT_TRUE(decided) << multiple;
+    for (NodeId i : tetra_ids(c)) {
+      EXPECT_EQ(c.tetra[i]->current_view(), 1) << multiple;
+      EXPECT_EQ(c.sim->trace().decision_of(i)->at, (multiple + 7) * opts.delta_bound)
+          << multiple;
+    }
+  }
 }
 
 }  // namespace

@@ -199,7 +199,7 @@ TEST(Rule3, DecidedValueForcedLemma8Scenario) {
 TEST(Rule3, TwoBlockingSetsCaseAcceptsThirdValue) {
   // Rule 3 item 2(b)iiiB: blocking claims of A-safe-at-1 and B-safe-at-2
   // jointly prove no decision before view 2 could exist, so a third value C
-  // is safe at view 3 (see DESIGN.md §2.3).
+  // is safe at view 3.
   const QuorumParams qp(7, 2);
   std::vector<ProofFrom> p = {
       {0, prf(VoteRef{1, A}, none, VoteRef{0, A}, 3)},
