@@ -261,15 +261,17 @@ State Spec::canonicalize(const State& s) const {
         t.votes[p] |= 1ULL << (rest * V + perm[v]);
       }
     }
-    // Node symmetry: sort nodes by packed key.
+    // Node symmetry: sort nodes by packed key. An insertion sort over the
+    // H <= kMaxHonest nodes: std::sort's large-range branch cannot run here,
+    // but inlined over this small array it trips -Warray-bounds.
     std::array<std::uint64_t, kMaxHonest> keys{};
     std::array<int, kMaxHonest> order{};
     for (int p = 0; p < H; ++p) {
       keys[p] = pack(t, p);
-      order[p] = p;
+      int i = p;
+      for (; i > 0 && keys[order[i - 1]] > keys[p]; --i) order[i] = order[i - 1];
+      order[i] = p;
     }
-    std::sort(order.begin(), order.begin() + H,
-              [&](int a, int b) { return keys[a] < keys[b]; });
     State sorted;
     sorted.votes.fill(0);
     sorted.round.fill(kNoRound);

@@ -115,7 +115,7 @@ bool MultishotNode::submit_tx(std::vector<std::uint8_t> tx) {
   return true;
 }
 
-NodeId MultishotNode::relay_target() const {
+Slot MultishotNode::relay_slot() const {
   Slot t = proposal_frontier();
   if (cfg_.pipeline_depth > 1) {
     // The frontier slot's proposal is usually out already, so relaying to
@@ -132,6 +132,11 @@ NodeId MultishotNode::relay_target() const {
       }
     }
   }
+  return t;
+}
+
+NodeId MultishotNode::relay_target() const {
+  const Slot t = relay_slot();
   return leader_of(t, view_of(t));
 }
 
@@ -144,7 +149,20 @@ void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
   // double-commit race between the two pools' inclusion; that window is
   // closed by the hold below plus the commit-index and pending-candidate
   // probes in build_batch (verified by the ForwardSpec checker).
-  const NodeId leader = relay_target();
+  //
+  // Depth > 1 aims at the slot the relay can still catch. At Fig. 2's
+  // cadence each proposal goes out on receipt of the one before, one delta
+  // apart: u = relay_slot() was proposed in the instant this node saw u-1's
+  // proposal, and u+1 goes out one delta later -- the instant the relay,
+  // one delta in transit, lands. The first proposal still unsent on arrival
+  // is one slot per delta of transit past u+1: u+2. Aimed at u, the request
+  // lands one or two slots late, and when those close the target's stripe
+  // it waits a whole rotation for that leader's next one. A backlogged pool
+  // keeps the plain target: there slot capacity, not arrival time, decides
+  // which proposal a request rides.
+  Slot t = relay_slot();
+  if (cfg_.pipeline_depth > 1 && !backlogged()) t += 2;
+  const NodeId leader = leader_of(t, view_of(t));
   if (leader != ctx().id()) relay(e, leader);
 }
 
@@ -344,20 +362,17 @@ MultishotNode::BatchDraft MultishotNode::build_batch(View view) {
   // cap keeps today's caps exactly.
   std::uint32_t cap_txs = cfg_.max_batch_txs;
   std::uint64_t cap_bytes = cfg_.max_batch_bytes;
-  if (cfg_.adaptive_batch_txs > cfg_.max_batch_txs) {
-    const std::uint64_t backlog = mempool_.available();
-    if (backlog > cap_txs) {
-      const std::uint64_t spread = std::max<std::uint32_t>(1, led_inflight());
-      const std::uint64_t want = (backlog + spread - 1) / spread;
-      if (want > cap_txs) {
-        cap_txs = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(want, cfg_.adaptive_batch_txs));
-        cap_bytes = std::max<std::uint64_t>(
-            cap_bytes, static_cast<std::uint64_t>(cfg_.max_batch_bytes) * cap_txs /
-                           std::max<std::uint32_t>(1, cfg_.max_batch_txs));
-        ctx().metrics().histogram("multishot.batch.adaptive_cap")
-            .record(static_cast<double>(cap_txs));
-      }
+  if (cfg_.adaptive_batch_txs > cfg_.max_batch_txs && backlogged()) {
+    const std::uint64_t spread = std::max<std::uint32_t>(1, led_inflight());
+    const std::uint64_t want = (mempool_.available() + spread - 1) / spread;
+    if (want > cap_txs) {
+      cap_txs = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(want, cfg_.adaptive_batch_txs));
+      cap_bytes = std::max<std::uint64_t>(
+          cap_bytes, static_cast<std::uint64_t>(cfg_.max_batch_bytes) * cap_txs /
+                         std::max<std::uint32_t>(1, cfg_.max_batch_txs));
+      ctx().metrics().histogram("multishot.batch.adaptive_cap")
+          .record(static_cast<double>(cap_txs));
     }
   }
   BatchDraft draft;

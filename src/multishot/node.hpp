@@ -459,13 +459,23 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] runtime::Duration forward_retry() const noexcept {
     return 2 * cfg_.view_timeout();
   }
-  /// The leader a relayed request goes to: at depth 1 the proposal
-  /// frontier's leader; deeper, the leader of the first slot at or past the
-  /// frontier this node has seen no proposal for at the slot's current view
-  /// (the frontier stripe's proposals are usually already out).
+  /// The slot a relay aims at: at depth 1 the proposal frontier; deeper,
+  /// the first slot at or past the frontier this node has seen no proposal
+  /// for at the slot's current view (the frontier stripe's proposals are
+  /// usually already out).
+  [[nodiscard]] Slot relay_slot() const;
+  /// The leader of relay_slot() at its current view.
   [[nodiscard]] NodeId relay_target() const;
-  /// Relay a freshly admitted local submission to relay_target() when that
-  /// is not us; holds the local copy out of our own batches meanwhile.
+  /// More than one base batch is available here: the adaptive batch law
+  /// widens this node's proposals (build_batch), and a fresh submission's
+  /// relay keeps relay_target() instead of aiming past it.
+  [[nodiscard]] bool backlogged() const noexcept {
+    return mempool_.available() > cfg_.max_batch_txs;
+  }
+  /// Relay a freshly admitted local submission to the leader of the slot it
+  /// can still catch -- at depth > 1 and without a backlog two slots past
+  /// relay_slot(), else relay_target() -- when that is not us; holds the
+  /// local copy out of our own batches meanwhile.
   void forward_if_foreign_leader(BoundedMempool::Entry& e);
   /// Send `e` to `leader`, stamped, and hold the local copy.
   void relay(BoundedMempool::Entry& e, NodeId leader);

