@@ -6,7 +6,7 @@
 // by exit code: every committed request was admitted exactly once (no loss,
 // no double-commit), and every preset with a reject-new mempool commits all
 // admitted requests. A rate x batch x pipeline-depth frontier sweep adds
-// throughput and low-load latency gates (see the sweep below).
+// throughput, low-load latency and tail-latency gates (see the sweep below).
 //
 // Run: bench_workload [--seed S] [--duration-ms D] [--n N] [--rate R]
 //                     [--clients C] [--outstanding K] [--request-bytes B]
@@ -232,7 +232,12 @@ int main(int argc, char** argv) {
     //    the first slot whose proposal is still unsent when the relay lands
     //    (not one already racing it, whose leader may have no slot left
     //    until its next stripe), so depth must tax neither the median nor
-    //    the tail when there is no backlog.
+    //    the tail when there is no backlog;
+    //  - saturated tail: at the top rate and the same batch caps, the
+    //    depth-4 cell's p99 stays within 1.5x the depth-1 cell's p99 at the
+    //    base rate. The relay ledger queues a backlog across the next slots
+    //    in order, and a stripe's last slot leaves none of it behind, so no
+    //    request waits a whole stripe rotation for its leader's next turn.
     const Cell* low4 = cell_at(rates.front(), batches.back(), 4);
     if (low4 != nullptr && base_cell->report.latency_p50_ms > 0) {
       const double ceiling = 1.5 * base_cell->report.latency_p50_ms;
@@ -244,15 +249,20 @@ int main(int argc, char** argv) {
     std::vector<std::uint32_t> tail_batches = {mid_batch, batches.back()};
     tail_batches.erase(std::unique(tail_batches.begin(), tail_batches.end()),
                        tail_batches.end());
+    const auto tail_gate = [&](const char* load, double r, std::uint32_t b, double ceiling) {
+      const Cell* tail4 = cell_at(r, b, 4);
+      if (tail4 == nullptr) return;
+      const bool caught = tail4->report.latency_p99_ms <= ceiling;
+      std::printf("%s tail gate (batch %u): depth-4 p99 %.2fms vs 1.5x depth-1 %.2fms: %s\n",
+                  load, b, tail4->report.latency_p99_ms, ceiling, caught ? "PASS" : "FAIL");
+      if (!caught) ok = false;
+    };
     for (const std::uint32_t b : tail_batches) {
       const Cell* tail1 = cell_at(rates.front(), b, 1);
-      const Cell* tail4 = cell_at(rates.front(), b, 4);
-      if (tail1 == nullptr || tail4 == nullptr || tail1->report.latency_p99_ms <= 0) continue;
+      if (tail1 == nullptr || tail1->report.latency_p99_ms <= 0) continue;
       const double ceiling = 1.5 * tail1->report.latency_p99_ms;
-      const bool caught = tail4->report.latency_p99_ms <= ceiling;
-      std::printf("low-load tail gate (batch %u): depth-4 p99 %.2fms vs 1.5x depth-1 %.2fms: %s\n",
-                  b, tail4->report.latency_p99_ms, ceiling, caught ? "PASS" : "FAIL");
-      if (!caught) ok = false;
+      tail_gate("low-load", rates.front(), b, ceiling);
+      if (rates.size() > 1) tail_gate("saturated", rates.back(), b, ceiling);
     }
   }
 

@@ -52,6 +52,10 @@ class BoundedMempool {
     /// hold_until != 0 on an entry admitted here): a view change off that
     /// leader takes the hold back.
     NodeId relay_to{0};
+    /// The slot this node's relay ledger last aimed the entry at, its own
+    /// or a foreign leader's (0 = not aimed: depth 1, or no window slot had
+    /// room). An entry aimed at a slot of ours still to come waits for it.
+    Slot aim{0};
     bool inflight{false};   // included in a proposed, unfinalized block
     /// Admitted via MsForwardTx: the origin keeps a fallback copy, so this
     /// entry has a twin elsewhere and must pass the build_batch dedup probes

@@ -78,12 +78,14 @@ MultishotNode::MultishotNode(MultishotConfig cfg)
   // Both finalization paths (depth-4 rule and claim adoption) notify through
   // this one hook, before the block can be compacted out of the tail.
   chain_.set_on_finalized([this](const Block& b, std::uint64_t h) { note_finalized(b, h); });
+  submitter_until_.assign(cfg_.n, 0);
 }
 
 void MultishotNode::on_start() {
   // A chain restored from durable state resumes at its recovered frontier,
   // not slot 1.
   const Slot first = chain_.first_unfinalized();
+  std::fill(submitter_until_.begin(), submitter_until_.end(), first + ChainStore::kWindow);
   start_slot(first);
   try_propose(first);
 }
@@ -140,29 +142,67 @@ NodeId MultishotNode::relay_target() const {
   return leader_of(t, view_of(t));
 }
 
+std::uint32_t MultishotNode::submitters() const {
+  const Slot first = chain_.first_unfinalized();
+  std::uint32_t count = 1;
+  for (NodeId p = 0; p < submitter_until_.size(); ++p) {
+    if (p != ctx().id() && submitter_until_[p] >= first) ++count;
+  }
+  return count;
+}
+
+NodeId MultishotNode::aim_relay(BoundedMempool::Entry& e) {
+  // Depth 1 keeps the frontier leader (relay_slot) and no ledger: its
+  // rotation returns within n slots, and depth-1 traces stay byte-identical.
+  if (cfg_.pipeline_depth <= 1) return relay_target();
+  if (e.aim != 0) {  // re-aimed: the slot it left has room for another
+    RelayAim& left = relay_ledger_[e.aim % relay_ledger_.size()];
+    if (left.slot == e.aim && left.aimed != 0) --left.aimed;
+  }
+  // Fig. 2's cadence sends each proposal on receipt of the one before, one
+  // delta apart: u = relay_slot() goes out the instant this node sees u-1's
+  // proposal, and u+1 one delta later -- the instant a relay, one delta in
+  // transit, lands. The first foreign proposal still unsent on arrival is
+  // u+2; a slot of ours is caught from u on. Aimed earlier, a request
+  // lands a slot or two late, and when those close the leader's stripe it
+  // waits a whole rotation for its next one. A parked chain (this node saw
+  // idle suppression act, as after_admission does) has no cadence: nobody
+  // proposes u until its leader holds work, so u is the slot to catch.
+  // Past the catchable slot, capacity decides: each slot takes at most
+  // this node's share of a full batch, so a backlog queues across the next
+  // slots in order. The share divides among the nodes seen submitting,
+  // not all n: where one node takes every client request it hands each
+  // slot a full batch.
+  const NodeId self = ctx().id();
+  const std::uint32_t sharers = submitters();
+  const std::uint32_t share = (slot_capacity() + sharers - 1) / sharers;
+  const Slot u = relay_slot();
+  const Slot catchable = idle_suppressed_ ? u : u + 2;
+  const Slot limit = chain_.first_unfinalized() + ChainStore::kWindow;
+  for (Slot t = u; t <= limit; ++t) {
+    RelayAim& cell = relay_ledger_[t % relay_ledger_.size()];
+    if (cell.slot == t && cell.aimed >= share) continue;
+    const NodeId leader = leader_of(t, view_of(t));
+    if (leader != self && t < catchable) continue;
+    if (cell.slot != t) cell = {t, 0};
+    ++cell.aimed;
+    e.aim = t;
+    return leader;
+  }
+  e.aim = 0;
+  return self;
+}
+
 void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
   // Relay both into a suppressed (parked) chain -- resuming an idle chain in
   // ~1 delta instead of the ~9 delta view-change rotation -- and under load,
-  // where the next leader batches the request into its next proposal
-  // instead of the bytes waiting up to n * pipeline_depth slots for the
-  // submitter's own stripe. The loaded path was once disabled over a
-  // double-commit race between the two pools' inclusion; that window is
-  // closed by the hold below plus the commit-index and pending-candidate
-  // probes in build_batch (verified by the ForwardSpec checker).
-  //
-  // Depth > 1 aims at the slot the relay can still catch. At Fig. 2's
-  // cadence each proposal goes out on receipt of the one before, one delta
-  // apart: u = relay_slot() was proposed in the instant this node saw u-1's
-  // proposal, and u+1 goes out one delta later -- the instant the relay,
-  // one delta in transit, lands. The first proposal still unsent on arrival
-  // is one slot per delta of transit past u+1: u+2. Aimed at u, the request
-  // lands one or two slots late, and when those close the target's stripe
-  // it waits a whole rotation for that leader's next one. A backlogged pool
-  // keeps the plain target: there slot capacity, not arrival time, decides
-  // which proposal a request rides.
-  Slot t = relay_slot();
-  if (cfg_.pipeline_depth > 1 && !backlogged()) t += 2;
-  const NodeId leader = leader_of(t, view_of(t));
+  // where the aimed leader batches the request into its proposal instead of
+  // the bytes waiting up to n * pipeline_depth slots for the submitter's
+  // own stripe. The loaded path was once disabled over a double-commit race
+  // between the two pools' inclusion; that window is closed by the hold
+  // below plus the commit-index and pending-candidate probes in build_batch
+  // (verified by the ForwardSpec checker).
+  const NodeId leader = aim_relay(e);
   if (leader != ctx().id()) relay(e, leader);
 }
 
@@ -192,26 +232,26 @@ void MultishotNode::rerelay_on_target_edge() {
   const bool skipped = self_skipped();
   if (!skipped && cfg_.pipeline_depth <= 1) return;
   if (skipped && !stranded_) return;
-  const NodeId leader = relay_target();
+  const NodeId self = ctx().id();
+  const NodeId target = relay_target();
   if (!skipped) {
-    if (leader == last_relay_target_) return;
-    if (last_relay_target_ == ctx().id()) stranded_ = true;  // our stripe passed
-    last_relay_target_ = leader;
+    if (target == last_relay_target_) return;
+    if (last_relay_target_ == self) stranded_ = true;  // our stripe passed
+    last_relay_target_ = target;
   }
-  if (leader == ctx().id() || !stranded_) return;
-  // Only work this node admitted for itself is re-relayed (it gets the
+  if (target == self || !stranded_) return;
+  // Only work this node admitted for itself is re-aimed (a relay gets the
   // usual hold); received relays are never re-forwarded (single hop). An
   // unskipped node relays an entry once: when that relay's hold lapses, its
   // own batches take the copy back. A skipped node batches nothing, so a
   // lapsed hold means the relay was lost or refused and the entry goes out
-  // again; while a hold is live it stays stranded and keeps checking.
-  // Each new target gets at most the stripe's worth of full batches it can
-  // propose: a leader handed more keeps the excess past its own stripe,
-  // where the idle leaders after it cannot see it. The rest waits for the
-  // next target change.
-  std::size_t budget = static_cast<std::size_t>(cfg_.pipeline_depth) *
-                       std::max(cfg_.max_batch_txs, cfg_.adaptive_batch_txs);
+  // again; while a hold is live it stays stranded and keeps checking. The
+  // ledger that aimed the fresh submissions aims these too, so the next
+  // leaders are never handed more than their slots carry. Depth 1 has no
+  // ledger: each new target gets at most one full batch.
+  const Slot u = relay_slot();
   const runtime::Time now = ctx().now();
+  std::size_t budget = cfg_.pipeline_depth > 1 ? SIZE_MAX : slot_capacity();
   stranded_ = false;
   for (auto h = mempool_.front(); h != BoundedMempool::kNone; h = mempool_.next(h)) {
     BoundedMempool::Entry& e = mempool_.at(h);
@@ -221,11 +261,18 @@ void MultishotNode::rerelay_on_target_edge() {
       stranded_ = true;
       continue;
     }
+    if (e.aim >= u && leader_of(e.aim, view_of(e.aim)) == self) continue;  // a later stripe of ours
     if (budget == 0) {
       stranded_ = true;
       break;
     }
     --budget;
+    const NodeId leader = aim_relay(e);
+    if (leader == self && e.aim == 0) {  // no room left in the window
+      stranded_ = true;
+      break;
+    }
+    if (leader == self) continue;
     ctx().metrics().counter("multishot.forward.rerelayed").add();
     relay(e, leader);
   }
@@ -236,20 +283,20 @@ void MultishotNode::take_back_relays(NodeId failed) {
   // out forward_retry() -- twice the view timeout that just moved the slot
   // -- while the live leaders propose without it. The copy turns batchable
   // here at once: hold_until = now, not 0, so it keeps build_batch's twin
-  // probes (the failed leader may have batched it after all). It also goes
-  // to the new target, unless that is this node or `failed` again, so the
-  // re-proposal of the moved slot can carry it; whichever proposal comes
-  // first, the other copy's probes skip it. Holding the copies here instead
-  // would funnel the whole backlog through that one leader's batches.
-  const NodeId target = relay_target();
-  const bool rerelay = target != ctx().id() && target != failed;
+  // probes (the failed leader may have batched it after all). It is also
+  // re-aimed, and relayed unless that lands on this node or `failed` again,
+  // so the re-proposal of the moved slot can carry it; whichever proposal
+  // comes first, the other copy's probes skip it. Holding the copies here
+  // instead would funnel the whole backlog through this node's batches.
+  const NodeId self = ctx().id();
   const runtime::Time now = ctx().now();
   std::uint64_t released = 0;
   for (auto h = mempool_.front(); h != BoundedMempool::kNone; h = mempool_.next(h)) {
     BoundedMempool::Entry& e = mempool_.at(h);
     if (e.inflight || e.relayed || e.hold_until <= now || e.relay_to != failed) continue;
     ++released;
-    if (rerelay) relay(e, target);
+    const NodeId leader = aim_relay(e);
+    if (leader != self && leader != failed) relay(e, leader);
     e.hold_until = now;
   }
   if (released != 0) ctx().metrics().counter("multishot.forward.released").add(released);
@@ -352,22 +399,27 @@ bool MultishotNode::idle_quiescent() const {
   return quiet;
 }
 
-MultishotNode::BatchDraft MultishotNode::build_batch(View view) {
+MultishotNode::BatchDraft MultishotNode::build_batch(Slot s, View view) {
   // Adaptive control law (DESIGN_PERF.md "Slot pipelining & adaptive
   // batching"): the effective caps start at the configured base and, under
   // backlog, grow toward the adaptive ceiling -- the backlog is spread
   // across this node's in-flight led slots (a deeper pipeline drains it over
   // more proposals), and the byte budget scales in proportion so the
   // transaction headroom is actually reachable. A pool at or below the base
-  // cap keeps today's caps exactly.
+  // cap keeps today's caps exactly. At depth > 1 the last slot of this
+  // node's stripe spreads nothing and fills up to slot_capacity(): the
+  // in-flight led slots it would divide by are already proposed and take
+  // none of the backlog, its next proposal is a rotation away, and the
+  // relay ledger aimed work at this slot counting on its capacity.
   std::uint32_t cap_txs = cfg_.max_batch_txs;
   std::uint64_t cap_bytes = cfg_.max_batch_bytes;
   if (cfg_.adaptive_batch_txs > cfg_.max_batch_txs && backlogged()) {
-    const std::uint64_t spread = std::max<std::uint32_t>(1, led_inflight());
+    const bool stripe_end =
+        cfg_.pipeline_depth > 1 && leader_of(s + 1, view_of(s + 1)) != ctx().id();
+    const std::uint64_t spread = stripe_end ? 1 : std::max<std::uint32_t>(1, led_inflight());
     const std::uint64_t want = (mempool_.available() + spread - 1) / spread;
     if (want > cap_txs) {
-      cap_txs = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(want, cfg_.adaptive_batch_txs));
+      cap_txs = static_cast<std::uint32_t>(std::min<std::uint64_t>(want, slot_capacity()));
       cap_bytes = std::max<std::uint64_t>(
           cap_bytes, static_cast<std::uint64_t>(cfg_.max_batch_bytes) * cap_txs /
                          std::max<std::uint32_t>(1, cfg_.max_batch_txs));
@@ -483,7 +535,7 @@ void MultishotNode::try_propose(Slot s) {
       ctx().metrics().counter("multishot.idle.skipped_proposals").add();
       return;
     }
-    BatchDraft draft = build_batch(0);
+    BatchDraft draft = build_batch(s, 0);
     const std::size_t payload_bytes = draft.payload.size();
     block = Block{s, *parent, ctx().id(), std::move(draft.payload)};
     block_hash = block.hash();
@@ -513,7 +565,7 @@ void MultishotNode::try_propose(Slot s) {
       }
     }
     if (!preferred) {
-      draft = build_batch(st->view);
+      draft = build_batch(s, st->view);
       preferred = Block{s, *parent, ctx().id(), std::move(draft.payload)};
       preferred_hash = preferred->hash();
       fresh = true;
@@ -1444,8 +1496,11 @@ void MultishotNode::handle(NodeId from, const MsBlockReply& m) {
 // --- Client-request forwarding ---------------------------------------------
 
 void MultishotNode::handle(NodeId from, const MsForwardTx& m) {
-  (void)from;
   auto& metrics = ctx().metrics();
+  // The sender submits: it shares the next window's slots (submitters()).
+  if (from < submitter_until_.size()) {
+    submitter_until_[from] = chain_.first_unfinalized() + ChainStore::kWindow;
+  }
   // A relay stamped too far behind our chain may have a twin committed at
   // a slot the commit index no longer covers (kDedupHorizon): admitting it
   // could commit the bytes twice. The sender's held copy still carries it.

@@ -41,6 +41,7 @@
 // (and exempts the chain from idle suppression).
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <optional>
@@ -459,34 +460,60 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] runtime::Duration forward_retry() const noexcept {
     return 2 * cfg_.view_timeout();
   }
-  /// The slot a relay aims at: at depth 1 the proposal frontier; deeper,
-  /// the first slot at or past the frontier this node has seen no proposal
-  /// for at the slot's current view (the frontier stripe's proposals are
-  /// usually already out).
+  /// The first slot at or past the proposal frontier still awaiting its
+  /// proposal, as far as this node can see: at depth 1 the frontier itself;
+  /// deeper, the first slot this node has seen no proposal for at the
+  /// slot's current view (the frontier stripe's proposals are usually
+  /// already out). The relay ledger aims from here.
   [[nodiscard]] Slot relay_slot() const;
   /// The leader of relay_slot() at its current view.
   [[nodiscard]] NodeId relay_target() const;
   /// More than one base batch is available here: the adaptive batch law
-  /// widens this node's proposals (build_batch), and a fresh submission's
-  /// relay keeps relay_target() instead of aiming past it.
+  /// widens this node's proposals (build_batch).
   [[nodiscard]] bool backlogged() const noexcept {
     return mempool_.available() > cfg_.max_batch_txs;
   }
-  /// Relay a freshly admitted local submission to the leader of the slot it
-  /// can still catch -- at depth > 1 and without a backlog two slots past
-  /// relay_slot(), else relay_target() -- when that is not us; holds the
-  /// local copy out of our own batches meanwhile.
+  /// The most transactions one proposal carries: the adaptive ceiling, or
+  /// the base cap when that is higher. The relay ledger divides it among
+  /// the submitters (aim_relay), and the last slot of a stripe fills up to
+  /// it (build_batch).
+  [[nodiscard]] std::uint32_t slot_capacity() const noexcept {
+    return std::max(cfg_.max_batch_txs, cfg_.adaptive_batch_txs);
+  }
+  /// The nodes this one sees submitting, itself included: each peer that
+  /// relayed a request here within the last window of slots (every peer
+  /// during the first window after start). The window is the ledger's
+  /// horizon, and a backlogged peer's aims cover every foreign leader
+  /// within it. A single entry point for all client traffic thus counts 1
+  /// and hands each slot a full batch.
+  [[nodiscard]] std::uint32_t submitters() const;
+  /// Where a relay of `e` goes. At depth 1 relay_target(). Deeper, the
+  /// relay ledger picks the first window slot with room for this node's
+  /// share, from the first slot the entry can still catch: relay_slot() for
+  /// a slot of ours, relay_slot() + 2 for a foreign leader's (one slot per
+  /// delta of transit past the next proposal), and relay_slot() for any
+  /// slot once idle suppression has acted here (a parked chain proposes
+  /// nothing until that slot's leader holds work). It gives back the count
+  /// of the slot `e` was aimed at before, counts `e` at the new slot,
+  /// records it in e.aim and returns its leader. With no room in the window
+  /// it returns this node and clears e.aim.
+  NodeId aim_relay(BoundedMempool::Entry& e);
+  /// Relay a freshly admitted local submission to aim_relay()'s leader when
+  /// that is not us; holds the local copy out of our own batches meanwhile.
   void forward_if_foreign_leader(BoundedMempool::Entry& e);
   /// Send `e` to `leader`, stamped, and hold the local copy.
   void relay(BoundedMempool::Entry& e, NodeId leader);
   /// Depth > 1: once relay_target() moves from this node to a foreign
-  /// leader, relay the work admitted while this node was the target (never
-  /// relayed, not held, not inflight), one stripe's worth to each new
-  /// target in turn -- otherwise it waits a whole stripe rotation, or a
-  /// view change when the next leaders go idle. A skipped node relays its
-  /// stranded work the same way, at any depth, and also relays again
-  /// whatever it relayed before once that hold lapses: it leads nothing, so
-  /// its own batches never take the copy back.
+  /// leader, re-aim the work stranded in the stripe that just passed:
+  /// entries admitted here, never relayed and not inflight, whose aimed
+  /// slot is behind relay_slot() or no longer led by this node. Entries
+  /// aimed at a later stripe of ours keep waiting for it, so its slots do
+  /// not go out as filler. A skipped node re-aims its stranded work the
+  /// same way, at any depth, and also re-aims whatever it relayed before
+  /// once that hold lapses: it leads nothing, so its own batches never take
+  /// the copy back. With the window's ledger full (or, at depth 1, one full
+  /// batch relayed to the new target) the rest waits for the next target
+  /// change.
   void rerelay_on_target_edge();
   [[nodiscard]] bool self_skipped() const {
     const auto skipped = skipped_leaders();
@@ -495,8 +522,8 @@ class MultishotNode : public runtime::ProtocolNode {
   /// A view change moved slots off `failed` (the leader of the view they
   /// left, not this node): every entry this node relayed to it and still
   /// holds -- neither inflight nor received from another node -- turns
-  /// batchable here (still probed) and is relayed to relay_target() unless
-  /// that is this node or `failed`.
+  /// batchable here (still probed) and is relayed to aim_relay()'s leader
+  /// unless that is this node or `failed`.
   void take_back_relays(NodeId failed);
   /// Idle-chain resume, shared by local submissions and received forwards.
   void after_admission();
@@ -512,7 +539,7 @@ class MultishotNode : public runtime::ProtocolNode {
     std::vector<std::uint8_t> payload;
     std::vector<BoundedMempool::Handle> entries;
   };
-  [[nodiscard]] BatchDraft build_batch(View view);
+  [[nodiscard]] BatchDraft build_batch(Slot s, View view);
   void commit_batch(BatchDraft& draft, Slot s, std::size_t payload_bytes);
   /// Mempool/commit bookkeeping for every finalized block regardless of the
   /// path (finalization rule or claim adoption); `hash` is the block's
@@ -601,6 +628,23 @@ class MultishotNode : public runtime::ProtocolNode {
   /// since it learned it is skipped).
   NodeId last_relay_target_{~NodeId{0}};
   bool stranded_{false};
+  /// The relay ledger: how many of this node's own requests aim_relay() has
+  /// aimed at each window slot, one cell per slot modulo the window (a cell
+  /// tagged with another slot counts 0). A slot takes at most this node's
+  /// share of its capacity, ceil(slot_capacity() / submitters()), so the
+  /// submitters together fill it and a backlog queues across the next slots
+  /// in order, not behind one leader. Re-aiming an entry first gives its
+  /// old slot's count back. Fixed size: aiming never allocates.
+  struct RelayAim {
+    Slot slot{0};
+    std::uint32_t aimed{0};
+  };
+  std::array<RelayAim, ChainStore::kWindow + 1> relay_ledger_{};
+  /// Per peer, the last first-unfinalized slot at which it still counts as
+  /// a submitter (submitters()): a relay received from it moves this to a
+  /// window past this node's first unfinalized slot. on_start counts every
+  /// peer for the first window.
+  std::vector<Slot> submitter_until_;
 
   // Reusable encode scratch (see encode_ms_payload): grows once to the
   // high-water message size, then every encode is a single freeze.

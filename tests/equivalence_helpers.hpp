@@ -6,8 +6,8 @@
 // pipelining depth: the relay only moves a submission off a replica that
 // does not lead the proposal frontier, so at depth 1 node 1 never relays,
 // and each transaction's slot is a pure function of the seeding order under
-// any host. (At depth > 1 node 1 re-relays what its stripe left over; only
-// the sim determinism pin runs that shape.)
+// any host. (At depth > 1 node 1 relays what its stripes cannot carry; only
+// the sim runs that shape.)
 // The other leaders propose filler in between, so the suites wait on the
 // transactions themselves, never on a slot count.
 

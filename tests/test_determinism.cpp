@@ -162,9 +162,11 @@ TEST(Determinism, DepthOneIsByteIdenticalToUnpipelined) {
 // one-tx blocks seeded at the slot-1 leader, relay on) is pinned to its
 // trace digest and end time at depth 1 and depth 4, so a refactor of the
 // facade, the one-shard mux or the relay cannot move it unnoticed. At
-// depth 4 the pin also covers the stranded-pool re-relay: node 1's stripe
-// ends with 20 transactions still in its pool, and it relays them, one
-// stripe's worth to each next leader, so no view change is needed.
+// depth 4 the pin also covers the relay ledger: at a batch cap of 1 each
+// slot takes one of node 1's requests, so it keeps 8 of the 24 for its
+// stripes (slots 1-4 and 17-20) and relays each of the other 16 to the
+// leader of a slot of its own. Slots 1-24 carry one transaction each and
+// no view change is needed.
 TEST(Determinism, FacadeEquivalenceRunIsPinned) {
   const auto run = [](std::uint32_t depth) {
     auto cluster = equivalence_builder().pipelining(depth).build_sim();
@@ -183,7 +185,7 @@ TEST(Determinism, FacadeEquivalenceRunIsPinned) {
     return std::make_pair(cluster->simulation().trace().digest(), cluster->simulation().now());
   };
   EXPECT_EQ(run(1), std::make_pair(std::uint64_t{0xf525904a8be20881}, sim::SimTime{97000}));
-  EXPECT_EQ(run(4), std::make_pair(std::uint64_t{0x50ce9cbb04dc4dc2}, sim::SimTime{41000}));
+  EXPECT_EQ(run(4), std::make_pair(std::uint64_t{0x718c9042d72bde9f}, sim::SimTime{28000}));
 }
 
 // A pipelined + adaptive run is still a pure function of seed + config.
@@ -201,8 +203,8 @@ TEST(Determinism, PipelinedWorkloadIsDeterministic) {
   // is the sim-lowload / sim-saturate configuration, so its trace must
   // survive refactors byte for byte.
   EXPECT_EQ(a.report.committed, 1204u);
-  EXPECT_EQ(a.trace_digest, 0x3f2e510cb27b4740ULL);
-  EXPECT_EQ(a.elapsed, 157064);
+  EXPECT_EQ(a.trace_digest, 0xb4553dc1744fce04ULL);
+  EXPECT_EQ(a.elapsed, 156064);
   // And the depth axis has teeth: depth 4 schedules differently than depth 1.
   auto flat = opts;
   flat.pipeline_depth = 1;

@@ -22,7 +22,7 @@ struct IdleRig {
   MultishotConfig cfg;
 };
 
-IdleRig make_idle_rig(std::uint32_t n = 4) {
+IdleRig make_idle_rig(std::uint32_t n = 4, std::uint32_t depth = 1) {
   sim::SimConfig sc;
   sc.net.gst = 0;
   sc.net.delta_actual = 1 * sim::kMillisecond;
@@ -32,6 +32,7 @@ IdleRig make_idle_rig(std::uint32_t n = 4) {
   rig.cfg.n = n;
   rig.cfg.f = (n - 1) / 3;
   rig.cfg.max_slots = 0;  // unbounded chain: idle suppression active
+  rig.cfg.pipeline_depth = depth;
   rig.sim = std::make_unique<sim::Simulation>(sc);
   for (std::uint32_t i = 0; i < n; ++i) {
     auto node = std::make_unique<MultishotNode>(rig.cfg);
@@ -110,6 +111,39 @@ TEST(IdleQuiescence, ResumesViaForwardingWhenSubmitterIsNotLeader) {
   const auto fwd = by_type.find(static_cast<std::uint8_t>(multishot::MsType::ForwardTx));
   ASSERT_NE(fwd, by_type.end());
   EXPECT_GE(fwd->second, 1u);
+}
+
+TEST(IdleQuiescence, PipelinedChainResumesAtEveryStripePosition) {
+  // Depth 4: each resumption moves the parked frontier five slots on (the
+  // transaction's block plus the slots that finalize it), so four rounds,
+  // each submitted to the next node, park it at slots 1, 6, 11 and 16:
+  // every stripe position. Nobody proposes the parked slot until its
+  // leader holds work, so the relay must go to that leader. Aimed two
+  // slots on, as on a moving chain, positions 3 and 4 handed the request
+  // to the next stripe's leader, which cannot propose before the parked
+  // slot: each waited out a view timeout and committed after 98 ms.
+  auto rig = make_idle_rig(4, 4);
+  const sim::SimTime delta = 1 * sim::kMillisecond;
+  rig.sim->run_to_quiescence(5 * sim::kSecond);
+  for (std::uint8_t round = 0; round < 4; ++round) {
+    const NodeId submitter = round;
+    const Slot parked = rig.nodes[submitter]->proposal_frontier();
+    const std::vector<std::uint8_t> tx = {0xCA, round};
+    const sim::SimTime submitted_at = rig.sim->now();
+    ASSERT_TRUE(rig.nodes[submitter]->submit_tx(tx));
+    const auto committed = [&] {
+      for (const auto* node : rig.nodes) {
+        if (!node->tx_finalized(tx)) return false;
+      }
+      return true;
+    };
+    ASSERT_TRUE(rig.sim->run_until_pred(committed, submitted_at + sim::kSecond));
+    EXPECT_LE(rig.sim->now() - submitted_at, 8 * delta)
+        << "parked at slot " << parked << ", stripe position " << (parked - 1) % 4 + 1;
+    rig.sim->run_to_quiescence(rig.sim->now() + 5 * sim::kSecond);
+  }
+  const auto& by_type = rig.sim->trace().messages_by_type();
+  EXPECT_EQ(by_type.count(static_cast<std::uint8_t>(multishot::MsType::ViewChange)), 0u);
 }
 
 TEST(IdleQuiescence, ResumesViaViewChangeWhenRelayTargetIsSilent) {

@@ -285,6 +285,73 @@ TEST(MultishotViewChange, RelayToCrashedLeaderCommitsAfterOneViewChangeAtDepth4)
   expect_relay_to_crashed_leader_commits_after_one_view_change(4);
 }
 
+TEST(MultishotViewChange, TakeBackGivesTheMovedSlotsTheirRoomBack) {
+  // Depth 4, node 0 crashed from the start; node 1 leads slots 1-4 and
+  // 17-20, node 2 slots 5-8 and 21-24, node 0 slots 13-16, and view 1
+  // hands each stripe to the next stripe's leader. In the first window
+  // node 2 counts all four nodes as submitters, so it aims a share of
+  // 16 / 4 = 4 requests at a slot. The instant slot 12's proposal reaches
+  // it, slot 15 is the first foreign slot its relays can catch: 8 requests
+  // fill 15 and 16, both relayed to node 0. The view change moves 13-16 to
+  // node 1 and takes the 8 back; re-aimed, they give their old counts back
+  // and fill 15 and 16 again, now node 1's. 17 more then fill node 1's
+  // 17-20 and keep one for node 2's own slot 21: 24 relays to node 1 in
+  // all. Had the counts stayed on 15 and 16, the taken-back requests would
+  // have filled 17 and 18 and only 8 of the new ones gone to node 1.
+  MsClusterOptions opts;
+  opts.pipeline_depth = 4;
+  opts.max_slots = 60;
+  opts.make_node = [](NodeId id,
+                      const multishot::MultishotConfig&) -> std::unique_ptr<sim::ProtocolNode> {
+    if (id == 0) return std::make_unique<sim::SilentNode>();
+    return nullptr;
+  };
+  auto c = make_ms_cluster(opts);
+  multishot::MultishotNode& origin = *c.nodes[2];
+  const auto relays_to = [&](NodeId dst) {
+    std::size_t count = 0;
+    for (const auto& m : c.sim->trace().messages()) {
+      count += m.src == 2 && m.dst == dst &&
+               m.type_tag == static_cast<std::uint8_t>(multishot::MsType::ForwardTx);
+    }
+    return count;
+  };
+  const std::uint32_t share = origin.config().max_batch_txs / origin.config().n;
+  ASSERT_EQ(share, 4u);
+  ASSERT_TRUE(
+      c.sim->run_until_pred([&] { return origin.probe_slot(12).proposal_seen; }, c.timeout()));
+  ASSERT_FALSE(origin.probe_slot(13).proposal_seen);
+  std::vector<std::vector<std::uint8_t>> txs;
+  const auto submit = [&](std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      txs.push_back({0x7B, static_cast<std::uint8_t>(txs.size())});
+      ASSERT_TRUE(origin.submit_tx(txs.back()));
+    }
+  };
+  submit(2 * share);
+  EXPECT_EQ(relays_to(0), 2 * share);
+
+  auto& released = c.sim->metrics().counter("multishot.forward.released");
+  ASSERT_TRUE(c.sim->run_until_pred([&] { return released.value() != 0; }, 3 * c.timeout()));
+  EXPECT_EQ(released.value(), 2 * share);
+  EXPECT_EQ(relays_to(1), 2 * share);
+  submit(4 * share + 1);
+  EXPECT_EQ(relays_to(1), 6 * share);
+
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] {
+        for (const auto* node : c.nodes) {
+          if (node == nullptr) continue;
+          for (const auto& tx : txs) {
+            if (!node->tx_finalized(tx)) return false;
+          }
+        }
+        return true;
+      },
+      c.sim->now() + 10 * c.timeout()));
+  EXPECT_TRUE(c.chains_consistent());
+}
+
 class MultishotRandomized : public testing::TestWithParam<int> {};
 
 TEST_P(MultishotRandomized, ConsistencyUnderRandomFaultsAndAsynchrony) {

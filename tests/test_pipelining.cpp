@@ -22,10 +22,11 @@
 //    leader has no free slot until its next stripe; a relayed request must
 //    go to the leader of a slot still awaiting its proposal -- one whose
 //    proposal is still unsent when the relay lands, at every position of a
-//    stripe -- unless the submitter is backlogged.
-//  - Stranded pool: work a leader admitted for itself and could not propose
-//    in its stripe is handed on to the next leaders, so it never waits for a
-//    view change.
+//    stripe. A burst fills one slot after another, each with the
+//    submitter's share of a batch (the relay ledger).
+//  - Stranded pool: work a leader admitted for itself reaches the next
+//    leaders in time for their first slots, so no slot goes out as filler
+//    and nothing waits for a view change.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "../bench/bench_alloc_count.hpp"
 #include "chaos/engine.hpp"
 #include "chaos/scenario.hpp"
 #include "equivalence_helpers.hpp"
@@ -273,20 +275,23 @@ TEST(Pipelining, RelayCatchesAProposalAtEveryStripePosition) {
   EXPECT_TRUE(c.chains_consistent());
 }
 
-TEST(Pipelining, BackloggedRelayKeepsTheFirstUnproposedSlot) {
-  // One base batch plus one, submitted at node 0 the instant slot 102's
-  // proposal reaches it: slot 103 (node 2's) is the first it has not seen,
-  // and slot 105 is node 3's. The first max_batch_txs requests aim past the
-  // proposals already racing the relay; the one that makes the pool
-  // backlogged goes to the first unproposed slot's leader, where the
-  // adaptive batches spread a backlog.
+TEST(Pipelining, RelayLedgerFillsEachSlotInTurn) {
+  // Eight slots' worth of shares plus one, submitted at node 0 the instant
+  // slot 102's proposal reaches it: slot 103 (node 2's) is the first it has
+  // not seen, so slot 105 is the first foreign slot a relay can still
+  // catch. No other node has relayed anything, so node 0 is the only
+  // submitter it sees and its share is a whole batch, 16: slots 105-108
+  // (node 3's) take 64 relays, node 0's own stripe 109-112 keeps 64
+  // requests here, and the last one goes on to slot 113, node 1's.
   MsCluster c = running_depth4_chain();
   multishot::MultishotNode& submitter = *c.nodes[0];
   ASSERT_TRUE(run_until_proposal_seen(c, submitter, 102));
   ASSERT_FALSE(submitter.probe_slot(103).proposal_seen);
-  const std::uint32_t base = submitter.config().max_batch_txs;
+  const auto& cfg = submitter.config();
+  const std::uint32_t share = std::max(cfg.max_batch_txs, cfg.adaptive_batch_txs);
+  ASSERT_EQ(share, 16u);
   std::vector<std::vector<std::uint8_t>> txs;
-  for (std::uint32_t i = 0; i <= base; ++i) {
+  for (std::uint32_t i = 0; i < 8 * share + 1; ++i) {
     txs.push_back({0xB0, static_cast<std::uint8_t>(i)});
     ASSERT_TRUE(submitter.submit_tx(txs.back()));
   }
@@ -299,18 +304,118 @@ TEST(Pipelining, BackloggedRelayKeepsTheFirstUnproposedSlot) {
     return true;
   };
   ASSERT_TRUE(c.sim->run_until_pred(committed, sim::kSecond));
-  const std::vector<NodeId> to = relays_from(c, 0);
-  EXPECT_EQ(std::count(to.begin(), to.end(), NodeId{3}), base);
-  EXPECT_EQ(std::count(to.begin(), to.end(), NodeId{2}), 1);
+
+  std::vector<NodeId> expected(4 * share, NodeId{3});
+  expected.push_back(NodeId{1});
+  EXPECT_EQ(relays_from(c, 0), expected);
+  const auto& chain = c.nodes[1]->chain();
+  for (std::uint32_t i = 0; i < txs.size(); ++i) {
+    const Slot first = i < 4 * share ? 105 : i < 8 * share ? 109 : 113;
+    const Slot at = chain.commit_slot(txs[i]);
+    EXPECT_GE(at, first) << "request " << i;
+    EXPECT_LT(at, first + 4) << "request " << i;
+  }
   EXPECT_TRUE(c.chains_consistent());
 }
 
-TEST(Pipelining, StrandedPoolIsHandedOnWithoutAViewChange) {
+TEST(Pipelining, RelayLedgerSharesEachSlotAmongTheSubmittersItSees) {
+  // Node 1 relays one request the instant slot 106's proposal reaches it;
+  // slot 109, node 0's, is the first it can still catch. From then on node
+  // 0 sees two submitters and aims half a batch, 8, at each slot. The
+  // instant slot 114's proposal reaches node 0, slot 117 (node 2's) is the
+  // first it can still catch: 4 x 8 + 1 requests fill node 2's stripe
+  // 117-120 and the last goes to slot 121, node 3's. Had node 0 counted
+  // itself alone, node 2 would have been handed all 33.
+  MsCluster c = running_depth4_chain();
+  multishot::MultishotNode& submitter = *c.nodes[0];
+  multishot::MultishotNode& peer = *c.nodes[1];
+  ASSERT_TRUE(run_until_proposal_seen(c, peer, 106));
+  ASSERT_FALSE(peer.probe_slot(107).proposal_seen);
+  ASSERT_TRUE(peer.submit_tx({0xC0}));
+  EXPECT_EQ(relays_from(c, 1), std::vector<NodeId>{0});
+
+  ASSERT_TRUE(run_until_proposal_seen(c, submitter, 114));
+  ASSERT_FALSE(submitter.probe_slot(115).proposal_seen);
+  const std::uint32_t share = submitter.config().max_batch_txs / 2;
+  std::vector<std::vector<std::uint8_t>> txs;
+  for (std::uint32_t i = 0; i < 4 * share + 1; ++i) {
+    txs.push_back({0xC1, static_cast<std::uint8_t>(i)});
+    ASSERT_TRUE(submitter.submit_tx(txs.back()));
+  }
+  std::vector<NodeId> expected(4 * share, NodeId{2});
+  expected.push_back(NodeId{3});
+  EXPECT_EQ(relays_from(c, 0), expected);
+  const auto committed = [&] {
+    for (const auto* node : c.nodes) {
+      for (const auto& tx : txs) {
+        if (!node->tx_finalized(tx)) return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(c.sim->run_until_pred(committed, sim::kSecond));
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+TEST(Pipelining, AimingARequestDoesNotAllocate) {
+  // The relay ledger is a fixed ring over the window, so once the pool has
+  // reached its high-water mark a submission aimed at a slot allocates
+  // nothing. Node 0 leads slots 77-80 and 109-112. Its first stripe warms
+  // the pool with 16 requests; the instant slot 107's proposal reaches it,
+  // 16 more aim at its second stripe (a whole batch fits slot 109: no
+  // other node relays, so node 0 counts itself the only submitter) and
+  // stay here: no relay message, so the whole submit path is the aiming.
+  MsCluster c = running_depth4_chain();
+  multishot::MultishotNode& submitter = *c.nodes[0];
+  const auto burst = [&](std::uint8_t tag) {
+    std::vector<std::vector<std::uint8_t>> txs;
+    for (std::uint8_t i = 0; i < 16; ++i) txs.push_back({tag, i});
+    return txs;
+  };
+  const auto committed = [&](const std::vector<std::vector<std::uint8_t>>& txs) {
+    return c.sim->run_until_pred(
+        [&] {
+          for (const auto* node : c.nodes) {
+            for (const auto& tx : txs) {
+              if (!node->tx_finalized(tx)) return false;
+            }
+          }
+          return true;
+        },
+        sim::kSecond);
+  };
+  ASSERT_TRUE(run_until_proposal_seen(c, submitter, 76));
+  const auto warm = burst(0xA0);
+  for (auto tx : warm) ASSERT_TRUE(submitter.submit_tx(std::move(tx)));
+  ASSERT_TRUE(committed(warm));
+
+  ASSERT_TRUE(run_until_proposal_seen(c, submitter, 107));
+  ASSERT_FALSE(submitter.probe_slot(109).proposed);
+  const auto txs = burst(0xA1);
+  auto moved = txs;
+  const std::size_t relays_before = relays_from(c, 0).size();
+  std::uint32_t admitted = 0;
+  const std::uint64_t before = bench::alloc_count().load();
+  for (auto& tx : moved) admitted += submitter.submit_tx(std::move(tx)) ? 1 : 0;
+  const std::uint64_t allocs = bench::alloc_count().load() - before;
+  EXPECT_EQ(admitted, txs.size());
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(relays_from(c, 0).size(), relays_before);
+  ASSERT_TRUE(committed(txs));
+  for (const auto& tx : txs) {
+    const Slot at = c.nodes[1]->chain().commit_slot(tx);
+    EXPECT_GE(at, 109u);
+    EXPECT_LE(at, 112u);
+  }
+}
+
+TEST(Pipelining, StrandedPoolLeavesNoFillerSlotAndNoViewChange) {
   // 24 one-transaction blocks seeded at node 1, the stripe-1 leader: its
-  // stripe carries 4, and the other 20 are still in its pool when the stripe
-  // passes. The leaders after it see nothing pending of their own; unless
-  // node 1 hands the work on, they go idle and each stripe costs a view
-  // change.
+  // stripe carries 4, and the other 20 have to reach the leaders after it,
+  // which see nothing pending of their own. Unless node 1 hands the work
+  // on in time, their first slots go out as filler, or they go idle and
+  // each stripe costs a view change. The relay ledger aims each request at
+  // a slot of its own: slots 1-24 carry one transaction each.
   auto cluster = equivalence_builder().pipelining(4).build_sim();
   ASSERT_TRUE(seed_eq_txs(*cluster));
   cluster->start();
@@ -322,12 +427,32 @@ TEST(Pipelining, StrandedPoolIsHandedOnWithoutAViewChange) {
     }
     return true;
   };
-  const auto view_timeout = cluster->shard_instances()[0]->config().view_timeout();
-  EXPECT_TRUE(cluster->wait_for(committed, view_timeout));
+  const multishot::MultishotNode& node = *cluster->shard_instances()[0];
+  EXPECT_TRUE(cluster->wait_for(committed, node.config().view_timeout()));
   const auto& trace = cluster->simulation().trace();
   const auto by_type = trace.messages_by_type();
   EXPECT_EQ(by_type.count(static_cast<std::uint8_t>(multishot::MsType::ViewChange)), 0u);
   EXPECT_GT(by_type.count(static_cast<std::uint8_t>(multishot::MsType::ForwardTx)), 0u);
+
+  std::vector<Slot> filler;
+  Slot last_bearing = 0;
+  for (Slot s = 1; s <= node.finalized_count(); ++s) {
+    const multishot::Block* b = node.block_at(s);
+    ASSERT_NE(b, nullptr) << "slot " << s;
+    const auto frames = multishot::payload_frames(b->payload);
+    const bool bearing = std::any_of(frames.begin(), frames.end(),
+                                     [](auto f) { return eq_tx_index(f).has_value(); });
+    if (bearing) {
+      last_bearing = s;
+    } else {
+      filler.push_back(s);
+    }
+  }
+  EXPECT_EQ(last_bearing, Slot{kEqTxs});
+  filler.erase(std::remove_if(filler.begin(), filler.end(),
+                              [&](Slot s) { return s > last_bearing; }),
+               filler.end());
+  EXPECT_EQ(filler, std::vector<Slot>{}) << "filler slots before slot " << last_bearing;
 }
 
 }  // namespace
