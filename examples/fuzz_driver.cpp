@@ -13,7 +13,8 @@
 // Every failure prints a one-line reproducer; exit code is the number of
 // failing seeds (capped at 125). Replaying an undrained seed also prints a
 // triage dump: per honest chain, the first unfinalized slot, the proposal
-// frontier, the nodes skipped as view-0 leaders, and the view / proposed /
+// frontier, the nodes skipped as view-0 leaders, the suspects still asked to
+// view-change at once (node@end_slot), and the view / proposed /
 // proposal-seen / notarization view of the first few unfinalized slots.
 
 #include <cinttypes>

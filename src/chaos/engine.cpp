@@ -70,8 +70,9 @@ storage::DurableOptions durable_options() {
 }
 
 /// Triage lines for one honest chain of an undrained run: where it stopped
-/// finalizing, which nodes its leader schedule skips, and what its first
-/// unfinalized slots are waiting for.
+/// finalizing, which nodes its leader schedule skips and which it suspects
+/// (with the end slot of each suspicion), and what its first unfinalized
+/// slots are waiting for.
 void append_triage(std::string& out, const std::string& who,
                    const multishot::MultishotNode& node) {
   constexpr Slot kSlots = 4;
@@ -85,6 +86,14 @@ void append_triage(std::string& out, const std::string& who,
   for (const NodeId j : node.skipped_leaders()) {
     if (out.back() != '[') out += ',';
     out += std::to_string(j);
+  }
+  // Suspects still asked to view-change at once, as node@end_slot.
+  out += "] suspects=[";
+  const auto until = node.suspect_until();
+  for (NodeId j = 0; j < until.size(); ++j) {
+    if (until[j] < first) continue;
+    if (out.back() != '[') out += ',';
+    out += std::to_string(j) + "@" + std::to_string(until[j]);
   }
   out += "]\n";
   for (Slot s = first; s < first + kSlots; ++s) {

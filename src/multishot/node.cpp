@@ -79,6 +79,7 @@ MultishotNode::MultishotNode(MultishotConfig cfg)
   // this one hook, before the block can be compacted out of the tail.
   chain_.set_on_finalized([this](const Block& b, std::uint64_t h) { note_finalized(b, h); });
   submitter_until_.assign(cfg_.n, 0);
+  suspect_until_.assign(cfg_.n, 0);
 }
 
 void MultishotNode::on_start() {
@@ -343,6 +344,24 @@ void MultishotNode::start_slot(Slot s) {
   if (st == nullptr || st->started) return;
   st->started = true;
   arm_timer(s);
+  // A suspect's stripe asks for its view change as it starts, not 9 Delta
+  // later. Only a request goes out: the view moves on a quorum of them, as
+  // after a timeout, and a node that missed the suspicion joins through
+  // the echo. One request per stripe: change_view moves the whole stripe.
+  if (s > suspect_horizon_ || st->highest_vc_sent >= 1) return;
+  const NodeId leader = leader_of(s, 0);
+  if (suspect_until_[leader] < s || leader_of(s - 1, 0) == leader) return;
+  st->highest_vc_sent = 1;
+  ctx().metrics().counter("multishot.viewchange.suspected").add();
+  ctx().metrics().counter("multishot.viewchange.sent").add();
+  broadcast_ms(MsViewChange{s, 1});
+  // The notarized slots below s finalize once s notarizes: they get a
+  // fresh timeout, or one firing before s's change completes would move
+  // them and drag s's successors into a second view change. A slot below
+  // that is not notarized keeps its timer: it is stuck on its own.
+  slots_.for_each([&](Slot t, const SlotState& ts) {
+    if (t < s && ts.timer != 0 && chain_.notarized(t)) arm_timer(t);
+  });
 }
 
 void MultishotNode::arm_timer(Slot s) {
@@ -824,6 +843,7 @@ void MultishotNode::on_message(NodeId from, const Payload& payload) {
   // Decode-once fast path for broadcasts (cache attached by the encoder of
   // these exact bytes); point-to-point payloads take the total decode below.
   if (const MsMessage* cached = payload.cached<MsMessage>()) {
+    note_alive(from);
     std::visit([this, from](const auto& m) { handle(from, m); }, *cached);
     return;
   }
@@ -832,6 +852,7 @@ void MultishotNode::on_message(NodeId from, const Payload& payload) {
     ctx().metrics().counter("multishot.malformed").add();
     return;
   }
+  note_alive(from);
   std::visit([this, from](const auto& m) { handle(from, m); }, *msg);
 }
 
@@ -977,13 +998,32 @@ void MultishotNode::change_view(Slot from_slot, View new_view) {
   // proposals never came), and left at view 0 under the same failed leader
   // each would wait out a timeout of its own.
   Slot top = 0;
-  View top_view = 0;  // the view `top` leaves: its leader failed it
+  View top_view = 0;    // the view `top` leaves: its leader failed it
+  Slot open = 0;        // the first moved slot without a notarization
+  bool silent = false;  // `open` still waited at view 0 for its proposal
   slots_.for_each([&](Slot t, const SlotState& ts) {
     if (t >= from_slot && ts.started && new_view > ts.view) {
       top = t;
       top_view = ts.view;
+      if (open == 0 && !chain_.notarized(t)) {
+        open = t;
+        silent = ts.view == 0 && ts.proposal_by_view.find(0) == nullptr;
+      }
     }
   });
+  // The silent slot's view-0 leader becomes a suspect for the lag, until
+  // the skip set can take over its stripes (start_slot). Not from_slot's
+  // leader (usually a notarized slot's, led by a live node), nor top's
+  // (under equivocation the honest successor a view change drags along).
+  // A wrong suspicion -- a restarted node blaming a slot whose proposal
+  // came while it was down -- ends at the suspect's next message.
+  if (silent) {
+    const NodeId suspect = leader_of(open, 0);
+    if (suspect != ctx().id() && suspect_until_[suspect] < open) {
+      suspect_until_[suspect] = open + kScheduleLag;
+      suspect_horizon_ = std::max(suspect_horizon_, open + kScheduleLag);
+    }
+  }
   if (top != 0) {
     const NodeId failed = leader_of(top, 0);
     const Slot limit = chain_.first_unfinalized() + ChainStore::kWindow;

@@ -13,7 +13,12 @@
 // n-f view-changes move every started slot >= s to the new view, abort
 // their tentative blocks, and trigger per-slot suggest/proof exchange so
 // leaders re-propose safe values under Rules 1/3 (reused verbatim from the
-// single-shot rules engine, with block hashes as values).
+// single-shot rules engine, with block hashes as values). A view change
+// that moves a slot its view-0 leader left silent makes that leader a
+// suspect: until the skip set takes its stripes over, or it is heard from
+// again, each of its stripes asks for its view change as it starts rather
+// than 9*Delta later (start_slot, change_view; DESIGN_PERF.md "The
+// detection window").
 //
 // Engineering completions mirroring the single-shot node (core/node.hpp):
 // monotone view-change counting per slot, and catch-up: a view-change for
@@ -203,6 +208,12 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] std::span<const NodeId> skipped_leaders() const noexcept {
     return chain_.finalized().schedule().skipped();
   }
+  /// Per node, the last slot of its suspicion (0 = none): a view change
+  /// moved a slot it led at view 0 that had no proposal and no
+  /// notarization. A suspect's stripes ask for their view change as they
+  /// start (start_slot) until the skip set can take them over, or until a
+  /// well-formed message from it shows it alive (note_alive).
+  [[nodiscard]] std::span<const Slot> suspect_until() const noexcept { return suspect_until_; }
   /// The next slot a view-0 fresh proposal would go to: first unfinalized
   /// slot past the notarized suffix.
   [[nodiscard]] Slot proposal_frontier() const {
@@ -385,6 +396,18 @@ class MultishotNode : public runtime::ProtocolNode {
            s <= chain_.first_unfinalized() + ChainStore::kWindow;
   }
   SlotState* slot_state(Slot s, bool create);
+  /// A well-formed message from `from` ends its suspicion: a restarted or
+  /// once-idle node proposes again, and asking for its stripes' view change
+  /// would race its proposals. A crashed or silent node sends nothing, and
+  /// junk bytes do not count.
+  void note_alive(NodeId from) {
+    if (suspect_until_[from] != 0) suspect_until_[from] = 0;
+  }
+  /// Start slot s and arm its view timer. When s is the first slot of a
+  /// stripe whose view-0 leader is a suspect (suspect_until), also
+  /// broadcast MsViewChange{s, 1} at once -- a request only, so the view
+  /// moves on a quorum as after a timeout -- and re-arm the timers of the
+  /// notarized slots below s, which wait on s to finalize.
   void start_slot(Slot s);
   void arm_timer(Slot s);
   /// Re-arm a dormant (started, timer-less) slot; starts it if unknown.
@@ -528,6 +551,11 @@ class MultishotNode : public runtime::ProtocolNode {
   /// Idle-chain resume, shared by local submissions and received forwards.
   void after_admission();
 
+  /// Move every started slot >= from_slot below new_view to it, and the
+  /// rest of the highest one's stripe. When the first moved slot without a
+  /// notarization was still waiting at view 0 for its proposal, its view-0
+  /// leader becomes a suspect for kScheduleLag slots, unless it is one
+  /// already.
   void change_view(Slot from_slot, View new_view);
   [[nodiscard]] Slot lowest_unfinalized_started() const;
   [[nodiscard]] std::optional<std::uint64_t> parent_for_proposal(Slot s) const;
@@ -645,6 +673,10 @@ class MultishotNode : public runtime::ProtocolNode {
   /// window past this node's first unfinalized slot. on_start counts every
   /// peer for the first window.
   std::vector<Slot> submitter_until_;
+  /// Per node, the end slot of its suspicion (suspect_until()), and the
+  /// highest of them: start_slot reads no leader past it.
+  std::vector<Slot> suspect_until_;
+  Slot suspect_horizon_{0};
 
   // Reusable encode scratch (see encode_ms_payload): grows once to the
   // high-water message size, then every encode is a single freeze.

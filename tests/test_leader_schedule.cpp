@@ -3,8 +3,11 @@
 // full-history reference on random proposer histories, its commit-state
 // blob against malformed input, its carry across WAL restart, checkpoint
 // install and the version 2 checkpoint upgrade, and its effect in running
-// clusters: a crashed node costs one detection window, Byzantine nodes get
-// at most f nodes skipped, and a run without faults skips no one.
+// clusters: a crashed node costs one detection window, and the window one
+// view timeout (its later stripes are suspected and ask for their view
+// change as they start); only a silent slot's leader is suspected;
+// Byzantine nodes get at most f nodes skipped, and a run without faults
+// skips no one.
 
 #include <gtest/gtest.h>
 
@@ -471,6 +474,204 @@ TEST(LeaderScheduleCluster, CrashedLeaderCostsOneDetectionWindowDepthOne) {
 
 TEST(LeaderScheduleCluster, CrashedLeaderCostsOneDetectionWindowDepthFour) {
   crashed_leader_costs_one_window(4);
+}
+
+/// Live nodes' time to finalize the 100 slots after node 0 crashes at slot
+/// 100: about one view timeout for node 0's first failed lead, a few message
+/// delays for each later stripe of it in the lag (their view changes are
+/// asked for as they start), then one slot per delay.
+void crashed_window_costs_one_timeout(std::uint32_t depth) {
+  SCOPED_TRACE("depth " + std::to_string(depth));
+  constexpr Slot kCrashAt = 100;
+  MsClusterOptions opts;
+  opts.max_slots = kCrashAt + 200;
+  opts.pipeline_depth = depth;
+  auto c = make_ms_cluster(opts);
+  ASSERT_TRUE(c.run_until_finalized(kCrashAt, 100 * c.timeout()));
+  const sim::SimTime crashed = c.sim->now();
+  c.sim->crash_node(0);
+  const std::vector<NodeId> live{1, 2, 3};
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return min_live_finalized(c, live) >= kCrashAt + 100; }, crashed + 100 * c.timeout()));
+  EXPECT_LE(c.sim->now() - crashed, 3 * c.timeout());
+  EXPECT_GT(c.sim->metrics().counter("multishot.viewchange.suspected").value(), 0u);
+  for (const NodeId i : live) {
+    const auto until = c.nodes[i]->suspect_until();
+    EXPECT_GT(until[0], kCrashAt) << "node " << i;
+    for (const NodeId j : live) EXPECT_EQ(until[j], 0u) << "node " << i << " suspects " << j;
+  }
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+TEST(LeaderScheduleCluster, CrashedLeaderWindowCostsOneTimeout) {
+  crashed_window_costs_one_timeout(1);
+  crashed_window_costs_one_timeout(4);
+}
+
+/// The latest end slot of each node's suspicion that each node ever held,
+/// sampled after every simulation event: a suspicion can end within one
+/// message delay (note_alive).
+struct SuspicionLog {
+  std::vector<std::vector<Slot>> max_until;
+
+  void sample(const MsCluster& c) {
+    max_until.resize(c.nodes.size());
+    for (NodeId i = 0; i < c.nodes.size(); ++i) {
+      if (c.nodes[i] == nullptr) continue;
+      const auto until = c.nodes[i]->suspect_until();
+      max_until[i].resize(until.size());
+      for (NodeId j = 0; j < until.size(); ++j) {
+        max_until[i][j] = std::max(max_until[i][j], until[j]);
+      }
+    }
+  }
+};
+
+TEST(LeaderScheduleCluster, OnlyTheSilentSlotsLeaderIsSuspected) {
+  // Node 0 withholds one proposal and stays up. The view change that moves
+  // its slot suspects node 0 alone -- not the leader of the lower, notarized
+  // slot the timeout names -- until kScheduleLag slots past the silent one,
+  // and its next message ends the suspicion: its later stripes are not
+  // asked to view-change.
+  constexpr Slot kSilent = 40;
+  ASSERT_EQ(rotation_leader(kSilent, 0, 4, 1), 0u);
+  auto vcs = std::make_shared<ViewChangeCounter>();
+  MsClusterOptions opts;
+  opts.max_slots = 300;
+  opts.adversary = count_view_changes(vcs);
+  opts.make_node = [](NodeId id,
+                      const MultishotConfig& cfg) -> std::unique_ptr<sim::ProtocolNode> {
+    if (id != 0) return nullptr;
+    return std::make_unique<multishot::SelectiveSilentLeader>(cfg, std::set<Slot>{kSilent});
+  };
+  auto c = make_ms_cluster(opts);
+  SuspicionLog log;
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] {
+        log.sample(c);
+        return c.min_finalized() >= 290;
+      },
+      1000 * c.timeout()));
+  for (NodeId i = 0; i < 4; ++i) {
+    // The silent node does not suspect itself.
+    EXPECT_EQ(log.max_until[i][0], i == 0 ? 0 : kSilent + kScheduleLag) << "node " << i;
+    for (NodeId j = 1; j < 4; ++j) {
+      EXPECT_EQ(log.max_until[i][j], 0u) << "node " << i << " suspects " << j;
+    }
+    EXPECT_EQ(c.nodes[i]->suspect_until()[0], 0u) << "node " << i;
+  }
+  EXPECT_EQ(c.sim->metrics().counter("multishot.viewchange.suspected").value(), 0u);
+  for (const auto& [slot, view] : vcs->seen) {
+    EXPECT_GE(slot + 4, kSilent) << "view " << view;
+    EXPECT_LE(slot, kSilent) << "view " << view;
+  }
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+TEST(LeaderScheduleCluster, EquivocatorGetsNoHonestNodeSuspected) {
+  // An equivocated slot has its view-0 proposals, and so do the honest
+  // successors its view change drags along: none of them is silent.
+  for (const std::uint32_t depth : {1u, 4u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    MsClusterOptions opts;
+    opts.max_slots = 300;
+    opts.pipeline_depth = depth;
+    opts.make_node = [](NodeId id,
+                        const MultishotConfig& cfg) -> std::unique_ptr<sim::ProtocolNode> {
+      if (id != 1) return nullptr;
+      return std::make_unique<multishot::EquivocatingProposer>(cfg);
+    };
+    auto c = make_ms_cluster(opts);
+    const std::vector<NodeId> honest{0, 2, 3};
+    SuspicionLog log;
+    ASSERT_TRUE(c.sim->run_until_pred(
+        [&] {
+          log.sample(c);
+          return min_live_finalized(c, honest) >= 290;
+        },
+        2000 * c.timeout()));
+    for (const NodeId i : honest) {
+      for (const NodeId j : honest) {
+        EXPECT_EQ(log.max_until[i][j], 0u) << "node " << i << " suspects " << j;
+      }
+    }
+    EXPECT_TRUE(c.chains_consistent());
+  }
+}
+
+/// Senders of each MsViewChange{slot, 1} announced from `from` on.
+struct ViewOneAsks {
+  std::map<Slot, std::set<NodeId>> senders;
+  sim::SimTime from{0};
+};
+
+TEST(LeaderScheduleCluster, RestartedNodeJoinsThePreemptiveViewChanges) {
+  // Node 0 crashes at slot 100; node 1 restarts from its WAL inside the
+  // suspicion, so it holds none. The live nodes' requests reach it through
+  // the echo: it asks for view 1 at every later slot of node 0's. The
+  // restart itself stalls the chain for about four timeouts (its
+  // unfinalized slots are gone); the stripes after it cost none each.
+  constexpr Slot kCrashAt = 100;
+  TempDir dir("suspect_restart");
+  storage::DurableOptions dopts;
+  dopts.flush_every = 1;
+  dopts.checkpoint_every = 16;
+  std::vector<std::unique_ptr<storage::DurableChain>> durables;
+  auto asks = std::make_shared<ViewOneAsks>();
+  MsClusterOptions opts;
+  opts.max_slots = kCrashAt + 200;
+  opts.adversary = [asks](const sim::Envelope& env,
+                          sim::SimTime send_time) -> std::optional<sim::DeliveryDecision> {
+    const auto bytes = env.payload.bytes();
+    if (send_time >= asks->from && !bytes.empty() &&
+        bytes[0] == static_cast<std::uint8_t>(multishot::MsType::ViewChange)) {
+      if (const auto m = multishot::decode_ms(bytes)) {
+        const auto& vc = std::get<multishot::MsViewChange>(*m);
+        if (vc.view == 1) asks->senders[vc.slot].insert(env.src);
+      }
+    }
+    return std::nullopt;
+  };
+  opts.make_node = [&](NodeId id,
+                       const MultishotConfig& cfg) -> std::unique_ptr<sim::ProtocolNode> {
+    if (id != 1) return nullptr;
+    auto node = std::make_unique<MultishotNode>(cfg);
+    durables.push_back(std::make_unique<storage::DurableChain>(dir.path, dopts));
+    durables.back()->attach(*node);
+    return node;
+  };
+  auto c = make_ms_cluster(opts);
+  ASSERT_TRUE(c.run_until_finalized(kCrashAt, 100 * c.timeout()));
+  const sim::SimTime crashed = c.sim->now();
+  c.sim->crash_node(0);
+  const std::vector<NodeId> live{1, 2, 3};
+  ASSERT_TRUE(c.sim->run_until_pred([&] { return min_live_finalized(c, live) >= kCrashAt + 20; },
+                                    crashed + 100 * c.timeout()));
+  ASSERT_GT(c.nodes[2]->suspect_until()[0], c.nodes[2]->finalized_count() + 20);
+
+  c.sim->crash_node(1);
+  durables.push_back(std::make_unique<storage::DurableChain>(dir.path, dopts));
+  auto fresh = std::make_unique<MultishotNode>(c.nodes[1]->config());
+  durables.back()->attach(*fresh);
+  EXPECT_EQ(fresh->suspect_until()[0], 0u);
+  c.nodes[1] = fresh.get();
+  c.sim->restart_node(1, std::move(fresh));
+  const Slot restarted_at = c.nodes[2]->finalized_count();
+  asks->from = c.sim->now();
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] { return min_live_finalized(c, live) >= kCrashAt + 100; }, crashed + 100 * c.timeout()));
+  EXPECT_LE(c.sim->now() - crashed, 8 * c.timeout());
+  // Every view-1 request past the restart, up to the end of the suspicion,
+  // is for one of node 0's slots, and the restarted node joined each one.
+  std::size_t joined = 0;
+  for (const auto& [slot, senders] : asks->senders) {
+    if (slot <= restarted_at + 4 || slot > c.nodes[2]->suspect_until()[0]) continue;
+    EXPECT_EQ(rotation_leader(slot, 0, 4, 1), 0u) << "slot " << slot;
+    EXPECT_EQ(senders.count(1), 1u) << "slot " << slot;
+    ++joined;
+  }
+  EXPECT_GE(joined, 3u);
+  EXPECT_TRUE(c.chains_consistent());
 }
 
 void byzantine_skip_at_most_f(std::uint32_t n, std::uint32_t depth) {
