@@ -39,7 +39,7 @@ sim::SimConfig hotpath_cfg() {
   sc.net.gst = 0;  // synchronous from the start: the good case
   sc.net.delta_actual = 1 * sim::kMillisecond;
   sc.net.delta_bound = 10 * sim::kMillisecond;
-  sc.keep_message_trace = false;  // aggregate counters only (huge runs)
+  sc.keep_message_trace = false;  // counters only, no send fold in the digest
   return sc;
 }
 

@@ -94,6 +94,8 @@ RunResult run(const RunOptions& opts) {
   sc.keep_message_trace = false;
 
   sim::Simulation simulation(sc);
+  sim::CommitLog log;  // first decision per node and stream
+  simulation.add_commit_sink(log);
   if (opts.adversary) simulation.network().set_adversary(opts.adversary);
   std::vector<Node*> nodes;
   for (NodeId i = 0; i < opts.n; ++i) {
@@ -128,7 +130,7 @@ RunResult run(const RunOptions& opts) {
   res.decided = done;
   res.timeout = cfg_template.view_timeout();
   if (done) {
-    res.decide_time = simulation.trace().decision_of(opts.crashed_leaders)->at;
+    res.decide_time = log.decision_of(opts.crashed_leaders)->at;
     res.hops = static_cast<double>(res.decide_time) / static_cast<double>(opts.delta_actual);
     res.hops_past_timeout = static_cast<double>(res.decide_time - res.timeout) /
                             static_cast<double>(opts.delta_actual);

@@ -17,6 +17,8 @@ int main() {
   sc.net.delta_actual = 1 * sim::kMillisecond;
   sc.net.delta_bound = 10 * sim::kMillisecond;
   sim::Simulation simulation(sc);
+  sim::CommitLog log;  // first decision per node and stream
+  simulation.add_commit_sink(log);
 
   multishot::MultishotConfig cfg;
   cfg.n = 4;
@@ -76,7 +78,7 @@ int main() {
   // Consistency check across nodes (Definition 2 of the paper).
   const bool consistent = multishot::chains_prefix_consistent(nodes);
   std::printf("\nchains prefix-consistent across all nodes: %s\n", consistent ? "yes" : "NO");
-  if (const auto last = simulation.trace().decision_of(0, count)) {
+  if (const auto last = log.decision_of(0, count)) {
     std::printf("throughput: %llu blocks in %lld ms of simulated time (1 block per delay)\n",
                 static_cast<unsigned long long>(count),
                 static_cast<long long>(last->at / sim::kMillisecond));

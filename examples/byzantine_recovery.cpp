@@ -17,6 +17,8 @@ int main() {
   sc.net.delta_actual = 1 * sim::kMillisecond;
   sc.net.delta_bound = 10 * sim::kMillisecond;
   sim::Simulation simulation(sc);
+  sim::CommitLog log;  // first decision per node and stream
+  simulation.add_commit_sink(log);
 
   std::vector<core::TetraNode*> nodes;
   for (NodeId i = 0; i < 4; ++i) {
@@ -62,7 +64,7 @@ int main() {
   }
   bool byzantine_decided = false;
   for (NodeId i = 1; i < 4; ++i) {
-    const auto d = simulation.trace().decision_of(i);
+    const auto d = log.decision_of(i);
     const auto id = nodes[i]->decision()->id;
     byzantine_decided = byzantine_decided || id == 666 || id == 667;
     std::printf("node %u decided value %llu at t = %.1f ms (view %lld)\n", i,
@@ -70,7 +72,7 @@ int main() {
                 static_cast<double>(d->at) / sim::kMillisecond,
                 static_cast<long long>(nodes[i]->current_view()));
   }
-  const bool agreement = simulation.trace().agreement_holds();
+  const bool agreement = log.agreement_holds();
   std::printf("\nagreement: %s; the Byzantine values 666/667 were %s.\n",
               agreement ? "holds" : "VIOLATED", byzantine_decided ? "DECIDED" : "never decided");
   return agreement && !byzantine_decided ? 0 : 1;

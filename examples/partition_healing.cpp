@@ -21,6 +21,8 @@ int main() {
   sc.net.delta_actual = 1 * sim::kMillisecond;
   sc.net.delta_bound = 10 * sim::kMillisecond;
   sim::Simulation simulation(sc);
+  sim::CommitLog log;  // first decision per node and stream
+  simulation.add_commit_sink(log);
 
   // Before GST: everything to/from node 3 is dropped; the rest flows
   // normally. After GST the partition heals (partial synchrony guarantees
@@ -52,8 +54,7 @@ int main() {
     if (nodes[i]->decision()) {
       std::printf("  node %u decided %llu at %.1f ms (inside the majority partition)\n", i,
                   static_cast<unsigned long long>(nodes[i]->decision()->id),
-                  static_cast<double>(simulation.trace().decision_of(i)->at) /
-                      sim::kMillisecond);
+                  static_cast<double>(log.decision_of(i)->at) / sim::kMillisecond);
     } else {
       std::printf("  node %u undecided (cut off)\n", i);
     }
@@ -65,7 +66,7 @@ int main() {
     std::printf("straggler never caught up -- this should not happen\n");
     return 1;
   }
-  const auto d3 = simulation.trace().decision_of(3);
+  const auto d3 = log.decision_of(3);
   std::printf(
       "\nafter GST node 3's view-change probe is answered with f+1 Decide\n"
       "notices and it adopts the decision: value %llu at t = %.1f ms\n"
@@ -73,7 +74,7 @@ int main() {
       static_cast<unsigned long long>(d3->value.id),
       static_cast<double>(d3->at) / sim::kMillisecond,
       static_cast<double>(d3->at - gst) / sim::kMillisecond);
-  const bool agreement = simulation.trace().agreement_holds();
+  const bool agreement = log.agreement_holds();
   std::printf("agreement across the partition: %s\n", agreement ? "holds" : "VIOLATED");
   return agreement ? 0 : 1;
 }

@@ -126,7 +126,7 @@ std::size_t ChainStore::try_finalize() {
   // parent-linked blocks: equivalently, while the chain is followed by at
   // least 4 such blocks, finalize the first one (and thus its prefix).
   std::size_t finalized = 0;
-  while (notarized_suffix_length() >= 4) {
+  while (notarized_suffix_length() >= kFinalizingRun) {
     const Slot s = first_unfinalized();
     const auto n = notarized(s);
     SlotEntry* e = window_.find(s);

@@ -90,6 +90,9 @@ class ChainStore {
   /// Run the finalization rule; newly finalized blocks are appended to the
   /// finalized store in slot order. Returns how many were finalized.
   std::size_t try_finalize();
+  /// A block finalizes once it heads this many consecutive notarized,
+  /// parent-linked blocks.
+  static constexpr std::size_t kFinalizingRun = 4;
 
   /// Invoked once per newly finalized block (with its stored hash), in slot
   /// order, on BOTH finalization paths (rule and adoption), before the block

@@ -51,8 +51,8 @@ struct Commit {
 
 /// Subscriber to the commits a host's nodes publish. Replaces the old
 /// NodeContext::report_decision sink: hosts fan every published commit out
-/// to their registered sinks (the Simulation additionally records a
-/// DecisionRecord in its Trace).
+/// to their registered sinks (the Simulation additionally folds each one
+/// into its Trace digest).
 ///
 /// Threading: a host may invoke on_commit from the publishing node's
 /// thread. Hosts serialize sink invocations (the LocalRunner holds one

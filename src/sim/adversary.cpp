@@ -15,14 +15,6 @@ AdversaryHook make_partition_until_gst(std::vector<NodeId> group_a, SimTime gst)
   };
 }
 
-AdversaryHook make_targeted_delay(std::vector<NodeId> victims, SimTime delay) {
-  return [victims = std::move(victims), delay](
-             const Envelope& env, SimTime send_time) -> std::optional<DeliveryDecision> {
-    if (std::find(victims.begin(), victims.end(), env.dst) == victims.end()) return std::nullopt;
-    return DeliveryDecision{.drop = false, .deliver_at = send_time + delay};
-  };
-}
-
 AdversaryHook make_selective_drop(std::vector<std::uint8_t> tags, std::vector<NodeId> victims,
                                   SimTime gst) {
   return [tags = std::move(tags), victims = std::move(victims), gst](

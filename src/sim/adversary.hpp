@@ -111,10 +111,6 @@ class ViewChangeEquivocator : public multishot::MultishotNode {
 /// stochastic model (returns nullopt).
 AdversaryHook make_partition_until_gst(std::vector<NodeId> group_a, SimTime gst);
 
-/// Adversary hook: messages to `victims` are delayed to exactly
-/// send_time + delay (clamped to Delta post-GST); others use the default.
-AdversaryHook make_targeted_delay(std::vector<NodeId> victims, SimTime delay);
-
 /// Adversary hook: drop (pre-GST only) every message whose type tag is in
 /// `tags` and whose destination is in `victims`.
 AdversaryHook make_selective_drop(std::vector<std::uint8_t> tags, std::vector<NodeId> victims,

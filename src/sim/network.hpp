@@ -141,6 +141,7 @@ class Network {
   Network(NetworkConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {}
 
   void set_adversary(AdversaryHook hook) { adversary_ = std::move(hook); }
+  [[nodiscard]] const AdversaryHook& adversary() const noexcept { return adversary_; }
   [[nodiscard]] const NetworkConfig& config() const noexcept { return cfg_; }
   void set_gst(SimTime gst) noexcept { cfg_.gst = gst; }
 

@@ -52,7 +52,6 @@ class Simulation::Context final : public NodeContext {
 
 Simulation::Simulation(SimConfig cfg)
     : cfg_(cfg), network_(cfg.net, Rng(mix64(cfg.seed) ^ 0x6e657477ULL)), rng_(cfg.seed) {
-  trace_.set_keep_messages(cfg.keep_message_trace);
   queue_.set_sink(this);
 }
 
@@ -162,10 +161,8 @@ void Simulation::on_timer_event(NodeId node, TimerId id) {
 
 void Simulation::publish_commit(NodeId node, std::uint64_t stream, Value value,
                                 std::span<const std::uint8_t> payload) {
-  const SimTime at = queue_.now();
-  trace_.record_decision(DecisionRecord{node, stream, value, at});
-  if (commit_sinks_.empty()) return;
-  const runtime::Commit commit{node, stream, value, payload, at};
+  const runtime::Commit commit{node, stream, value, payload, queue_.now()};
+  trace_.record_decision(commit);
   for (runtime::CommitSink* sink : commit_sinks_) sink->on_commit(commit);
 }
 
@@ -180,14 +177,9 @@ void Simulation::dispatch_send(NodeId src, NodeId dst, Payload payload) {
     return;
   }
 
-  const std::uint8_t tag = payload.empty() ? 0 : payload.front();
-  const auto bytes = static_cast<std::uint32_t>(payload.size());
   Envelope env{src, dst, std::move(payload)};
   const auto deliver_at = network_.schedule(env, sent_at);
-
-  MessageRecord rec{src, dst, bytes, tag, sent_at, deliver_at.value_or(kNever),
-                    !deliver_at.has_value()};
-  trace_.record_send(rec);
+  trace_.record_send(env, sent_at, deliver_at);
 
   if (!deliver_at) return;  // dropped during asynchrony
   queue_.schedule_deliver(*deliver_at, src, dst, std::move(env.payload));

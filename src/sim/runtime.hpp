@@ -25,6 +25,7 @@
 #include "common/payload.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "runtime/commit_log.hpp"
 #include "runtime/host.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
@@ -36,12 +37,16 @@ namespace tbft::sim {
 // name for the services a simulated node sees; it *is* the transport-neutral
 // Host now.
 using NodeContext = runtime::Host;
+using runtime::CommitLog;
 using runtime::CommitSink;
 using runtime::ProtocolNode;
 
 struct SimConfig {
   NetworkConfig net{};
   std::uint64_t seed{1};
+  /// Fold every send into the Trace digest. When false, sends are still
+  /// counted, but the digest covers commits only. Neither setting keeps a
+  /// per-message record.
   bool keep_message_trace{true};
 };
 
@@ -67,7 +72,7 @@ class Simulation final : public EventSink {
   NodeId add_client(std::unique_ptr<ProtocolNode> client);
 
   /// Subscribe `sink` to every commit any node publishes (in addition to
-  /// the Trace's DecisionRecord, which is always kept). Sinks are invoked
+  /// the Trace, which folds every commit into its digest). Sinks are invoked
   /// synchronously inside the publishing node's event, in subscription
   /// order; subscribing does not perturb the Trace or the event schedule,
   /// so a run's trace digest is independent of its sinks.
@@ -169,7 +174,7 @@ class Simulation final : public EventSink {
   SimConfig cfg_;
   EventQueue queue_;
   Network network_;
-  Trace trace_;
+  Trace trace_{cfg_.keep_message_trace};
   MetricsRegistry metrics_;
   Rng rng_;
   std::vector<std::unique_ptr<ProtocolNode>> nodes_;

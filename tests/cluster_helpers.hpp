@@ -1,7 +1,8 @@
 #pragma once
 // Shared harness for single-shot TetraBFT integration tests and benches:
 // builds a Simulation hosting n nodes (honest by default, Byzantine via a
-// factory override) and provides decision/agreement assertions.
+// factory override) and provides decision/agreement assertions (through a
+// CommitLog subscribed to every commit).
 
 #include <functional>
 #include <memory>
@@ -34,6 +35,7 @@ struct ClusterOptions {
 
 struct Cluster {
   std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<sim::CommitLog> log;  // every node's first decision
   std::vector<core::TetraNode*> tetra;  // nullptr for non-TetraNode members
   ClusterOptions opts;
 
@@ -96,6 +98,8 @@ inline Cluster make_cluster(ClusterOptions opts) {
   Cluster cluster;
   cluster.opts = opts;
   cluster.sim = std::make_unique<sim::Simulation>(sc);
+  cluster.log = std::make_unique<sim::CommitLog>();
+  cluster.sim->add_commit_sink(*cluster.log);
   if (opts.adversary) cluster.sim->network().set_adversary(opts.adversary);
 
   for (NodeId i = 0; i < opts.n; ++i) {

@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "multishot/node.hpp"
@@ -28,6 +30,7 @@ struct MsClusterOptions {
 
 struct MsCluster {
   std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<sim::CommitLog> log;  // every node's first decision per slot
   std::vector<multishot::MultishotNode*> nodes;  // nullptr for foreign nodes
   MsClusterOptions opts;
 
@@ -54,6 +57,39 @@ struct MsCluster {
   }
 };
 
+/// Every ForwardTx relay the network carried, as (src, dst) in send order.
+/// Install hook() as the cluster's adversary: it records and returns
+/// nullopt, so each message's fate stays the network model's. The log must
+/// outlive the cluster.
+class RelayLog {
+ public:
+  RelayLog() = default;
+  RelayLog(const RelayLog&) = delete;  // the hook holds its address
+  RelayLog& operator=(const RelayLog&) = delete;
+
+  [[nodiscard]] sim::AdversaryHook hook() {
+    return [this](const sim::Envelope& env, sim::SimTime) -> std::optional<sim::DeliveryDecision> {
+      if (!env.payload.empty() &&
+          env.payload.front() == static_cast<std::uint8_t>(multishot::MsType::ForwardTx)) {
+        relays_.emplace_back(env.src, env.dst);
+      }
+      return std::nullopt;
+    };
+  }
+
+  /// Where `src` relayed to, in send order.
+  [[nodiscard]] std::vector<NodeId> from(NodeId src) const {
+    std::vector<NodeId> to;
+    for (const auto& [s, d] : relays_) {
+      if (s == src) to.push_back(d);
+    }
+    return to;
+  }
+
+ private:
+  std::vector<std::pair<NodeId, NodeId>> relays_;
+};
+
 inline MsCluster make_ms_cluster(MsClusterOptions opts) {
   sim::SimConfig sc;
   sc.seed = opts.seed;
@@ -73,6 +109,8 @@ inline MsCluster make_ms_cluster(MsClusterOptions opts) {
   MsCluster cluster;
   cluster.opts = opts;
   cluster.sim = std::make_unique<sim::Simulation>(sc);
+  cluster.log = std::make_unique<sim::CommitLog>();
+  cluster.sim->add_commit_sink(*cluster.log);
   if (opts.adversary) cluster.sim->network().set_adversary(opts.adversary);
 
   for (NodeId i = 0; i < opts.n; ++i) {

@@ -28,6 +28,7 @@ struct BaseClusterOptions {
 template <class Node>
 struct BaseCluster {
   std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<sim::CommitLog> log;
   std::vector<Node*> nodes;
   BaseClusterOptions opts;
 
@@ -54,6 +55,8 @@ BaseCluster<Node> make_base_cluster(BaseClusterOptions opts) {
   BaseCluster<Node> c;
   c.opts = opts;
   c.sim = std::make_unique<sim::Simulation>(sc);
+  c.log = std::make_unique<sim::CommitLog>();
+  c.sim->add_commit_sink(*c.log);
   for (NodeId i = 0; i < opts.n; ++i) {
     BaselineConfig cfg;
     cfg.n = opts.n;
@@ -88,8 +91,8 @@ sim::SimTime good_case_decision_time(std::uint32_t n = 4) {
   auto c = make_base_cluster<Node>(opts);
   const bool done = c.sim->run_until_pred([&] { return c.all_decided(); }, 10 * sim::kSecond);
   EXPECT_TRUE(done);
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
-  return c.sim->trace().decision_of(1)->at;
+  EXPECT_TRUE(c.log->agreement_holds());
+  return c.log->decision_of(1)->at;
 }
 
 // ---------------------------------------------------------------- good case
@@ -121,8 +124,8 @@ sim::SimTime silent_leader_decision_time(BaseClusterOptions opts = {}) {
   auto c = make_base_cluster<Node>(opts);
   const bool done = c.sim->run_until_pred([&] { return c.all_decided(); }, 60 * sim::kSecond);
   EXPECT_TRUE(done);
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
-  return c.sim->trace().decision_of(1)->at;
+  EXPECT_TRUE(c.log->agreement_holds());
+  return c.log->decision_of(1)->at;
 }
 
 TEST(Baselines, ItHotStuffViewChangeIsNineDelaysPastTimeout) {
@@ -257,21 +260,21 @@ TEST(Baselines, AllBaselinesAgreeUnderSilentFault) {
     opts.silent = {3};
     auto c = make_base_cluster<ItHotStuffNode>(opts);
     ASSERT_TRUE(c.sim->run_until_pred([&] { return c.all_decided(); }, 60 * sim::kSecond));
-    EXPECT_TRUE(c.sim->trace().agreement_holds());
+    EXPECT_TRUE(c.log->agreement_holds());
   }
   {
     BaseClusterOptions opts;
     opts.silent = {3};
     auto c = make_base_cluster<ItHotStuffBlogNode>(opts);
     ASSERT_TRUE(c.sim->run_until_pred([&] { return c.all_decided(); }, 60 * sim::kSecond));
-    EXPECT_TRUE(c.sim->trace().agreement_holds());
+    EXPECT_TRUE(c.log->agreement_holds());
   }
   {
     BaseClusterOptions opts;
     opts.silent = {3};
     auto c = make_base_cluster<PbftNode>(opts);
     ASSERT_TRUE(c.sim->run_until_pred([&] { return c.all_decided(); }, 60 * sim::kSecond));
-    EXPECT_TRUE(c.sim->trace().agreement_holds());
+    EXPECT_TRUE(c.log->agreement_holds());
   }
 }
 
@@ -282,7 +285,7 @@ TEST(Baselines, TwoSilentLeadersWithSevenNodes) {
   opts.silent = {0, 1};
   auto c = make_base_cluster<ItHotStuffNode>(opts);
   ASSERT_TRUE(c.sim->run_until_pred([&] { return c.all_decided(); }, 120 * sim::kSecond));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
   for (auto* n : c.nodes) {
     if (n != nullptr) {
       EXPECT_EQ(n->current_view(), 2);
@@ -300,6 +303,8 @@ TEST(Baselines, DecidedValueSurvivesViewChangeItHotStuff) {
   sc.net.delta_actual = 1 * kMillisecond;
 
   sim::Simulation simulation(sc);
+  sim::CommitLog log;
+  simulation.add_commit_sink(log);
   simulation.network().set_adversary(
       [gst](const sim::Envelope& env, sim::SimTime at) -> std::optional<sim::DeliveryDecision> {
         // Suppress lock-phase votes to everyone but node 0 during asynchrony.
@@ -330,7 +335,7 @@ TEST(Baselines, DecidedValueSurvivesViewChangeItHotStuff) {
                            [](auto* n) { return n->decision().has_value(); });
       },
       gst + 600 * sim::kSecond));
-  EXPECT_TRUE(simulation.trace().agreement_holds());
+  EXPECT_TRUE(log.agreement_holds());
   EXPECT_EQ(nodes[2]->decision(), Value{100});
 }
 

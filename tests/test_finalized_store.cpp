@@ -254,7 +254,7 @@ TEST(StorageCompaction, ClusterFinalizesFarPastTheTailConsistently) {
     EXPECT_EQ(node->chain().tail_first(), node->chain().checkpoint().slot + 1);
   }
   EXPECT_TRUE(c.chains_consistent());
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(StorageCompaction, CatchUpOlderThanTailRecoversViaCheckpointTransfer) {

@@ -53,13 +53,13 @@ TEST(IdleQuiescence, IdleNetworkProducesNoFillerAndQuiesces) {
     EXPECT_EQ(node->finalized_count(), 0u);
   }
   // Not a single message crossed the wire: no proposals, no view changes.
-  EXPECT_EQ(rig.sim->trace().messages().size(), 0u);
+  EXPECT_EQ(rig.sim->trace().total_messages(), 0u);
 }
 
 TEST(IdleQuiescence, ResumesOnSubmissionToTheFrontierLeader) {
   auto rig = make_idle_rig();
   rig.sim->run_to_quiescence(5 * sim::kSecond);
-  ASSERT_EQ(rig.sim->trace().messages().size(), 0u);
+  ASSERT_EQ(rig.sim->trace().total_messages(), 0u);
 
   // Slot 1 is the frontier; its view-0 leader is node 1.
   const NodeId leader = rig.cfg.leader_of(1, 0);
@@ -76,9 +76,9 @@ TEST(IdleQuiescence, ResumesOnSubmissionToTheFrontierLeader) {
   const Slot len = rig.nodes[0]->finalized_count();
   EXPECT_GE(len, 1u);
   EXPECT_LE(len, 6u);
-  const auto traffic = rig.sim->trace().messages().size();
+  const auto traffic = rig.sim->trace().total_messages();
   rig.sim->run_until(rig.sim->now() + 2 * sim::kSecond);
-  EXPECT_EQ(rig.sim->trace().messages().size(), traffic);
+  EXPECT_EQ(rig.sim->trace().total_messages(), traffic);
   EXPECT_EQ(rig.nodes[0]->finalized_count(), len);
 }
 

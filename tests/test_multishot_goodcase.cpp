@@ -16,7 +16,7 @@ TEST(MultishotGood, ChainGrowsAndStaysConsistent) {
   auto c = make_ms_cluster({});
   ASSERT_TRUE(c.run_until_finalized(10, 10 * c.timeout()));
   EXPECT_TRUE(c.chains_consistent());
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(MultishotGood, OneBlockPerDeltaSteadyState) {
@@ -29,9 +29,8 @@ TEST(MultishotGood, OneBlockPerDeltaSteadyState) {
     opts.pipeline_depth = depth;
     auto c = make_ms_cluster(opts);
     ASSERT_TRUE(c.run_until_finalized(20, 10 * c.timeout())) << "depth " << depth;
-    const auto& trace = c.sim->trace();
     for (Slot s = 1; s <= 20; ++s) {
-      const auto d = trace.decision_of(0, s);
+      const auto d = c.log->decision_of(0, s);
       ASSERT_TRUE(d.has_value()) << "depth " << depth << " slot " << s;
       EXPECT_EQ(d->at, static_cast<sim::SimTime>(s + 4) * opts.delta_actual)
           << "depth " << depth << " slot " << s;
@@ -45,7 +44,7 @@ TEST(MultishotGood, FinalityLagIsFiveDelays) {
   MsClusterOptions opts;
   auto c = make_ms_cluster(opts);
   ASSERT_TRUE(c.run_until_finalized(5, 10 * c.timeout()));
-  const auto d1 = c.sim->trace().decision_of(0, 1);
+  const auto d1 = c.log->decision_of(0, 1);
   ASSERT_TRUE(d1.has_value());
   EXPECT_EQ(d1->at, 5 * opts.delta_actual);
 }
@@ -93,7 +92,7 @@ TEST(MultishotGood, ThroughputFiveTimesSequentialSingleShot) {
   opts.max_slots = 40;
   auto c = make_ms_cluster(opts);
   ASSERT_TRUE(c.run_until_finalized(30, 20 * c.timeout()));
-  const auto d30 = c.sim->trace().decision_of(0, 30);
+  const auto d30 = c.log->decision_of(0, 30);
   ASSERT_TRUE(d30.has_value());
   const double pipelined_rate = 30.0 / static_cast<double>(d30->at);
   const double sequential_rate = 1.0 / (5.0 * static_cast<double>(opts.delta_actual));
@@ -108,7 +107,7 @@ TEST(MultishotGood, LargerClusterStillPipelines) {
   auto c = make_ms_cluster(opts);
   ASSERT_TRUE(c.run_until_finalized(10, 10 * c.timeout()));
   EXPECT_TRUE(c.chains_consistent());
-  const auto d10 = c.sim->trace().decision_of(0, 10);
+  const auto d10 = c.log->decision_of(0, 10);
   EXPECT_EQ(d10->at, 14 * opts.delta_actual);  // (10+4) * delta
 }
 

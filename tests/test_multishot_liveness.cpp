@@ -76,10 +76,9 @@ TEST(MultishotLiveness, FinalityLagConstantUnderLoad) {
   opts.max_slots = 60;
   auto c = make_ms_cluster(opts);
   ASSERT_TRUE(c.run_until_finalized(50, 60 * c.timeout()));
-  const auto& trace = c.sim->trace();
   for (Slot s = 10; s <= 49; ++s) {
-    const auto a = trace.decision_of(0, s);
-    const auto b = trace.decision_of(0, s + 1);
+    const auto a = c.log->decision_of(0, s);
+    const auto b = c.log->decision_of(0, s + 1);
     ASSERT_TRUE(a && b);
     EXPECT_EQ(b->at - a->at, opts.delta_actual) << "slot " << s;
   }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ms_cluster_helpers.hpp"
 
 namespace tbft::test {
@@ -30,7 +32,7 @@ TEST(MultishotViewChange, FailedSlotRecoversAndChainContinues) {
   auto c = make_ms_cluster(fig3_opts());
   ASSERT_TRUE(c.run_until_finalized(8, 30 * c.timeout()));
   EXPECT_TRUE(c.chains_consistent());
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(MultishotViewChange, AbortedSlotsAreBoundedByFinalityDepth) {
@@ -104,7 +106,7 @@ TEST(MultishotViewChange, RecoveryIsOneTimeoutThenFourDelays) {
   }
   EXPECT_EQ(first_new.first, 2u);
   EXPECT_EQ(first_new.second, c.timeout() + 4 * opts.delta_actual);
-  const auto d1 = c.sim->trace().decision_of(0, 1);
+  const auto d1 = c.log->decision_of(0, 1);
   ASSERT_TRUE(d1.has_value());
   EXPECT_EQ(d1->at, c.timeout() + 6 * opts.delta_actual);
 }
@@ -140,7 +142,7 @@ TEST(MultishotViewChange, EquivocatingProposerCannotForkTheChain) {
   auto c = make_ms_cluster(opts);
   ASSERT_TRUE(c.run_until_finalized(8, 60 * c.timeout()));
   EXPECT_TRUE(c.chains_consistent());
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 /// Byzantine leader: its view-0 proposal for slot 2 carries one byte more
@@ -306,15 +308,13 @@ TEST(MultishotViewChange, TakeBackGivesTheMovedSlotsTheirRoomBack) {
     if (id == 0) return std::make_unique<sim::SilentNode>();
     return nullptr;
   };
+  RelayLog relays;
+  opts.adversary = relays.hook();
   auto c = make_ms_cluster(opts);
   multishot::MultishotNode& origin = *c.nodes[2];
   const auto relays_to = [&](NodeId dst) {
-    std::size_t count = 0;
-    for (const auto& m : c.sim->trace().messages()) {
-      count += m.src == 2 && m.dst == dst &&
-               m.type_tag == static_cast<std::uint8_t>(multishot::MsType::ForwardTx);
-    }
-    return count;
+    const std::vector<NodeId> to = relays.from(2);
+    return static_cast<std::size_t>(std::count(to.begin(), to.end(), dst));
   };
   const std::uint32_t share = origin.config().max_batch_txs / origin.config().n;
   ASSERT_EQ(share, 4u);
@@ -382,7 +382,7 @@ TEST_P(MultishotRandomized, ConsistencyUnderRandomFaultsAndAsynchrony) {
   EXPECT_TRUE(done) << "liveness failed: seed=" << GetParam() << " n=" << opts.n
                     << " byz=" << byz << " selective=" << selective;
   EXPECT_TRUE(c.chains_consistent()) << "consistency failed: seed=" << GetParam();
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultishotRandomized, testing::Range(0, 25));
@@ -411,7 +411,7 @@ TEST_P(MultishotEquivocation, EquivocationPlusAsynchronyIsSafeButMayStall) {
   auto c = make_ms_cluster(opts);
   (void)c.run_until_finalized(8, opts.gst + 40 * c.timeout());
   EXPECT_TRUE(c.chains_consistent()) << "consistency failed: seed=" << GetParam();
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultishotEquivocation, testing::Range(0, 15));

@@ -19,7 +19,7 @@ TEST(Asynchrony, DecidesAfterGstDespiteEarlyChaos) {
   opts.seed = 7;
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(opts.gst + 30 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(Asynchrony, PartitionUntilGstThenRecover) {
@@ -28,7 +28,7 @@ TEST(Asynchrony, PartitionUntilGstThenRecover) {
   opts.adversary = sim::make_partition_until_gst({0, 1}, opts.gst);
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(opts.gst + 30 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(Asynchrony, NoDecisionPossibleDuringTotalPartition) {
@@ -54,7 +54,7 @@ TEST(Asynchrony, ResponsivenessDecisionTracksActualDelay) {
     auto c = make_cluster(opts);
     ASSERT_TRUE(c.run_until_all_decided(10 * c.timeout()));
     for (NodeId i : tetra_ids(c)) {
-      EXPECT_EQ(c.sim->trace().decision_of(i)->at, 5 * delta);
+      EXPECT_EQ(c.log->decision_of(i)->at, 5 * delta);
     }
   }
 }
@@ -73,7 +73,7 @@ TEST(Asynchrony, PostGstViewDecidesWithinSevenActualDelays) {
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(20 * c.timeout()));
   for (NodeId i : tetra_ids(c)) {
-    const auto d = c.sim->trace().decision_of(i);
+    const auto d = c.log->decision_of(i);
     EXPECT_LE(d->at - c.timeout(), 7 * opts.delta_actual) << "node " << i;
   }
 }
@@ -129,7 +129,7 @@ TEST_P(RandomizedAgreement, AgreementAndTerminationUnderRandomSchedules) {
   const bool done = c.run_until_all_decided(opts.gst + 60 * c.timeout());
   EXPECT_TRUE(done) << "termination failed: seed=" << GetParam() << " n=" << opts.n
                     << " byz_kind=" << byz_kind << " byz_id=" << byz_id;
-  EXPECT_TRUE(c.sim->trace().agreement_holds()) << "agreement failed: seed=" << GetParam();
+  EXPECT_TRUE(c.log->agreement_holds()) << "agreement failed: seed=" << GetParam();
   // Storage stays constant regardless of how many views were needed.
   for (NodeId i : tetra_ids(c)) {
     EXPECT_LE(c.tetra[i]->persistent_bytes(), 256u);

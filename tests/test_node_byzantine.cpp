@@ -23,7 +23,7 @@ TEST(Byzantine, EquivocatingLeaderCannotSplitDecision) {
   };
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(30 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
   const auto val = c.agreed_value();
   ASSERT_TRUE(val.has_value());
   EXPECT_EQ(*val, Value{101});  // view 1 leader's value
@@ -41,7 +41,7 @@ TEST(Byzantine, EquivocatingLeaderWithSevenNodes) {
   };
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(30 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(Byzantine, UnsafeProposerMayWinWhenValueIsActuallySafe) {
@@ -60,7 +60,7 @@ TEST(Byzantine, UnsafeProposerMayWinWhenValueIsActuallySafe) {
   ASSERT_TRUE(c.run_until_all_decided(30 * c.timeout()));
   // All values are safe in view 1 (nothing happened in view 0), so the
   // Byzantine value may legally be decided -- but agreement must hold.
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(Byzantine, HiddenDecisionForcesSameValueInLaterViews) {
@@ -100,7 +100,7 @@ TEST(Byzantine, HiddenDecisionForcesSameValueInLaterViews) {
 
   // Everyone must converge on 100, never on the Byzantine value.
   ASSERT_TRUE(c.run_until_all_decided(gst + 40 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
   EXPECT_EQ(c.agreed_value(), Value{100});
   // The Byzantine proposal really was made and rejected: the decision came
   // in a view past 1.
@@ -120,7 +120,7 @@ TEST(Byzantine, LyingHistoryCannotBreakAgreement) {
   };
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(30 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
   EXPECT_EQ(c.agreed_value(), Value{101});
 }
 
@@ -133,7 +133,7 @@ TEST(Byzantine, VoteEquivocatorCannotSplitAgreement) {
   };
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(30 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
   EXPECT_EQ(c.agreed_value(), Value{100});
 }
 
@@ -159,7 +159,7 @@ TEST(Byzantine, SilentNonLeaderDoesNotSlowGoodCase) {
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(10 * c.timeout()));
   for (NodeId i : tetra_ids(c)) {
-    EXPECT_EQ(c.sim->trace().decision_of(i)->at, 5 * opts.delta_actual);
+    EXPECT_EQ(c.log->decision_of(i)->at, 5 * opts.delta_actual);
   }
 }
 

@@ -25,7 +25,7 @@ TEST(EdgeCases, TwoByzantineOfSevenCombined) {
   };
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(40 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(EdgeCases, TenNodesThreeFaultsMixed) {
@@ -41,7 +41,7 @@ TEST(EdgeCases, TenNodesThreeFaultsMixed) {
   };
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(40 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(EdgeCases, PermanentAsynchronyNeverViolatesSafety) {
@@ -53,7 +53,7 @@ TEST(EdgeCases, PermanentAsynchronyNeverViolatesSafety) {
     opts.seed = seed;
     auto c = make_cluster(opts);
     c.sim->run_until(2 * sim::kSecond);
-    EXPECT_TRUE(c.sim->trace().agreement_holds()) << "seed " << seed;
+    EXPECT_TRUE(c.log->agreement_holds()) << "seed " << seed;
   }
 }
 
@@ -148,7 +148,7 @@ TEST(EdgeCases, StaleVotesFromPastViewsAreIgnored) {
   };
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(30 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(EdgeCases, SeededDeterminism) {
@@ -166,8 +166,8 @@ TEST(EdgeCases, SeededDeterminism) {
   EXPECT_EQ(a.sim->trace().total_bytes(), b.sim->trace().total_bytes());
   ASSERT_EQ(a.decided_count(), b.decided_count());
   for (NodeId i : tetra_ids(a)) {
-    const auto da = a.sim->trace().decision_of(i);
-    const auto db = b.sim->trace().decision_of(i);
+    const auto da = a.log->decision_of(i);
+    const auto db = b.log->decision_of(i);
     ASSERT_EQ(da.has_value(), db.has_value());
     if (da) {
       EXPECT_EQ(da->at, db->at);

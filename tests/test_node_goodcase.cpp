@@ -28,7 +28,7 @@ TEST(GoodCase, DecisionInExactlyFiveMessageDelays) {
   ASSERT_TRUE(c.run_until_all_decided(10 * c.timeout()));
   // proposal, vote-1..vote-4: five network hops of delta each.
   for (NodeId i : tetra_ids(c)) {
-    const auto d = c.sim->trace().decision_of(i);
+    const auto d = c.log->decision_of(i);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->at, 5 * opts.delta_actual) << "node " << i;
   }
@@ -42,9 +42,9 @@ TEST(GoodCase, FiveDelaysHoldsForLargerClusters) {
     auto c = make_cluster(opts);
     ASSERT_TRUE(c.run_until_all_decided(10 * c.timeout())) << "n=" << n;
     for (NodeId i : tetra_ids(c)) {
-      EXPECT_EQ(c.sim->trace().decision_of(i)->at, 5 * opts.delta_actual);
+      EXPECT_EQ(c.log->decision_of(i)->at, 5 * opts.delta_actual);
     }
-    EXPECT_TRUE(c.sim->trace().agreement_holds());
+    EXPECT_TRUE(c.log->agreement_holds());
   }
 }
 
@@ -88,7 +88,7 @@ TEST(GoodCase, DecisionIsStablePastQuiescence) {
   const auto val = c.agreed_value();
   c.sim->run_to_quiescence(c.sim->now() + 20 * c.timeout());
   EXPECT_EQ(c.agreed_value(), val);
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(GoodCase, UniformJitteredDelaysStillDecideWithinFiveDelta) {
@@ -99,9 +99,9 @@ TEST(GoodCase, UniformJitteredDelaysStillDecideWithinFiveDelta) {
   opts.delta_actual = 1 * kMillisecond;
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(10 * c.timeout()));
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
   for (NodeId i : tetra_ids(c)) {
-    EXPECT_LE(c.sim->trace().decision_of(i)->at, 5 * opts.delta_actual);
+    EXPECT_LE(c.log->decision_of(i)->at, 5 * opts.delta_actual);
   }
 }
 

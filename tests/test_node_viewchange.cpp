@@ -53,7 +53,7 @@ TEST(ViewChange, RecoveryLatencyIsTimeoutPlusSevenDelays) {
     auto c = make_cluster(opts);
     ASSERT_TRUE(c.run_until_all_decided(20 * c.timeout()));
     for (NodeId i : tetra_ids(c)) {
-      const auto d = c.sim->trace().decision_of(i);
+      const auto d = c.log->decision_of(i);
       ASSERT_TRUE(d.has_value());
       EXPECT_EQ(d->at, c.timeout() + 7 * delta) << "node " << i << " delta " << delta;
     }
@@ -86,7 +86,7 @@ TEST(ViewChange, SecondViewDecisionAt7DeltaAfterEntry) {
   ASSERT_TRUE(c.run_until_all_decided(20 * c.timeout()));
   // Timer fires at 9Delta_bound; then vc(1) + suggest/proof(1) + proposal(1)
   // + 4 votes = 7 delta_actual.
-  const auto d = c.sim->trace().decision_of(1);
+  const auto d = c.log->decision_of(1);
   EXPECT_EQ(d->at - c.timeout(), 7 * opts.delta_actual);
 }
 
@@ -108,7 +108,7 @@ TEST(ViewChange, BlockingSetEchoPullsLaggardsForward) {
   auto c = make_cluster(opts);
   ASSERT_TRUE(c.run_until_all_decided(20 * c.timeout()));
   EXPECT_EQ(c.tetra[3]->current_view(), 1);
-  EXPECT_TRUE(c.sim->trace().agreement_holds());
+  EXPECT_TRUE(c.log->agreement_holds());
 }
 
 TEST(ViewChange, NoRegressionToLowerViews) {
@@ -133,7 +133,7 @@ TEST(ViewChange, SixDeltaIsTheInViewBudgetAtWorstCaseDelay) {
     opts.delta_actual = opts.delta_bound;
     auto c = make_cluster(opts);
     const bool decided = c.run_until_all_decided(40 * c.timeout());
-    EXPECT_TRUE(c.sim->trace().agreement_holds()) << multiple;  // safety is unaffected
+    EXPECT_TRUE(c.log->agreement_holds()) << multiple;  // safety is unaffected
     if (multiple < 6) {
       EXPECT_FALSE(decided) << multiple;
       EXPECT_EQ(c.decided_count(), 0u) << multiple;
@@ -144,7 +144,7 @@ TEST(ViewChange, SixDeltaIsTheInViewBudgetAtWorstCaseDelay) {
     ASSERT_TRUE(decided) << multiple;
     for (NodeId i : tetra_ids(c)) {
       EXPECT_EQ(c.tetra[i]->current_view(), 1) << multiple;
-      EXPECT_EQ(c.sim->trace().decision_of(i)->at, (multiple + 7) * opts.delta_bound)
+      EXPECT_EQ(c.log->decision_of(i)->at, (multiple + 7) * opts.delta_bound)
           << multiple;
     }
   }

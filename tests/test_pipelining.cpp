@@ -184,17 +184,6 @@ TEST(Pipelining, StripeRunAheadIsPaced) {
                                         << d1.p50_ms << " ms";
 }
 
-/// Where `src` relayed to, in trace order.
-std::vector<NodeId> relays_from(const MsCluster& c, NodeId src) {
-  std::vector<NodeId> to;
-  for (const auto& m : c.sim->trace().messages()) {
-    if (m.src == src && m.type_tag == static_cast<std::uint8_t>(multishot::MsType::ForwardTx)) {
-      to.push_back(m.dst);
-    }
-  }
-  return to;
-}
-
 TEST(Pipelining, RelayGoesToTheLeaderOfTheFirstUnproposedSlot) {
   // Depth 4, n = 4: node 1 leads slots 1-4, node 2 slots 5-8 (view 0). A
   // transaction at node 1 keeps the chain busy through stripe 1; then a
@@ -206,6 +195,8 @@ TEST(Pipelining, RelayGoesToTheLeaderOfTheFirstUnproposedSlot) {
   MsClusterOptions opts;
   opts.max_slots = 0;  // unbounded chain, the production shape
   opts.pipeline_depth = 4;
+  RelayLog relays;
+  opts.adversary = relays.hook();
   MsCluster c = make_ms_cluster(opts);
   ASSERT_TRUE(c.nodes[1]->submit_tx({0x01}));
   multishot::MultishotNode& submitter = *c.nodes[3];
@@ -225,15 +216,16 @@ TEST(Pipelining, RelayGoesToTheLeaderOfTheFirstUnproposedSlot) {
   EXPECT_TRUE(c.sim->run_until_pred(committed, sim::kSecond));
   EXPECT_LE(c.sim->now() - submitted_at, 10 * opts.delta_actual);
 
-  EXPECT_EQ(relays_from(c, 3), std::vector<NodeId>{2});
+  EXPECT_EQ(relays.from(3), std::vector<NodeId>{2});
 }
 
 /// Depth 4, n = 4 on a bounded chain, which proposes filler one slot per
 /// delta, so the pipeline is already running when a request arrives.
-MsCluster running_depth4_chain() {
+MsCluster running_depth4_chain(sim::AdversaryHook adversary = {}) {
   MsClusterOptions opts;
   opts.max_slots = 200;
   opts.pipeline_depth = 4;
+  opts.adversary = std::move(adversary);
   return make_ms_cluster(opts);
 }
 
@@ -283,7 +275,8 @@ TEST(Pipelining, RelayLedgerFillsEachSlotInTurn) {
   // submitter it sees and its share is a whole batch, 16: slots 105-108
   // (node 3's) take 64 relays, node 0's own stripe 109-112 keeps 64
   // requests here, and the last one goes on to slot 113, node 1's.
-  MsCluster c = running_depth4_chain();
+  RelayLog relays;
+  MsCluster c = running_depth4_chain(relays.hook());
   multishot::MultishotNode& submitter = *c.nodes[0];
   ASSERT_TRUE(run_until_proposal_seen(c, submitter, 102));
   ASSERT_FALSE(submitter.probe_slot(103).proposal_seen);
@@ -307,7 +300,7 @@ TEST(Pipelining, RelayLedgerFillsEachSlotInTurn) {
 
   std::vector<NodeId> expected(4 * share, NodeId{3});
   expected.push_back(NodeId{1});
-  EXPECT_EQ(relays_from(c, 0), expected);
+  EXPECT_EQ(relays.from(0), expected);
   const auto& chain = c.nodes[1]->chain();
   for (std::uint32_t i = 0; i < txs.size(); ++i) {
     const Slot first = i < 4 * share ? 105 : i < 8 * share ? 109 : 113;
@@ -326,13 +319,14 @@ TEST(Pipelining, RelayLedgerSharesEachSlotAmongTheSubmittersItSees) {
   // first it can still catch: 4 x 8 + 1 requests fill node 2's stripe
   // 117-120 and the last goes to slot 121, node 3's. Had node 0 counted
   // itself alone, node 2 would have been handed all 33.
-  MsCluster c = running_depth4_chain();
+  RelayLog relays;
+  MsCluster c = running_depth4_chain(relays.hook());
   multishot::MultishotNode& submitter = *c.nodes[0];
   multishot::MultishotNode& peer = *c.nodes[1];
   ASSERT_TRUE(run_until_proposal_seen(c, peer, 106));
   ASSERT_FALSE(peer.probe_slot(107).proposal_seen);
   ASSERT_TRUE(peer.submit_tx({0xC0}));
-  EXPECT_EQ(relays_from(c, 1), std::vector<NodeId>{0});
+  EXPECT_EQ(relays.from(1), std::vector<NodeId>{0});
 
   ASSERT_TRUE(run_until_proposal_seen(c, submitter, 114));
   ASSERT_FALSE(submitter.probe_slot(115).proposal_seen);
@@ -344,7 +338,7 @@ TEST(Pipelining, RelayLedgerSharesEachSlotAmongTheSubmittersItSees) {
   }
   std::vector<NodeId> expected(4 * share, NodeId{2});
   expected.push_back(NodeId{3});
-  EXPECT_EQ(relays_from(c, 0), expected);
+  EXPECT_EQ(relays.from(0), expected);
   const auto committed = [&] {
     for (const auto* node : c.nodes) {
       for (const auto& tx : txs) {
@@ -365,7 +359,8 @@ TEST(Pipelining, AimingARequestDoesNotAllocate) {
   // 16 more aim at its second stripe (a whole batch fits slot 109: no
   // other node relays, so node 0 counts itself the only submitter) and
   // stay here: no relay message, so the whole submit path is the aiming.
-  MsCluster c = running_depth4_chain();
+  RelayLog relays;
+  MsCluster c = running_depth4_chain(relays.hook());
   multishot::MultishotNode& submitter = *c.nodes[0];
   const auto burst = [&](std::uint8_t tag) {
     std::vector<std::vector<std::uint8_t>> txs;
@@ -393,14 +388,14 @@ TEST(Pipelining, AimingARequestDoesNotAllocate) {
   ASSERT_FALSE(submitter.probe_slot(109).proposed);
   const auto txs = burst(0xA1);
   auto moved = txs;
-  const std::size_t relays_before = relays_from(c, 0).size();
+  const std::size_t relays_before = relays.from(0).size();
   std::uint32_t admitted = 0;
   const std::uint64_t before = bench::alloc_count().load();
   for (auto& tx : moved) admitted += submitter.submit_tx(std::move(tx)) ? 1 : 0;
   const std::uint64_t allocs = bench::alloc_count().load() - before;
   EXPECT_EQ(admitted, txs.size());
   EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(relays_from(c, 0).size(), relays_before);
+  EXPECT_EQ(relays.from(0).size(), relays_before);
   ASSERT_TRUE(committed(txs));
   for (const auto& tx : txs) {
     const Slot at = c.nodes[1]->chain().commit_slot(tx);

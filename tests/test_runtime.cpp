@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "../bench/bench_alloc_count.hpp"
 #include "sim/adversary.hpp"
 
 namespace tbft::sim {
@@ -129,20 +130,79 @@ TEST(Runtime, DecisionRecordingAndAgreement) {
     void on_timer(TimerId) override {}
   };
   Simulation sim(basic_cfg());
+  CommitLog log;
+  sim.add_commit_sink(log);
   sim.add_node(std::make_unique<Decider>());
   sim.add_node(std::make_unique<Decider>());
   sim.start();
   sim.run_to_quiescence(kSecond);
-  EXPECT_TRUE(sim.trace().agreement_holds());
-  ASSERT_TRUE(sim.trace().decision_of(0).has_value());
-  EXPECT_EQ(sim.trace().decision_of(1)->value, Value{7});
+  EXPECT_TRUE(log.agreement_holds());
+  ASSERT_TRUE(log.decision_of(0).has_value());
+  EXPECT_EQ(log.decision_of(1)->value, Value{7});
+  EXPECT_FALSE(log.decision_of(1, 1).has_value());
 }
 
 TEST(Runtime, AgreementViolationDetected) {
+  CommitLog log;
+  log.on_commit({0, 0, Value{1}, {}, 0});
+  log.on_commit({1, 0, Value{2}, {}, 0});
+  EXPECT_FALSE(log.agreement_holds());
+}
+
+TEST(Runtime, CommitLogKeepsEachNodesFirstDecision) {
+  CommitLog log;
+  log.on_commit({0, 5, Value{1}, {}, 10});
+  log.on_commit({0, 5, Value{1}, {}, 20});
+  ASSERT_TRUE(log.decision_of(0, 5).has_value());
+  EXPECT_EQ(log.decision_of(0, 5)->at, 10);
+  EXPECT_TRUE(log.agreement_holds());
+}
+
+TEST(Trace, DigestFoldsSendsAndDecisionsInEventOrder) {
+  const Envelope send{0, 1, Payload{42, 0, 0}};
+  const runtime::Commit decision{1, 0, Value{7}, {}, 105};
+  const auto digest_of = [&](bool digest_sends, bool send_first) {
+    Trace trace(digest_sends);
+    if (send_first) trace.record_send(send, 5, 105);
+    trace.record_decision(decision);
+    if (!send_first) trace.record_send(send, 5, 105);
+    EXPECT_EQ(trace.total_messages(), 1u);
+    return trace.digest();
+  };
+  EXPECT_NE(digest_of(true, true), digest_of(true, false));
+  // With the send fold off, the digest is the decision's alone.
+  Trace decision_only(false);
+  decision_only.record_decision(decision);
+  EXPECT_NE(decision_only.digest(), Trace(false).digest());
+  EXPECT_EQ(digest_of(false, true), decision_only.digest());
+  EXPECT_EQ(digest_of(false, false), decision_only.digest());
+}
+
+TEST(Trace, MaxDeliveryDelaySkipsDrops) {
+  const Envelope send{0, 1, Payload{42}};
   Trace trace;
-  trace.record_decision({0, 0, Value{1}, 0});
-  trace.record_decision({1, 0, Value{2}, 0});
-  EXPECT_FALSE(trace.agreement_holds());
+  EXPECT_EQ(trace.max_delivery_delay(), 0);
+  trace.record_send(send, 10, 15);
+  trace.record_send(send, 20, std::nullopt);  // dropped: no delivery to time
+  trace.record_send(send, 30, 32);
+  EXPECT_EQ(trace.max_delivery_delay(), 5);
+  EXPECT_EQ(trace.dropped_messages(), 1u);
+}
+
+TEST(Trace, RecordingNeverAllocates) {
+  // A long run records a send per delivery and a decision per commit: the
+  // trace's memory must not grow with either.
+  const Envelope send{0, 1, Payload(std::vector<std::uint8_t>(64, 42))};
+  Trace trace;
+  const std::uint64_t before = bench::alloc_count().load();
+  for (std::uint32_t i = 0; i < 1'000'000; ++i) {
+    trace.record_send(send, i, i + 100);
+    trace.record_decision({i % 4, i, Value{i}, {}, i});
+  }
+  EXPECT_EQ(bench::alloc_count().load() - before, 0u);
+  EXPECT_EQ(trace.total_messages(), 1'000'000u);
+  EXPECT_EQ(trace.total_bytes(), 64'000'000u);
+  EXPECT_NE(trace.digest(), Trace().digest());
 }
 
 TEST(Runtime, RunUntilPredStopsEarly) {
