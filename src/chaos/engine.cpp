@@ -89,11 +89,11 @@ void append_triage(std::string& out, const std::string& who,
   }
   // Suspects still asked to view-change at once, as node@end_slot.
   out += "] suspects=[";
-  const auto until = node.suspect_until();
-  for (NodeId j = 0; j < until.size(); ++j) {
-    if (until[j] < first) continue;
+  const auto peers = node.peer_health();
+  for (NodeId j = 0; j < peers.size(); ++j) {
+    if (peers[j].suspect_until < first) continue;
     if (out.back() != '[') out += ',';
-    out += std::to_string(j) + "@" + std::to_string(until[j]);
+    out += std::to_string(j) + "@" + std::to_string(peers[j].suspect_until);
   }
   out += "]\n";
   for (Slot s = first; s < first + kSlots; ++s) {

@@ -78,15 +78,14 @@ MultishotNode::MultishotNode(MultishotConfig cfg)
   // Both finalization paths (depth-4 rule and claim adoption) notify through
   // this one hook, before the block can be compacted out of the tail.
   chain_.set_on_finalized([this](const Block& b, std::uint64_t h) { note_finalized(b, h); });
-  submitter_until_.assign(cfg_.n, 0);
-  suspect_until_.assign(cfg_.n, 0);
+  peers_.resize(cfg_.n);
 }
 
 void MultishotNode::on_start() {
   // A chain restored from durable state resumes at its recovered frontier,
   // not slot 1.
   const Slot first = chain_.first_unfinalized();
-  std::fill(submitter_until_.begin(), submitter_until_.end(), first + ChainStore::kWindow);
+  for (PeerHealth& p : peers_) p.submitter_until = first + ChainStore::kWindow;
   start_slot(first);
   try_propose(first);
 }
@@ -146,8 +145,8 @@ NodeId MultishotNode::relay_target() const {
 std::uint32_t MultishotNode::submitters() const {
   const Slot first = chain_.first_unfinalized();
   std::uint32_t count = 1;
-  for (NodeId p = 0; p < submitter_until_.size(); ++p) {
-    if (p != ctx().id() && submitter_until_[p] >= first) ++count;
+  for (NodeId p = 0; p < peers_.size(); ++p) {
+    if (p != ctx().id() && peers_[p].submitter_until >= first) ++count;
   }
   return count;
 }
@@ -344,13 +343,12 @@ void MultishotNode::start_slot(Slot s) {
   if (st == nullptr || st->started) return;
   st->started = true;
   arm_timer(s);
-  // A suspect's stripe asks for its view change as it starts, not 9 Delta
-  // later. Only a request goes out: the view moves on a quorum of them, as
-  // after a timeout, and a node that missed the suspicion joins through
-  // the echo. One request per stripe: change_view moves the whole stripe.
-  if (s > suspect_horizon_ || st->highest_vc_sent >= 1) return;
+  // A suspect's stripe asks for its view change as it starts. A node that
+  // missed the suspicion joins through the echo. One request per stripe:
+  // change_view moves the whole stripe.
+  if (st->highest_vc_sent >= 1) return;
   const NodeId leader = leader_of(s, 0);
-  if (suspect_until_[leader] < s || leader_of(s - 1, 0) == leader) return;
+  if (peers_[leader].suspect_until < s || leader_of(s - 1, 0) == leader) return;
   st->highest_vc_sent = 1;
   ctx().metrics().counter("multishot.viewchange.suspected").add();
   ctx().metrics().counter("multishot.viewchange.sent").add();
@@ -841,18 +839,22 @@ void MultishotNode::on_message(NodeId from, const Payload& payload) {
   // per-sender state below is sized for the n protocol participants.
   if (from >= cfg_.n) return;
   // Decode-once fast path for broadcasts (cache attached by the encoder of
-  // these exact bytes); point-to-point payloads take the total decode below.
-  if (const MsMessage* cached = payload.cached<MsMessage>()) {
-    note_alive(from);
-    std::visit([this, from](const auto& m) { handle(from, m); }, *cached);
-    return;
+  // these exact bytes); point-to-point payloads take the total decode.
+  const MsMessage* msg = payload.cached<MsMessage>();
+  std::optional<MsMessage> decoded;
+  if (msg == nullptr) {
+    decoded = decode_ms(payload.bytes());
+    if (!decoded) {
+      ctx().metrics().counter("multishot.malformed").add();
+      return;
+    }
+    msg = &*decoded;
   }
-  const auto msg = decode_ms(payload.bytes());
-  if (!msg) {
-    ctx().metrics().counter("multishot.malformed").add();
-    return;
-  }
-  note_alive(from);
+  // A well-formed message ends its sender's suspicion: a restarted or
+  // once-idle node proposes again, and asking for its stripes' view change
+  // would race its proposals. A crashed or silent node sends nothing, and
+  // junk bytes do not count.
+  peers_[from].suspect_until = 0;
   std::visit([this, from](const auto& m) { handle(from, m); }, *msg);
 }
 
@@ -1012,17 +1014,15 @@ void MultishotNode::change_view(Slot from_slot, View new_view) {
     }
   });
   // The silent slot's view-0 leader becomes a suspect for the lag, until
-  // the skip set can take over its stripes (start_slot). Not from_slot's
-  // leader (usually a notarized slot's, led by a live node), nor top's
-  // (under equivocation the honest successor a view change drags along).
-  // A wrong suspicion -- a restarted node blaming a slot whose proposal
-  // came while it was down -- ends at the suspect's next message.
+  // the skip set can take over its stripes. Not from_slot's leader
+  // (usually a notarized slot's, led by a live node), nor top's (under
+  // equivocation the honest successor a view change drags along). A wrong
+  // suspicion -- a restarted node blaming a slot whose proposal came while
+  // it was down -- ends at the suspect's next message.
   if (silent) {
     const NodeId suspect = leader_of(open, 0);
-    if (suspect != ctx().id() && suspect_until_[suspect] < open) {
-      suspect_until_[suspect] = open + kScheduleLag;
-      suspect_horizon_ = std::max(suspect_horizon_, open + kScheduleLag);
-    }
+    Slot& until = peers_[suspect].suspect_until;
+    if (suspect != ctx().id() && until < open) until = open + kScheduleLag;
   }
   if (top != 0) {
     const NodeId failed = leader_of(top, 0);
@@ -1538,9 +1538,7 @@ void MultishotNode::handle(NodeId from, const MsBlockReply& m) {
 void MultishotNode::handle(NodeId from, const MsForwardTx& m) {
   auto& metrics = ctx().metrics();
   // The sender submits: it shares the next window's slots (submitters()).
-  if (from < submitter_until_.size()) {
-    submitter_until_[from] = chain_.first_unfinalized() + ChainStore::kWindow;
-  }
+  peers_[from].submitter_until = chain_.first_unfinalized() + ChainStore::kWindow;
   // A relay stamped too far behind our chain may have a twin committed at
   // a slot the commit index no longer covers (kDedupHorizon): admitting it
   // could commit the bytes twice. The sender's held copy still carries it.

@@ -13,12 +13,13 @@
 // n-f view-changes move every started slot >= s to the new view, abort
 // their tentative blocks, and trigger per-slot suggest/proof exchange so
 // leaders re-propose safe values under Rules 1/3 (reused verbatim from the
-// single-shot rules engine, with block hashes as values). A view change
-// that moves a slot its view-0 leader left silent makes that leader a
-// suspect: until the skip set takes its stripes over, or it is heard from
-// again, each of its stripes asks for its view change as it starts rather
-// than 9*Delta later (start_slot, change_view; DESIGN_PERF.md "The
-// detection window").
+// single-shot rules engine, with block hashes as values). Each node also
+// keeps local liveness guesses, one PeerHealth per peer, that the rules
+// never read: a view change that moves a slot its view-0 leader left
+// silent makes that leader a suspect, and until the skip set takes its
+// stripes over, or a well-formed message from it arrives, each of its
+// stripes asks for its view change as it starts rather than 9*Delta later
+// (start_slot, change_view; DESIGN_PERF.md "The detection window").
 //
 // Engineering completions mirroring the single-shot node (core/node.hpp):
 // monotone view-change counting per slot, and catch-up: a view-change for
@@ -208,12 +209,23 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] std::span<const NodeId> skipped_leaders() const noexcept {
     return chain_.finalized().schedule().skipped();
   }
-  /// Per node, the last slot of its suspicion (0 = none): a view change
-  /// moved a slot it led at view 0 that had no proposal and no
-  /// notarization. A suspect's stripes ask for their view change as they
-  /// start (start_slot) until the skip set can take them over, or until a
-  /// well-formed message from it shows it alive (note_alive).
-  [[nodiscard]] std::span<const Slot> suspect_until() const noexcept { return suspect_until_; }
+  /// This node's liveness guesses about one peer. The safety rules never
+  /// read them.
+  struct PeerHealth {
+    /// The last first-unfinalized slot at which the peer counts as a
+    /// submitter (submitters()): a relay received from it moves this to a
+    /// window past this node's first unfinalized slot. on_start counts
+    /// every peer for the first window.
+    Slot submitter_until{0};
+    /// The last slot of its suspicion (0 = none): a view change moved a slot
+    /// it led at view 0 that had no proposal and no notarization. Its
+    /// stripes ask for their view change as they start (start_slot) until
+    /// the skip set can take them over, and a well-formed message from it
+    /// (on_message) ends the suspicion.
+    Slot suspect_until{0};
+  };
+  /// One PeerHealth per node, indexed by node id.
+  [[nodiscard]] std::span<const PeerHealth> peer_health() const noexcept { return peers_; }
   /// The next slot a view-0 fresh proposal would go to: first unfinalized
   /// slot past the notarized suffix.
   [[nodiscard]] Slot proposal_frontier() const {
@@ -396,15 +408,8 @@ class MultishotNode : public runtime::ProtocolNode {
            s <= chain_.first_unfinalized() + ChainStore::kWindow;
   }
   SlotState* slot_state(Slot s, bool create);
-  /// A well-formed message from `from` ends its suspicion: a restarted or
-  /// once-idle node proposes again, and asking for its stripes' view change
-  /// would race its proposals. A crashed or silent node sends nothing, and
-  /// junk bytes do not count.
-  void note_alive(NodeId from) {
-    if (suspect_until_[from] != 0) suspect_until_[from] = 0;
-  }
   /// Start slot s and arm its view timer. When s is the first slot of a
-  /// stripe whose view-0 leader is a suspect (suspect_until), also
+  /// stripe whose view-0 leader is a suspect (PeerHealth), also
   /// broadcast MsViewChange{s, 1} at once -- a request only, so the view
   /// moves on a quorum as after a timeout -- and re-arm the timers of the
   /// notarized slots below s, which wait on s to finalize.
@@ -668,15 +673,7 @@ class MultishotNode : public runtime::ProtocolNode {
     std::uint32_t aimed{0};
   };
   std::array<RelayAim, ChainStore::kWindow + 1> relay_ledger_{};
-  /// Per peer, the last first-unfinalized slot at which it still counts as
-  /// a submitter (submitters()): a relay received from it moves this to a
-  /// window past this node's first unfinalized slot. on_start counts every
-  /// peer for the first window.
-  std::vector<Slot> submitter_until_;
-  /// Per node, the end slot of its suspicion (suspect_until()), and the
-  /// highest of them: start_slot reads no leader past it.
-  std::vector<Slot> suspect_until_;
-  Slot suspect_horizon_{0};
+  std::vector<PeerHealth> peers_;
 
   // Reusable encode scratch (see encode_ms_payload): grows once to the
   // high-water message size, then every encode is a single freeze.

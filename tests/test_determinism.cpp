@@ -209,5 +209,32 @@ TEST(Determinism, PipelinedWorkloadIsDeterministic) {
   EXPECT_NE(a.trace_digest, c.trace_digest);
 }
 
+// The leader-crash preset at depth 4 with client retries runs the paths no
+// steady-state pin reaches: node 0's later stripes are suspected and ask for
+// their view change as they start, and each view change takes back the
+// requests relayed to the failed leader. Pinned to the committed count,
+// digest and end time recorded before the peer-health record replaced the
+// per-peer vectors, so the liveness heuristics cannot move unnoticed.
+TEST(Determinism, LeaderCrashWorkloadIsPinned) {
+  workload::ScenarioOptions opts;
+  opts.preset = workload::Preset::kLeaderCrashUnderLoad;
+  opts.seed = 0xC4A5;
+  opts.load_duration = 300 * sim::kMillisecond;
+  opts.rate_per_sec = 2000;
+  opts.pipeline_depth = 4;
+  opts.adaptive_batch_txs = 512;
+  opts.client_retry_timeout = 200 * sim::kMillisecond;
+  const auto res = workload::run_scenario(opts);
+  EXPECT_EQ(res.report.committed, 1197u);
+  EXPECT_EQ(res.trace_digest, 0xbb7b70b2728a6a5bULL);
+  EXPECT_EQ(res.elapsed, 306251);
+  // Both paths ran, so a re-recorded pin cannot lose them unnoticed.
+  auto rig = workload::make_rig(opts);
+  rig.sim->start();
+  rig.sim->run_until(res.elapsed);
+  EXPECT_GT(rig.sim->metrics().counter("multishot.viewchange.suspected").value(), 0u);
+  EXPECT_GT(rig.sim->metrics().counter("multishot.forward.released").value(), 0u);
+}
+
 }  // namespace
 }  // namespace tbft::test

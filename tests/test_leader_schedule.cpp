@@ -5,9 +5,9 @@
 // install and the version 2 checkpoint upgrade, and its effect in running
 // clusters: a crashed node costs one detection window, and the window one
 // view timeout (its later stripes are suspected and ask for their view
-// change as they start); only a silent slot's leader is suspected;
-// Byzantine nodes get at most f nodes skipped, and a run without faults
-// skips no one.
+// change as they start); only a silent slot's leader is suspected, and
+// junk bytes do not end a suspicion; Byzantine nodes get at most f nodes
+// skipped, and a run without faults skips no one.
 
 #include <gtest/gtest.h>
 
@@ -496,9 +496,11 @@ void crashed_window_costs_one_timeout(std::uint32_t depth) {
   EXPECT_LE(c.sim->now() - crashed, 3 * c.timeout());
   EXPECT_GT(c.sim->metrics().counter("multishot.viewchange.suspected").value(), 0u);
   for (const NodeId i : live) {
-    const auto until = c.nodes[i]->suspect_until();
-    EXPECT_GT(until[0], kCrashAt) << "node " << i;
-    for (const NodeId j : live) EXPECT_EQ(until[j], 0u) << "node " << i << " suspects " << j;
+    const auto peers = c.nodes[i]->peer_health();
+    EXPECT_GT(peers[0].suspect_until, kCrashAt) << "node " << i;
+    for (const NodeId j : live) {
+      EXPECT_EQ(peers[j].suspect_until, 0u) << "node " << i << " suspects " << j;
+    }
   }
   EXPECT_TRUE(c.chains_consistent());
 }
@@ -510,7 +512,7 @@ TEST(LeaderScheduleCluster, CrashedLeaderWindowCostsOneTimeout) {
 
 /// The latest end slot of each node's suspicion that each node ever held,
 /// sampled after every simulation event: a suspicion can end within one
-/// message delay (note_alive).
+/// message delay, at the suspect's next well-formed message.
 struct SuspicionLog {
   std::vector<std::vector<Slot>> max_until;
 
@@ -518,10 +520,10 @@ struct SuspicionLog {
     max_until.resize(c.nodes.size());
     for (NodeId i = 0; i < c.nodes.size(); ++i) {
       if (c.nodes[i] == nullptr) continue;
-      const auto until = c.nodes[i]->suspect_until();
-      max_until[i].resize(until.size());
-      for (NodeId j = 0; j < until.size(); ++j) {
-        max_until[i][j] = std::max(max_until[i][j], until[j]);
+      const auto peers = c.nodes[i]->peer_health();
+      max_until[i].resize(peers.size());
+      for (NodeId j = 0; j < peers.size(); ++j) {
+        max_until[i][j] = std::max(max_until[i][j], peers[j].suspect_until);
       }
     }
   }
@@ -558,13 +560,47 @@ TEST(LeaderScheduleCluster, OnlyTheSilentSlotsLeaderIsSuspected) {
     for (NodeId j = 1; j < 4; ++j) {
       EXPECT_EQ(log.max_until[i][j], 0u) << "node " << i << " suspects " << j;
     }
-    EXPECT_EQ(c.nodes[i]->suspect_until()[0], 0u) << "node " << i;
+    EXPECT_EQ(c.nodes[i]->peer_health()[0].suspect_until, 0u) << "node " << i;
   }
   EXPECT_EQ(c.sim->metrics().counter("multishot.viewchange.suspected").value(), 0u);
   for (const auto& [slot, view] : vcs->seen) {
     EXPECT_GE(slot + 4, kSilent) << "view " << view;
     EXPECT_LE(slot, kSilent) << "view " << view;
   }
+  EXPECT_TRUE(c.chains_consistent());
+}
+
+TEST(LeaderScheduleCluster, JunkBytesDoNotEndASuspicion) {
+  // Node 3 sends nothing but junk, every millisecond. Its silent slots make
+  // it a suspect, and malformed bytes are no sign of life: once an honest
+  // node suspects it, the suspicion never ends early, and its later stripes
+  // ask for their view change as they start.
+  MsClusterOptions opts;
+  opts.max_slots = 200;
+  opts.pipeline_depth = 4;
+  opts.make_node = [](NodeId id, const MultishotConfig&) -> std::unique_ptr<sim::ProtocolNode> {
+    if (id != 3) return nullptr;
+    return std::make_unique<sim::RandomJunkNode>(sim::kMillisecond);
+  };
+  auto c = make_ms_cluster(opts);
+  std::vector<Slot> until(3, 0);  // node i's last sampled suspicion of node 3
+  std::size_t suspected = 0;      // samples of an honest node suspecting node 3
+  std::size_t cleared = 0;        // samples where one stopped suspecting it
+  ASSERT_TRUE(c.sim->run_until_pred(
+      [&] {
+        for (NodeId i = 0; i < 3; ++i) {
+          const Slot now = c.nodes[i]->peer_health()[3].suspect_until;
+          if (now < until[i]) ++cleared;
+          if (now != 0) ++suspected;
+          until[i] = now;
+        }
+        return c.min_finalized() >= 150;
+      },
+      1000 * c.timeout()));
+  EXPECT_GT(suspected, 0u);
+  EXPECT_EQ(cleared, 0u);
+  EXPECT_GT(c.sim->metrics().counter("multishot.viewchange.suspected").value(), 0u);
+  EXPECT_GT(c.sim->metrics().counter("multishot.malformed").value(), 0u);
   EXPECT_TRUE(c.chains_consistent());
 }
 
@@ -647,13 +683,13 @@ TEST(LeaderScheduleCluster, RestartedNodeJoinsThePreemptiveViewChanges) {
   const std::vector<NodeId> live{1, 2, 3};
   ASSERT_TRUE(c.sim->run_until_pred([&] { return min_live_finalized(c, live) >= kCrashAt + 20; },
                                     crashed + 100 * c.timeout()));
-  ASSERT_GT(c.nodes[2]->suspect_until()[0], c.nodes[2]->finalized_count() + 20);
+  ASSERT_GT(c.nodes[2]->peer_health()[0].suspect_until, c.nodes[2]->finalized_count() + 20);
 
   c.sim->crash_node(1);
   durables.push_back(std::make_unique<storage::DurableChain>(dir.path, dopts));
   auto fresh = std::make_unique<MultishotNode>(c.nodes[1]->config());
   durables.back()->attach(*fresh);
-  EXPECT_EQ(fresh->suspect_until()[0], 0u);
+  EXPECT_EQ(fresh->peer_health()[0].suspect_until, 0u);
   c.nodes[1] = fresh.get();
   c.sim->restart_node(1, std::move(fresh));
   const Slot restarted_at = c.nodes[2]->finalized_count();
@@ -665,7 +701,7 @@ TEST(LeaderScheduleCluster, RestartedNodeJoinsThePreemptiveViewChanges) {
   // is for one of node 0's slots, and the restarted node joined each one.
   std::size_t joined = 0;
   for (const auto& [slot, senders] : asks->senders) {
-    if (slot <= restarted_at + 4 || slot > c.nodes[2]->suspect_until()[0]) continue;
+    if (slot <= restarted_at + 4 || slot > c.nodes[2]->peer_health()[0].suspect_until) continue;
     EXPECT_EQ(rotation_leader(slot, 0, 4, 1), 0u) << "slot " << slot;
     EXPECT_EQ(senders.count(1), 1u) << "slot " << slot;
     ++joined;
